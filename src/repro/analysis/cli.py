@@ -64,12 +64,15 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
     layer_map = _load_layer_map(root) if custom_root else None
     sources = discover_sources(root, None if layer_map else "src/repro")
 
-    rg_mutant = None
+    kind = payload = None
     if mutant is not None:
-        from repro.analysis.rg_mutants import RG_MUTANTS, apply_rg_mutant
+        from repro.analysis.mutants import MUTANTS, apply_rg_mutant
 
-        if mutant in RG_MUTANTS:
-            rg_mutant = mutant
+        if mutant not in MUTANTS:
+            raise SystemExit(f"unknown --mutant {mutant!r}; choose from "
+                             f"{sorted(MUTANTS)}")
+        kind, payload = MUTANTS[mutant]
+        if kind == "rg":
             sources = apply_rg_mutant(sources, mutant)
 
     if "layering" not in skip:
@@ -87,8 +90,8 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
 
         findings, stats = check_interference(sources)
         report.extend(findings)
-        if rg_mutant is not None:
-            stats["target"] = f"mutant:{rg_mutant}"
+        if kind == "rg":
+            stats["target"] = f"mutant:{mutant}"
         report.stats["rg"] = stats
 
     if "lockorder" not in skip:
@@ -101,85 +104,63 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
     apply_suppressions(report.findings, sources)
 
     if "deadsupp" not in skip and not set(_STATIC_PASSES) & set(skip) \
-            and rg_mutant is None:
+            and kind != "rg":
         findings = dead_suppressions(report.findings, sources)
         report.extend(findings)
         report.stats["deadsupp"] = {"dead": len(findings)}
 
     if "race" not in skip:
-        from repro.analysis.sched_race import (SCHED_MUTANTS,
-                                               detect_sched_races)
+        from repro.analysis.sched_race import detect_sched_races
 
         if seeds is None:
             seeds = RACE_SEEDS_QUICK if quick else RACE_SEEDS
-        nr_factory = None
-        sched_protocol = None
-        run_nr = run_sched = mutant is None
-        if mutant is not None and rg_mutant is None:
-            from repro.analysis.mutants import MUTANTS
-            from repro.analysis.rg_mutants import RG_MUTANTS
-            from repro.nr.datastructures import KvStore
+        # a race-pass mutant replaces its protocol and runs alone; an rg
+        # mutant is a static finding, so neither replay runs
+        if kind in (None, "nr"):
+            nr_factory = None
+            if kind == "nr":
+                from repro.nr.datastructures import KvStore
 
-            if mutant in MUTANTS:
-                cls = MUTANTS[mutant]
-                nr_factory = lambda: cls(KvStore, num_nodes=2)  # noqa: E731
-                run_nr = True
-            elif mutant in SCHED_MUTANTS:
-                sched_protocol = SCHED_MUTANTS[mutant]
-                run_sched = True
-            else:
-                raise SystemExit(
-                    f"unknown --mutant {mutant!r}; choose from "
-                    f"{sorted(MUTANTS) + sorted(SCHED_MUTANTS) + sorted(RG_MUTANTS)}")
-        if run_nr:
-            race_report = detect_races(seeds, nr_factory=nr_factory,
-                                       scripts=default_scripts(),
-                                       max_steps=max_steps)
-            for race in race_report.races:
-                report.findings.append(_race_finding(race, mutant))
-            report.stats["race"] = {
-                "schedules": race_report.schedules,
-                "steps": race_report.steps,
-                "accesses": race_report.accesses,
-                "races": len(race_report.races),
-                "target": mutant or "nr-protocol",
-            }
-        if run_sched:
-            kwargs = ({"protocol_cls": sched_protocol}
-                      if sched_protocol is not None else {})
-            sched_report = detect_sched_races(seeds, **kwargs)
-            for race in sched_report.races:
-                report.findings.append(_sched_race_finding(race, mutant))
-            report.stats["race_sched"] = {
-                "schedules": sched_report.schedules,
-                "steps": sched_report.steps,
-                "accesses": sched_report.accesses,
-                "races": len(sched_report.races),
-                "target": mutant or "sched-protocol",
-            }
+                nr_factory = lambda: payload(KvStore, num_nodes=2)  # noqa: E731
+            _record_replay(report, "nr", mutant, detect_races(
+                seeds, nr_factory=nr_factory, scripts=default_scripts(),
+                max_steps=max_steps))
+        if kind in (None, "sched"):
+            kwargs = {"protocol_cls": payload} if kind == "sched" else {}
+            _record_replay(report, "sched", mutant,
+                           detect_sched_races(seeds, **kwargs))
     return report
 
 
-def _race_finding(race, mutant):
+#: replay -> (stats stage, what a clean-tree race is attributed to, the
+#: protocol's module, the module holding its mutants)
+_REPLAYS = {
+    "nr": ("race", "repro.nr protocol", "src/repro/nr/core.py",
+           "src/repro/analysis/mutants.py"),
+    "sched": ("race_sched", "repro.nros.sched protocol",
+              "src/repro/nros/sched/smp.py",
+              "src/repro/analysis/sched_race.py"),
+}
+
+
+def _record_replay(report, replay, mutant, race_report) -> None:
+    """Fold one race replay's report into the analysis report."""
     from repro.analysis.findings import Finding
 
-    source = f"mutant:{mutant}" if mutant else "repro.nr protocol"
-    return Finding(rule="race.unordered-access",
-                   path="src/repro/nr/core.py" if not mutant
-                        else "src/repro/analysis/mutants.py",
-                   line=1,
-                   message=f"[{source}] {race.render()}")
-
-
-def _sched_race_finding(race, mutant):
-    from repro.analysis.findings import Finding
-
-    source = f"mutant:{mutant}" if mutant else "repro.nros.sched protocol"
-    return Finding(rule="race.unordered-access",
-                   path="src/repro/nros/sched/smp.py" if not mutant
-                        else "src/repro/analysis/sched_race.py",
-                   line=1,
-                   message=f"[{source}] {race.render()}")
+    stage, protocol, path, mutant_path = _REPLAYS[replay]
+    source = f"mutant:{mutant}" if mutant else protocol
+    for race in race_report.races:
+        report.findings.append(Finding(
+            rule="race.unordered-access",
+            path=mutant_path if mutant else path, line=1,
+            message=f"[{source}] {race.render()}"))
+    report.stats[stage] = {
+        "schedules": race_report.schedules,
+        "steps": race_report.steps,
+        "accesses": race_report.accesses,
+        "races": len(race_report.races),
+        "target": mutant or f"{replay}-protocol",
+    }
 
 
 def _emit_events(report: AnalysisReport) -> None:

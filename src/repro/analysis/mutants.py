@@ -1,14 +1,21 @@
-"""Seeded protocol mutants the race detector must catch.
+"""Seeded mutants every checker must catch — the one registry.
 
-A detector that has only ever said "no races" is indistinguishable from
-a detector that is wired to nothing.  Each mutant here is a known-racy
-variant of the NR step protocol; CI runs the detector against them and
-fails if they stop being flagged (the analysis analog of the fault
-campaign's seeded injections).
+A detector that has only ever said "no findings" is indistinguishable
+from a detector that is wired to nothing.  :data:`MUTANTS` names every
+seeded mutant with the pass that must flag it; ``analyze --mutant``
+dispatches from it and one tier-1 test iterates it, so "every checker
+has a must-fail mutant" is a tested property.  The NR step-protocol
+mutants are defined here, the scheduler-protocol ones beside their replay
+(:mod:`~repro.analysis.sched_race`), the source-transform interference
+ones in :mod:`~repro.analysis.rg_mutants`.
 """
 
 from __future__ import annotations
 
+from repro.analysis.rg_mutants import (PMEM_MODULE, free_unlocked,
+                                       split_no_merge_lock)
+from repro.analysis.sched_race import (DoubleEnqueueProtocol,
+                                       StealLockElisionProtocol)
 from repro.nr.core import (
     APPLY,
     NodeReplicated,
@@ -122,8 +129,23 @@ class WriterLockElisionNR(NodeReplicated):
             yield RELEASE
 
 
-#: Name -> NodeReplicated subclass, for `python -m repro analyze --mutant`.
+#: name -> (kind, payload).  The kind names the pass that must flag the
+#: mutant and what the payload is: ``nr`` a NodeReplicated subclass and
+#: ``sched`` a SchedProtocol subclass (both replayed by the race pass),
+#: ``rg`` a source transform over the pmem module (the rg pass).
 MUTANTS = {
-    "reader-lock-elision": ReaderLockElisionNR,
-    "writer-lock-elision": WriterLockElisionNR,
+    "reader-lock-elision": ("nr", ReaderLockElisionNR),
+    "writer-lock-elision": ("nr", WriterLockElisionNR),
+    "sched-steal-lock-elision": ("sched", StealLockElisionProtocol),
+    "sched-double-enqueue": ("sched", DoubleEnqueueProtocol),
+    "pmem-free-unlocked": ("rg", free_unlocked),
+    "buddy-split-no-merge-lock": ("rg", split_no_merge_lock),
 }
+
+
+def apply_rg_mutant(sources: dict[str, str], name: str) -> dict[str, str]:
+    """A copy of the source set with the ``rg`` mutant's transform
+    applied to the pmem module."""
+    mutated = dict(sources)
+    mutated[PMEM_MODULE] = MUTANTS[name][1](sources[PMEM_MODULE])
+    return mutated

@@ -45,7 +45,7 @@ def _the_with(method: ast.FunctionDef) -> tuple[int, ast.With]:
     raise ValueError(f"{method.name} has no with-block to mutate")
 
 
-def _free_unlocked(source: str) -> str:
+def free_unlocked(source: str) -> str:
     """Replace free_block's lock bracket with its bare body."""
     tree = ast.parse(source)
     method = _method(tree, PMEM.cls, "free_block")
@@ -54,7 +54,7 @@ def _free_unlocked(source: str) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def _split_no_merge_lock(source: str) -> str:
+def split_no_merge_lock(source: str) -> str:
     """Hoist alloc_block's split loop (and everything after it) out of
     the lock bracket: the block is picked under the lock, but the split
     and the publication to the allocated map run unguarded."""
@@ -68,18 +68,3 @@ def _split_no_merge_lock(source: str) -> str:
     with_node.body = with_node.body[:split_at]
     method.body[index + 1:index + 1] = hoisted
     return ast.unparse(ast.fix_missing_locations(tree))
-
-
-#: mutant name -> source transform over the real pmem module text.
-RG_MUTANTS = {
-    "pmem-free-unlocked": _free_unlocked,
-    "buddy-split-no-merge-lock": _split_no_merge_lock,
-}
-
-
-def apply_rg_mutant(sources: dict[str, str], name: str) -> dict[str, str]:
-    """A copy of the source set with the mutant transform applied."""
-    transform = RG_MUTANTS[name]
-    mutated = dict(sources)
-    mutated[PMEM_MODULE] = transform(sources[PMEM_MODULE])
-    return mutated

@@ -9,6 +9,11 @@ User programs are generators yielding :class:`~repro.nros.syscall.abi.Syscall`
 requests.  Every request round-trips through the binary wire format of
 :mod:`repro.nros.syscall.marshal` before dispatch — the kernel genuinely
 cannot see anything the marshaller did not carry.
+
+This module is boot, the run loop, scheduling glue and the dispatch core;
+each syscall is declared once, by its handler, in a family module under
+:mod:`repro.nros.syscall` (see :mod:`~repro.nros.syscall.table`), and a
+trap and a ring drain are two transports into one :meth:`Kernel._invoke`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.pt.defs import Flags, PageSize, PAGE_SIZE
 from repro.hw.devices.disk import Disk
 from repro.hw.devices.interrupts import InterruptController
 from repro.hw.devices.nic import Nic
@@ -29,49 +33,28 @@ from repro.nros.drivers.console import Console
 from repro.nros.drivers.netdev import NetDriver
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs import fs as fsmod
-from repro.nros.fs.alloc import NoSpace
-from repro.nros.net.stack import NetError, NetStack
-from repro.nros.net.rdp import STATE_CLOSED, STATE_ESTABLISHED
-from repro.nros.pmem import BuddyAllocator, OutOfMemory
-from repro.nros.proc.pipe import PipeClosed, PipeTable
+from repro.nros.net.stack import NetStack
+from repro.nros.pmem import BuddyAllocator
+from repro.nros.proc.pipe import PipeTable
 from repro.nros.proc.process import (
-    BlockReason,
     Process,
     ProcessState,
     Thread,
     ThreadState,
 )
 from repro.nros.sched.scheduler import Scheduler
-from repro.nros.syscall import abi
-from repro.nros.syscall import ring as ringmod
+from repro.nros.syscall import abi, table
 from repro.nros.syscall.abi import Syscall, SyscallError
 from repro.nros.syscall.marshal import marshal, marshal_call, unmarshal, unmarshal_call
-from repro.nros.syscall.usercopy import UserCopyFault, copy_from_user, copy_to_user
-from repro.nros.vspace import VSpace, VSpaceError
-from repro.verif.linear import OwnershipError, OwnershipTable
+from repro.nros.syscall.table import Block, ProcessExited, SyscallFailure
+from repro.nros.vspace import VSpace
+from repro.verif.linear import OwnershipTable
 
 MB = 1024 * 1024
 
 
 class KernelPanic(Exception):
     """Unrecoverable kernel error (including detected deadlock)."""
-
-
-class _Block(Exception):
-    """Internal: a handler parks the calling thread."""
-
-    def __init__(self, reason: BlockReason) -> None:
-        super().__init__(reason.kind)
-        self.reason = reason
-
-
-class _SyscallFailure(Exception):
-    """Internal: a handler fails with an errno."""
-
-    def __init__(self, errno: int, message: str = "") -> None:
-        super().__init__(message)
-        self.errno = errno
-        self.message = message
 
 
 @dataclass
@@ -86,6 +69,10 @@ class KernelStats:
 
 class Kernel:
     """One machine: memory, devices, kernel services, user processes."""
+
+    #: syscall number -> table entry, built (and checked against
+    #: ``abi.SYSCALLS``) once, when this module is imported.
+    _handlers = table.load()
 
     def __init__(
         self,
@@ -126,7 +113,6 @@ class Kernel:
             self.net_driver = NetDriver(self.nic, self.net,
                                         irq_line=self.irq.line(1))
         self.processes: dict[int, Process] = {}
-        self.programs: dict[int, object] = {}
         self._registry: dict[str, object] = {}
         self._next_pid = 1
         self.pipes = PipeTable()
@@ -135,7 +121,6 @@ class Kernel:
         self.stats = KernelStats()
         self._num_nodes = max(1, (num_cores + 13) // 14)
         self._ownership: dict[int, OwnershipTable] = {}  # pid -> table
-        self._handlers = self._build_handlers()
         #: Fault-injection plan for ring sites (torn SQE, full CQ,
         #: crash mid-batch); campaigns assign one, normal runs leave None.
         self.fault_plan = None
@@ -285,14 +270,6 @@ class Kernel:
             self._process_exit(thread.process, exit_code=70)
             return
 
-        if not isinstance(request, Syscall):
-            thread.pending = (
-                "error",
-                SyscallError(abi.EINVAL, f"yielded non-syscall {request!r}"),
-            )
-            self.scheduler.ready(thread)
-            return
-
         result = self._syscall(thread, request)
         if result is None:
             return  # blocked or exited; do not requeue
@@ -300,32 +277,55 @@ class Kernel:
         if thread.state is not ThreadState.EXITED:
             self.scheduler.ready(thread)
 
-    def _syscall(self, thread: Thread, request: Syscall):
-        """Marshal, dispatch, and marshal back.  Returns the pending tuple
-        for the thread, or None when the thread blocked / exited."""
+    def _syscall(self, thread: Thread, request):
+        """The trap transport: marshal, invoke, and marshal back.  Returns
+        the pending tuple for the thread, or None when the thread blocked
+        / exited."""
+        if not isinstance(request, Syscall):
+            return ("error", SyscallError(
+                abi.EINVAL, f"yielded non-syscall {request!r}"))
         self.stats.syscalls += 1
         wire = marshal_call(abi.SYSCALLS[request.name], request.args)
         self.stats.marshalled_bytes += len(wire)
         number, args = unmarshal_call(wire)
-        name = abi.NUMBER_TO_NAME.get(number)
-        handler = self._handlers.get(name)
-        if handler is None:
-            return ("error", SyscallError(abi.ENOSYS, name or str(number)))
         try:
-            value = handler(thread, *args)
-        except _Block as block:
-            self.scheduler.block(thread, block.reason)
-            if block.reason.kind == "futex":
-                self._futex_waiters.setdefault(block.reason.key, []).append(thread)
+            status, value, park = self._invoke(thread, number, args)
+        except ProcessExited:
             return None
-        except _SyscallFailure as failure:
-            return ("error", SyscallError(failure.errno, failure.message))
-        except _ProcessExited:
+        if park is not None:
+            self.scheduler.block(thread, park)
+            if park.kind == "futex":
+                self._futex_waiters.setdefault(park.key, []).append(thread)
             return None
+        if status:
+            return ("error", SyscallError(status, value))
         # response crosses the boundary too
         response = marshal(value)
         self.stats.marshalled_bytes += len(response)
         return ("value", unmarshal(response))
+
+    def _invoke(self, thread: Thread, number: int, args: tuple) -> tuple:
+        """The one dispatch core of both transports: handler lookup and
+        the outcome -> errno mapping.  Returns ``(0, result, None)``,
+        ``(errno, message, None)``, or — for a handler that would block —
+        ``(EAGAIN, message, reason)``: a trap parks the thread on
+        ``reason``, a ring (which never parks mid-batch) completes the
+        entry with the EAGAIN.  A bad argument count or shape is the
+        caller's EINVAL, never the kernel's TypeError."""
+        entry = self._handlers.get(number)
+        if entry is None:
+            return (abi.ENOSYS, abi.NUMBER_TO_NAME.get(number) or str(number),
+                    None)
+        try:
+            return (0, entry.handler(self, thread, *args), None)
+        except Block as block:
+            return (abi.EAGAIN, f"would block on {block.reason.kind}",
+                    block.reason)
+        except SyscallFailure as failure:
+            return (failure.errno, str(failure), None)
+        except TypeError as exc:
+            return (abi.EINVAL, f"bad arguments for {entry.name}: {exc}",
+                    None)
 
     def _thread_exited(self, thread: Thread, value) -> None:
         thread.state = ThreadState.EXITED
@@ -351,1002 +351,22 @@ class Kernel:
         process.fdtable.close_all()
         process.vspace.sync()
         # wake a parent blocked in wait()
-        if process.parent is not None and process.parent in self.processes:
-            for thread in self.processes[process.parent].threads.values():
-                if (thread.state is ThreadState.BLOCKED
-                        and thread.block_reason is not None
-                        and thread.block_reason.kind == "wait"
-                        and thread.block_reason.key in (process.pid, -1)):
-                    process.state = ProcessState.REAPED
-                    self.scheduler.wake(
-                        thread, ("value", (process.pid, exit_code))
-                    )
-                    break
+        for thread in self._blocked_threads("wait"):
+            if (thread.process.pid == process.parent
+                    and thread.block_reason.key in (process.pid, -1)):
+                process.state = ProcessState.REAPED
+                self.scheduler.wake(
+                    thread, ("value", (process.pid, exit_code))
+                )
+                break
 
-    # -- handler helpers ------------------------------------------------------------------
-
-    def _process_of(self, thread: Thread) -> Process:
-        return thread.process
-
-    def _core_of(self, thread: Thread) -> int:
-        return self.scheduler.core_of(thread)
+    # -- what handlers ask of the kernel ---------------------------------------------------
 
     def _translate(self, thread: Thread, vaddr: int, write: bool) -> int:
         try:
             return thread.process.vspace.translate(
-                self._core_of(thread), vaddr, write=write
+                self.scheduler.core_of(thread), vaddr, write=write
             )
         except TranslationFault as fault:
             self.stats.page_faults += 1
-            raise _SyscallFailure(abi.EFAULT, str(fault)) from fault
-
-    # -- syscall handlers ----------------------------------------------------------------------
-
-    def _build_handlers(self) -> dict:
-        return {
-            "vm_map": self._sys_vm_map,
-            "vm_unmap": self._sys_vm_unmap,
-            "vm_map_batch": self._sys_vm_map_batch,
-            "vm_unmap_batch": self._sys_vm_unmap_batch,
-            "ring_setup": self._sys_ring_setup,
-            "ring_enter": self._sys_ring_enter,
-            "ring_reap": self._sys_ring_reap,
-            "vm_resolve": self._sys_vm_resolve,
-            "mmap_file": self._sys_mmap_file,
-            "msync": self._sys_msync,
-            "peek": self._sys_peek,
-            "poke": self._sys_poke,
-            "cas": self._sys_cas,
-            "open": self._sys_open,
-            "close": self._sys_close,
-            "read": self._sys_read,
-            "write": self._sys_write,
-            "seek": self._sys_seek,
-            "stat": self._sys_stat,
-            "mkdir": self._sys_mkdir,
-            "readdir": self._sys_readdir,
-            "unlink": self._sys_unlink,
-            "rename": self._sys_rename,
-            "read_into": self._sys_read_into,
-            "write_from": self._sys_write_from,
-            "link": self._sys_link,
-            "truncate": self._sys_truncate,
-            "signal": self._sys_signal,
-            "sigwait": self._sys_sigwait,
-            "sigpending": self._sys_sigpending,
-            "setpriority": self._sys_setpriority,
-            "sched_setscheduler": self._sys_sched_setscheduler,
-            "sched_getscheduler": self._sys_sched_getscheduler,
-            "spawn": self._sys_spawn,
-            "wait": self._sys_wait,
-            "exit": self._sys_exit,
-            "getpid": self._sys_getpid,
-            "kill": self._sys_kill,
-            "sched_yield": self._sys_yield,
-            "thread_spawn": self._sys_thread_spawn,
-            "thread_join": self._sys_thread_join,
-            "sleep": self._sys_sleep,
-            "futex_wait": self._sys_futex_wait,
-            "futex_wake": self._sys_futex_wake,
-            "socket": self._sys_socket,
-            "bind": self._sys_bind,
-            "sendto": self._sys_sendto,
-            "recvfrom": self._sys_recvfrom,
-            "rdp_listen": self._sys_rdp_listen,
-            "rdp_connect": self._sys_rdp_connect,
-            "rdp_accept": self._sys_rdp_accept,
-            "rdp_send": self._sys_rdp_send,
-            "rdp_recv": self._sys_rdp_recv,
-            "rdp_close": self._sys_rdp_close,
-            "pipe": self._sys_pipe,
-            "pipe_read": self._sys_pipe_read,
-            "pipe_write": self._sys_pipe_write,
-            "pipe_close": self._sys_pipe_close,
-            "log": self._sys_log,
-        }
-
-    # pipes -----------------------------------------------------------------------
-
-    def _sys_pipe(self, thread: Thread, capacity: int = 16 * 1024) -> int:
-        if capacity <= 0:
-            raise _SyscallFailure(abi.EINVAL, "pipe capacity must be positive")
-        return self.pipes.create(capacity).pipe_id
-
-    def _pipe(self, pipe_id: int):
-        pipe = self.pipes.get(pipe_id)
-        if pipe is None:
-            raise _SyscallFailure(abi.EBADF, f"no pipe {pipe_id}")
-        return pipe
-
-    def _sys_pipe_read(self, thread: Thread, pipe_id: int, length: int):
-        pipe = self._pipe(pipe_id)
-
-        def poll():
-            data = pipe.try_read(length)
-            if data is None:
-                return None
-            return ("ok", data)
-
-        ready = poll()
-        if ready is not None:
-            self._wake_net_waiters()  # a blocked writer may now have space
-            return ready[1]
-        raise _Block(BlockReason("net", poll))
-
-    def _sys_pipe_write(self, thread: Thread, pipe_id: int, data: bytes):
-        pipe = self._pipe(pipe_id)
-
-        def poll():
-            try:
-                written = pipe.try_write(data)
-            except PipeClosed as exc:
-                return ("err", (abi.EPIPE, str(exc)))
-            if written is None:
-                return None
-            return ("ok", written)
-
-        ready = poll()
-        if ready is not None:
-            if ready[0] == "err":
-                raise _SyscallFailure(*ready[1])
-            self._wake_net_waiters()  # a blocked reader may now have data
-            return ready[1]
-        raise _Block(BlockReason("net", poll))
-
-    def _sys_pipe_close(self, thread: Thread, pipe_id: int, end: str) -> None:
-        pipe = self._pipe(pipe_id)
-        if end not in ("r", "w"):
-            raise _SyscallFailure(abi.EINVAL, f"bad pipe end {end!r}")
-        pipe.close(end)
-        self._wake_net_waiters()  # EOF / EPIPE now observable
-        self.pipes.reap()
-
-    # memory ----------------------------------------------------------------------
-
-    def _sys_vm_map(self, thread: Thread, npages: int) -> int:
-        if npages <= 0:
-            raise _SyscallFailure(abi.EINVAL, "npages must be positive")
-        process = thread.process
-        base = process.heap_next
-        core = self._core_of(thread)
-        mapped = []
-        try:
-            for i in range(npages):
-                frame = self.frames.alloc_frame()
-                self.memory.zero_frame(frame)
-                process.vspace.map(
-                    base + i * PAGE_SIZE, frame, PageSize.SIZE_4K,
-                    Flags.user_rw(), core=core,
-                )
-                mapped.append((base + i * PAGE_SIZE, frame))
-        except (OutOfMemory, VSpaceError) as exc:
-            for vaddr, frame in reversed(mapped):
-                process.vspace.unmap(vaddr, core=core)
-                self.frames.free_frame(frame)
-            raise _SyscallFailure(abi.ENOMEM, str(exc)) from exc
-        process.heap_next = base + npages * PAGE_SIZE
-        return base
-
-    def _sys_vm_unmap(self, thread: Thread, vaddr: int) -> None:
-        try:
-            removed = thread.process.vspace.unmap(
-                vaddr, core=self._core_of(thread)
-            )
-        except VSpaceError as exc:
-            raise _SyscallFailure(abi.ENOENT, str(exc)) from exc
-        self.frames.free_frame(removed.paddr)
-
-    def _sys_vm_resolve(self, thread: Thread, vaddr: int) -> int:
-        mapping = thread.process.vspace.resolve(
-            vaddr, core=self._core_of(thread)
-        )
-        if mapping is None:
-            raise _SyscallFailure(abi.ENOENT, f"{vaddr:#x} not mapped")
-        return mapping.paddr + (vaddr - mapping.vaddr)
-
-    def _sys_mmap_file(self, thread: Thread, path: str,
-                       writable: bool = False) -> tuple:
-        """Map a file's contents into user memory.
-
-        Allocates frames, copies the file in, and maps the pages (read-only
-        unless `writable`).  Returns (vaddr, file_length).  Writable
-        mappings are flushed back with msync — a deliberate simplification
-        of demand paging (no page-fault-driven laziness)."""
-        inum = self._fs_call(self.fs.lookup, path)
-        stat = self.fs.stat_inum(inum)
-        if stat.is_dir:
-            raise _SyscallFailure(abi.EISDIR, f"cannot mmap directory {path!r}")
-        npages = max(1, (stat.size + PAGE_SIZE - 1) // PAGE_SIZE)
-        process = thread.process
-        base = process.heap_next
-        core = self._core_of(thread)
-        flags = Flags(writable=writable, user=True, executable=False)
-        mapped = []
-        try:
-            for i in range(npages):
-                frame = self.frames.alloc_frame()
-                self.memory.zero_frame(frame)
-                chunk = self._fs_call(
-                    self.fs.read_at, inum, i * PAGE_SIZE, PAGE_SIZE
-                )
-                if chunk:
-                    self.memory.write(frame, chunk)
-                process.vspace.map(base + i * PAGE_SIZE, frame,
-                                   PageSize.SIZE_4K, flags, core=core)
-                mapped.append((base + i * PAGE_SIZE, frame))
-        except (OutOfMemory, VSpaceError) as exc:
-            for vaddr, frame in reversed(mapped):
-                process.vspace.unmap(vaddr, core=core)
-                self.frames.free_frame(frame)
-            raise _SyscallFailure(abi.ENOMEM, str(exc)) from exc
-        process.heap_next = base + npages * PAGE_SIZE
-        return (base, stat.size)
-
-    def _sys_msync(self, thread: Thread, path: str, vaddr: int,
-                   length: int) -> int:
-        """Flush a writable file mapping back to the file."""
-        if length < 0:
-            raise _SyscallFailure(abi.EINVAL, "negative length")
-        inum = self._fs_call(self.fs.lookup, path)
-        process = thread.process
-        root = process.vspace.root_for(self._core_of(thread))
-        try:
-            data = copy_from_user(self.memory, self.mmu, root, vaddr, length)
-        except UserCopyFault as exc:
-            raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-        self._fs_call(self.fs.truncate, inum, 0)
-        if data:
-            self._fs_call(self.fs.write_at, inum, 0, data)
-        return len(data)
-
-    def _sys_peek(self, thread: Thread, vaddr: int) -> int:
-        paddr = self._translate(thread, vaddr, write=False)
-        return self.memory.load_u64(paddr)
-
-    def _sys_poke(self, thread: Thread, vaddr: int, value: int) -> None:
-        paddr = self._translate(thread, vaddr, write=True)
-        self.memory.store_u64(paddr, value)
-
-    def _sys_cas(self, thread: Thread, vaddr: int, expected: int,
-                 new: int) -> tuple:
-        paddr = self._translate(thread, vaddr, write=True)
-        old = self.memory.load_u64(paddr)
-        if old == expected:
-            self.memory.store_u64(paddr, new)
-            return (True, old)
-        return (False, old)
-
-    # batched memory ops ------------------------------------------------------------
-
-    def _sys_vm_map_batch(self, thread: Thread, npages: int) -> int:
-        """Map N fresh pages through the NR replica in one batch pass."""
-        if npages <= 0:
-            raise _SyscallFailure(abi.EINVAL, "npages must be positive")
-        process = thread.process
-        base = process.heap_next
-        core = self._core_of(thread)
-        frames: list[int] = []
-        entries = []
-        try:
-            for i in range(npages):
-                frame = self.frames.alloc_frame()
-                self.memory.zero_frame(frame)
-                frames.append(frame)
-                entries.append((base + i * PAGE_SIZE, frame,
-                                PageSize.SIZE_4K, Flags.user_rw()))
-            process.vspace.map_batch(entries, core=core)
-        except (OutOfMemory, VSpaceError) as exc:
-            # map_batch already rolled back any pages it mapped
-            for frame in frames:
-                self.frames.free_frame(frame)
-            raise _SyscallFailure(abi.ENOMEM, str(exc)) from exc
-        process.heap_next = base + npages * PAGE_SIZE
-        return base
-
-    def _sys_vm_unmap_batch(self, thread: Thread, vaddrs,
-                            count: int | None = None) -> int:
-        """Unmap N pages with one TLB shootdown round for the whole batch.
-
-        Two argument shapes: an explicit tuple of page addresses, or the
-        munmap-style ``(base, count)`` range form — ``count`` consecutive
-        4K pages starting at ``base``.  The range form is what a ring
-        SQE uses: it stays a few bytes no matter how many pages it
-        names, where a marshalled address tuple would outgrow the
-        fixed-size slot.
-
-        The batch is all-or-nothing: the replica validates every address
-        before any mapping changes (one NR log operation for the whole
-        batch), so a missing page fails with ENOENT and leaves every
-        mapping intact."""
-        if count is not None:
-            if not isinstance(vaddrs, int) or not isinstance(count, int) \
-                    or count <= 0:
-                raise _SyscallFailure(
-                    abi.EINVAL, "range form needs an int base and a "
-                    "positive page count")
-            vaddrs = tuple(vaddrs + i * PAGE_SIZE for i in range(count))
-        if not isinstance(vaddrs, tuple) or not vaddrs:
-            raise _SyscallFailure(abi.EINVAL,
-                                  "vaddrs must be a non-empty tuple")
-        if not all(isinstance(v, int) for v in vaddrs):
-            raise _SyscallFailure(abi.EINVAL, "vaddrs must be integers")
-        if len(set(vaddrs)) != len(vaddrs):
-            raise _SyscallFailure(abi.EINVAL, "duplicate vaddr in batch")
-        try:
-            removed = thread.process.vspace.unmap_batch(
-                vaddrs, core=self._core_of(thread))
-        except VSpaceError as exc:
-            errno = abi.ENOENT if exc.kind == "not_mapped" else abi.EINVAL
-            raise _SyscallFailure(errno, str(exc)) from exc
-        for mapping in removed:
-            self.frames.free_frame(mapping.paddr)
-        return len(removed)
-
-    # syscall rings -----------------------------------------------------------------
-
-    def _ring_of(self, thread: Thread, ring_id: int) -> ringmod.SyscallRing:
-        ring = thread.process.rings.get(ring_id)
-        if ring is None:
-            raise _SyscallFailure(abi.EBADF, f"no ring {ring_id}")
-        return ring
-
-    def _sys_ring_setup(self, thread: Thread, sq_depth: int = 64,
-                        cq_depth: int = 0) -> tuple:
-        """Create a submission/completion ring pair in mapped user pages.
-
-        Returns (ring_id, sq_base, cq_base, sq_depth, cq_depth).  A zero
-        ``cq_depth`` means "same as the submission queue"."""
-        cq_depth = cq_depth or sq_depth
-        for depth in (sq_depth, cq_depth):
-            if not (isinstance(depth, int)
-                    and ringmod.MIN_DEPTH <= depth <= ringmod.MAX_DEPTH):
-                raise _SyscallFailure(
-                    abi.EINVAL,
-                    f"ring depth {depth} outside "
-                    f"[{ringmod.MIN_DEPTH}, {ringmod.MAX_DEPTH}]")
-        process = thread.process
-        core = self._core_of(thread)
-        sq_pages = ringmod.ring_pages(sq_depth, ringmod.SQE_SIZE, PAGE_SIZE)
-        cq_pages = ringmod.ring_pages(cq_depth, ringmod.CQE_SIZE, PAGE_SIZE)
-        total = sq_pages + cq_pages
-        base = process.heap_next
-        frames: list[int] = []
-        entries = []
-        try:
-            for i in range(total):
-                frame = self.frames.alloc_frame()
-                self.memory.zero_frame(frame)
-                frames.append(frame)
-                entries.append((base + i * PAGE_SIZE, frame,
-                                PageSize.SIZE_4K, Flags.user_rw()))
-            process.vspace.map_batch(entries, core=core)
-        except (OutOfMemory, VSpaceError) as exc:
-            for frame in frames:
-                self.frames.free_frame(frame)
-            raise _SyscallFailure(abi.ENOMEM, str(exc)) from exc
-        process.heap_next = base + total * PAGE_SIZE
-        ring = ringmod.SyscallRing(
-            ring_id=process.new_ring_id(),
-            sq_base=base,
-            cq_base=base + sq_pages * PAGE_SIZE,
-            sq_depth=sq_depth,
-            cq_depth=cq_depth,
-            frames=frames,
-            pages=[base + i * PAGE_SIZE for i in range(total)],
-        )
-        process.rings[ring.ring_id] = ring
-        return (ring.ring_id, ring.sq_base, ring.cq_base, sq_depth, cq_depth)
-
-    def _sys_ring_enter(self, thread: Thread, ring_id: int, blob: bytes,
-                        reap: bool = True) -> tuple:
-        """Submit a batch of SQEs and drain them in one dispatch pass.
-
-        ``blob`` is N concatenated 128-byte SQEs; they are written into
-        the ring's mapped submission pages (through ``usercopy``, so the
-        mapping obligation is checked for the whole batch at once), then
-        drained.  With ``reap`` the posted CQEs are decoded and returned
-        directly — one syscall for the entire batch; otherwise returns
-        (submitted, completed) and the CQEs wait for ``ring_reap``.  An
-        empty blob submits nothing but still runs a dispatch pass, which
-        re-drives SQEs left pending by completion-queue backpressure."""
-        ring = self._ring_of(thread, ring_id)
-        if not isinstance(blob, bytes) or len(blob) % ringmod.SQE_SIZE:
-            raise _SyscallFailure(
-                abi.EINVAL,
-                f"submission blob must be a multiple of "
-                f"{ringmod.SQE_SIZE} bytes")
-        n = len(blob) // ringmod.SQE_SIZE
-        if n > ring.sq_depth - ring.sq_pending:
-            raise _SyscallFailure(
-                abi.EAGAIN,
-                f"submission queue full ({ring.sq_pending}/{ring.sq_depth} "
-                f"pending, {n} submitted)")
-        root = thread.process.vspace.root_for(self._core_of(thread))
-        offset = 0
-        try:
-            # At most two contiguous runs (the window wraps at most once),
-            # so the mapping check for the whole batch costs two usercopy
-            # calls, not one per slot.
-            for vaddr, slots in ring.sq_segments(ring.sq_tail, n):
-                nbytes = slots * ringmod.SQE_SIZE
-                copy_to_user(self.memory, self.mmu, root, vaddr,
-                             blob[offset:offset + nbytes])
-                offset += nbytes
-        except UserCopyFault as exc:
-            raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-        ring.sq_tail += n
-        completed = self._ring_drain(thread, ring)
-        if reap:
-            return self._reap_cqes(thread, ring, 0)
-        return (n, completed)
-
-    def _sys_ring_reap(self, thread: Thread, ring_id: int,
-                       max_entries: int = 0) -> tuple:
-        """Harvest up to ``max_entries`` CQEs (0 = all ready)."""
-        ring = self._ring_of(thread, ring_id)
-        return self._reap_cqes(thread, ring, max_entries)
-
-    def _ring_drain(self, thread: Thread, ring: ringmod.SyscallRing) -> int:
-        """One dispatch pass over the pending SQEs, in submission order.
-
-        This is where the batching pays: the scheduler ran once to get
-        here, and one obs span covers the whole pass — but the per-entry
-        obligations still hold.  Each slot is read back through
-        ``usercopy`` and must survive its own decode (magic, length,
-        checksum, unmarshal) before dispatch; a torn slot becomes an
-        ``EBADMSG`` CQE for that entry alone.  Entries complete in
-        submission order; the pass stops early only when the completion
-        queue has no room (backpressure — the SQEs stay pending)."""
-        process = thread.process
-        root = process.vspace.root_for(self._core_of(thread))
-        plan = self.fault_plan
-        with obs.span("ring.drain", histogram="ring.drain_seconds",
-                      pending=ring.sq_pending):
-            # Tear injections land in user memory *before* the kernel
-            # reads the window, exactly as a racing user store would.
-            # Each staged entry gets exactly one tear draw over its
-            # lifetime (``sqe_drawn`` is the high-water mark), so an
-            # entry left pending by backpressure is not re-drawn on the
-            # next pass — it is re-read, and a torn slot stays torn.
-            if plan is not None:
-                start = max(ring.sq_head, ring.sqe_drawn)
-                for index in range(start, ring.sq_tail):
-                    decision = plan.draw("ring.sqe")
-                    if decision is not None and decision.kind == "torn":
-                        self._tear_sqe(root, ring.sq_slot_vaddr(index),
-                                       decision)
-                ring.sqe_drawn = max(ring.sqe_drawn, ring.sq_tail)
-            # One bulk read covers the whole pending window (≤2 runs).
-            window = ring.sq_pending
-            buf = b""
-            try:
-                if window:
-                    buf = b"".join(
-                        copy_from_user(self.memory, self.mmu, root, vaddr,
-                                       slots * ringmod.SQE_SIZE)
-                        for vaddr, slots
-                        in ring.sq_segments(ring.sq_head, window))
-            except UserCopyFault as exc:
-                raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-            cqes: list[bytes] = []
-            for i in range(window):
-                if ring.cq_ready + len(cqes) >= ring.cq_depth:
-                    break  # CQ full: leave the rest submitted
-                if plan is not None:
-                    decision = plan.draw("ring.cq")
-                    if decision is not None and decision.kind == "full":
-                        break  # forced backpressure
-                slot = buf[i * ringmod.SQE_SIZE:(i + 1) * ringmod.SQE_SIZE]
-                status, value = self._dispatch_sqe(thread, slot)
-                user_data = int.from_bytes(slot[8:16], "little")
-                cqes.append(ringmod.encode_cqe(user_data, status, value))
-                if plan is not None:
-                    decision = plan.draw("ring.dispatch")
-                    if decision is not None and decision.kind == "crash":
-                        break  # pass aborted; the rest stay pending
-            # Post every completion of this pass in one bulk write.  A
-            # crashed pass still posts the CQEs of the entries it already
-            # dispatched — their effects (including any TLB shootdown)
-            # are done, so exactly-once completion holds across re-entry.
-            completed = len(cqes)
-            if completed:
-                out = b"".join(cqes)
-                offset = 0
-                try:
-                    for vaddr, slots in ring.cq_segments(ring.cq_tail,
-                                                         completed):
-                        nbytes = slots * ringmod.CQE_SIZE
-                        copy_to_user(self.memory, self.mmu, root, vaddr,
-                                     out[offset:offset + nbytes])
-                        offset += nbytes
-                except UserCopyFault as exc:
-                    raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-                ring.sq_head += completed
-                ring.cq_tail += completed
-        self.stats.ring_batches += 1
-        self.stats.ring_sqes += completed
-        self._obs_batch_size.record(completed)
-        self._obs_sq_pending.set(ring.sq_pending)
-        self._obs_cq_ready.set(ring.cq_ready)
-        return completed
-
-    def _dispatch_sqe(self, thread: Thread, slot: bytes) -> tuple:
-        """Decode and invoke one SQE; returns (status, value).
-
-        The errno mapping mirrors the single-call path exactly — the
-        difference is only in *transport*: failures become typed error
-        CQEs instead of raised SyscallErrors, and an entry that would
-        block completes immediately with EAGAIN (a ring never parks the
-        submitting thread mid-batch)."""
-        try:
-            _user_data, number, args = ringmod.decode_sqe(slot)
-        except ringmod.SqeDecodeError as exc:
-            return (abi.EBADMSG, str(exc))
-        name = abi.NUMBER_TO_NAME.get(number)
-        if name in ringmod.RING_FORBIDDEN:
-            return (abi.EINVAL, f"{name} cannot be dispatched via a ring")
-        handler = self._handlers.get(name)
-        if handler is None:
-            return (abi.ENOSYS, name or str(number))
-        try:
-            return (0, handler(thread, *args))
-        except _Block as block:
-            return (abi.EAGAIN, f"would block on {block.reason.kind}")
-        except _SyscallFailure as failure:
-            return (failure.errno, failure.message)
-        except TypeError as exc:
-            return (abi.EINVAL, f"bad arguments for {name}: {exc}")
-
-    def _reap_cqes(self, thread: Thread, ring: ringmod.SyscallRing,
-                   max_entries: int) -> tuple:
-        """Decode ready CQEs -> ((user_data, status, value), ...)."""
-        root = thread.process.vspace.root_for(self._core_of(thread))
-        count = ring.cq_ready if max_entries <= 0 \
-            else min(max_entries, ring.cq_ready)
-        try:
-            buf = b"".join(
-                copy_from_user(self.memory, self.mmu, root, vaddr,
-                               slots * ringmod.CQE_SIZE)
-                for vaddr, slots in ring.cq_segments(ring.cq_head, count))
-        except UserCopyFault as exc:
-            raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-        out = tuple(
-            ringmod.decode_cqe(buf[i * ringmod.CQE_SIZE:
-                                   (i + 1) * ringmod.CQE_SIZE])
-            for i in range(count))
-        ring.cq_head += count
-        self._obs_cq_ready.set(ring.cq_ready)
-        return out
-
-    def _tear_sqe(self, root: int, slot_vaddr: int, decision) -> None:
-        """Fault injection: tear a staged SQE in user memory.
-
-        Models a partially-completed user store: either the slot's tail
-        is stale zeros (truncated write) or a byte is flipped.  The
-        damage always lands inside the encoded entry (header + blob),
-        never only in the already-zero padding, so every injection
-        genuinely changes the slot and must be caught by the decode
-        checksum."""
-        slot = bytearray(copy_from_user(self.memory, self.mmu, root,
-                                        slot_vaddr, ringmod.SQE_SIZE))
-        blob_len = min(int.from_bytes(slot[2:4], "little"),
-                       ringmod.SQE_BLOB_MAX)
-        encoded = ringmod._SQE_HEADER + blob_len
-        offset = 1 + decision.rand_below(max(encoded - 1, 1))
-        if decision.rand_below(2):
-            original = bytes(slot)
-            slot[offset:] = bytes(ringmod.SQE_SIZE - offset)
-            if bytes(slot) == original:  # the tail was all zeros anyway
-                slot[offset] ^= 0x5A
-        else:
-            slot[offset] ^= 0x5A
-        copy_to_user(self.memory, self.mmu, root, slot_vaddr, bytes(slot))
-
-    # files --------------------------------------------------------------------------
-
-    def _fs_call(self, fn, *args):
-        try:
-            return fn(*args)
-        except fsmod.NotFound as exc:
-            raise _SyscallFailure(abi.ENOENT, str(exc)) from exc
-        except fsmod.Exists as exc:
-            raise _SyscallFailure(abi.EEXIST, str(exc)) from exc
-        except fsmod.NotADirectory as exc:
-            raise _SyscallFailure(abi.ENOTDIR, str(exc)) from exc
-        except fsmod.IsADirectory as exc:
-            raise _SyscallFailure(abi.EISDIR, str(exc)) from exc
-        except fsmod.DirectoryNotEmpty as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-        except fdmod.BadFd as exc:
-            raise _SyscallFailure(abi.EBADF, str(exc)) from exc
-        except fdmod.PermissionDenied as exc:
-            raise _SyscallFailure(abi.EPERM, str(exc)) from exc
-        except NoSpace as exc:
-            raise _SyscallFailure(abi.ENOSPC, str(exc)) from exc
-        except fsmod.FileTooBig as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-        except ValueError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-        except fsmod.FsError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-
-    def _sys_open(self, thread: Thread, path: str, flags: int = 0) -> int:
-        return self._fs_call(thread.process.fdtable.open, path, flags)
-
-    def _sys_close(self, thread: Thread, fd: int) -> None:
-        self._fs_call(thread.process.fdtable.close, fd)
-
-    def _sys_read(self, thread: Thread, fd: int, length: int) -> bytes:
-        return self._fs_call(thread.process.fdtable.read, fd, length)
-
-    def _sys_write(self, thread: Thread, fd: int, data: bytes) -> int:
-        return self._fs_call(thread.process.fdtable.write, fd, data)
-
-    def _sys_seek(self, thread: Thread, fd: int, offset: int) -> int:
-        return self._fs_call(thread.process.fdtable.seek, fd, offset)
-
-    def _sys_stat(self, thread: Thread, path: str) -> tuple:
-        stat = self._fs_call(self.fs.stat, path)
-        return (stat.inum, stat.itype, stat.size, stat.nlink)
-
-    def _sys_mkdir(self, thread: Thread, path: str) -> None:
-        self._fs_call(self.fs.mkdir, path)
-
-    def _sys_readdir(self, thread: Thread, path: str) -> tuple:
-        return tuple(self._fs_call(self.fs.readdir, path))
-
-    def _sys_unlink(self, thread: Thread, path: str) -> None:
-        self._fs_call(self.fs.unlink, path)
-
-    def _sys_rename(self, thread: Thread, old: str, new: str) -> None:
-        self._fs_call(self.fs.rename, old, new)
-
-    def _sys_link(self, thread: Thread, old_path: str, new_path: str) -> None:
-        self._fs_call(self.fs.link, old_path, new_path)
-
-    def _sys_truncate(self, thread: Thread, path: str, size: int = 0) -> None:
-        inum = self._fs_call(self.fs.lookup, path)
-        self._fs_call(self.fs.truncate, inum, size)
-
-    def _sys_read_into(self, thread: Thread, fd: int, vaddr: int,
-                       length: int) -> int:
-        """Read file data directly into user memory: the mapping and
-        data-race-freedom obligations in action."""
-        process = thread.process
-        table = self._ownership[process.pid]
-        try:
-            token = table.claim_unique(vaddr, max(length, 1),
-                                       f"read_into:t{thread.tid}")
-        except OwnershipError as exc:
-            raise _SyscallFailure(abi.EAGAIN, str(exc)) from exc
-        try:
-            data = self._fs_call(process.fdtable.read, fd, length)
-            root = process.vspace.root_for(self._core_of(thread))
-            copy_to_user(self.memory, self.mmu, root, vaddr, data)
-            return len(data)
-        except UserCopyFault as exc:
-            raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-        finally:
-            table.release(token)
-
-    def _sys_write_from(self, thread: Thread, fd: int, vaddr: int,
-                        length: int) -> int:
-        process = thread.process
-        table = self._ownership[process.pid]
-        try:
-            token = table.claim_shared(vaddr, max(length, 1),
-                                       f"write_from:t{thread.tid}")
-        except OwnershipError as exc:
-            raise _SyscallFailure(abi.EAGAIN, str(exc)) from exc
-        try:
-            root = process.vspace.root_for(self._core_of(thread))
-            data = copy_from_user(self.memory, self.mmu, root, vaddr, length)
-            return self._fs_call(process.fdtable.write, fd, data)
-        except UserCopyFault as exc:
-            raise _SyscallFailure(abi.EFAULT, str(exc)) from exc
-        finally:
-            table.release(token)
-
-    # processes and threads --------------------------------------------------------------
-
-    def _sys_spawn(self, thread: Thread, name: str, argv: tuple = ()) -> int:
-        if name not in self._registry:
-            raise _SyscallFailure(abi.ENOENT, f"no program {name!r}")
-        return self.spawn(name, argv, parent=thread.process.pid)
-
-    def _sys_wait(self, thread: Thread, pid: int = -1) -> tuple:
-        process = thread.process
-        candidates = (
-            [pid] if pid != -1 else sorted(process.children)
-        )
-        zombie = None
-        for child_pid in candidates:
-            child = self.processes.get(child_pid)
-            if child is None or child.parent != process.pid:
-                continue
-            if child.state is ProcessState.ZOMBIE:
-                zombie = child
-                break
-        if zombie is not None:
-            zombie.state = ProcessState.REAPED
-            return (zombie.pid, zombie.exit_code)
-        if pid != -1:
-            child = self.processes.get(pid)
-            if child is None or child.parent != process.pid:
-                raise _SyscallFailure(abi.ECHILD, f"no child {pid}")
-            if child.state is ProcessState.REAPED:
-                raise _SyscallFailure(abi.ECHILD, f"child {pid} already reaped")
-        elif not any(
-            self.processes[c].state in (ProcessState.ALIVE, ProcessState.ZOMBIE)
-            for c in process.children if c in self.processes
-        ):
-            raise _SyscallFailure(abi.ECHILD, "no children to wait for")
-        raise _Block(BlockReason("wait", pid))
-
-    def _sys_exit(self, thread: Thread, code: int = 0) -> None:
-        self._process_exit(thread.process, exit_code=code)
-        raise _ProcessExited()
-
-    def _sys_getpid(self, thread: Thread) -> int:
-        return thread.process.pid
-
-    def _sys_kill(self, thread: Thread, pid: int, sig: int = abi.SIGKILL) -> None:
-        """SIGKILL terminates; any other signal is queued for sigwait."""
-        target = self.processes.get(pid)
-        if target is None or target.state is not ProcessState.ALIVE:
-            raise _SyscallFailure(abi.ESRCH, f"no such process {pid}")
-        if sig == abi.SIGKILL:
-            self._process_exit(target, exit_code=137)
-            if target is thread.process:
-                raise _ProcessExited()
-            return
-        target.pending_signals.append(sig)
-        for waiter in target.threads.values():
-            if (waiter.state is ThreadState.BLOCKED
-                    and waiter.block_reason is not None
-                    and waiter.block_reason.kind == "sigwait"
-                    and target.pending_signals):
-                delivered = target.pending_signals.pop(0)
-                self.scheduler.wake(waiter, ("value", delivered))
-
-    def _sys_signal(self, thread: Thread, pid: int, sig: int) -> None:
-        """Alias of kill() for non-fatal signals (readability in user
-        code)."""
-        if sig == abi.SIGKILL:
-            raise _SyscallFailure(abi.EINVAL, "use kill() for SIGKILL")
-        self._sys_kill(thread, pid, sig)
-
-    def _sys_sigwait(self, thread: Thread):
-        process = thread.process
-        if process.pending_signals:
-            return process.pending_signals.pop(0)
-        raise _Block(BlockReason("sigwait", process.pid))
-
-    def _sys_sigpending(self, thread: Thread) -> tuple:
-        return tuple(thread.process.pending_signals)
-
-    def _sys_setpriority(self, thread: Thread, priority: int) -> None:
-        try:
-            self.scheduler.set_priority(thread, priority)
-        except ValueError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-
-    def _sys_sched_setscheduler(self, thread: Thread, policy: str,
-                                param: int = 0) -> None:
-        """Switch the calling thread's scheduling class.  ``param`` is
-        the nice level for ``"fair"``, the RT priority for ``"fifo"``
-        and ``"rr"``."""
-        try:
-            if policy == "fair":
-                self.scheduler.set_policy(thread, policy, nice=param)
-            else:
-                self.scheduler.set_policy(thread, policy, rt_prio=param)
-        except ValueError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-
-    def _sys_sched_getscheduler(self, thread: Thread) -> tuple:
-        return self.scheduler.policy_of(thread)
-
-    def _sys_yield(self, thread: Thread) -> None:
-        return None
-
-    def _sys_thread_spawn(self, thread: Thread, entry: str,
-                          argv: tuple = ()) -> int:
-        if entry not in self._registry:
-            raise _SyscallFailure(abi.ENOENT, f"no entry point {entry!r}")
-        gen = self._registry[entry](*argv)
-        new_thread = thread.process.add_thread(gen)
-        self._threads_by_tid[new_thread.tid] = new_thread
-        self.scheduler.ready(new_thread)
-        return new_thread.tid
-
-    def _sys_thread_join(self, thread: Thread, tid: int):
-        target = self._threads_by_tid.get(tid)
-        if target is None or target.process is not thread.process:
-            raise _SyscallFailure(abi.ESRCH, f"no such thread {tid}")
-        if target is thread:
-            raise _SyscallFailure(abi.EINVAL, "cannot join self")
-        if target.state is ThreadState.EXITED:
-            return target.exit_value
-        raise _Block(BlockReason("join", tid))
-
-    def _sys_sleep(self, thread: Thread, ticks: int) -> None:
-        if ticks < 0:
-            raise _SyscallFailure(abi.EINVAL, "negative sleep")
-        if ticks == 0:
-            return None
-        raise _Block(BlockReason("sleep", self.timer.ticks + ticks))
-
-    # synchronization -----------------------------------------------------------------------
-
-    def _sys_futex_wait(self, thread: Thread, vaddr: int, expected: int):
-        paddr = self._translate(thread, vaddr, write=False)
-        current = self.memory.load_u64(paddr)
-        if current != expected:
-            raise _SyscallFailure(abi.EAGAIN,
-                                  f"futex value {current} != {expected}")
-        raise _Block(BlockReason("futex", paddr))
-
-    def _sys_futex_wake(self, thread: Thread, vaddr: int, count: int = 1) -> int:
-        paddr = self._translate(thread, vaddr, write=False)
-        waiters = self._futex_waiters.get(paddr, [])
-        woken = 0
-        while waiters and woken < count:
-            waiter = waiters.pop(0)
-            if waiter.state is ThreadState.BLOCKED:
-                self.scheduler.wake(waiter)
-                woken += 1
-        if not waiters:
-            self._futex_waiters.pop(paddr, None)
-        return woken
-
-    # networking -------------------------------------------------------------------------------
-
-    def _require_net(self) -> NetStack:
-        if self.net is None:
-            raise _SyscallFailure(abi.ENOSYS, "no network configured")
-        return self.net
-
-    def _sys_socket(self, thread: Thread) -> int:
-        self._require_net()
-        process = thread.process
-        sid = process.new_sid()
-        process.sockets[sid] = None  # bound later
-        return sid
-
-    def _sys_bind(self, thread: Thread, sid: int, port: int) -> None:
-        net = self._require_net()
-        process = thread.process
-        if sid not in process.sockets:
-            raise _SyscallFailure(abi.EBADF, f"no socket {sid}")
-        try:
-            process.sockets[sid] = net.udp_bind(port)
-        except NetError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-
-    def _sys_sendto(self, thread: Thread, sid: int, dst_ip: int,
-                    dst_port: int, payload: bytes) -> None:
-        net = self._require_net()
-        sock = thread.process.sockets.get(sid)
-        src_port = sock.port if sock is not None else 0
-        try:
-            net.udp_send(src_port, dst_ip, dst_port, payload)
-        except NetError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-
-    def _sys_recvfrom(self, thread: Thread, sid: int):
-        self._require_net()
-        sock = thread.process.sockets.get(sid)
-        if sock is None:
-            raise _SyscallFailure(abi.EINVAL, f"socket {sid} not bound")
-
-        def poll():
-            if sock.recv_queue:
-                src_ip, src_port, payload = sock.recv_queue.popleft()
-                return ("ok", (src_ip, src_port, payload))
-            return None
-
-        ready = poll()
-        if ready is not None:
-            return ready[1]
-        raise _Block(BlockReason("net", poll))
-
-    def _sys_rdp_listen(self, thread: Thread, port: int) -> int:
-        net = self._require_net()
-        process = thread.process
-        try:
-            listener = net.rdp_listen(port)
-        except NetError as exc:
-            raise _SyscallFailure(abi.EINVAL, str(exc)) from exc
-        sid = process.new_sid()
-        process.sockets[sid] = listener
-        return sid
-
-    def _sys_rdp_connect(self, thread: Thread, dst_ip: int,
-                         dst_port: int):
-        net = self._require_net()
-        process = thread.process
-        conn = net.rdp_connect(dst_ip, dst_port)
-        sid = process.new_sid()
-        process.sockets[sid] = conn
-        net.tick(self.timer.ticks)  # send the SYN promptly
-
-        def poll():
-            if conn.state == STATE_ESTABLISHED:
-                return ("ok", sid)
-            if conn.state == STATE_CLOSED:
-                return ("err", (abi.ECONNREFUSED, "connect failed"))
-            return None
-
-        ready = poll()
-        if ready is not None and ready[0] == "ok":
-            return ready[1]
-        raise _Block(BlockReason("net", poll))
-
-    def _sys_rdp_accept(self, thread: Thread, sid: int):
-        self._require_net()
-        process = thread.process
-        listener = process.sockets.get(sid)
-        if listener is None or not hasattr(listener, "pending"):
-            raise _SyscallFailure(abi.EINVAL, f"socket {sid} not listening")
-
-        def poll():
-            if listener.pending:
-                conn = listener.pending.popleft()
-                conn_sid = process.new_sid()
-                process.sockets[conn_sid] = conn
-                return ("ok", conn_sid)
-            return None
-
-        ready = poll()
-        if ready is not None:
-            return ready[1]
-        raise _Block(BlockReason("net", poll))
-
-    def _get_conn(self, thread: Thread, sid: int):
-        conn = thread.process.sockets.get(sid)
-        if conn is None or not hasattr(conn, "recv_queue"):
-            raise _SyscallFailure(abi.EBADF, f"socket {sid} is not a connection")
-        return conn
-
-    def _sys_rdp_send(self, thread: Thread, sid: int, payload: bytes) -> None:
-        net = self._require_net()
-        conn = self._get_conn(thread, sid)
-        if conn.state == STATE_CLOSED:
-            raise _SyscallFailure(abi.ENOTCONN, "connection closed")
-        net.rdp_send(conn, payload)
-        net.tick(self.timer.ticks)  # opportunistic transmit
-
-    def _sys_rdp_recv(self, thread: Thread, sid: int):
-        self._require_net()
-        conn = self._get_conn(thread, sid)
-
-        def poll():
-            if conn.recv_queue:
-                return ("ok", conn.recv_queue.popleft())
-            if conn.state == STATE_CLOSED:
-                return ("err", (abi.ENOTCONN, "connection closed"))
-            return None
-
-        ready = poll()
-        if ready is not None:
-            if ready[0] == "err":
-                raise _SyscallFailure(*ready[1])
-            return ready[1]
-        raise _Block(BlockReason("net", poll))
-
-    def _sys_rdp_close(self, thread: Thread, sid: int) -> None:
-        net = self._require_net()
-        conn = self._get_conn(thread, sid)
-        net.rdp_close(conn)
-
-    # console ----------------------------------------------------------------------------------------
-
-    def _sys_log(self, thread: Thread, message: str) -> None:
-        self.console.info(
-            f"[{thread.process.name}:{thread.process.pid}] {message}"
-        )
-
-
-class _ProcessExited(Exception):
-    """Internal: the calling process exited inside a handler."""
+            raise SyscallFailure(abi.EFAULT, str(fault)) from fault

@@ -107,30 +107,8 @@ class UnverifiedPageTable:
                     self._free_subtree(raw & defs.ADDR_MASK, level + 1)
         self.allocator.free_frame(table)
 
-    def unmap(self, vaddr: int) -> Mapping:
-        if vaddr >= defs.MAX_VADDR or vaddr < 0:
-            raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
-        table = self.root_paddr
-        for level in range(defs.NUM_LEVELS):
-            slot = table + (((vaddr >> defs.LEVEL_SHIFTS[level]) & 0x1FF) << 3)
-            raw = self.memory.load_u64(slot)
-            if not raw & _PRESENT:
-                raise NotMapped(f"{vaddr:#x} not mapped")
-            if level == 3 or (level in (1, 2) and raw & _HUGE):
-                size = PageSize.for_level(level)
-                self.memory.store_u64(slot, 0)
-                # NOTE: no empty-table GC — tables stay allocated, like
-                # many production kernels' fast paths.
-                return Mapping(
-                    vaddr=vaddr & ~(int(size) - 1),
-                    paddr=raw & defs.ADDR_MASK & ~(int(size) - 1),
-                    size=size,
-                    flags=_decode_flags(raw),
-                )
-            table = raw & defs.ADDR_MASK
-        raise AssertionError("unreachable")
-
-    def resolve(self, vaddr: int) -> Mapping | None:
+    def _leaf(self, vaddr: int) -> tuple[int, Mapping] | None:
+        """(entry paddr, mapping) of the page covering `vaddr`, if any."""
         if vaddr >= defs.MAX_VADDR or vaddr < 0:
             raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
         table = self.root_paddr
@@ -141,7 +119,7 @@ class UnverifiedPageTable:
                 return None
             if level == 3 or (level in (1, 2) and raw & _HUGE):
                 size = PageSize.for_level(level)
-                return Mapping(
+                return slot, Mapping(
                     vaddr=vaddr & ~(int(size) - 1),
                     paddr=raw & defs.ADDR_MASK & ~(int(size) - 1),
                     size=size,
@@ -149,6 +127,48 @@ class UnverifiedPageTable:
                 )
             table = raw & defs.ADDR_MASK
         raise AssertionError("unreachable")
+
+    def unmap(self, vaddr: int) -> Mapping:
+        leaf = self._leaf(vaddr)
+        if leaf is None:
+            raise NotMapped(f"{vaddr:#x} not mapped")
+        # NOTE: no empty-table GC — tables stay allocated, like many
+        # production kernels' fast paths.
+        self.memory.store_u64(leaf[0], 0)
+        return leaf[1]
+
+    def map_batch(self, entries) -> int:
+        """Map N ``(vaddr, frame, size, flags)`` entries; returns the count.
+        All-or-nothing like the verified table (minus its leaf-table
+        cache): a failing entry unwinds the ones already applied."""
+        done = []
+        try:
+            for vaddr, frame_paddr, size, flags in entries:
+                self.map_frame(vaddr, frame_paddr, size, flags)
+                done.append(vaddr)
+        except (AlreadyMapped, BadRequest):
+            for vaddr in reversed(done):
+                self.unmap(vaddr)
+            raise
+        return len(done)
+
+    def unmap_batch(self, vaddrs) -> list[Mapping]:
+        """Remove the mappings covering `vaddrs`, all-or-nothing: a missing
+        page (or two addresses under one mapping) raises
+        :class:`NotMapped` before any mapping is touched."""
+        leaves: dict[int, Mapping] = {}  # entry paddr -> mapping
+        for vaddr in vaddrs:
+            leaf = self._leaf(vaddr)
+            if leaf is None or leaf[0] in leaves:
+                raise NotMapped(f"{vaddr:#x} not mapped")
+            leaves[leaf[0]] = leaf[1]
+        for slot in leaves:
+            self.memory.store_u64(slot, 0)
+        return list(leaves.values())
+
+    def resolve(self, vaddr: int) -> Mapping | None:
+        leaf = self._leaf(vaddr)
+        return None if leaf is None else leaf[1]
 
 
 def _decode_flags(raw: int) -> Flags:

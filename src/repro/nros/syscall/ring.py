@@ -49,7 +49,7 @@ are written and read by the kernel only, so they carry none.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from zlib import crc32
 
 from repro.nros.syscall import abi
@@ -78,12 +78,19 @@ def _sqe_checksum(prefix: bytes, blob: bytes) -> int:
 MIN_DEPTH = 1
 MAX_DEPTH = 1024
 
-#: Syscalls that must not be dispatched through a ring: control-flow
-#: transfers (exit unwinds the caller) and the ring ops themselves
-#: (no recursive draining).
-RING_FORBIDDEN = frozenset({
-    "exit", "ring_setup", "ring_enter", "ring_reap",
-})
+
+def __getattr__(name: str):
+    """``RING_FORBIDDEN`` — the syscalls that must not be dispatched
+    through a ring — is derived from the syscall table, where ring
+    eligibility is declared on the handler.  Resolved on first use (the
+    handler families import this module), then a plain module constant."""
+    if name != "RING_FORBIDDEN":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.nros.syscall.table import load
+
+    forbidden = frozenset(e.name for e in load().values() if not e.ring)
+    globals()[name] = forbidden
+    return forbidden
 
 
 class RingError(Exception):
@@ -199,8 +206,6 @@ class SyscallRing:
     cq_head: int = 0        # next CQE index to reap
     cq_tail: int = 0        # next CQE index to post
     sqe_drawn: int = 0      # fault plans: tear draws issued up to here
-    frames: list[int] = field(default_factory=list)  # backing frames
-    pages: list[int] = field(default_factory=list)   # mapped vaddrs
 
     @property
     def sq_pending(self) -> int:

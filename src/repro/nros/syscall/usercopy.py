@@ -22,15 +22,20 @@ class UserCopyFault(Exception):
         self.vaddr = vaddr
 
 
-def _chunks(vaddr: int, length: int):
-    """Split [vaddr, vaddr+length) at 4 KiB page boundaries."""
+def _chunks(mmu: Mmu, root_paddr: int, vaddr: int, length: int,
+            access: AccessType):
+    """Split [vaddr, vaddr+length) at 4 KiB page boundaries and translate
+    each piece as a user-mode `access`: yields (paddr, chunk length)."""
     end = vaddr + length
-    current = vaddr
-    while current < end:
-        page_end = defs.vaddr_base(current, defs.PageSize.SIZE_4K) + defs.PAGE_SIZE
+    while vaddr < end:
+        page_end = defs.vaddr_base(vaddr, defs.PageSize.SIZE_4K) + defs.PAGE_SIZE
         chunk_end = min(end, page_end)
-        yield current, chunk_end - current
-        current = chunk_end
+        try:
+            t = mmu.translate(root_paddr, vaddr, access, user_mode=True)
+        except TranslationFault as exc:
+            raise UserCopyFault(vaddr, exc.reason) from exc
+        yield t.paddr, chunk_end - vaddr
+        vaddr = chunk_end
 
 
 def copy_from_user(
@@ -40,13 +45,9 @@ def copy_from_user(
     if length < 0:
         raise ValueError("negative length")
     out = bytearray()
-    for chunk_vaddr, chunk_len in _chunks(vaddr, length):
-        try:
-            t = mmu.translate(root_paddr, chunk_vaddr, AccessType.READ,
-                              user_mode=True)
-        except TranslationFault as exc:
-            raise UserCopyFault(chunk_vaddr, exc.reason) from exc
-        out += memory.read(t.paddr, chunk_len)
+    for paddr, chunk_len in _chunks(mmu, root_paddr, vaddr, length,
+                                    AccessType.READ):
+        out += memory.read(paddr, chunk_len)
     return bytes(out)
 
 
@@ -55,11 +56,7 @@ def copy_to_user(
 ) -> None:
     """Write `data` to the user buffer at `vaddr`."""
     offset = 0
-    for chunk_vaddr, chunk_len in _chunks(vaddr, len(data)):
-        try:
-            t = mmu.translate(root_paddr, chunk_vaddr, AccessType.WRITE,
-                              user_mode=True)
-        except TranslationFault as exc:
-            raise UserCopyFault(chunk_vaddr, exc.reason) from exc
-        memory.write(t.paddr, data[offset : offset + chunk_len])
+    for paddr, chunk_len in _chunks(mmu, root_paddr, vaddr, len(data),
+                                    AccessType.WRITE):
+        memory.write(paddr, data[offset : offset + chunk_len])
         offset += chunk_len

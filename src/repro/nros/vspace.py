@@ -81,37 +81,16 @@ class _PtDs:
 
     def _apply_map_batch(self, entries):
         """N maps as ONE log operation — a single append + combine pays
-        for the whole batch.  All-or-nothing inside the replica: a
-        failing entry unwinds the ones already applied, so no replica
-        ever exposes a partially-mapped batch.  Backends without a
-        native ``map_batch`` (the unverified tree) get a loop with the
-        same unwind-on-failure contract."""
-        if hasattr(self.pt, "map_batch"):
-            return ("ok", self.pt.map_batch(entries))
-        done = []
-        try:
-            for vaddr, frame, size, flags in entries:
-                self.pt.map_frame(vaddr, frame, size, flags)
-                done.append(vaddr)
-        except (AlreadyMapped, BadRequest):
-            for vaddr in reversed(done):
-                self.pt.unmap(vaddr)
-            raise
-        return ("ok", len(done))
+        for the whole batch.  All-or-nothing inside the replica (the
+        page table unwinds a failing batch itself), so no replica ever
+        exposes a partially-mapped batch."""
+        return ("ok", self.pt.map_batch(entries))
 
     def _apply_unmap_batch(self, vaddrs):
         """N unmaps as ONE log operation.  The page table validates the
-        whole batch in one walk pass before any mapping changes, so the
-        batch is atomic without rollback state — and the empty-table
-        sweep runs once per batch instead of once per page.  Backends
-        without a native ``unmap_batch`` resolve every page up front
-        for the same atomicity before unmapping one by one."""
-        if hasattr(self.pt, "unmap_batch"):
-            return ("ok", tuple(self.pt.unmap_batch(vaddrs)))
-        for vaddr in vaddrs:
-            if self.pt.resolve(vaddr) is None:
-                raise NotMapped(f"{vaddr:#x} not mapped")
-        return ("ok", tuple(self.pt.unmap(vaddr) for vaddr in vaddrs))
+        whole batch before any mapping changes, so the batch is atomic
+        without rollback state."""
+        return ("ok", tuple(self.pt.unmap_batch(vaddrs)))
 
     def query(self, op):
         kind, vaddr = op

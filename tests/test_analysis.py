@@ -2,9 +2,12 @@
 the layering/erasure checker, the purity lint, the suppression syntax,
 and the seeded violation fixture the checker must flag."""
 
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from repro.analysis.cli import PASSES, RULES, repo_root, run_analysis
 from repro.analysis.findings import (Finding, allowed_rules,
@@ -16,6 +19,7 @@ from repro.analysis.layers import (
     loc_classification,
     loc_kind,
 )
+from repro.analysis.mutants import MUTANTS
 from repro.analysis.purity import check_purity
 from repro.metrics import loc
 
@@ -36,6 +40,20 @@ def test_every_file_under_src_repro_is_classified():
         f"{len(unmapped)} file(s) under src/repro missing from "
         f"repro.analysis.layers.LAYER_MAP — add an entry (or a "
         f"directory prefix) for each of: " + ", ".join(unmapped))
+
+
+def test_discover_sources_in_a_checkout_under_a_dot_directory(tmp_path):
+    """Only dot-directories *inside* the analyzed tree are skipped: a
+    checkout that itself lives under one must still yield its sources
+    (it used to yield none, failing both static rg VCs)."""
+    root = tmp_path / ".hidden" / "checkout"
+    package = root / "src" / "repro"
+    (package / ".cache").mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "mod.py").write_text("X = 1\n", encoding="utf-8")
+    (package / ".cache" / "stale.py").write_text("Y = 2\n", encoding="utf-8")
+    assert discover_sources(root) == {
+        "src/repro/__init__.py": "", "src/repro/mod.py": "X = 1\n"}
 
 
 def test_prefix_match_respects_path_components():
@@ -247,9 +265,7 @@ def test_json_format_is_byte_deterministic_at_fixed_seed():
     assert first.returncode == 0, first.stdout + first.stderr
     assert second.returncode == 0
     assert first.stdout == second.stdout
-    import json as json_mod
-
-    payload = json_mod.loads(first.stdout)
+    payload = json.loads(first.stdout)
     assert payload["schema"] == "repro.analysis/v1"
     assert payload["clean"] is True
     names = {record["name"] for record in payload["records"]}
@@ -267,15 +283,50 @@ def test_json_format_validates_against_obs_schema():
     proc = _run_analyze_cli("--format", "json", "--root", str(FIXTURE),
                             "--skip", "race")
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    import json as json_mod
-
-    payload = json_mod.loads(proc.stdout)
+    payload = json.loads(proc.stdout)
     assert payload["clean"] is False
     for record in payload["records"]:
         assert validate_record(record) == []
     rules = {record["rule"] for record in payload["records"]
              if record["name"] == "analysis.finding"}
     assert "suppression.dead" in rules
+
+
+#: Active findings ``analyze --seed 1`` reports per registered mutant
+#: (None = the clean tree).  A new mutant must be added here, so the
+#: registry cannot grow an entry no gate exercises.
+MUTANT_FINDINGS_AT_SEED_1 = {
+    None: 0,
+    "reader-lock-elision": 2,
+    "writer-lock-elision": 2,
+    "sched-steal-lock-elision": 9,
+    "sched-double-enqueue": 2,
+    "pmem-free-unlocked": 7,
+    "buddy-split-no-merge-lock": 5,
+}
+
+
+def test_mutant_registry_is_fully_gated():
+    assert set(MUTANTS) == set(MUTANT_FINDINGS_AT_SEED_1) - {None}
+    assert {kind for kind, _payload in MUTANTS.values()} \
+        == {"nr", "sched", "rg"}
+
+
+@pytest.mark.parametrize("mutant", MUTANT_FINDINGS_AT_SEED_1,
+                         ids=lambda name: name or "clean-tree")
+def test_every_registered_mutant_fails_analyze(mutant):
+    """Every checker has a must-fail mutant: the clean tree exits 0 and
+    each registered mutant exits 1 with a seed-stable finding count."""
+    argv = ["--format", "json", "--skip", "layering,purity", "--seed", "1"]
+    if mutant is not None:
+        argv += ["--mutant", mutant]
+    proc = _run_analyze_cli(*argv)
+    assert proc.returncode == (0 if mutant is None else 1), \
+        proc.stdout + proc.stderr
+    active = [record for record in json.loads(proc.stdout)["records"]
+              if record["name"] == "analysis.finding"
+              and not record["suppressed"]]
+    assert len(active) == MUTANT_FINDINGS_AT_SEED_1[mutant]
 
 
 def test_cli_stable_exit_codes():

@@ -7,8 +7,8 @@ import sys
 from repro.analysis.cli import repo_root
 from repro.analysis.imports import discover_sources
 from repro.analysis.rg import check_interference
-from repro.analysis.rg_mutants import (PMEM_MODULE, RG_MUTANTS,
-                                       apply_rg_mutant)
+from repro.analysis.mutants import MUTANTS, apply_rg_mutant
+from repro.analysis.rg_mutants import PMEM_MODULE
 from repro.verif.rgspec import (COMPONENTS, LOCK, Action, Component,
                                 Guard)
 
@@ -118,6 +118,9 @@ def test_readonly_calls_are_reads():
     assert findings == []
 
 
+_RG_MUTANTS = [name for name, (kind, _) in MUTANTS.items() if kind == "rg"]
+
+
 # -- the real tree ------------------------------------------------------------------
 
 
@@ -154,7 +157,7 @@ def test_mutants_are_deterministic_source_transforms():
     """Seed-independence for free: the mutants rewrite source text, so
     the findings are identical on every run and every seed."""
     base = _tree_sources()
-    for name in RG_MUTANTS:
+    for name in _RG_MUTANTS:
         first, _ = check_interference(apply_rg_mutant(base, name))
         second, _ = check_interference(apply_rg_mutant(base, name))
         assert [(f.rule, f.line) for f in first] \
@@ -164,7 +167,7 @@ def test_mutants_are_deterministic_source_transforms():
 
 def test_cli_gates_on_rg_mutants():
     """The CI must-fail contract: analyze exits 1 under either mutant."""
-    for name in RG_MUTANTS:
+    for name in _RG_MUTANTS:
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "analyze",
              "--skip", "layering,purity,race,deadsupp",

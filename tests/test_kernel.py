@@ -84,6 +84,37 @@ class TestLifecycle:
         run_program(prog)
         assert outcomes == [ENOENT]
 
+    def test_malformed_trap_is_the_callers_einval(self):
+        """A trap with a bad argument count or shape fails with EINVAL in
+        the caller; it used to raise TypeError out of Kernel.run() and take
+        every process on the machine down."""
+        from repro.nros.syscall.abi import EINVAL
+        outcomes, bystander_ticks = [], []
+
+        def misbehaving():
+            for request in (sys("vm_map"), sys("getpid", 1, 2),
+                            sys("sleep", "soon")):
+                try:
+                    yield request
+                except SyscallError as exc:
+                    outcomes.append(exc.errno)
+            yield sys("vm_map")  # uncaught: kills this process only
+
+        def bystander():
+            for _ in range(5):
+                yield sys("sched_yield")
+                bystander_ticks.append((yield sys("getpid")))
+
+        kernel = Kernel(num_cores=2)
+        kernel.register_program("misbehaving", misbehaving)
+        kernel.register_program("bystander", bystander)
+        bad, good = kernel.spawn("misbehaving"), kernel.spawn("bystander")
+        kernel.run()
+        assert outcomes == [EINVAL] * 3
+        assert kernel.processes[bad].exit_code == 70
+        assert kernel.processes[good].exit_code == 0
+        assert bystander_ticks == [good] * 5
+
     def test_spawn_and_wait(self):
         order = []
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.pt.defs import Flags, PageSize
+from repro.core.pt.impl import PageTable
 from repro.hw.mem import PhysicalMemory
 from repro.hw.mmu import TranslationFault
 from repro.nros.pmem import BuddyAllocator
@@ -216,3 +217,52 @@ class TestUnverifiedBackend:
         assert vspace.resolve(0x1000, core=1).paddr == 0x10_0000
         removed = vspace.unmap(0x1000)
         assert removed.paddr == 0x10_0000
+
+
+    def test_batch_ops_agree_with_the_verified_table(self):
+        """Both page tables present one batch interface with the same
+        all-or-nothing contract: the same script of batch ops, driven
+        through VSpace, has the same outcome on either backend."""
+        rw = Flags.user_rw()
+        pages = [0x1000 + i * 0x1000 for i in range(6)]
+
+        def entries(vaddrs):
+            return [(v, 0x10_0000 + v, PageSize.SIZE_4K, rw) for v in vaddrs]
+
+        script = [
+            ("map_batch", entries(pages[:4])),               # success
+            ("map_batch", entries([pages[4], pages[1]])),    # already mapped
+            ("map_batch", entries([pages[5], pages[5]])),    # duplicate
+            ("unmap_batch", [pages[0], 0x9000]),             # missing page
+            ("unmap_batch", [pages[1], pages[1] + 8]),       # same mapping
+            ("unmap_batch", pages[:2]),                      # success
+            ("unmap_batch", []),                             # empty
+        ]
+
+        def run(pt_factory):
+            mem = PhysicalMemory(16 * MB)
+            vspace = VSpace(mem, BuddyAllocator(mem, start=8 * MB),
+                            num_nodes=2, pt_factory=pt_factory)
+            for core in range(2):
+                vspace.attach_core(core, core)
+            trace = []
+            for op, arg in script:
+                try:
+                    result = getattr(vspace, op)(arg)
+                    outcome = ("ok", result and [m.vaddr for m in result])
+                except VSpaceError as exc:
+                    outcome = ("err", exc.kind)
+                trace.append((
+                    outcome, vspace.mapped_pages, vspace.shootdowns,
+                    [m and m.paddr for m in
+                     (vspace.resolve(v, core=1) for v in pages)]))
+            return trace
+
+        verified, unverified = run(PageTable), run(UnverifiedPageTable)
+        assert verified == unverified
+        assert [outcome for outcome, *_ in verified] == [
+            ("ok", None), ("err", "already_mapped"), ("err", "already_mapped"),
+            ("err", "not_mapped"), ("err", "not_mapped"),
+            ("ok", pages[:2]), ("ok", [])]
+        # failed batches left every mapping intact (pages 0-3 mapped)
+        assert verified[4][3] == [0x10_0000 + v for v in pages[:4]] + [None] * 2
