@@ -51,7 +51,7 @@ from collections import deque
 from repro import obs
 from repro.cluster import messages as msg
 from repro.cluster.ring import HashRing
-from repro.cluster.wal import COMPACT_EVERY, NodeWal
+from repro.cluster.wal import COMPACT_EVERY, VOLUME_FULL, NodeWal
 from repro.hw.devices.disk import DiskCrash
 from repro.nr.core import NodeReplicated
 from repro.nr.datastructures import KvStore
@@ -182,6 +182,12 @@ class ClusterNode:
         self._recovering_rejects = self.registry.counter(
             "cluster.recovering_rejects", node=node_id)
         self._backlog = self.registry.gauge("cluster.backlog", node=node_id)
+        self._compact_seconds = self.registry.histogram(
+            "cluster.wal.compact_seconds", node=node_id)
+        self._snapshot_bytes = self.registry.counter(
+            "cluster.wal.snapshot_bytes", node=node_id)
+        self._compact_failed = self.registry.counter(
+            "cluster.wal_compact_failed", node=node_id)
         if recover:
             self._emit("cluster.recovering", now, epoch=self.epoch,
                        fsck_issues=len(self.fsck_issues),
@@ -261,12 +267,27 @@ class ClusterNode:
             self._retry_pending(now)
         try:
             if self.wal.should_compact():
-                self.wal.compact(self.local_data())
+                self._compact()
         except DiskCrash:
             self.crash(now, reason="disk-crash")
             return
         self._drain_queues(now)
         self._backlog.set(len(self.sock.recv_queue))
+
+    def _compact(self) -> None:
+        """One WAL compaction, as a ``cluster.wal.compact`` trace span.
+        A volume too full for the snapshot is not fatal — generation
+        ``g`` keeps serving and the WAL retries after another
+        `compact_every` appends; only a failing *append* stops the
+        node."""
+        with obs.Span("cluster.wal.compact",
+                      histogram=self._compact_seconds, bus=obs.bus(),
+                      node=self.node_id):
+            try:
+                self._snapshot_bytes.inc(
+                    self.wal.compact(self.local_data()))
+            except VOLUME_FULL:
+                self._compact_failed.inc()
 
     def _heartbeat(self, now: int) -> None:
         if now < self._hb_due:
@@ -304,8 +325,8 @@ class ClusterNode:
     def _process_inbox(self, now: int) -> bool:
         """Serve queued datagrams; data-plane messages consume capacity
         (the queueing model behind the latency distributions).  Returns
-        False if an injected crash — or the disk dying under the WAL —
-        killed the node at a message boundary."""
+        False if an injected crash — or the disk dying, or filling up,
+        under the WAL — killed the node at a message boundary."""
         budget = self.capacity
         queue = self.sock.recv_queue
         while queue:
@@ -331,6 +352,12 @@ class ClusterNode:
                 self._handle(message, (src_ip, src_port), now)
             except DiskCrash:
                 self.crash(now, reason="disk-crash")
+                return False
+            except VOLUME_FULL:
+                # the WAL append found no room: the write is neither
+                # applied nor acknowledged, and a node that cannot log
+                # cannot serve
+                self.crash(now, reason="volume-full")
                 return False
         return True
 

@@ -16,8 +16,9 @@ Layout (one generation live at a time, all files in the volume root)::
 
 Compaction rotates generation ``g`` to ``g+1`` in crash-safe order:
 
-1. write the current state into ``/snap.tmp`` and finish it with a
-   commit marker carrying the record count;
+1. write the current state, finished by a commit marker carrying the
+   record count, into ``/snap.tmp`` — as one sequential write, so the
+   cost is per sector, not per record;
 2. create the empty ``/wal.<g+1>``;
 3. ``rename("/snap.tmp", "/snap.<g+1>")`` — the **commit point**: a
    rename inside one directory is a single atomic slot write (the
@@ -49,6 +50,8 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 
 from repro.nros.fs import fd as fdmod
+from repro.nros.fs.alloc import NoSpace
+from repro.nros.fs.fs import FileTooBig
 
 #: Frame prefix of every record.
 MAGIC = b"WALR"
@@ -63,6 +66,9 @@ COMPACT_EVERY = 256
 
 #: The reserved key of a snapshot's commit marker.
 _COMMIT_KEY = None
+
+#: What a write raises when the volume (or one file) has no room left.
+VOLUME_FULL = (NoSpace, FileTooBig)
 
 
 class WalCorrupt(Exception):
@@ -133,6 +139,7 @@ class NodeWal:
         self.compact_every = compact_every
         self._wal_fd = wal_fd
         self.appended = 0        # records in the live WAL generation
+        self._compact_at = compact_every  # `appended` that triggers one
         self.total_appends = 0
         self.compactions = 0
 
@@ -260,36 +267,54 @@ class NodeWal:
         self.total_appends += 1
 
     def should_compact(self) -> bool:
-        return self.appended >= self.compact_every
+        return self.appended >= self._compact_at
 
-    def compact(self, state: dict) -> None:
+    def compact(self, state: dict) -> int:
         """Fold `state` (key -> (value, version)) into the next
-        generation's snapshot; crash-safe per the module docstring."""
+        generation's snapshot; crash-safe per the module docstring.
+        Returns the snapshot's size in bytes.
+
+        A volume too full for the snapshot (:data:`VOLUME_FULL`) costs
+        nothing but the attempt: the partial ``/snap.tmp`` is removed,
+        generation ``g`` stays live, the error propagates, and the next
+        attempt waits for another `compact_every` appends."""
+        fs = self.fdtable.fs
         old_gen, old_fd = self.gen, self._wal_fd
         new_gen = self.gen + 1
-        self._write_snapshot("/snap.tmp", state, new_gen)
-        new_fd = self._create(self.fdtable, f"/wal.{new_gen}")
-        self.fdtable.fs.rename("/snap.tmp", f"/snap.{new_gen}")
+        try:
+            written = self._write_snapshot("/snap.tmp", state, new_gen)
+            new_fd = self._create(self.fdtable, f"/wal.{new_gen}")
+        except VOLUME_FULL:
+            self._compact_at = self.appended + self.compact_every
+            if fs.exists("/snap.tmp"):
+                fs.unlink("/snap.tmp")
+            raise
+        fs.rename("/snap.tmp", f"/snap.{new_gen}")
         # the rename committed generation new_gen; everything below is
         # cleanup a crash may skip and the next recovery will redo
         self.gen, self._wal_fd, self.appended = new_gen, new_fd, 0
+        self._compact_at = self.compact_every
         self.compactions += 1
         self.fdtable.close(old_fd)
-        self.fdtable.fs.unlink(f"/wal.{old_gen}")
-        if self.fdtable.fs.exists(f"/snap.{old_gen}"):
-            self.fdtable.fs.unlink(f"/snap.{old_gen}")
+        fs.unlink(f"/wal.{old_gen}")
+        if fs.exists(f"/snap.{old_gen}"):
+            fs.unlink(f"/snap.{old_gen}")
+        return written
 
-    def _write_snapshot(self, path: str, state: dict, gen: int) -> None:
+    def _write_snapshot(self, path: str, state: dict, gen: int) -> int:
+        """Stream `state` plus its commit marker into `path` as one
+        sequential write (the filesystem pays per sector, not per
+        record); returns the bytes written.  Nothing of it is visible
+        before the inode's new size lands (after the last data sector),
+        and nothing of it counts before the trailing commit marker
+        verifies."""
         if self.fdtable.fs.exists(path):
             self.fdtable.fs.unlink(path)  # a stray from a crashed run
+        frames = [encode_record(key, *state[key]) for key in sorted(state)]
+        frames.append(encode_record(_COMMIT_KEY, len(frames), gen))
         fd = self.fdtable.open(path, fdmod.O_CREAT | fdmod.O_WRONLY)
         try:
-            count = 0
-            for key in sorted(state):
-                value, version = state[key]
-                self.fdtable.write(fd, encode_record(key, value, version))
-                count += 1
-            self.fdtable.write(fd, encode_record(_COMMIT_KEY, count, gen))
+            return self.fdtable.write(fd, b"".join(frames))
         finally:
             self.fdtable.close(fd)
 

@@ -223,18 +223,30 @@ class FileSystem:
                 f"write to {offset + len(data)} exceeds {MAX_FILE_SIZE}"
             )
         before = inode.encode()
-        remaining = data
+        remaining = memoryview(data)
         position = offset
+        full = None
         while remaining:
             index, within = divmod(position, BLOCK_SIZE)
             chunk = min(len(remaining), BLOCK_SIZE - within)
-            block = self._block_of(inode, index, allocate=True)
-            current = bytearray(self.dev.read(block))
-            current[within : within + chunk] = remaining[:chunk]
-            self.dev.write(block, bytes(current))
+            try:
+                block = self._block_of(inode, index, allocate=True)
+            except NoSpace as exc:
+                # a short write: what landed stays in the file (so the
+                # blocks allocated for it can be truncated or unlinked
+                # away instead of leaking), then the error surfaces
+                full = exc
+                break
+            if chunk == BLOCK_SIZE:
+                # the chunk replaces the whole block: nothing to merge
+                self.dev.write(block, bytes(remaining[:chunk]))
+            else:
+                current = bytearray(self.dev.read(block))
+                current[within : within + chunk] = remaining[:chunk]
+                self.dev.write(block, bytes(current))
             position += chunk
             remaining = remaining[chunk:]
-        if position > inode.size:
+        if position > inode.size and (full is None or position > offset):
             inode.size = position
         if inode.encode() != before:
             # a pure in-place overwrite commits with the data write alone;
@@ -242,6 +254,8 @@ class FileSystem:
             # write (and appended data only becomes visible here, when the
             # new size lands)
             self._write_inode(inum, inode)
+        if full is not None:
+            raise full
         return len(data)
 
     @_timed("truncate")

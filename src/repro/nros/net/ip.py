@@ -19,12 +19,15 @@ class PacketError(Exception):
 
 
 def checksum16(data: bytes) -> int:
-    """RFC 1071 ones'-complement sum."""
+    """RFC 1071 ones'-complement sum.
+
+    The big-endian 16-bit words are summed in one pass and the carries
+    folded at the end: ones'-complement addition is associative, so the
+    result equals the word-at-a-time end-around-carry loop's."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+    total = sum(struct.unpack(f">{len(data) // 2}H", data))
+    while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
 

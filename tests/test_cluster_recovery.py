@@ -8,8 +8,11 @@ from repro.cluster import messages as msg
 from repro.cluster.deploy import Deployment
 from repro.cluster.harness import recovery_bench, run_cluster
 from repro.cluster.node import HB_EVERY, HB_TIMEOUT
-from repro.cluster.workload import WorkloadProfile
+from repro.cluster.workload import WorkloadProfile, run_workload
 from repro.faults.cluster import run_wal_crash_matrix
+from repro.nros.fs.alloc import NoSpace
+from repro.nros.fs.blockdev import BLOCK_SIZE
+from repro.nros.fs.fsck import fsck
 from repro.obs.registry import Registry
 
 
@@ -146,3 +149,60 @@ def test_wal_crash_matrix_smoke_every_boundary_recovers():
     matrix = run_wal_crash_matrix(seed=1, ops=16, compact_every=4)
     assert matrix.crash_points > 0
     assert matrix.ok, matrix.violations
+
+
+# -- a full volume degrades the service, it does not abort it ---------------
+
+
+def test_full_volume_fails_compaction_softly_and_the_run_completes():
+    """256-sector volumes under 4096 keys x 200-byte values: a snapshot
+    stops fitting beside its predecessor mid-run.  That used to raise
+    NoSpace out of ``Deployment.step()``."""
+    registry = Registry()
+    deployment = Deployment(3, rf=2, registry=registry, seed=1)
+    report = run_workload(deployment, WorkloadProfile(
+        ops=6000, num_keys=4096, zipf_theta=0.2, put_fraction=0.95,
+        del_fraction=0.0, value_bytes=200, rate=3e6))
+    assert report.ok, report.summary_lines()
+    assert report.acked + report.failed == report.issued == 6000
+    assert report.failed == report.gaveup        # refusals are typed
+    failed = {node_id: registry.counter("cluster.wal_compact_failed",
+                                        node=node_id).value
+              for node_id in deployment.nodes}
+    assert sum(failed.values()) > 0, "the volume never filled"
+    for node_id, node in deployment.nodes.items():
+        # the failed attempt left generation g live and nothing behind
+        assert node.alive
+        assert node.wal.files() == [f"/snap.{node.wal.gen}",
+                                    f"/wal.{node.wal.gen}"]
+        assert fsck(node.kernel.fs) == []
+        assert node.wal.gen == node.wal.compactions
+        if failed[node_id]:
+            assert node.wal.appended >= node.wal.compact_every
+
+
+def test_append_on_a_full_volume_fail_stops_the_node_before_any_ack():
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    node = deployment.nodes["node1"]
+    fs = node.kernel.fs
+    ballast = fs.create("/ballast")
+    with pytest.raises(NoSpace):
+        fs.write_at(ballast, 0, bytes(fs.bitmap.count_free() * BLOCK_SIZE))
+    fs.truncate(ballast, fs.stat_inum(ballast).size - 2 * BLOCK_SIZE)
+    reasons = []
+    crash = node.crash
+
+    def recording_crash(now, reason="killed"):
+        reasons.append(reason)
+        crash(now, reason)
+
+    node.crash = recording_crash
+    report = run_workload(deployment, _profile(ops=600))
+    # two blocks of WAL later node1 cannot log, so it stops serving ...
+    assert reasons == ["volume-full"] and not node.alive
+    assert node.wal.total_appends > 0
+    # ... and the survivors carry on: nothing acknowledged was lost
+    assert report.ok, report.summary_lines()
+    assert report.lost_acked_writes == [] and report.ryw_violations == []
+    assert report.acked + report.failed == report.issued
+    assert report.failed == report.gaveup

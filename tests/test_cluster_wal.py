@@ -3,16 +3,18 @@ matrix on the verified filesystem."""
 
 from repro.cluster.wal import (
     HEADER_BYTES,
+    VOLUME_FULL,
     NodeWal,
     decode_records,
     encode_record,
 )
-from repro.faults.crash import run_crash_matrix
+from repro.faults.crash import is_recoverable, run_crash_matrix
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.hw.devices.disk import Disk, DiskCrash
 from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs.fs import FileSystem
+from repro.nros.fs.fsck import fsck
 
 
 def _fresh_fs(num_sectors=128):
@@ -135,9 +137,10 @@ def test_invalid_snapshot_falls_back_to_wal_replay():
 # -- the WAL's own crash matrix (unit level, no cluster) -------------------
 
 
-def _wal_scenario(fs: FileSystem) -> None:
+def _wal_scenario(fs: FileSystem, completed: dict | None = None) -> None:
     """Ten appends over three keys with compaction every four — the
-    write pattern whose every boundary the matrix crashes at."""
+    write pattern whose every boundary the matrix crashes at.  Each
+    append that *returned* is noted in `completed` (key -> version)."""
     fdtable = fdmod.FdTable(fs)
     wal, _ = NodeWal.open(fdtable, compact_every=4)
     state = {}
@@ -145,8 +148,52 @@ def _wal_scenario(fs: FileSystem) -> None:
         key = f"k{i % 3}"
         state[key] = (f"v{i}", i + 1)
         wal.append(key, f"v{i}", i + 1)
+        if completed is not None:
+            completed[key] = i + 1
         if wal.should_compact():
             wal.compact(dict(state))
+
+
+def _crash_sweep(scenario, setup=None):
+    """Kill the disk at every write boundary of `scenario(fs,
+    completed)` and recover from the surviving image; yields ``(n,
+    issues, mid_stream, lost)``: the non-recoverable fsck issues,
+    whether power died inside a snapshot stream (``/snap.tmp`` holds
+    data sectors but not yet its size), and the completed appends
+    (`setup(fs)`'s returned ones included) recovery does not surface."""
+    disk, fs = _fresh_fs()
+    baseline = setup(fs) if setup is not None else {}
+    pristine = disk.snapshot()
+    writes_before = disk.writes
+    scenario(fs, dict(baseline))
+    total = disk.writes - writes_before
+
+    for n in range(1, total + 1):
+        plan = FaultPlan(seed=n, rules=[
+            FaultRule(site="disk.write", kind="crash", at=n),
+        ])
+        crash_disk = Disk(128, fault_plan=plan)
+        crash_disk.restore(pristine)
+        completed = dict(baseline)
+        try:
+            scenario(FileSystem(BlockDriver(crash_disk)), completed)
+        except DiskCrash:
+            pass
+        else:
+            raise AssertionError(f"crash at write {n} never fired")
+
+        survivor = Disk(128)
+        survivor.restore(crash_disk.snapshot())
+        survivor_fs = FileSystem(BlockDriver(survivor))
+        issues = [issue for issue in fsck(survivor_fs)
+                  if not is_recoverable(issue)]
+        mid_stream = survivor_fs.exists("/snap.tmp") \
+            and survivor_fs.stat("/snap.tmp").size == 0
+        _, recovery = NodeWal.open(fdmod.FdTable(survivor_fs))
+        lost = [f"{key}@{version} (recovered {recovery.entries.get(key)})"
+                for key, version in completed.items()
+                if recovery.entries.get(key, (None, -1))[1] < version]
+        yield n, issues, mid_stream, lost
 
 
 def test_wal_crash_matrix_is_fsck_recoverable_at_every_boundary():
@@ -160,41 +207,219 @@ def test_every_crash_point_recovers_all_completed_appends():
     """The durability contract itself: an append that *returned* is on
     the platter, so recovery must surface that key at >= that version —
     no matter which write boundary power died at."""
-    disk, fs = _fresh_fs()
-    pristine = disk.snapshot()
-    writes_before = disk.writes
-    _wal_scenario(fs)
-    total = disk.writes - writes_before
+    points = list(_crash_sweep(_wal_scenario))
+    assert points
+    for n, _, _, lost in points:
+        assert not lost, f"crash at write {n}: completed append lost: {lost}"
 
-    for n in range(1, total + 1):
-        plan = FaultPlan(seed=n, rules=[
-            FaultRule(site="disk.write", kind="crash", at=n),
-        ])
-        crash_disk = Disk(128, fault_plan=plan)
-        crash_disk.restore(pristine)
-        crash_fs = FileSystem(BlockDriver(crash_disk))
-        fdtable = fdmod.FdTable(crash_fs)
-        completed: dict[str, int] = {}
+
+# -- multi-sector snapshots: the stream itself is crashed into -------------
+
+#: 200 keys x 64-byte values: a ~19 KiB snapshot, five 4 KiB sectors.
+_BIG_KEYS = 200
+
+
+def _big_value(i: int, version: int) -> str:
+    return f"{i}@{version}:".ljust(64, "x")
+
+
+def _big_setup(fs: FileSystem) -> dict[str, int]:
+    """Pre-crash history (not crash points): generation 1 with a
+    multi-sector ``/snap.1`` and a non-empty ``/wal.1``; returns the
+    version every completed append left per key."""
+    wal, _ = NodeWal.open(fdmod.FdTable(fs), compact_every=_BIG_KEYS)
+    completed = {}
+    for i in range(_BIG_KEYS):
+        wal.append(f"k{i:03d}", _big_value(i, 1), 1)
+        completed[f"k{i:03d}"] = 1
+    wal.compact({key: (_big_value(int(key[1:]), 1), 1)
+                 for key in completed})
+    assert fs.stat("/snap.1").size > 3 * Disk.SECTOR_SIZE
+    for i in range(5):
+        wal.append(f"k{i:03d}", _big_value(i, 2), 2)
+        completed[f"k{i:03d}"] = 2
+    return completed
+
+
+def _big_scenario(fs: FileSystem, completed: dict[str, int],
+                  compact=NodeWal.compact) -> None:
+    """Remount (``open`` rewrites one clean generation: a multi-sector
+    snapshot), append, compact (another one), append."""
+    wal, recovery = NodeWal.open(fdmod.FdTable(fs), compact_every=8)
+    state = dict(recovery.entries)
+    for i in range(5, 13):
+        key = f"k{i:03d}"
+        state[key] = (_big_value(i, 3), 3)
+        wal.append(key, *state[key])
+        completed[key] = 3
+    assert wal.should_compact()
+    compact(wal, dict(state))
+    wal.append("k000", _big_value(0, 4), 4)
+    completed["k000"] = 4
+
+
+def test_multi_sector_snapshot_crash_matrix_recovers_g_or_g_plus_1():
+    points = list(_crash_sweep(_big_scenario, _big_setup))
+    for n, issues, _, lost in points:
+        assert not issues, f"crash at write {n}: fsck: {issues}"
+        assert not lost, f"crash at write {n}: completed append lost: {lost}"
+    # both snapshots (open's rewrite, compact's) are crashed mid-stream:
+    # every sector of each costs a bitmap, a zeroing and a data write
+    mid_stream = sum(1 for _, _, mid_stream, _ in points if mid_stream)
+    assert mid_stream >= 2 * 3 * 3, (len(points), mid_stream)
+
+
+def _compact_unlinking_old_wal_first(wal: NodeWal, state: dict) -> None:
+    """The seeded mutant: ``/wal.<g>`` goes *before* the rename commits
+    generation g+1, so a crash in between has neither."""
+    fs = wal.fdtable.fs
+    old_gen, old_fd = wal.gen, wal._wal_fd
+    new_gen = wal.gen + 1
+    wal._write_snapshot("/snap.tmp", state, new_gen)
+    new_fd = wal._create(wal.fdtable, f"/wal.{new_gen}")
+    wal.fdtable.close(old_fd)
+    fs.unlink(f"/wal.{old_gen}")                       # too early
+    fs.rename("/snap.tmp", f"/snap.{new_gen}")
+    wal.gen, wal._wal_fd, wal.appended = new_gen, new_fd, 0
+    fs.unlink(f"/snap.{old_gen}")
+
+
+def test_multi_sector_matrix_flags_the_unlink_before_rename_mutant():
+    def scenario(fs, completed):
+        _big_scenario(fs, completed, _compact_unlinking_old_wal_first)
+
+    assert any(lost for _, _, _, lost
+               in _crash_sweep(scenario, _big_setup))
+
+
+# -- device-op budget: pay per sector, not per record ----------------------
+
+
+class _LoggingDisk(Disk):
+    """Also remembers *which* sector every read and write touched."""
+
+    def __init__(self, num_sectors: int) -> None:
+        super().__init__(num_sectors)
+        self.log: list[tuple[str, int]] = []
+
+    def read_sector(self, index: int) -> bytes:
+        self.log.append(("r", index))
+        return super().read_sector(index)
+
+    def write_sector(self, index: int, data: bytes) -> None:
+        self.log.append(("w", index))
+        super().write_sector(index, data)
+
+
+def _file_blocks(fs: FileSystem, path: str) -> list[int]:
+    inode = fs._read_inode(fs.lookup(path))
+    count = -(-inode.size // Disk.SECTOR_SIZE)
+    return [fs._block_of(inode, i, allocate=False) for i in range(count)]
+
+
+def test_compaction_device_ops_are_per_sector_not_per_record():
+    disk = _LoggingDisk(128)
+    fs = FileSystem.mkfs(BlockDriver(disk), num_inodes=64)
+    wal, _ = NodeWal.open(fdmod.FdTable(fs))
+    state = {}
+    for i in range(700):                     # ~64 KiB: direct + indirect
+        state[f"k{i:03d}"] = (_big_value(i, 1), 1)
+    for key in list(state)[:20]:
+        wal.append(key, *state[key])
+    old_blocks = len(_file_blocks(fs, "/wal.0"))
+
+    disk.log.clear()
+    reads, writes = disk.reads, disk.writes
+    size = wal.compact(dict(state))
+    log = list(disk.log)
+    assert (disk.reads - reads, disk.writes - writes) == (
+        sum(1 for op, _ in log if op == "r"),
+        sum(1 for op, _ in log if op == "w"))
+
+    assert size == fs.stat("/snap.1").size
+    blocks = _file_blocks(fs, "/snap.1")
+    sectors = -(-size // Disk.SECTOR_SIZE)
+    assert len(blocks) == sectors > 10 and len(set(blocks)) == sectors
+    # every data sector: the allocator's zeroing plus the payload, once
+    for block in blocks:
+        assert log.count(("w", block)) == 2
+    # ... and none it fully overwrites is read back first (the last,
+    # partial one is merged into its zeroed block: one read)
+    assert size % Disk.SECTOR_SIZE
+    assert [log.count(("r", block)) for block in blocks] \
+        == [0] * (sectors - 1) + [1]
+    # closed form for the whole rotation.  Per snapshot sector: its
+    # bitmap bit, the zeroing, the payload; per indirect-mapped sector
+    # its pointer; the indirect block's own bit + zeroing.  Freeing
+    # /wal.0 clears one bit per block.  Fixed metadata, 11 writes: two
+    # creates (inode, directory slot, the directory's grown size), the
+    # snapshot's size, the rename, and /wal.0's unlink (slot, truncated
+    # inode, freed inode) — /snap.0 never existed on a fresh volume.
+    indirect = sectors - 10
+    assert disk.writes - writes \
+        == 3 * sectors + indirect + 2 + old_blocks + 11
+    # the regression this guards: one write per record was ~2 per record
+    assert disk.writes - writes < len(state)
+
+
+def test_append_device_ops_are_unchanged():
+    """The append path keeps the parent's write boundaries: data sector
+    then inode, plus bitmap + zeroing when a record opens a new block."""
+    disk = _LoggingDisk(128)
+    fs = FileSystem.mkfs(BlockDriver(disk), num_inodes=64)
+    wal, _ = NodeWal.open(fdmod.FdTable(fs))
+    wal.append("warm", "up", 1)              # allocates /wal.0's block 0
+    record = len(encode_record("k000", _big_value(0, 1), 1))
+    per_block = Disk.SECTOR_SIZE // record
+    costs = []
+    for i in range(per_block + 5):
+        reads, writes = disk.reads, disk.writes
+        wal.append(f"k{i:03d}", _big_value(i, 1), 1)
+        costs.append((disk.reads - reads, disk.writes - writes))
+    # within a block: read inode, read-modify-write the data sector,
+    # read-modify-write the inode-table sector
+    assert set(costs) == {(3, 2), (4, 5)}
+    # the one record that straddles into a fresh block pays the second
+    # sector's bitmap bit, zeroing, read and write
+    assert costs.count((4, 5)) == 1
+
+
+# -- a full volume: compaction gives up cleanly, generation g stays live ---
+
+
+def test_compaction_on_a_full_volume_keeps_generation_g_and_retries_later():
+    disk, fs = _fresh_fs(num_sectors=32)
+    fs.write_at(fs.create("/ballast"), 0, bytes(16 * Disk.SECTOR_SIZE))
+    wal, _ = NodeWal.open(fdmod.FdTable(fs), compact_every=8)
+    state = {}
+    failed_at = None
+    for i in range(400):
+        key = f"k{i:03d}"
+        state[key] = (_big_value(i, 1), 1)
+        wal.append(key, *state[key])
+        if not wal.should_compact():
+            continue
+        free, gen, files = fs.bitmap.count_free(), wal.gen, wal.files()
         try:
-            wal, _ = NodeWal.open(fdtable, compact_every=4)
-            state = {}
-            for i in range(10):
-                key = f"k{i % 3}"
-                state[key] = (f"v{i}", i + 1)
-                wal.append(key, f"v{i}", i + 1)
-                completed[key] = i + 1           # append returned: durable
-                if wal.should_compact():
-                    wal.compact(dict(state))
-        except DiskCrash:
-            pass
-
-        survivor = Disk(128)
-        survivor.restore(crash_disk.snapshot())
-        _, recovery = NodeWal.open(
-            fdmod.FdTable(FileSystem(BlockDriver(survivor))),
-            compact_every=4)
-        for key, version in completed.items():
-            got = recovery.entries.get(key)
-            assert got is not None and got[1] >= version, (
-                f"crash at write {n}: completed append {key}@{version} "
-                f"lost (recovered {got})")
+            wal.compact(dict(state))
+        except VOLUME_FULL:
+            failed_at = i
+            # the attempt cost nothing: no /snap.tmp, no leaked block,
+            # same live generation, and no retry until 8 more appends
+            assert wal.gen == gen and wal.files() == files
+            assert fs.bitmap.count_free() == free
+            assert fsck(fs) == []
+            break
+    assert failed_at is not None, "volume never filled"
+    for i in range(failed_at + 1, failed_at + 9):
+        assert not wal.should_compact()
+        key = f"k{i:03d}"
+        state[key] = (_big_value(i, 1), 1)
+        wal.append(key, *state[key])
+    assert wal.should_compact()
+    # with room again the retry rotates the generation as usual
+    fs.unlink("/ballast")
+    wal.compact(dict(state))
+    assert wal.gen == gen + 1 and wal.appended == 0
+    _, recovery = NodeWal.open(fdmod.FdTable(FileSystem(BlockDriver(disk))))
+    assert recovery.entries == state

@@ -28,6 +28,7 @@ from repro.nros.fs.fs import (
     NotFound,
     ROOT_INUM,
 )
+from repro.nros.fs.fsck import fsck
 from repro.nros.fs.inode import Inode, MAX_FILE_SIZE, TYPE_DIR, TYPE_FILE
 
 
@@ -238,6 +239,61 @@ class TestFileIo:
         inum = fs.create("/f")
         with pytest.raises(NoSpace):
             fs.write_at(inum, 0, b"x" * (200 * BLOCK_SIZE))
+
+    def test_volume_full_is_a_short_write_not_a_leak(self):
+        fs, _ = fresh_fs(sectors=24)
+        free = fs.bitmap.count_free()
+        inum = fs.create("/f")
+        with pytest.raises(NoSpace):
+            fs.write_at(inum, 100, b"x" * (200 * BLOCK_SIZE))
+        # what landed is in the file, so its blocks are reachable ...
+        size = fs.stat_inum(inum).size
+        assert size > 10 * BLOCK_SIZE and size % BLOCK_SIZE == 0
+        assert fs.read_at(inum, 100, size) == b"x" * (size - 100)
+        assert fs.bitmap.count_free() == 0
+        assert fsck(fs) == []
+        # ... and unlinking the file gives every one of them back
+        fs.unlink("/f")
+        assert fs.bitmap.count_free() == free
+        # a sparse write that lands nothing leaves the size alone
+        inum = fs.create("/g")
+        with pytest.raises(NoSpace):
+            fs.write_at(fs.create("/ballast"), 0, bytes(free * BLOCK_SIZE))
+        with pytest.raises(NoSpace):
+            fs.write_at(inum, 3 * BLOCK_SIZE, b"tail")
+        assert fs.stat_inum(inum).size == 0
+
+    def test_whole_block_chunks_are_written_without_reading_them_back(self):
+        fs, disk = fresh_fs()
+        inum = fs.create("/f")
+        data = bytes(range(256)) * 16 * 5 + b"tail"   # 5 blocks + 4 B
+        fs.write_at(inum, 0, b"old" * 7000)            # blocks exist
+        reads = disk.reads
+        fs.write_at(inum, 0, data)
+        # the inode, then only the partial last block is merged
+        assert disk.reads - reads == 2
+        assert fs.read_at(inum, 0, len(data)) == data
+        assert fs.read_at(inum, len(data), 4) == (b"old" * 7000)[
+            len(data):len(data) + 4]
+        # unaligned: head and tail blocks are merged, the middle is not
+        reads = disk.reads
+        fs.write_at(inum, 10, data)
+        assert disk.reads - reads == 3
+        assert fs.read_at(inum, 0, 10) == data[:10]
+        assert fs.read_at(inum, 10, len(data)) == data
+
+    @given(st.integers(0, 3 * BLOCK_SIZE), st.integers(0, 3 * BLOCK_SIZE))
+    @settings(max_examples=60, deadline=None)
+    def test_write_at_matches_a_flat_buffer(self, offset, length):
+        fs, _ = fresh_fs(sectors=64)
+        inum = fs.create("/f")
+        model = bytearray(b"\xaa" * (2 * BLOCK_SIZE + 17))
+        fs.write_at(inum, 0, bytes(model))
+        data = bytes((offset + i) % 251 for i in range(length))
+        fs.write_at(inum, offset, data)
+        model.extend(bytes(max(0, offset + length - len(model))))
+        model[offset:offset + length] = data
+        assert fs.read_at(inum, 0, 8 * BLOCK_SIZE) == bytes(model)
 
 
 class TestRemount:

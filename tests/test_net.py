@@ -33,6 +33,18 @@ def make_pair(drop_rate=0.0, seed=0):
     return stack_a, stack_b, link
 
 
+def rfc1071_reference(data: bytes) -> int:
+    """The word-at-a-time end-around-carry loop of RFC 1071 — the
+    reference `checksum16` must agree with bit for bit."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
 def pump(link, *stacks, rounds=1):
     for _ in range(rounds):
         link.pump()
@@ -69,6 +81,24 @@ class TestIp:
     def test_checksum16_known_value(self):
         # RFC 1071 example bytes
         assert checksum16(bytes.fromhex("00010203")) == ~((0x0001 + 0x0203)) & 0xFFFF
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x00", b"\xff", b"\x00" * 7, b"\x00" * 64,
+        b"\xff" * 2, b"\xff" * 3, b"\xff" * 2048,     # sum is k * 0xFFFF
+        b"\xff\xff\x00\x01", b"\x00\x01" + b"\xff\xff" * 40,  # carry chains
+        b"\x80\x00" * 2, b"\xff\xfe\x00\x01\x00\x01", b"\x12\x34\x56",
+    ], ids=lambda data: f"{len(data)}B-{data[:3].hex()}")
+    def test_checksum16_matches_reference_on_edge_cases(self, data):
+        assert checksum16(data) == rfc1071_reference(data)
+
+    def test_checksum16_is_ffff_only_for_all_zero_input(self):
+        assert checksum16(b"") == checksum16(b"\x00" * 9) == 0xFFFF
+        assert checksum16(b"\xff" * 2048) == 0  # never the other zero
+
+    @given(st.binary(max_size=2048))
+    @settings(max_examples=300)
+    def test_checksum16_matches_reference_property(self, data):
+        assert checksum16(data) == rfc1071_reference(data)
 
     def test_ip_str_addr_roundtrip(self):
         assert ip_str(ip_addr("192.168.1.200")) == "192.168.1.200"

@@ -277,6 +277,40 @@ class TestSpans:
         assert event.get("dur") == 150
         assert event.get("core") == 3
 
+    def test_wal_compaction_is_a_span_with_pinned_names(self):
+        """Every compaction is one ``cluster.wal.compact`` event on the
+        process-wide bus (what ``--trace`` / ``trace summary`` read) and
+        one ``cluster.wal.compact_seconds`` sample on the deployment's
+        registry, next to the ``cluster.wal.snapshot_bytes`` counter."""
+        from repro.cluster.deploy import Deployment
+        from repro.cluster.workload import WorkloadProfile, run_workload
+
+        events = []
+        sink = events.append
+        obs.bus().subscribe(sink)
+        try:
+            registry = Registry()
+            deployment = Deployment(3, rf=2, registry=registry, seed=1,
+                                    compact_every=8)
+            run_workload(deployment, WorkloadProfile(ops=120, seed=1))
+        finally:
+            obs.bus().unsubscribe(sink)
+        spans = [e for e in events if e.name == "cluster.wal.compact"]
+        compactions = {node_id: node.wal.compactions
+                       for node_id, node in deployment.nodes.items()}
+        assert len(spans) == sum(compactions.values()) > 0
+        for event in spans:
+            assert obs.validate_record(event.to_dict()) == []
+            assert event.clock == "wall" and event.get("dur") >= 0
+            assert event.get("node") in compactions
+        for node_id, count in compactions.items():
+            assert registry.histogram("cluster.wal.compact_seconds",
+                                      node=node_id).count == count
+            assert (registry.counter("cluster.wal.snapshot_bytes",
+                                     node=node_id).value > 0) == (count > 0)
+            assert registry.counter("cluster.wal_compact_failed",
+                                    node=node_id).value == 0
+
     def test_traced_sim_run_is_deterministic(self):
         """Satellite 3: two identical sim-clocked runs produce identical
         JSONL traces — virtual time makes tracing reproducible."""
