@@ -2,8 +2,9 @@
 
 Every benchmark prints the rows/series the paper reports (via
 `report_lines`, which bypasses pytest's capture so the numbers are visible
-in a normal `pytest benchmarks/ --benchmark-only` run) and attaches the
-same numbers to `benchmark.extra_info` for machine consumption.
+in a normal `pytest benchmarks/ --benchmark-only` run); the figure
+benchmarks also emit them as ``BENCH_<name>.json`` through
+`write_bench_json`, which holds the file to `benchmarks.gates`.
 """
 
 from __future__ import annotations
@@ -12,26 +13,40 @@ import json
 import os
 import time
 
-#: Version of the BENCH_*.json layout; bump on incompatible change so the
-#: CI validator (`benchmarks/check_bench_json.py`) can reject stale files.
-BENCH_SCHEMA_VERSION = 1
+from benchmarks import gates
 
 
 def write_bench_json(name: str, payload: dict, out_dir: str | None = None) -> str:
-    """Write the machine-readable result file ``BENCH_<name>.json``.
+    """Write the machine-readable result file ``BENCH_<name>.json``, then
+    gate it: against its rows in `gates.GATES`, and against the committed
+    ``benchmarks/baseline_<name>.json`` when there is one.
 
-    Every figure benchmark emits one of these next to the working directory
-    (override with `out_dir` or ``$REPRO_BENCH_DIR``) so CI and the
-    experiment log can consume the same numbers the console report prints.
-    Returns the path written."""
+    The file lands next to the working directory (override with `out_dir`
+    or ``$REPRO_BENCH_DIR``) *before* the gate runs, so a failing run can
+    be inspected and a deliberate re-baseline is: run, copy the file over
+    the baseline, re-run.  Returns the path written; raises
+    `gates.GateFailure` naming the offending path."""
     out_dir = out_dir or os.environ.get("REPRO_BENCH_DIR") or os.getcwd()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{name}.json")
-    document = {"schema_version": BENCH_SCHEMA_VERSION, "bench": name}
+    document = {"schema_version": gates.SCHEMA_VERSION, "bench": name}
     document.update(payload)
+    text = json.dumps(document, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+    baseline = None
+    baseline_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 f"baseline_{name}.json")
+    if os.path.exists(baseline_path):
+        try:
+            with open(baseline_path) as fh:
+                baseline = json.load(fh)
+        except ValueError as error:
+            raise gates.GateFailure(baseline_path,
+                                    f"not JSON ({error})") from None
+    # gate what was written, not the in-memory payload
+    gates.check(json.loads(text), baseline)
     return path
 
 

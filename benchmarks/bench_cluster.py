@@ -15,8 +15,9 @@ first tick at which every acknowledged write is back on all ``rf`` of
 its owners) — with the same zero-loss invariants as every other run.
 
 Everything is simulated time under a seed, so the emitted numbers are
-deterministic and CI compares them against the committed
-``benchmarks/baseline_cluster.json``.
+deterministic; ``write_bench_json`` holds them to the cluster rows of
+``benchmarks/gates.py`` (the service contract, the scaling story, the
+recovery) and to the committed ``benchmarks/baseline_cluster.json``.
 """
 
 import pytest
@@ -60,39 +61,6 @@ def _format_series(payload):
 @pytest.mark.benchmark(group="cluster")
 def test_cluster_node_scaling(benchmark, capsys):
     payload = benchmark.pedantic(scaling_bench, rounds=1, iterations=1)
-
-    for count in SCALE_NODE_COUNTS:
-        entry = payload["series"][str(count)]
-        # the service contract holds at every scale
-        assert entry["lost_acked_writes"] == 0
-        assert entry["ryw_violations"] == 0
-        assert entry["undrained"] == 0
-        assert entry["acked"] == entry["issued"]
-        benchmark.extra_info[f"acked_{count}"] = entry["acked"]
-        benchmark.extra_info[f"put_p99_ns_{count}"] = entry["put"]["p99_ns"]
-        benchmark.extra_info[f"tput_{count}"] = round(
-            entry["throughput_ops_per_s"])
-
-    # the scaling story itself: one node queues under the offered load,
-    # three nodes serve the same arrivals at far lower median latency
-    one = payload["series"][str(SCALE_NODE_COUNTS[0])]
-    three = payload["series"][str(SCALE_NODE_COUNTS[-1])]
-    assert one["get"]["p50_ns"] > 3 * three["get"]["p50_ns"]
-
-    # the crash-restart story: the killed node came back from its WAL,
-    # fsck-clean, with the contract intact and full rf restored
-    rec = payload["recovery"]
-    assert rec["lost_acked_writes"] == 0
-    assert rec["ryw_violations"] == 0
-    assert rec["undrained"] == 0
-    assert rec["fsck_issues"] == 0
-    assert rec["serving"]
-    assert rec["replayed_records"] > 0
-    assert rec["recovery_ticks"] >= 0
-    assert rec["rf_restore_ticks"] >= 0
-    benchmark.extra_info["recovery_ticks"] = rec["recovery_ticks"]
-    benchmark.extra_info["rf_restore_ticks"] = rec["rf_restore_ticks"]
-
     path = write_bench_json("cluster", payload)
     report_lines(capsys, "Cluster: open-loop Zipfian load, 1 vs 3 nodes",
                  _format_series(payload) + ["", f"  wrote {path}"])

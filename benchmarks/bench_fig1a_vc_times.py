@@ -88,11 +88,6 @@ def test_fig1a_vc_time_cdf(benchmark, proof_report, capsys):
         lines.append(f"    {name:20s} {count:4d} VCs  {seconds:7.2f} s")
     report_lines(capsys, "Figure 1a — verification-time CDF", lines)
 
-    benchmark.extra_info["total_vcs"] = report.total
-    benchmark.extra_info["total_seconds"] = round(report.total_seconds, 2)
-    benchmark.extra_info["wall_seconds"] = round(report.wall_seconds, 2)
-    benchmark.extra_info["solver_seconds"] = round(report.solver_seconds, 2)
-    benchmark.extra_info["max_seconds"] = round(report.max_seconds, 2)
     assert report.all_proved, [r.name for r in report.failed]
 
 
@@ -120,10 +115,6 @@ def test_fig1a_warm_cache_reverification(benchmark, proof_report,
     ]
     report_lines(capsys, "Warm-cache re-verification", lines)
 
-    benchmark.extra_info["cold_wall_seconds"] = round(cold.wall_seconds, 2)
-    benchmark.extra_info["warm_wall_seconds"] = round(warm.wall_seconds, 2)
-    benchmark.extra_info["cache_hit_rate"] = round(hit_rate, 3)
-
     def timing_block(report):
         population = report.histogram()
         return {
@@ -134,7 +125,6 @@ def test_fig1a_warm_cache_reverification(benchmark, proof_report,
         }
 
     write_bench_json("fig1a", {
-        "quick": QUICK,
         "total_vcs": cold.total,
         "cold": timing_block(cold),
         "warm": timing_block(warm),

@@ -12,20 +12,19 @@ loopback stack), ``pt`` (page map+unmap pairs) — each in two modes:
   per ``BATCH`` entries (and for ``pt``, ``vm_map_batch`` /
   ``vm_unmap_batch`` paying one shootdown round per ``PT_BATCH`` pages).
 
-Each (workload, mode) cell runs at 1..8 processes on one kernel, so the
-batched path is measured under scheduler contention, where amortizing
-the per-crossing overhead matters most.  The acceptance gate — batched
-pt throughput at least 3x single-call under contention — is asserted
-here and re-checked by ``check_bench_json.py`` on the emitted
-``BENCH_ring.json``.
+Each (workload, mode) cell runs at 1 and 8 processes on one kernel, so
+the batched path is measured alone and under scheduler contention, where
+amortizing the per-crossing overhead matters most.  The acceptance gate
+— batched pt throughput at least 3x single-call under contention — and
+the accounting identities are the ring rows of ``benchmarks/gates.py``,
+which ``write_bench_json`` applies to the emitted ``BENCH_ring.json``.
 
 Operation *counts* (ops, ring batches, SQEs, shootdown rounds) are
-deterministic and CI-compares against ``baseline_ring.json``;
-wall-clock throughput is reported but never gated against the baseline.
+deterministic and must equal ``baseline_ring.json``; wall-clock
+throughput only has to stay above half of it.
 """
 
 import gc
-import os
 import time
 
 import pytest
@@ -38,9 +37,8 @@ from repro.nros.kernel import Kernel
 from repro.nros.syscall.abi import sys
 from repro.ulib import Ring
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-PROC_COUNTS = (1, 8) if QUICK else (1, 2, 4, 8)
-ITERS = 32 if QUICK else 96  # boundary crossings per process
+PROC_COUNTS = (1, 8)
+ITERS = 32  # boundary crossings per process
 BATCH = 16  # SQEs per ring_enter on the batched path
 PT_BATCH = 16  # pages per vm_map_batch/vm_unmap_batch SQE
 IP = 0x0A00_0001
@@ -166,7 +164,7 @@ def _run_cell(kind, mode, procs):
         kernel.register_program(
             name, _FACTORIES[(kind, mode)](index, ITERS, lats))
         kernel.spawn(name)
-    # A quick-mode cell runs for ~2 ms; a collection of the garbage the
+    # A cell runs for ~2 ms; a collection of the garbage the
     # *previous* cells and this cell's Kernel construction left behind
     # costs 5-15 ms and lands wherever the allocation counters say, so
     # pay it here, outside the timed region.
@@ -215,7 +213,6 @@ def ring_bench():
     }
     batch_hist = obs.histogram("ring.batch_sqes")
     return {
-        "quick": QUICK,
         "iters": ITERS,
         "batch": BATCH,
         "pt_batch": PT_BATCH,
@@ -263,39 +260,6 @@ def _format(payload):
 @pytest.mark.benchmark(group="ring")
 def test_ring_batched_vs_single(benchmark, capsys):
     payload = benchmark.pedantic(ring_bench, rounds=1, iterations=1)
-
-    max_procs = str(payload["proc_counts"][-1])
-    for kind in WORKLOADS:
-        for procs in payload["proc_counts"]:
-            cell = payload["series"][kind][str(procs)]
-            for mode in ("single", "batched"):
-                assert cell[mode]["ops"] == procs * payload["iters"]
-        benchmark.extra_info[f"speedup_{kind}_{max_procs}p"] = round(
-            payload["speedup"][kind][max_procs], 2)
-
-    # the headline gate: batched memory ops under contention must beat
-    # the trap-per-call path by at least 3x
-    assert payload["speedup"]["pt"][max_procs] >= 3.0, (
-        f"pt batched speedup {payload['speedup']['pt'][max_procs]:.2f} "
-        f"< 3.0 at {max_procs} processes")
-
-    # the amortization that buys it: one shootdown round per PT_BATCH
-    # pages instead of one per page
-    pt = payload["series"]["pt"][max_procs]
-    assert pt["single"]["shootdown_rounds"] == pt["single"]["ops"]
-    assert pt["batched"]["shootdown_rounds"] == (
-        pt["batched"]["ops"] // payload["pt_batch"])
-
-    # the ring accounting must add up: every batched operation rode an
-    # SQE (fs/net: one op per SQE; pt: one map SQE + one unmap SQE per
-    # PT_BATCH pages) and the single path never touched a ring
-    for kind in WORKLOADS:
-        cell = payload["series"][kind][max_procs]
-        expected = (2 * cell["batched"]["ops"] // payload["pt_batch"]
-                    if kind == "pt" else cell["batched"]["ops"])
-        assert cell["batched"]["ring_sqes"] == expected
-        assert cell["single"]["ring_sqes"] == 0
-
     path = write_bench_json("ring", payload)
     report_lines(capsys, "Ring: batched vs single-call syscall dispatch",
                  _format(payload) + ["", f"  wrote {path}"])

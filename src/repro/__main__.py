@@ -228,10 +228,6 @@ def cluster(args) -> int:
 
     writer = _start_trace(args.trace) if args.trace else None
     try:
-        if args.bench:
-            payload = harness.scaling_bench(seed=args.seed)
-            out(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
         if args.wal_matrix:
             from repro.faults.cluster import run_wal_crash_matrix
             matrix = run_wal_crash_matrix(seed=args.seed)
@@ -279,16 +275,12 @@ def cluster(args) -> int:
 
 
 def sched(args) -> int:
-    """Run the multi-class scheduler workload / scaling benchmark."""
+    """Run the multi-class scheduler under the mixed workload."""
     from repro.nros.sched import workload
 
     writer = _start_trace(args.trace) if args.trace else None
     try:
-        if args.bench:
-            payload = workload.scaling_bench(seed=args.seed)
-            out(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        profile = workload.default_profile(ticks=args.ticks)
+        profile = workload.WorkloadProfile(ticks=args.ticks)
         metrics = workload.run_workload(args.cores, profile,
                                         seed=args.seed,
                                         record_trace=args.switch_trace)
@@ -474,10 +466,8 @@ def main(argv=None) -> int:
                                 help="storage nodes (default 3)")
     cluster_parser.add_argument("--replicas", type=int, default=2,
                                 help="replication factor (default 2)")
-    cluster_parser.add_argument("--ops", type=int, default=None,
-                                help="workload operations "
-                                     "(default 2000, 600 under "
-                                     "REPRO_BENCH_QUICK)")
+    cluster_parser.add_argument("--ops", type=int, default=2_000,
+                                help="workload operations (default 2000)")
     cluster_parser.add_argument("--seed", type=int, default=1,
                                 help="workload/placement seed (default 1)")
     cluster_parser.add_argument("--kill", default=None, metavar="NODE",
@@ -492,9 +482,6 @@ def main(argv=None) -> int:
                                 help="with --kill: restart the killed "
                                      "node from its disk image OPS "
                                      "operations after the kill")
-    cluster_parser.add_argument("--bench", action="store_true",
-                                help="run the 1-vs-3-node scaling "
-                                     "benchmark and print its JSON")
     cluster_parser.add_argument("--wal-matrix", action="store_true",
                                 help="run the full WAL write-boundary "
                                      "crash-recovery matrix and exit")
@@ -509,12 +496,8 @@ def main(argv=None) -> int:
                               help="runqueue count (default 4)")
     sched_parser.add_argument("--seed", type=int, default=1,
                               help="workload seed (default 1)")
-    sched_parser.add_argument("--ticks", type=int, default=None,
-                              help="workload ticks (default 6000, 1500 "
-                                   "under REPRO_BENCH_QUICK)")
-    sched_parser.add_argument("--bench", action="store_true",
-                              help="run the 1/2/4/8-core scaling "
-                                   "benchmark and print its JSON")
+    sched_parser.add_argument("--ticks", type=int, default=6_000,
+                              help="workload ticks (default 6000)")
     sched_parser.add_argument("--switch-trace", action="store_true",
                               help="print the per-core context-switch "
                                    "trace after the metrics")

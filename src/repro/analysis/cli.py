@@ -13,7 +13,6 @@ out.jsonl`` captures them alongside everything else;
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
 from repro import obs
@@ -31,9 +30,8 @@ PASSES = ("layering", "purity", "rg", "lockorder", "deadsupp", "race")
 #: skipped pass is not dead, just unexercised.
 _STATIC_PASSES = ("layering", "purity", "rg", "lockorder")
 
-#: Seeds replayed by the race pass; quick mode keeps CI cheap.
+#: Seeds replayed by the race pass.
 RACE_SEEDS = tuple(range(16))
-RACE_SEEDS_QUICK = tuple(range(4))
 
 
 def repo_root() -> pathlib.Path:
@@ -57,7 +55,6 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
                  mutant: str | None = None) -> AnalysisReport:
     """Run the selected passes and return the combined report."""
     report = AnalysisReport()
-    quick = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
     custom_root = root is not None
     root = pathlib.Path(root) if custom_root else repo_root()
@@ -113,7 +110,7 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
         from repro.analysis.sched_race import detect_sched_races
 
         if seeds is None:
-            seeds = RACE_SEEDS_QUICK if quick else RACE_SEEDS
+            seeds = RACE_SEEDS
         # a race-pass mutant replaces its protocol and runs alone; an rg
         # mutant is a static finding, so neither replay runs
         if kind in (None, "nr"):

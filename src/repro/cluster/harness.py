@@ -5,14 +5,11 @@ mid-workload node kill and restart); ``scaling_bench`` runs the same
 profile at several node counts, ``recovery_bench`` measures a
 kill+restart run (WAL replay, rejoin, and the time to restore every
 acknowledged write to full replication factor), and together they shape
-the ``BENCH_cluster.json`` payload that
-``benchmarks/check_bench_json.py`` validates against the committed
-baseline.
+the ``BENCH_cluster.json`` payload that ``benchmarks/gates.py`` holds
+to the committed baseline.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.cluster.deploy import Deployment
 from repro.cluster.workload import WorkloadProfile, WorkloadReport, run_workload
@@ -24,19 +21,9 @@ from repro.obs.registry import Registry
 SCALE_NODE_COUNTS = (1, 3)
 
 
-def quick_mode() -> bool:
-    """Honour the repo-wide reduced-population knob."""
-    return bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-
-def default_profile(ops: int | None = None, seed: int = 1,
-                    rate: float | None = None) -> WorkloadProfile:
-    quick = quick_mode()
-    return WorkloadProfile(
-        ops=ops if ops is not None else (600 if quick else 2_000),
-        rate=rate if rate is not None else 2_000_000.0,
-        seed=seed,
-    )
+def default_profile(ops: int = 2_000, seed: int = 1,
+                    rate: float = 2_000_000.0) -> WorkloadProfile:
+    return WorkloadProfile(ops=ops, rate=rate, seed=seed)
 
 
 def run_cluster(num_nodes: int = 3, rf: int = 2, vnodes: int = 64,
@@ -108,18 +95,13 @@ def _rf_restore_hook(state: dict):
     return hook
 
 
-def recovery_bench(seed: int = 1, ops: int | None = None,
-                   rate: float | None = None) -> dict:
+def recovery_bench(seed: int = 1, ops: int = 600,
+                   rate: float = 2_000_000.0) -> dict:
     """The recovery entry of BENCH_cluster.json: a 3-node rf=2 run that
     kills node1 a quarter of the way in, restarts it from its disk image
     at the half-way mark, and measures WAL replay, time-to-serving, and
     time-to-restore-RF — with the same zero-loss / zero-RYW invariants
     as every other run."""
-    quick = quick_mode()
-    if ops is None:
-        ops = 600 if quick else 2_000
-    if rate is None:
-        rate = 2_000_000.0
     kill_at = ops // 4
     restart_at = ops // 2
     registry = Registry()
@@ -155,17 +137,11 @@ def recovery_bench(seed: int = 1, ops: int | None = None,
 
 
 def scaling_bench(node_counts=SCALE_NODE_COUNTS, seed: int = 1,
-                  ops: int | None = None,
-                  rate: float | None = None) -> dict:
+                  ops: int = 900, rate: float = 5_000_000.0) -> dict:
     """The BENCH_cluster.json payload: one series entry per node count,
     same seeded open-loop profile, rate chosen above a single node's
     service capacity so the 1-node p99 shows the queueing the extra
     nodes exist to absorb."""
-    quick = quick_mode()
-    if ops is None:
-        ops = 900 if quick else 3_000
-    if rate is None:
-        rate = 5_000_000.0
     series = {}
     for count in node_counts:
         profile = WorkloadProfile(ops=ops, rate=rate, seed=seed)
@@ -173,7 +149,6 @@ def scaling_bench(node_counts=SCALE_NODE_COUNTS, seed: int = 1,
             num_nodes=count, rf=min(2, count), seed=seed, profile=profile)
         series[str(count)] = _series_entry(report)
     return {
-        "quick": quick,
         "seed": seed,
         "profile": {
             "ops": ops, "rate_ops_per_s": rate,

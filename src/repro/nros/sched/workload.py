@@ -20,7 +20,6 @@ faults campaigns already have.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -50,14 +49,6 @@ class WorkloadProfile:
     @property
     def total_threads(self) -> int:
         return self.batch + self.interactive + self.rt
-
-
-def default_profile(ticks: int | None = None) -> WorkloadProfile:
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
-    profile = WorkloadProfile(ticks=1_500 if quick else 6_000)
-    if ticks is not None:
-        profile.ticks = ticks
-    return profile
 
 
 class _SimProcess:
@@ -214,14 +205,12 @@ def run_fairness(seed: int = 1, ticks: int = 3_000) -> dict:
 def scaling_bench(seed: int = 1) -> dict:
     """The ``BENCH_sched.json`` payload: throughput and latency at
     1/2/4/8 cores under the mixed workload, plus the fairness error."""
-    profile = default_profile()
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
+    profile = WorkloadProfile(ticks=1_500)
     series = {}
     for cores in SCALE_CORE_COUNTS:
         with obs.span("sched.bench.run", cores=cores):
             series[str(cores)] = run_workload(cores, profile, seed=seed)
     return {
-        "quick": quick,
         "seed": seed,
         "profile": {
             "ticks": profile.ticks,
@@ -232,6 +221,5 @@ def scaling_bench(seed: int = 1) -> dict:
             "rt_prio": profile.rt_prio,
         },
         "series": series,
-        "fairness": run_fairness(seed=seed,
-                                 ticks=600 if quick else 3_000),
+        "fairness": run_fairness(seed=seed, ticks=600),
     }

@@ -30,10 +30,8 @@ def test_workload_metrics_shape():
     assert metrics["quanta"] > 0
 
 
-def test_scaling_bench_payload_shape(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+def test_scaling_bench_payload_shape():
     payload = scaling_bench(seed=1)
-    assert payload["quick"] is True
     assert set(payload["series"]) == {"1", "2", "4", "8"}
     assert "max_rel_error" in payload["fairness"]
 
@@ -81,8 +79,7 @@ def test_different_seed_changes_the_trace():
     assert first["switch_trace"] != other["switch_trace"]
 
 
-def test_bench_numerics_are_deterministic(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+def test_bench_numerics_are_deterministic():
     first = json.dumps(scaling_bench(seed=1), sort_keys=True)
     second = json.dumps(scaling_bench(seed=1), sort_keys=True)
     assert first == second
