@@ -31,9 +31,8 @@ class EntryView:
     paddr: int = 0
     flags: Flags = Flags()
 
-    @staticmethod
-    def empty() -> "EntryView":
-        return EntryView(EntryKind.EMPTY)
+
+_EMPTY = EntryView(EntryKind.EMPTY)  # frozen: one instance serves every decode
 
 
 def encode_table(next_table_paddr: int) -> int:
@@ -119,7 +118,7 @@ def decode(raw: int, level: int) -> EntryView:
     if not 0 <= level < defs.NUM_LEVELS:
         raise ValueError(f"bad level {level}")
     if not wordlib.bit(raw, defs.BIT_PRESENT):
-        return EntryView.empty()
+        return _EMPTY
     maps_page = level == 3 or (
         level in (1, 2) and wordlib.bit(raw, defs.BIT_HUGE)
     )
@@ -129,6 +128,16 @@ def decode(raw: int, level: int) -> EntryView:
         paddr = wordlib.align_down(paddr, int(size))
         return EntryView(EntryKind.PAGE, paddr, _decode_flags(raw))
     return EntryView(EntryKind.TABLE, paddr)
+
+
+def decode_table(words, level: int):
+    """Yield ``(index, raw, view)`` for every non-zero word of one table
+    (`PhysicalMemory.frame_words`).  A zero word is an EMPTY entry with
+    no bits left to check, so whole-table scans skip it without a call;
+    a non-present word with stray bits is still decoded and yielded."""
+    for index, raw in enumerate(words):
+        if raw:
+            yield index, raw, decode(raw, level)
 
 
 def is_well_formed(raw: int, level: int) -> bool:

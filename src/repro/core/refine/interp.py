@@ -59,11 +59,10 @@ def _interpret_table(
         raise IllFormedTree(f"table frame {table_paddr:#x} misaligned")
 
     shift = defs.LEVEL_SHIFTS[level]
-    for index in range(defs.ENTRIES_PER_TABLE):
-        raw = memory.load_u64(table_paddr + index * defs.ENTRY_SIZE)
-        view = entry.decode(raw, level)
-        if view.kind is EntryKind.EMPTY:
-            if strict and raw != 0:
+    words = memory.frame_words(table_paddr)
+    for index, raw, view in entry.decode_table(words, level):
+        if view.kind is EntryKind.EMPTY:  # not present, yet not zero
+            if strict:
                 raise IllFormedTree(
                     f"non-present entry with stray bits at level {level} "
                     f"index {index}: {raw:#x}"
@@ -86,28 +85,3 @@ def _interpret_table(
                 memory, view.paddr, level + 1, entry_vbase, mappings,
                 visited, strict,
             )
-
-
-def tree_invariants(memory: PhysicalMemory, root_paddr: int) -> str | None:
-    """Check the structural invariants of the tree; returns the name of the
-    first violated invariant or None.  These are the `invariant` VCs."""
-    try:
-        interpret(memory, root_paddr, strict=True)
-    except IllFormedTree as exc:
-        return str(exc)
-    # No empty intermediate tables: every reachable table at level > 0
-    # contains at least one present entry (the unmap path GCs them).
-    stack = [(root_paddr, 0)]
-    while stack:
-        table, level = stack.pop()
-        present = 0
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = memory.load_u64(table + index * defs.ENTRY_SIZE)
-            view = entry.decode(raw, level)
-            if view.kind is not EntryKind.EMPTY:
-                present += 1
-            if view.kind is EntryKind.TABLE:
-                stack.append((view.paddr, level + 1))
-        if level > 0 and present == 0:
-            return f"empty intermediate table at {table:#x} (level {level})"
-    return None

@@ -50,14 +50,14 @@ MB = 1024 * 1024
 
 
 def _reachable_entries(memory, root):
-    """Yield (level, table_paddr, index, raw) for every reachable entry."""
+    """Yield (level, table_paddr, index, raw) for every reachable entry
+    that is not the zero word (which satisfies every predicate below)."""
     stack = [(root, 0)]
     while stack:
         table, level = stack.pop()
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = memory.load_u64(table + index * defs.ENTRY_SIZE)
+        words = memory.frame_words(table)
+        for index, raw, view in entry.decode_table(words, level):
             yield level, table, index, raw
-            view = entry.decode(raw, level)
             if view.kind is entry.EntryKind.TABLE:
                 stack.append((view.paddr, level + 1))
 
@@ -96,9 +96,8 @@ def inv_no_empty_intermediate(memory, pt):
     while stack:
         table, level = stack.pop()
         present = 0
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = memory.load_u64(table + index * defs.ENTRY_SIZE)
-            view = entry.decode(raw, level)
+        words = memory.frame_words(table)
+        for _index, _raw, view in entry.decode_table(words, level):
             if view.kind is not entry.EntryKind.EMPTY:
                 present += 1
             if view.kind is entry.EntryKind.TABLE:
@@ -109,11 +108,10 @@ def inv_no_empty_intermediate(memory, pt):
 
 
 def inv_no_pml4_huge_bit(memory, pt):
-    for index in range(defs.ENTRIES_PER_TABLE):
-        raw = memory.load_u64(pt.root_paddr + index * defs.ENTRY_SIZE)
-        if raw & 1 and raw & (1 << defs.BIT_HUGE):
-            return False
-    return True
+    return not any(
+        raw & 1 and raw & (1 << defs.BIT_HUGE)
+        for raw in memory.frame_words(pt.root_paddr)
+    )
 
 
 def inv_tables_within_memory(memory, pt):

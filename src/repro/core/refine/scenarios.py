@@ -129,7 +129,6 @@ def generate_scenarios(
             scenarios.append(scenario)
             if len(scenario.ops) >= max_depth:
                 continue
-            memory, pt = scenario.build()
             for op in vocabulary:
                 try:
                     # apply to a fresh copy to test success
@@ -148,6 +147,5 @@ def generate_scenarios(
                     continue
                 seen_abstract_count[abstract] = count + 1
                 next_frontier.append(Scenario(history, abstract))
-            del memory, pt
         frontier = next_frontier
     return scenarios

@@ -1,6 +1,10 @@
 """Byte-addressable physical memory.
 
-Backed by a bytearray.  Loads and stores of 64-bit words must be naturally
+Backed by a private anonymous mapping, so a frame costs host memory only
+once it has been written: constructing a 16 MiB image touches no page.  The
+mapping is `MAP_PRIVATE`, so a forked prover worker gets a copy-on-write
+image and its stores never reach the parent (Python's default anonymous
+`mmap` is `MAP_SHARED`).  Loads and stores of 64-bit words must be naturally
 aligned, matching the alignment the hardware page walker requires of page
 table entries.
 
@@ -17,9 +21,13 @@ lexical lock bracket.
 
 from __future__ import annotations
 
+import mmap
+import struct
+
 from repro import wordlib
 
 PAGE_SIZE = 4096
+_FRAME_WORDS = struct.Struct(f"<{PAGE_SIZE // 8}Q")
 
 
 class PhysAccessError(Exception):
@@ -37,7 +45,8 @@ class PhysicalMemory:
         if size <= 0 or size % PAGE_SIZE:
             raise ValueError(f"memory size must be a positive multiple of {PAGE_SIZE}")
         self.size = size
-        self._bytes = bytearray(size)
+        self._bytes = mmap.mmap(
+            -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
 
     @property
     def num_frames(self) -> int:
@@ -72,7 +81,7 @@ class PhysicalMemory:
 
     def read(self, paddr: int, length: int) -> bytes:
         self._check(paddr, length)
-        return bytes(self._bytes[paddr : paddr + length])
+        return self._bytes[paddr : paddr + length]
 
     def write(self, paddr: int, data: bytes) -> None:
         self._check(paddr, len(data))
@@ -92,6 +101,4 @@ class PhysicalMemory:
     def frame_words(self, frame_paddr: int) -> list[int]:
         """The 512 u64 entries stored in one frame (a page-table node)."""
         self._check(frame_paddr, PAGE_SIZE, alignment=PAGE_SIZE)
-        return [
-            self.load_u64(frame_paddr + i * 8) for i in range(PAGE_SIZE // 8)
-        ]
+        return list(_FRAME_WORDS.unpack_from(self._bytes, frame_paddr))

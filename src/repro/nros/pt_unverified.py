@@ -89,8 +89,7 @@ class UnverifiedPageTable:
 
     def _subtree_is_empty(self, table: int, level: int) -> bool:
         """True when no page mapping exists anywhere under `table`."""
-        for index in range(defs.ENTRIES_PER_TABLE):
-            raw = self.memory.load_u64(table + (index << 3))
+        for raw in self.memory.frame_words(table):
             if not raw & _PRESENT:
                 continue
             if level == 3 or raw & _HUGE:
@@ -101,8 +100,7 @@ class UnverifiedPageTable:
 
     def _free_subtree(self, table: int, level: int) -> None:
         if level < 3:
-            for index in range(defs.ENTRIES_PER_TABLE):
-                raw = self.memory.load_u64(table + (index << 3))
+            for raw in self.memory.frame_words(table):
                 if raw & _PRESENT and not raw & _HUGE:
                     self._free_subtree(raw & defs.ADDR_MASK, level + 1)
         self.allocator.free_frame(table)

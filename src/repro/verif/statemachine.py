@@ -57,6 +57,8 @@ class SpecStateMachine:
     init_states: list
     transitions: list[Transition]
     invariants: dict[str, Callable] = field(default_factory=dict)
+    _steps: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def transition(self, name: str) -> Transition:
         for t in self.transitions:
@@ -73,12 +75,24 @@ class SpecStateMachine:
             )
         return t.apply(state, args)
 
-    def enabled_steps(self, state) -> Iterable[tuple[str, tuple, object]]:
-        """All (name, args, successor) triples enabled from `state`."""
-        for t in self.transitions:
-            for args in t.arg_tuples(state):
-                if t.enabled(state, args):
-                    yield t.name, args, t.apply(state, args)
+    def enabled_steps(self, state) -> tuple[tuple[str, tuple, object], ...]:
+        """All (name, args, successor) triples enabled from `state`.
+
+        Computed once per state and machine instance: exploration and
+        every per-invariant induction pass over the same states then
+        share one transition relation.  Sound because transitions are
+        pure functions of hashable frozen states (`repro analyze`'s
+        purity lint covers every spec-layer transition); a sub-machine
+        built from a subset of the transitions has its own memo."""
+        steps = self._steps.get(state)
+        if steps is None:
+            steps = self._steps[state] = tuple(
+                (t.name, args, t.apply(state, args))
+                for t in self.transitions
+                for args in t.arg_tuples(state)
+                if t.enabled(state, args)
+            )
+        return steps
 
     def check_invariants(self, state) -> str | None:
         """Name of the first violated invariant, or None."""

@@ -12,6 +12,7 @@ from repro.verif.explore import check_inductive, reachable_states
 from repro.verif.schedproof import (
     MAX_STATES,
     _broken_states,
+    _perturbed_states,
     scheduler_vcs,
 )
 
@@ -31,6 +32,27 @@ def test_reachable_space_is_finite_and_clean(explored):
         "per-core renormalization must keep the space finite"
     assert result.ok, f"invariant violated: {result.violation[:2]}"
     assert len(result.states) > 1_000
+
+
+def test_reachable_space_is_pinned(explored):
+    """The coverage claim is about this space: a spec edit that grows or
+    shrinks it must show up here, not only in a comment."""
+    machine, result = explored
+    assert len(result.states) == 7451
+    assert sum(len(machine.enabled_steps(s)) for s in result.states) == 28623
+
+
+def test_memoised_steps_equal_a_fresh_machines(explored):
+    """`enabled_steps` is computed once per state and machine; exploration
+    has already filled `machine`'s memo, `fresh` computes from scratch."""
+    machine, result = explored
+    fresh = ss.sched_machine()
+    perturbed = _perturbed_states(result.states)
+    assert set(perturbed) - set(result.states), "perturbation adds states"
+    for state in list(result.states) + perturbed:
+        steps = machine.enabled_steps(state)
+        assert steps == fresh.enabled_steps(state)
+        assert machine.enabled_steps(state) is steps
 
 
 def test_every_invariant_is_inductive(explored):

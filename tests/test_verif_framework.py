@@ -52,6 +52,25 @@ class TestStateMachine:
         assert ("reset", (), 0) in steps
         assert all(name != "inc" for name, _, _ in steps)
 
+    def test_enabled_steps_are_computed_once_per_machine(self):
+        calls = []
+
+        def apply(s, a):
+            calls.append(s)
+            return s + 1
+
+        def machine():
+            return SpecStateMachine(
+                name="m", init_states=[0],
+                transitions=[Transition("inc", lambda s, a: True, apply)])
+
+        m = machine()
+        assert m.enabled_steps(0) is m.enabled_steps(0)
+        assert m.enabled_steps(0) == (("inc", (), 1),)
+        assert calls == [0]
+        assert machine().enabled_steps(0) == (("inc", (), 1),)
+        assert calls == [0, 0], "a second instance shares no memo"
+
     def test_check_invariants(self):
         m = counter_machine(limit=3)
         assert m.check_invariants(2) is None

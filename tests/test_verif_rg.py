@@ -1,6 +1,7 @@
 """Tests for the rely-guarantee interference models (repro.verif.rgspec)
 and their stability VC family (repro.verif.rgproof)."""
 
+from repro.verif import rgproof
 from repro.verif import rgspec as rs
 from repro.verif.explore import check_inductive, reachable_states
 from repro.verif.rgproof import MAX_STATES, rg_vcs
@@ -43,6 +44,42 @@ def test_every_invariant_is_stable_under_every_action():
                                                  invariant)
                 assert counterexample is None, (
                     model, invariant, transition.name, counterexample)
+
+
+def test_memoised_steps_equal_a_fresh_machines():
+    for _model, builder, _invariants in rs.MODELS:
+        machine, result = _explored(builder)   # fills machine's memo
+        fresh = builder()
+        for state in result.states:
+            steps = machine.enabled_steps(state)
+            assert steps == fresh.enabled_steps(state)
+            assert machine.enabled_steps(state) is steps
+
+
+def test_stability_sub_machine_steps_only_its_own_action(monkeypatch):
+    """The memo lives on the machine instance: the one-action sub-machine
+    a stability VC builds must not see the full machine's successors."""
+    cache = rgproof._RgModelCache()
+    machine, result = cache.result("pmem")     # full machine's memo is warm
+    action = machine.transitions[-1].name
+    subs = []
+
+    def spy(sub, states, invariant):
+        subs.append(sub)
+        return check_inductive(sub, states, invariant)
+
+    monkeypatch.setattr(rgproof, "check_inductive", spy)
+    vc = rgproof._stability_vc(cache, "pmem", "pmem_coverage", action)
+    assert vc.check() is None
+    (sub,) = subs
+    assert sub is not machine and len(machine.transitions) > 1
+    fired = 0
+    for state in result.states:
+        own = tuple(step for step in machine.enabled_steps(state)
+                    if step[0] == action)
+        assert sub.enabled_steps(state) == own
+        fired += len(own)
+    assert fired, f"{action} never enabled: the check would be vacuous"
 
 
 def test_pmem_free_coalesces_eagerly():
