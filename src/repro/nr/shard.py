@@ -14,9 +14,25 @@ NR).  Cross-shard consistency is the usual sharding trade-off: a
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable
 
 from repro.nr.core import NodeReplicated
+
+
+def _stable_hash(key) -> int:
+    """A placement hash that is the same in every interpreter.
+
+    The built-in ``hash()`` of ``str``/``bytes`` is salted per process
+    (``PYTHONHASHSEED``), so placing by it makes two runs of one sharded
+    workload disagree on every simulated output.  Integers place by
+    their value; anything else by a BLAKE2b digest of its ``repr`` (as
+    :func:`repro.cluster.ring.ring_hash` does for the cluster)."""
+    if isinstance(key, int):
+        return key
+    return int.from_bytes(
+        hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest(),
+        "big")
 
 
 class ShardedNr:
@@ -36,7 +52,7 @@ class ShardedNr:
             for _ in range(num_shards)
         ]
         self._shard_of = shard_of if shard_of is not None else (
-            lambda key: hash(key) % num_shards
+            lambda key: _stable_hash(key) % num_shards
         )
 
     @property

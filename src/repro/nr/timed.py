@@ -48,6 +48,8 @@ class TimedNrResult:
     batches: int = 0
     max_batch: int = 0
     log_appends: int = 0
+    #: Simulator events dispatched (one per resume of a core process).
+    events: int = 0
     #: Combiner batch-size population (merged across replicas/shards).
     batch_sizes: Histogram = field(
         default_factory=lambda: Histogram(name="nr.batch_size"))
@@ -73,39 +75,111 @@ class _SharedLines:
         self.result = [CacheLine(topology) for _ in range(num_cores)]
 
 
-def _step_cost(label: str, core: int, node: int, lines: _SharedLines,
-               topology: Topology, cfg: TimedNrConfig,
-               node_cores: list[int]) -> int:
+def _step_costs(core: int, node: int, lines: _SharedLines,
+                topology: Topology, cfg: TimedNrConfig) -> dict:
+    """Protocol step label -> what `core` pays for taking that step now
+    (a thunk, since most steps move a cache line as they are priced)."""
     costs = topology.costs
-    if label == nrcore.PUBLISH:
-        return lines.slot[core].write(core)
-    if label == nrcore.TRY_COMBINE:
-        return lines.combiner[node].atomic_rmw(core)
-    if label == nrcore.CHECK_RESULT:
-        return lines.result[core].read(core)
-    if label == nrcore.COLLECT:
-        return sum(lines.slot[c].read(core) for c in node_cores)
-    if label == nrcore.APPEND:
-        return lines.tail.atomic_rmw(core) + costs.local_dram
-    if label == nrcore.WLOCK:
-        return lines.lock[node].atomic_rmw(core)
-    if label == nrcore.APPLY:
+    node_cores = topology.cores_on_node(node)
+    slot, result = lines.slot[core], lines.result[core]
+    combiner, lock, tail = lines.combiner[node], lines.lock[node], lines.tail
+    return {
+        nrcore.PUBLISH: lambda: slot.write(core),
+        nrcore.TRY_COMBINE: lambda: combiner.atomic_rmw(core),
+        nrcore.CHECK_RESULT: lambda: result.read(core),
+        nrcore.COLLECT:
+            lambda: sum(lines.slot[c].read(core) for c in node_cores),
+        nrcore.APPEND: lambda: tail.atomic_rmw(core) + costs.local_dram,
+        nrcore.WLOCK: lambda: lock.atomic_rmw(core),
         # one log entry: fetch the entry line, run the sequential op,
         # write the owner's result line
-        return costs.local_transfer + cfg.apply_cost_ns
-    if label == nrcore.RELEASE:
-        return lines.combiner[node].write(core) + lines.lock[node].write(core)
-    if label == nrcore.SPIN:
-        return cfg.spin_backoff_ns
-    if label == nrcore.READ_TAIL:
-        return lines.tail.read(core)
-    if label == nrcore.RLOCK:
-        return lines.lock[node].atomic_rmw(core)
-    if label == nrcore.READ:
-        return cfg.query_cost_ns
-    if label == nrcore.RUNLOCK:
-        return lines.lock[node].write(core)
-    raise ValueError(f"unknown protocol step {label!r}")
+        nrcore.APPLY: lambda: costs.local_transfer + cfg.apply_cost_ns,
+        nrcore.RELEASE: lambda: combiner.write(core) + lock.write(core),
+        nrcore.SPIN: lambda: cfg.spin_backoff_ns,
+        nrcore.READ_TAIL: lambda: tail.read(core),
+        nrcore.RLOCK: lambda: lock.atomic_rmw(core),
+        nrcore.READ: lambda: cfg.query_cost_ns,
+        nrcore.RUNLOCK: lambda: lock.write(core),
+    }
+
+
+class _Delays(dict):
+    """cost in ns -> the one `Delay` a run yields for it.  Commands are
+    immutable (see :mod:`repro.sim.kernel`), a run has a few dozen
+    distinct costs and a million steps, so a step pays a dict hit
+    instead of constructing a frozen dataclass."""
+
+    def __missing__(self, ns: int) -> Delay:
+        command = self[ns] = Delay(ns)
+        return command
+
+
+def _run_timed(
+    instances: list[NodeReplicated],
+    resolve: Callable[[int, int], tuple],
+    topology: Topology,
+    cfg: TimedNrConfig,
+    bus: EventBus | None,
+) -> TimedNrResult:
+    """The one timed driver: every core is a simulated process issuing
+    `ops_per_core` operations through the NR step protocol, each step a
+    `Delay` of what it costs on that instance's cache lines.
+
+    `resolve(core, i)` returns `(op, is_read, index, span_fields)`: the
+    i-th operation of a core, which of `instances` executes it, and what
+    its `nr.op` span says beyond core and kind."""
+    lines = [_SharedLines(topology, topology.num_nodes, cfg.num_cores)
+             for _ in instances]
+    sim = Simulator()
+    clock = sim_clock(sim)
+    result = TimedNrResult()
+    costs = topology.costs
+    delays = _Delays()
+
+    def core_process(core: int):
+        node = topology.node_of(core)
+        step_costs = [_step_costs(core, node, shared, topology, cfg)
+                      for shared in lines]
+        for i in range(cfg.ops_per_core):
+            op, is_read, index, span_fields = resolve(core, i)
+            nr, cost_of = instances[index], step_costs[index]
+            kind = op[0] if isinstance(op, tuple) else str(op)
+            span = Span("nr.op", clock=clock, histogram=result.latency,
+                        bus=bus, core=core, kind=kind, **span_fields).start()
+            if cfg.syscall_overhead:
+                yield delays[costs.syscall_entry]
+            if is_read:
+                steps = nr.read_steps(op, node, thread=core)
+            else:
+                steps = nr.execute_steps(op, node, thread=core)
+            for label in steps:
+                cost = cost_of[label]()
+                if cost:
+                    yield delays[cost]
+            if cfg.post_op_cost_fn is not None:
+                extra = cfg.post_op_cost_fn(op, is_read, cfg.num_cores,
+                                            topology)
+                if extra:
+                    yield delays[extra]
+            if cfg.syscall_overhead:
+                yield delays[costs.syscall_exit]
+            elapsed = span.finish()
+            result.kind(kind).record(elapsed)
+            yield delays[cfg.op_gap_ns]
+
+    for core in range(cfg.num_cores):
+        sim.spawn(core_process(core), name=f"core{core}")
+    sim.run()
+
+    replicas = [r for nr in instances for r in nr.replicas]
+    result.sim_ns = sim.now
+    result.events = sim.events
+    result.batches = sum(r.batches for r in replicas)
+    result.max_batch = max(r.max_batch for r in replicas)
+    result.log_appends = sum(nr.log.appends for nr in instances)
+    for nr in instances:
+        result.batch_sizes.merge(nr.batch_sizes)
+    return result
 
 
 def run_timed_workload(
@@ -124,60 +198,13 @@ def run_timed_workload(
     simulated nanoseconds — a traced run (pass `bus`) is byte-identical
     between repetitions."""
     topology = Topology(cfg.num_cores, cores_per_node=cfg.cores_per_node)
-    num_nodes = topology.num_nodes
-    nr = NodeReplicated(ds_factory, num_nodes=num_nodes)
-    lines = _SharedLines(topology, num_nodes, cfg.num_cores)
-    sim = Simulator()
-    clock = sim_clock(sim)
-    result = TimedNrResult()
-    cores_by_node = {
-        n: topology.cores_on_node(n) for n in range(num_nodes)
-    }
+    nr = NodeReplicated(ds_factory, num_nodes=topology.num_nodes)
 
-    def core_process(core: int):
-        node = topology.node_of(core)
-        node_cores = cores_by_node[node]
-        for i in range(cfg.ops_per_core):
-            op, is_read = op_fn(core, i)
-            kind = op[0] if isinstance(op, tuple) else str(op)
-            span = Span("nr.op", clock=clock, histogram=result.latency,
-                        bus=bus, core=core, kind=kind).start()
-            if cfg.syscall_overhead:
-                yield Delay(topology.costs.syscall_entry)
-            if is_read:
-                steps = nr.read_steps(op, node, thread=core)
-            else:
-                steps = nr.execute_steps(op, node, thread=core)
-            while True:
-                try:
-                    label = next(steps)
-                except StopIteration:
-                    break
-                cost = _step_cost(label, core, node, lines, topology, cfg,
-                                  node_cores)
-                if cost:
-                    yield Delay(cost)
-            if cfg.post_op_cost_fn is not None:
-                extra = cfg.post_op_cost_fn(op, is_read, cfg.num_cores,
-                                            topology)
-                if extra:
-                    yield Delay(extra)
-            if cfg.syscall_overhead:
-                yield Delay(topology.costs.syscall_exit)
-            elapsed = span.finish()
-            result.kind(kind).record(elapsed)
-            yield Delay(cfg.op_gap_ns)
+    def resolve(core: int, i: int):
+        op, is_read = op_fn(core, i)
+        return op, is_read, 0, {}
 
-    for core in range(cfg.num_cores):
-        sim.spawn(core_process(core), name=f"core{core}")
-    sim.run()
-
-    result.sim_ns = sim.now
-    result.batches = sum(r.batches for r in nr.replicas)
-    result.max_batch = max(r.max_batch for r in nr.replicas)
-    result.log_appends = nr.log.appends
-    result.batch_sizes.merge(nr.batch_sizes)
-    return result
+    return _run_timed([nr], resolve, topology, cfg, bus)
 
 
 def run_timed_sharded(
@@ -196,63 +223,15 @@ def run_timed_sharded(
     from repro.nr.shard import ShardedNr
 
     topology = Topology(cfg.num_cores, cores_per_node=cfg.cores_per_node)
-    num_nodes = topology.num_nodes
     sharded = ShardedNr(ds_factory, num_shards=num_shards,
-                        num_nodes=num_nodes)
-    lines = [
-        _SharedLines(topology, num_nodes, cfg.num_cores)
-        for _ in range(num_shards)
-    ]
-    sim = Simulator()
-    clock = sim_clock(sim)
-    result = TimedNrResult()
-    cores_by_node = {n: topology.cores_on_node(n) for n in range(num_nodes)}
+                        num_nodes=topology.num_nodes)
 
-    def core_process(core: int):
-        node = topology.node_of(core)
-        node_cores = cores_by_node[node]
-        for i in range(cfg.ops_per_core):
-            key, op, is_read = op_fn(core, i)
-            shard = sharded.shard_for(key)
-            kind = op[0] if isinstance(op, tuple) else str(op)
-            span = Span("nr.op", clock=clock, histogram=result.latency,
-                        bus=bus, core=core, kind=kind, shard=shard).start()
-            if cfg.syscall_overhead:
-                yield Delay(topology.costs.syscall_entry)
-            if is_read:
-                steps = sharded.read_steps(key, op, node, thread=core)
-            else:
-                steps = sharded.execute_steps(key, op, node, thread=core)
-            while True:
-                try:
-                    label = next(steps)
-                except StopIteration:
-                    break
-                cost = _step_cost(label, core, node, lines[shard], topology,
-                                  cfg, node_cores)
-                if cost:
-                    yield Delay(cost)
-            if cfg.syscall_overhead:
-                yield Delay(topology.costs.syscall_exit)
-            elapsed = span.finish()
-            result.kind(kind).record(elapsed)
-            yield Delay(cfg.op_gap_ns)
+    def resolve(core: int, i: int):
+        key, op, is_read = op_fn(core, i)
+        shard = sharded.shard_for(key)
+        return op, is_read, shard, {"shard": shard}
 
-    for core in range(cfg.num_cores):
-        sim.spawn(core_process(core), name=f"core{core}")
-    sim.run()
-    result.sim_ns = sim.now
-    result.batches = sum(
-        r.batches for shard in sharded.shards for r in shard.replicas
-    )
-    result.max_batch = max(
-        (r.max_batch for shard in sharded.shards for r in shard.replicas),
-        default=0,
-    )
-    result.log_appends = sum(s.log.appends for s in sharded.shards)
-    for shard in sharded.shards:
-        result.batch_sizes.merge(shard.batch_sizes)
-    return result
+    return _run_timed(sharded.shards, resolve, topology, cfg, bus)
 
 
 def tlb_shootdown_cost(op, is_read, num_cores: int, topology: Topology) -> int:

@@ -7,14 +7,19 @@ Simulated processes are Python generators that yield *commands*:
 * ``Wait(event)`` — block until the event fires,
 * ``Fire(event, value)`` — wake all waiters, delivering `value`.
 
-Time is in integer nanoseconds.  The kernel is deterministic: ties are
-broken by spawn order, which keeps every benchmark reproducible.
+Time is in integer nanoseconds.  The kernel is deterministic: two events
+at the same time run in the order they were *scheduled* (not the order
+their processes were spawned), which keeps every benchmark reproducible.
+
+Commands are immutable values: the kernel reads a command's fields while
+it handles the yield and keeps no reference to it afterwards, so a process
+may yield the same instance any number of times and share it with others.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Generator
 
 
@@ -83,25 +88,40 @@ class Simulator:
         return process.pid
 
     def _schedule(self, when: int, process: _Process, value) -> None:
-        heapq.heappush(self._queue, (when, self._seq, process, value))
+        heappush(self._queue, (when, self._seq, process, value))
         self._seq += 1
 
-    def run(self, until: int | None = None) -> None:
-        """Run until the queue drains (or simulated time passes `until`)."""
-        while self._queue:
-            when, _, process, value = self._queue[0]
-            if until is not None and when > until:
-                return
-            heapq.heappop(self._queue)
-            self.now = when
-            self._step(process, value)
+    @property
+    def events(self) -> int:
+        """Events dispatched so far (every event ever scheduled has a
+        sequence number; the ones not dispatched are still queued)."""
+        return self._seq - len(self._queue)
 
-    def _step(self, process: _Process, value) -> None:
-        try:
-            command = process.gen.send(value)
-        except StopIteration:
-            self.completed += 1
-            return
+    def run(self, until: int | None = None) -> None:
+        """Run until the queue drains (or simulated time passes `until`).
+
+        One event is: pop the earliest entry, resume its process, act on
+        the command it yields.  Nearly every event of a timed run is a
+        plain non-negative `Delay`, so that case is handled here; every
+        other command, and every malformed one, goes to `_execute`."""
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
+                return
+            when, _, process, value = heappop(queue)
+            self.now = when
+            try:
+                command = process.gen.send(value)
+            except StopIteration:
+                self.completed += 1
+                continue
+            if command.__class__ is Delay and command.ns >= 0:
+                heappush(queue, (when + command.ns, self._seq, process, None))
+                self._seq += 1
+            else:
+                self._execute(process, command)
+
+    def _execute(self, process: _Process, command) -> None:
         if isinstance(command, Delay):
             if command.ns < 0:
                 raise SimulationError(f"negative delay {command.ns}")

@@ -1,5 +1,9 @@
 """Sharded NR tests: routing, per-shard linearizability, write scaling."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.immutable import EMPTY_MAP
@@ -8,13 +12,69 @@ from repro.nr.datastructures import Counter, KvStore, kv_model_step
 from repro.nr.interleave import ThreadScript, run_interleaved
 from repro.nr.linearizability import check_linearizable
 from repro.nr.shard import ShardedNr
-from repro.nr.timed import TimedNrConfig, run_timed_sharded, run_timed_workload
+from repro.nr.timed import (
+    TimedNrConfig,
+    run_timed_sharded,
+    run_timed_workload,
+    tlb_shootdown_cost,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Run in a fresh interpreter: default placement of string keys, then a
+#: timed four-shard run keyed by strings.
+PLACEMENT_PROBE = """
+import sys
+sys.path.insert(0, 'src')
+from repro.nr.datastructures import KvStore
+from repro.nr.shard import ShardedNr
+from repro.nr.timed import TimedNrConfig, run_timed_sharded
+
+sharded = ShardedNr(KvStore, num_shards=4)
+print([sharded.shard_for(f'key{i}') for i in range(32)])
+
+def workload(core, i):
+    key = f'key{(core * 5 + i) % 8}'
+    return (key, ('put', key, i), False)
+
+result = run_timed_sharded(KvStore, workload,
+                           TimedNrConfig(num_cores=16, ops_per_core=6),
+                           num_shards=4)
+print(result.sim_ns, result.latency.samples)
+"""
 
 
 class TestRouting:
     def test_same_key_same_shard(self):
         sharded = ShardedNr(KvStore, num_shards=4)
         assert sharded.shard_for("k") == sharded.shard_for("k")
+
+    def test_default_placement_of_ints_is_modulo(self):
+        # plain modulo, also for -1 (whose `hash()` is -2)
+        sharded = ShardedNr(KvStore, num_shards=4)
+        assert [sharded.shard_for(k) for k in range(-4, 9)] == [
+            k % 4 for k in range(-4, 9)]
+
+    def test_default_placement_spreads_other_keys(self):
+        sharded = ShardedNr(KvStore, num_shards=4)
+        for keys in ([f"key{i}" for i in range(64)],
+                     [bytes([i]) for i in range(64)],
+                     [("t", i) for i in range(64)]):
+            assert {sharded.shard_for(k) for k in keys} == {0, 1, 2, 3}
+
+    def test_default_placement_independent_of_hash_seed(self):
+        """`hash()` of str/bytes is salted per interpreter; placement (and
+        with it every simulated output of a sharded run) must not be."""
+        outputs = {
+            seed: subprocess.run(
+                [sys.executable, "-c", PLACEMENT_PROBE],
+                env={"PYTHONHASHSEED": seed},
+                capture_output=True, text=True, cwd=ROOT, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert outputs["1"] == outputs["2"]
+        assert outputs["1"].count("\n") == 2
 
     def test_custom_shard_function(self):
         sharded = ShardedNr(KvStore, num_shards=2,
@@ -123,3 +183,14 @@ class TestWriteScaling:
                                       num_shards=1)
         # identical protocol, identical costs: same simulated time
         assert one_shard.sim_ns == plain.sim_ns
+
+        # ... and the same config: a sharded op pays its post-op cost too
+        charged = TimedNrConfig(num_cores=4, ops_per_core=8,
+                                post_op_cost_fn=tlb_shootdown_cost)
+        plain_charged = run_timed_workload(Counter, workload_plain, charged)
+        one_shard = run_timed_sharded(Counter, workload_sharded, charged,
+                                      num_shards=1)
+        assert plain_charged.sim_ns > plain.sim_ns
+        assert one_shard.sim_ns == plain_charged.sim_ns
+        assert one_shard.latency.samples == plain_charged.latency.samples
+        assert one_shard.events == plain_charged.events

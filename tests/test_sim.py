@@ -43,9 +43,65 @@ class TestSimulatorCore:
 
         sim.spawn(proc("a", 30))
         sim.spawn(proc("b", 10))
-        sim.spawn(proc("c", 30))  # same time as a: spawn order breaks tie
+        sim.spawn(proc("c", 30))  # same time as a, scheduled after it
         sim.run()
         assert trace == [(10, "b"), (30, "a"), (30, "c")]
+
+    def test_ties_broken_by_scheduling_order(self):
+        """Two events at the same time run in the order they were
+        *scheduled*, not the order their processes were spawned: x is
+        spawned first but schedules its t=30 event at t=10, after y
+        scheduled its own at t=0.  Every sim digest rests on this."""
+        sim = Simulator()
+        trace = []
+
+        def proc(tag, *delays):
+            for delay in delays:
+                yield Delay(delay)
+            trace.append((sim.now, tag))
+
+        sim.spawn(proc("x", 10, 20))
+        sim.spawn(proc("y", 30))
+        sim.run()
+        assert trace == [(30, "y"), (30, "x")]
+
+    def test_shared_delay_instance(self):
+        """Commands are immutable values: one `Delay` yielded by two
+        processes, and twice by the same one, acts like fresh ones."""
+        def run(make_delay):
+            sim = Simulator()
+            trace = []
+
+            def proc(tag, repeats):
+                for _ in range(repeats):
+                    yield make_delay()
+                    trace.append((sim.now, tag))
+
+            sim.spawn(proc("a", 3))
+            sim.spawn(proc("b", 2))
+            sim.run()
+            return trace, sim.now, sim.completed, sim.events
+
+        shared = Delay(7)
+        assert run(lambda: shared) == run(lambda: Delay(7))
+        assert run(lambda: shared)[0] == [
+            (7, "a"), (7, "b"), (14, "a"), (14, "b"), (21, "a")]
+
+    def test_events_counts_dispatches(self):
+        sim = Simulator()
+
+        def proc():
+            yield Delay(5)
+            yield Delay(5)
+
+        sim.spawn(proc())
+        sim.spawn(proc())
+        assert sim.events == 0
+        sim.run(until=5)
+        assert sim.events == 4   # two spawns, two first delays
+        sim.run()
+        assert sim.events == 6   # ... and the two resumes that finish
+        assert sim.completed == 2
 
     def test_run_until(self):
         sim = Simulator()
@@ -59,6 +115,38 @@ class TestSimulatorCore:
         sim.spawn(proc())
         sim.run(until=350)
         assert trace == [100, 200, 300]
+
+    def test_run_until_is_inclusive_and_resumable(self):
+        def build():
+            sim = Simulator()
+            trace = []
+
+            def proc(tag, step):
+                for _ in range(4):
+                    yield Delay(step)
+                    trace.append((sim.now, tag))
+
+            sim.spawn(proc("a", 100))
+            sim.spawn(proc("b", 150))
+            return sim, trace
+
+        whole_sim, whole = build()
+        whole_sim.run()
+
+        sim, trace = build()
+        sim.run(until=300)
+        # the events at exactly t=300 ran; later ones are still queued
+        # and the clock has not moved past `until`
+        assert trace == [(100, "a"), (150, "b"), (200, "a"),
+                         (300, "b"), (300, "a")]
+        assert sim.now == 300
+        assert sim.completed == 0
+        sim.run(until=399)
+        assert sim.now == 300
+        sim.run()
+        assert trace == whole
+        assert (sim.now, sim.completed, sim.events) == (
+            whole_sim.now, whole_sim.completed, whole_sim.events)
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
@@ -80,6 +168,35 @@ class TestSimulatorCore:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_bad_command_after_delays_rejected(self):
+        """The checks hold on the loop's hot path too: a process that
+        has been yielding plain delays for a while still cannot yield a
+        negative one, a subclass cannot smuggle one in, and a bad
+        command does not stop `run()` from being called again."""
+        class Sneaky(Delay):
+            pass
+
+        for bad in (Delay(-5), Sneaky(-5), None):
+            sim = Simulator()
+            trace = []
+
+            def proc():
+                for _ in range(3):
+                    yield Delay(10)
+                yield bad
+
+            def bystander():
+                yield Sneaky(100)
+                trace.append(sim.now)
+
+            sim.spawn(proc())
+            sim.spawn(bystander())
+            with pytest.raises(SimulationError):
+                sim.run()
+            assert sim.now == 30
+            sim.run()
+            assert trace == [100]
+
     def test_events(self):
         sim = Simulator()
         trace = []
@@ -99,6 +216,49 @@ class TestSimulatorCore:
         sim.run()
         assert sorted(trace) == [("w1", "payload", 500),
                                  ("w2", "payload", 500)]
+
+
+    def test_event_and_lock_trace_pinned(self):
+        """Exact order, values and times of a run mixing every command:
+        waiters wake in wait order, before the firer continues; a lock
+        hand-off resumes the new holder before the releaser."""
+        sim = Simulator()
+        trace = []
+        event = Event("go")
+        lock = SimLock("l")
+
+        def waiter(tag):
+            value = yield Wait(event)
+            trace.append((sim.now, tag, "woke", value))
+            got = yield Acquire(lock)
+            trace.append((sim.now, tag, "locked", got))
+            yield Delay(40)
+            yield Release(lock)
+            trace.append((sim.now, tag, "released", None))
+
+        def firer():
+            yield Delay(500)
+            yield Fire(event, "payload")
+            trace.append((sim.now, "f", "fired", None))
+            yield Fire(event, "nobody")
+            trace.append((sim.now, "f", "refired", None))
+
+        sim.spawn(waiter("w1"))
+        sim.spawn(waiter("w2"))
+        sim.spawn(firer())
+        sim.run()
+        assert trace == [
+            (500, "w1", "woke", "payload"),
+            (500, "w2", "woke", "payload"),
+            (500, "f", "fired", None),
+            (500, "w1", "locked", True),
+            (500, "f", "refired", None),
+            (540, "w2", "locked", True),
+            (540, "w1", "released", None),
+            (580, "w2", "released", None),
+        ]
+        assert (sim.now, sim.completed, sim.events) == (580, 3, 14)
+        assert event.waiters == []
 
 
 class TestSimLock:
