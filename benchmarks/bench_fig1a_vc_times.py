@@ -9,8 +9,6 @@ Figure 1a cost, the warm re-verification run is served almost entirely
 from the cache.
 """
 
-import os
-
 import pytest
 
 from benchmarks._common import report_lines, write_bench_json
@@ -20,16 +18,8 @@ from repro.prover import ProofCache, prove_all
 
 THRESHOLDS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 11.0)
 
-#: CI's perf-smoke job sets this to run the same benchmark over a reduced
-#: VC population (small scenario caps): same SMT lemma set — so the
-#: deterministic solver counters match the committed baseline — but far
-#: fewer structural enumeration VCs.
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-
 
 def _build_population():
-    if QUICK:
-        return build_proof(scenario_depth=2, scenario_cap=12)
     engine = build_proof()
     assert engine.vc_count == 220
     return engine

@@ -84,7 +84,7 @@ def tour() -> int:
     return 0
 
 
-def _build_engine(layers: str, quick: bool):
+def _build_engine(layers: str):
     from repro.core.refine.proof import build_proof
 
     selected = {name for name in layers.split(",") if name}
@@ -102,8 +102,6 @@ def _build_engine(layers: str, quick: bool):
         include_contract=everything or "contract" in selected,
         include_sched=everything or "sched" in selected,
         include_rg=everything or "rg" in selected,
-        scenario_depth=2 if quick else 3,
-        scenario_cap=12 if quick else 60,
     )
 
 
@@ -112,7 +110,7 @@ def prove(args) -> int:
     from repro.prover.cache import default_cache_dir
 
     writer = _start_trace(args.trace) if args.trace else None
-    engine = _build_engine(args.layers, args.quick)
+    engine = _build_engine(args.layers)
     out(f"prover: {engine.vc_count} verification conditions, "
         f"jobs={args.jobs}, cache="
         f"{'off' if args.no_cache else (args.cache_dir or default_cache_dir())}")
@@ -121,10 +119,11 @@ def prove(args) -> int:
     config = ProverConfig(
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        conflict_budget=args.budget,
         preprocess=not args.no_preprocess,
         incremental=not args.no_incremental,
     )
+    if args.budget is not None:
+        config.budgets = (args.budget, 4 * args.budget, None)
     if not args.no_cache:
         cache = ProofCache(args.cache_dir or default_cache_dir())
         if args.clear_cache:
@@ -383,8 +382,6 @@ def main(argv=None) -> int:
     prove_parser.add_argument("--layers", default="all",
                               help="comma list of layers: all,lemmas,"
                                    "structural,nr,contract,sched,rg")
-    prove_parser.add_argument("--quick", action="store_true",
-                              help="smaller scenario population")
     prove_parser.add_argument("--cache-dir", default=None,
                               help="proof-cache directory "
                                    "(default: $REPRO_PROOF_CACHE or "
@@ -394,7 +391,9 @@ def main(argv=None) -> int:
     prove_parser.add_argument("--clear-cache", action="store_true",
                               help="drop cached verdicts before running")
     prove_parser.add_argument("--budget", type=int, default=None,
-                              help="first-attempt SMT conflict budget")
+                              help="first-attempt SMT conflict budget N: "
+                                   "the retry ladder becomes N, 4N, "
+                                   "unbounded")
     prove_parser.add_argument("--no-preprocess", action="store_true",
                               help="disable the SatELite CNF preprocessor "
                                    "(ablation)")
@@ -529,10 +528,6 @@ def main(argv=None) -> int:
     if args.command == "analyze":
         return analyze(args)
     if args.command == "prove":
-        if args.budget is None:
-            from repro.prover import DEFAULT_CONFLICT_BUDGET
-
-            args.budget = DEFAULT_CONFLICT_BUDGET
         return prove(args)
     return tour()
 

@@ -870,8 +870,8 @@ def build_proof(
     in isolation.
 
     The engine carries a `rebuild_spec` naming this builder and its exact
-    arguments, so `repro.prover`'s process workers can reconstruct any of
-    the population's VCs by name (the VC closures themselves don't pickle).
+    arguments: the provenance `repro.prover`'s cache keys the structural
+    VCs' verdicts by.
     """
     engine = ProofEngine()
     engine.rebuild_spec = ("pt-refinement", {

@@ -807,8 +807,7 @@ def _prover_budget_exhaustion(seed: int, report: CampaignReport) -> None:
     from repro.verif.vc import VCStatus
 
     engine = _prover_engine(hard=True)
-    config = ProverConfig(use_cache=False, conflict_budget=1,
-                          max_attempts=2, hard_budget=True)
+    config = ProverConfig(use_cache=False, budgets=(1, 4))
     site = report.site("prover.budget")
     try:
         result = prove_all(engine, jobs=1, config=config)

@@ -5,14 +5,12 @@ Figure 1a population one VC at a time with no caching or telemetry.  This
 subsystem is the production path around it:
 
 * :mod:`repro.prover.scheduler` — a work scheduler fanning VCs out across a
-  process pool, longest-expected-first, with per-VC conflict budgets and a
-  retry ladder;
+  forked process pool (workers inherit the VCs they run), longest-observed
+  first, with per-VC conflict budgets and a retry ladder;
 * :mod:`repro.prover.cache` — a content-addressed persistent proof cache,
   keyed by goal-term fingerprint + solver configuration;
 * :mod:`repro.prover.fingerprint` — the stable fingerprints behind the
   cache keys;
-* :mod:`repro.prover.registry` — named proof builders that let worker
-  processes rebuild unpicklable VCs by name;
 * :mod:`repro.prover.events` — the structured event stream
   (queued / started / finished / cache-hit) of a run.
 
@@ -22,9 +20,7 @@ Entry points: :func:`prove_all` and ``python -m repro prove --jobs N``.
 from repro.prover.cache import CacheStats, ProofCache, default_cache_dir
 from repro.prover.events import EventLog, ProofEvent
 from repro.prover.fingerprint import goal_fingerprint, term_fingerprint
-from repro.prover.registry import register_builder
 from repro.prover.scheduler import (
-    DEFAULT_CONFLICT_BUDGET,
     ProverConfig,
     ProverScheduler,
     WorkerCrash,
@@ -33,7 +29,6 @@ from repro.prover.scheduler import (
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_CONFLICT_BUDGET",
     "EventLog",
     "ProofCache",
     "ProofEvent",
@@ -43,6 +38,5 @@ __all__ = [
     "default_cache_dir",
     "goal_fingerprint",
     "prove_all",
-    "register_builder",
     "term_fingerprint",
 ]

@@ -38,7 +38,7 @@ class ProofEvent:
     seconds: float = 0.0
     #: Time inside the solving pipeline (rewrite + blast + SAT).
     solver_seconds: float = 0.0
-    #: Which lane executed the VC: "inline", "proc", or "thread".
+    #: Which lane executed the VC: "inline" or "proc".
     worker: str = ""
     #: Result status for ``finished`` events ("proved", "failed", ...).
     status: str = ""
@@ -63,20 +63,6 @@ class ProofEvent:
         if self.attempt:
             fields["attempt"] = self.attempt
         return obs.make_event(f"prover.{self.kind}", t=self.t, **fields)
-
-    def line(self) -> str:
-        parts = [f"{self.t:8.3f}s", f"{self.kind:<12}"]
-        if self.vc:
-            parts.append(self.vc)
-        if self.kind == FINISHED:
-            parts.append(f"[{self.status}]")
-            parts.append(f"wall={self.seconds:.3f}s")
-            parts.append(f"solver={self.solver_seconds:.3f}s")
-            if self.attempt > 1:
-                parts.append(f"attempt={self.attempt}")
-        if self.worker:
-            parts.append(f"({self.worker})")
-        return " ".join(parts)
 
 
 @dataclass
@@ -104,28 +90,3 @@ class EventLog:
 
     def of_kind(self, kind: str) -> list[ProofEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def wall_seconds(self) -> float:
-        return max((e.t for e in self.events), default=0.0)
-
-    def cumulative_solver_seconds(self) -> float:
-        return sum(e.solver_seconds for e in self.events
-                   if e.kind == FINISHED)
-
-    def summary_lines(self) -> list[str]:
-        counts = self.counts()
-        finished = self.of_kind(FINISHED)
-        retried = sum(1 for e in finished if e.attempt > 1)
-        lines = [
-            f"events: {len(self.events)} "
-            f"(queued {counts.get(QUEUED, 0)}, "
-            f"cache-hit {counts.get(CACHE_HIT, 0)}, "
-            f"started {counts.get(STARTED, 0)}, "
-            f"finished {counts.get(FINISHED, 0)})",
-            f"wall-clock: {self.wall_seconds():.2f} s, cumulative solver "
-            f"time: {self.cumulative_solver_seconds():.2f} s",
-        ]
-        if retried:
-            lines.append(f"budget retries: {retried} VCs needed more than "
-                         f"one attempt")
-        return lines

@@ -21,14 +21,9 @@ from functools import lru_cache
 from repro.smt.ast import Term
 
 
-def serialize_term(term: Term) -> str:
-    """A canonical, process-independent text form of the term DAG.
-
-    Nodes are numbered in postorder of first visit; each line is
-    ``<local-id> <op> <sort> <params> <value-or-name> <child ids>``.
-    Structurally equal DAGs serialize identically; any change to an
-    operator, constant, variable name, sort, or shape changes the output.
-    """
+def _serialize(term: Term, values: bool) -> str:
+    """Postorder DAG walk with local numbering, one line per node;
+    `values` keeps each node's constant value and operator params."""
     numbering: dict[int, int] = {}
     lines: list[str] = []
     stack: list[tuple[Term, bool]] = [(term, False)]
@@ -44,11 +39,23 @@ def serialize_term(term: Term) -> str:
             continue
         numbering[id(node)] = len(numbering)
         child_ids = ",".join(str(numbering[id(a)]) for a in node.args)
+        content = f"{node.params} {node.value!r} " if values else ""
         lines.append(
             f"{numbering[id(node)]} {node.op} {node.sort.width} "
-            f"{node.params} {node.value!r} {node.name!r} [{child_ids}]"
+            f"{content}{node.name!r} [{child_ids}]"
         )
     return "\n".join(lines)
+
+
+def serialize_term(term: Term) -> str:
+    """A canonical, process-independent text form of the term DAG.
+
+    Nodes are numbered in postorder of first visit; each line is
+    ``<local-id> <op> <sort> <params> <value-or-name> <child ids>``.
+    Structurally equal DAGs serialize identically; any change to an
+    operator, constant, variable name, sort, or shape changes the output.
+    """
+    return _serialize(term, values=True)
 
 
 def term_fingerprint(term: Term) -> str:
@@ -65,26 +72,7 @@ def serialize_shape(term: Term) -> str:
     their AIG cones overlap heavily under structural hashing, which is what
     makes discharging them through one shared incremental solver pay off.
     """
-    numbering: dict[int, int] = {}
-    lines: list[str] = []
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if id(node) in numbering:
-            continue
-        if not children_done:
-            stack.append((node, True))
-            for child in reversed(node.args):
-                if id(child) not in numbering:
-                    stack.append((child, False))
-            continue
-        numbering[id(node)] = len(numbering)
-        child_ids = ",".join(str(numbering[id(a)]) for a in node.args)
-        lines.append(
-            f"{numbering[id(node)]} {node.op} {node.sort.width} "
-            f"{node.name!r} [{child_ids}]"
-        )
-    return "\n".join(lines)
+    return _serialize(term, values=False)
 
 
 def family_fingerprint(term: Term) -> str:
@@ -161,15 +149,15 @@ def source_tree_digest() -> str:
 
 
 def structural_fingerprint(builder: str, kwargs: dict, vc_name: str) -> str:
-    """Cache key for a non-SMT VC of a *reconstructible* population.
+    """Cache key for a non-SMT VC of a population of known provenance.
 
     A structural VC's verdict is an arbitrary Python computation, so the
     finest sound key is coarse: the builder identity (name + exact kwargs),
     the VC name, and a digest of the whole source tree — any source edit
     invalidates every structural entry (ccache-style), while SMT entries
-    keep their fine-grained goal-term keys.  Only populations registered
-    with :mod:`repro.prover.registry` qualify; ad-hoc VCs with unknown
-    provenance are never cached.
+    keep their fine-grained goal-term keys.  Only engines carrying a
+    `rebuild_spec` (the builder's name and arguments) qualify; ad-hoc VCs
+    with unknown provenance are never cached.
     """
     frozen = tuple(sorted(kwargs.items()))
     blob = f"{builder}:{frozen!r}:{vc_name}:{source_tree_digest()}"

@@ -5,14 +5,15 @@ cached, observable job system:
 
 * **cache pass** — every SMT VC's goal is built and fingerprinted in the
   parent; persistent-cache hits never reach a worker;
-* **fan-out** — remaining VCs run on a process pool (the CDCL solver is
-  GIL-bound, so threads cannot scale it).  Goal-builder closures do not
-  pickle, so workers receive ``(builder name, kwargs, vc name)`` and rebuild
-  their VCs from :mod:`repro.prover.registry`; VCs with no registered
-  builder fall back to an in-process thread lane;
-* **ordering** — longest-expected-first, using last-observed durations from
-  the cache's timing history, so the slowest VC (the paper's 11 s tail)
-  starts first instead of serializing the end of the run;
+* **fan-out** — remaining VCs run on a forked process pool (the CDCL solver
+  is GIL-bound, so threads cannot scale it).  Goal-builder closures do not
+  pickle and need not: the run's VC list is published in a module global
+  just before the pool is created, the forked workers inherit the very
+  objects the parent built, and a task carries only engine-order indices.
+  On a platform without ``fork`` the run stays inline;
+* **ordering** — longest-first by last-observed duration when the cache has
+  timing history, so the slowest VC (the paper's 11 s tail) starts first
+  instead of serializing the end of the run; engine order otherwise;
 * **family grouping** — SMT goals with the same *shape* (same lemma
   template at different constants) are grouped by
   :func:`repro.prover.fingerprint.family_fingerprint` and discharged as one
@@ -22,9 +23,9 @@ cached, observable job system:
   their results (counterexample models included) are bit-identical to the
   serial engine's;
 * **per-VC timeout + retry** — SMT discharges run under a deterministic
-  conflict budget; a budget overrun is a ``TIMEOUT`` that is retried with a
-  geometrically larger budget, unbounded on the final attempt by default so
-  a scheduled run proves exactly what the serial engine proves;
+  conflict budget; a budget overrun is a ``TIMEOUT`` that is retried on the
+  next rung of :attr:`ProverConfig.budgets`, unbounded on the last by
+  default so a scheduled run proves exactly what the serial engine proves;
 * **determinism** — results are reassembled into the engine's insertion
   order, so the :class:`ProofReport` contents and ordering are identical
   for any ``jobs`` value (only the wall-clock changes).
@@ -35,39 +36,22 @@ Every lifecycle step is emitted on a structured event stream
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
 
 from repro import obs
 from repro.prover import events as ev
-from repro.prover import registry
 from repro.prover.cache import ProofCache, default_cache_dir
 from repro.prover.events import EventLog, ProofEvent
 from repro.prover.fingerprint import family_fingerprint, goal_fingerprint, \
     structural_fingerprint
 from repro.verif.engine import ProofEngine, ProofReport
-from repro.verif.vc import VC, VCResult, VCStatus, discharge_family
-
-#: First-attempt conflict budget.  Generous — the Figure 1a population
-#: stays well under it — so timeouts only appear for genuinely hard goals
-#: or when callers tighten the budget.
-DEFAULT_CONFLICT_BUDGET = 100_000
-
-#: Cold-start duration estimates (seconds) per category, used for
-#: longest-expected-first ordering before any timing history exists.
-_EXPECTED_BY_CATEGORY = {
-    "invariants": 3.0,
-    "refinement": 2.0,
-    "simulation": 1.5,
-    "nr-linearizability": 1.0,
-    "hardware-agreement": 0.5,
-    "tlb": 0.3,
-    "contract": 0.2,
-}
-_EXPECTED_DEFAULT = 0.05
+from repro.verif.vc import VC, VCResult, discharge_family, \
+    discharge_single, worker_failed
 
 
 @dataclass
@@ -77,19 +61,16 @@ class ProverConfig:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: str | None = None
-    #: First-attempt conflict budget for SMT goals (None = unbounded).
-    conflict_budget: int | None = DEFAULT_CONFLICT_BUDGET
-    #: Budget multiplier between attempts.
-    budget_growth: int = 4
-    #: Total attempts; the last runs unbounded unless `hard_budget` is set.
-    max_attempts: int = 3
-    #: When True the final attempt keeps the largest finite budget instead
-    #: of running unbounded — undecided goals then surface as TIMEOUT.
-    hard_budget: bool = False
-    #: Optional :class:`repro.faults.plan.FaultPlan`.  The inline and
-    #: thread lanes draw at site ``"prover.worker"`` before each
-    #: discharge; a firing ``worker-crash`` rule kills that worker, which
-    #: the scheduler must absorb as an ERROR verdict, never a lost run.
+    #: The retry ladder: the conflict budget of each attempt at an SMT
+    #: goal, in order (None = unbounded).  The first rung is generous — the
+    #: Figure 1a population stays well under it — so timeouts only appear
+    #: for genuinely hard goals or when callers tighten it; a ladder that
+    #: ends on a number surfaces undecided goals as TIMEOUT.
+    budgets: tuple[int | None, ...] = (100_000, 400_000, None)
+    #: Optional :class:`repro.faults.plan.FaultPlan`.  The inline lane
+    #: draws at site ``"prover.worker"`` before each discharge; a firing
+    #: ``worker-crash`` rule kills that worker, which the scheduler must
+    #: absorb as an ERROR verdict, never a lost run.
     fault_plan: object | None = None
     #: Run the SatELite CNF preprocessor on every SMT discharge.
     preprocess: bool = True
@@ -98,114 +79,46 @@ class ProverConfig:
     #: classic one-solver-per-VC path for every goal.
     incremental: bool = True
 
-    def budgets(self) -> list[int | None]:
-        """The retry ladder of conflict budgets, e.g. [100k, 400k, None]."""
-        if self.conflict_budget is None:
-            return [None]
-        attempts = max(1, self.max_attempts)
-        ladder: list[int | None] = [
-            self.conflict_budget * self.budget_growth ** i
-            for i in range(attempts - 1)
-        ]
-        if self.hard_budget:
-            last = (self.conflict_budget
-                    * self.budget_growth ** max(0, attempts - 1))
-            ladder.append(last)
-        else:
-            ladder.append(None)
-        return ladder
-
 
 class WorkerCrash(RuntimeError):
     """A (simulated) prover worker died mid-discharge."""
 
 
-def _crash_result(vc: VC, exc: BaseException) -> VCResult:
-    return VCResult(
-        name=vc.name,
-        status=VCStatus.ERROR,
-        seconds=0.0,
-        category=vc.category,
-        detail=f"worker failed: {type(exc).__name__}: {exc}",
-    )
-
-
-def _discharge_with_ladder(vc: VC, budgets,
-                           preprocess: bool = True) -> tuple[VCResult, int]:
-    """Run the retry ladder; returns the final result (its `seconds`
-    accumulated across attempts) and the attempt count."""
-    total_seconds = 0.0
-    total_solver = 0.0
-    ladder = budgets if vc.is_smt else [None]
-    for attempt, budget in enumerate(ladder, start=1):
-        result = vc.discharge(max_conflicts=budget, preprocess=preprocess)
-        total_seconds += result.seconds
-        total_solver += result.solver_seconds
-        if result.status is not VCStatus.TIMEOUT or attempt == len(ladder):
-            result.seconds = total_seconds
-            result.solver_seconds = total_solver
-            return result, attempt
-    raise AssertionError("unreachable: ladder always returns")
+def _discharge_unit(vcs: list[VC], budgets, preprocess: bool,
+                    on_member=None) -> list[tuple[VCResult, int]]:
+    """Discharge one dispatch unit — a singleton on the classic
+    one-solver-per-VC path, a family through one shared solver — into
+    ``(result, attempt)`` pairs in unit order."""
+    if len(vcs) == 1:
+        return [discharge_single(vcs[0], budgets, preprocess, on_member)]
+    return discharge_family(vcs, budgets, preprocess=preprocess,
+                            on_member=on_member)
 
 
 # ---------------------------------------------------------------------------
 # Process-pool worker side
 # ---------------------------------------------------------------------------
 
+#: The VC list (engine order) of the run whose pool is up.  Set just before
+#: the pool is created and cleared when it is down, so the forked workers —
+#: and only they — find the parent's own VC objects under the indices a
+#: task names.
+_forked_vcs: list[VC] = []
 
-def _serialize_result(result: VCResult, attempt: int) -> dict:
-    counterexample = result.counterexample
-    if counterexample is not None:
+
+def _pool_discharge(indices: list[int], budgets,
+                    preprocess: bool) -> list[tuple[VCResult, int]]:
+    """Worker entry point: discharge the inherited VCs at `indices` as one
+    unit.  A counterexample that cannot cross the process boundary travels
+    as its repr."""
+    outs = _discharge_unit([_forked_vcs[i] for i in indices], budgets,
+                           preprocess)
+    for result, _ in outs:
         try:
-            pickle.dumps(counterexample)
+            pickle.dumps(result.counterexample)
         except Exception:
-            counterexample = repr(counterexample)
-    return {
-        "name": result.name,
-        "status": result.status.value,
-        "seconds": result.seconds,
-        "category": result.category,
-        "detail": result.detail,
-        "counterexample": counterexample,
-        "solver_seconds": result.solver_seconds,
-        "solver_stats": result.solver_stats,
-        "attempt": attempt,
-    }
-
-
-def _deserialize_result(payload: dict) -> tuple[VCResult, int]:
-    result = VCResult(
-        name=payload["name"],
-        status=VCStatus(payload["status"]),
-        seconds=payload["seconds"],
-        category=payload["category"],
-        detail=payload["detail"],
-        counterexample=payload["counterexample"],
-        solver_seconds=payload["solver_seconds"],
-        solver_stats=payload["solver_stats"],
-    )
-    return result, payload["attempt"]
-
-
-def _pool_discharge(builder: str, kwargs: dict, vc_name: str,
-                    budgets: list, preprocess: bool = True) -> dict:
-    """Worker entry point: rebuild the VC by name and discharge it."""
-    vc = registry.rebuild_vc(builder, kwargs, vc_name)
-    result, attempt = _discharge_with_ladder(vc, budgets, preprocess)
-    return _serialize_result(result, attempt)
-
-
-def _pool_discharge_family(builder: str, kwargs: dict, vc_names: list,
-                           budgets: list,
-                           preprocess: bool = True) -> list[dict]:
-    """Worker entry point for a whole family: rebuild every member and
-    discharge them in order through one shared solver."""
-    vcs = [registry.rebuild_vc(builder, kwargs, name) for name in vc_names]
-    return [
-        _serialize_result(result, attempt)
-        for result, attempt in discharge_family(vcs, budgets,
-                                                preprocess=preprocess)
-    ]
+            result.counterexample = repr(result.counterexample)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +133,7 @@ class _Job:
     fingerprint: str | None = None   # cache key (SMT VCs only)
     family: str | None = None        # shape-grouping key (SMT VCs only)
     build_seconds: float = 0.0       # goal construction + cache lookup
-    expected: float = _EXPECTED_DEFAULT
+    expected: float = 0.0            # last-observed duration, if any
 
 
 class ProverScheduler:
@@ -242,7 +155,6 @@ class ProverScheduler:
         self.events = EventLog(sink=on_event)
         self.progress = progress
         self._t0 = 0.0
-        self._unique_names: set[str] = set()
 
     # -- event helpers -----------------------------------------------------
 
@@ -269,20 +181,15 @@ class ProverScheduler:
         history = self.cache.load_timings() if self.cache else {}
         fresh_timings: dict[str, float] = {}
 
-        # Name-keyed reconstruction and structural cache keys both require
-        # unambiguous names; VCs sharing a name stay in-process, uncached.
-        counts: dict[str, int] = {}
-        for vc in ordered:
-            counts[vc.name] = counts.get(vc.name, 0) + 1
-        self._unique_names = {n for n, c in counts.items() if c == 1}
+        # A structural cache key names its VC; VCs sharing a name stay
+        # uncached.
+        named = Counter(vc.name for vc in ordered)
 
         pending: list[_Job] = []
         for index, vc in enumerate(ordered):
             self._emit(ev.QUEUED, vc)
-            job = _Job(index=index, vc=vc)
-            job.expected = history.get(
-                vc.name, _EXPECTED_BY_CATEGORY.get(vc.category,
-                                                   _EXPECTED_DEFAULT))
+            job = _Job(index=index, vc=vc,
+                       expected=history.get(vc.name, 0.0))
             if self.cache is not None or (self.config.incremental
                                           and vc.is_smt):
                 start = time.perf_counter()
@@ -298,7 +205,7 @@ class ProverScheduler:
                                 self.config.incremental)
                     elif (self.cache is not None
                           and self.engine.rebuild_spec is not None
-                          and vc.name in self._unique_names):
+                          and named[vc.name] == 1):
                         builder, kwargs = self.engine.rebuild_spec
                         job.fingerprint = structural_fingerprint(
                             builder, kwargs, vc.name)
@@ -326,10 +233,12 @@ class ProverScheduler:
         pending.sort(key=lambda j: (-j.expected, j.index))
         units = self._form_units(pending)
 
-        if self.config.jobs <= 1 or not pending:
+        context = _fork_context() if self.config.jobs > 1 and pending \
+            else None
+        if context is None:
             self._run_inline(units, results, fresh_timings)
         else:
-            self._run_pools(units, results, fresh_timings)
+            self._run_pool(units, ordered, context, results, fresh_timings)
 
         report = ProofReport(results=[r for r in results if r is not None])
         run_span.finish()
@@ -363,15 +272,6 @@ class ProverScheduler:
         decision = plan.draw("prover.worker")
         if decision is not None and decision.kind == "worker-crash":
             raise WorkerCrash(f"injected crash discharging {vc.name}")
-
-    def _lane_discharge(self, vc: VC, budgets) -> tuple[VCResult, int]:
-        self._maybe_crash(vc)
-        return _discharge_with_ladder(vc, budgets, self.config.preprocess)
-
-    def _lane_discharge_family(self, unit, budgets):
-        return discharge_family([job.vc for job in unit], budgets,
-                                preprocess=self.config.preprocess,
-                                on_member=self._maybe_crash)
 
     def _form_units(self, pending) -> list[list[_Job]]:
         """Group pending jobs into dispatch units.
@@ -407,118 +307,55 @@ class ProverScheduler:
         return units
 
     def _run_inline(self, units, results, fresh_timings) -> None:
-        budgets = self.config.budgets()
         for unit in units:
             for job in unit:
                 self._emit(ev.STARTED, job.vc, worker="inline")
-            if len(unit) == 1:
-                job = unit[0]
-                try:
-                    result, attempt = self._lane_discharge(job.vc, budgets)
-                except Exception as exc:
-                    # a dead worker costs one ERROR verdict, not the run —
-                    # same contract the pool lanes already keep
-                    result, attempt = _crash_result(job.vc, exc), 1
-                outs = [(result, attempt)]
-            else:
-                try:
-                    outs = self._lane_discharge_family(unit, budgets)
-                except Exception as exc:
-                    outs = [(_crash_result(j.vc, exc), 1) for j in unit]
+            outs = _discharge_unit([job.vc for job in unit],
+                                   self.config.budgets,
+                                   self.config.preprocess, self._maybe_crash)
             for job, (result, attempt) in zip(unit, outs):
                 self._finish(job, result, attempt, "inline", results,
                              fresh_timings)
 
-    # -- parallel lanes ----------------------------------------------------
+    # -- process-pool lane -------------------------------------------------
 
-    def _fork_context(self):
-        import multiprocessing
-
+    def _run_pool(self, units, ordered, context, results,
+                  fresh_timings) -> None:
+        global _forked_vcs
+        _forked_vcs = ordered
+        executor = ProcessPoolExecutor(max_workers=self.config.jobs,
+                                       mp_context=context)
         try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
-
-    def _run_pools(self, units, results, fresh_timings) -> None:
-        budgets = self.config.budgets()
-        spec = self.engine.rebuild_spec
-        context = self._fork_context() if spec is not None else None
-
-        proc_units: list[list[_Job]] = []
-        thread_units: list[list[_Job]] = []
-        if spec is not None and context is not None:
+            future_to_unit = {}
             for unit in units:
-                # Reconstruction is by name: ambiguous (duplicated) names
-                # cannot be dispatched to a worker process.  A family unit
-                # travels whole — one ambiguous member keeps the family in
-                # the thread lane.
-                (proc_units
-                 if all(j.vc.name in self._unique_names for j in unit)
-                 else thread_units).append(unit)
-        else:
-            thread_units = list(units)
-
-        pools = []
-        future_to_unit = {}
-        try:
-            if proc_units:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.config.jobs, mp_context=context)
-                pools.append(executor)
-                builder_name, builder_kwargs = spec
-                for unit in proc_units:
-                    for job in unit:
-                        self._emit(ev.STARTED, job.vc, worker="proc")
-                    if len(unit) == 1:
-                        future = executor.submit(
-                            _pool_discharge, builder_name, builder_kwargs,
-                            unit[0].vc.name, budgets, self.config.preprocess)
-                    else:
-                        future = executor.submit(
-                            _pool_discharge_family, builder_name,
-                            builder_kwargs, [j.vc.name for j in unit],
-                            budgets, self.config.preprocess)
-                    future_to_unit[future] = (unit, "proc")
-            if thread_units:
-                executor = ThreadPoolExecutor(
-                    max_workers=self.config.jobs,
-                    thread_name_prefix="prover")
-                pools.append(executor)
-                for unit in thread_units:
-                    for job in unit:
-                        self._emit(ev.STARTED, job.vc, worker="thread")
-                    if len(unit) == 1:
-                        future = executor.submit(
-                            self._lane_discharge, unit[0].vc, budgets)
-                    else:
-                        future = executor.submit(
-                            self._lane_discharge_family, unit, budgets)
-                    future_to_unit[future] = (unit, "thread")
-
-            outstanding = set(future_to_unit)
-            while outstanding:
-                done, outstanding = wait(outstanding,
-                                         return_when=FIRST_COMPLETED)
-                for future in done:
-                    unit, lane = future_to_unit[future]
-                    try:
-                        payload = future.result()
-                    except Exception as exc:
-                        outs = [(_crash_result(j.vc, exc), 1) for j in unit]
-                    else:
-                        if len(unit) == 1:
-                            outs = [_deserialize_result(payload)
-                                    if lane == "proc" else payload]
-                        elif lane == "proc":
-                            outs = [_deserialize_result(p) for p in payload]
-                        else:
-                            outs = payload
-                    for job, (result, attempt) in zip(unit, outs):
-                        self._finish(job, result, attempt, lane, results,
-                                     fresh_timings)
+                for job in unit:
+                    self._emit(ev.STARTED, job.vc, worker="proc")
+                future = executor.submit(
+                    _pool_discharge, [job.index for job in unit],
+                    self.config.budgets, self.config.preprocess)
+                future_to_unit[future] = unit
+            for future in as_completed(future_to_unit):
+                unit = future_to_unit[future]
+                try:
+                    outs = future.result()
+                except Exception as exc:
+                    outs = [(worker_failed(job.vc, exc), 1) for job in unit]
+                for job, (result, attempt) in zip(unit, outs):
+                    self._finish(job, result, attempt, "proc", results,
+                                 fresh_timings)
         finally:
-            for pool in pools:
-                pool.shutdown(wait=True)
+            executor.shutdown(wait=True)
+            _forked_vcs = []
+
+
+def _fork_context():
+    """The ``fork`` start method, or None where the platform has none (the
+    run then stays inline): a forked worker is the only kind that holds
+    the VCs it is asked for."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
 
 
 def prove_all(engine: ProofEngine, jobs: int = 1,

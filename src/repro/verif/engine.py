@@ -142,11 +142,9 @@ class ProofEngine:
 
     def __init__(self) -> None:
         self.groups: list[VCGroup] = []
-        #: Optional (builder name, kwargs) pair registered with
-        #: :mod:`repro.prover.registry`, letting worker processes rebuild
-        #: this engine's VC population by name (goal-builder closures do
-        #: not pickle, so the population itself never crosses a process
-        #: boundary).
+        #: Optional (builder name, kwargs) pair saying which builder call
+        #: produced this population — the provenance the proof cache keys
+        #: structural (non-SMT) verdicts by.
         self.rebuild_spec: tuple[str, dict] | None = None
 
     def group(self, name: str) -> VCGroup:

@@ -3,14 +3,23 @@
 Used to discharge inductive-invariant and simulation obligations over the
 small representative configurations the proof enumerates — the "lightweight
 formal methods" flavour of the paper's refinement proof.
+
+The second half is the kit a proof layer builds its spec obligations from
+(:mod:`repro.verif.schedproof`, :mod:`repro.verif.rgproof`): an
+:class:`Explored` machine shared across the layer's VC family, the coverage
+VC over it, :func:`check_inductive` for induction and per-action stability,
+and the vacuity VC that keeps the invariants honest.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from repro.verif.statemachine import SpecStateMachine
+from repro.verif.vc import VC
 
 
 @dataclass
@@ -70,15 +79,72 @@ def check_inductive(
     machine: SpecStateMachine,
     states,
     invariant_name: str,
+    action: str | None = None,
 ) -> tuple | None:
     """Check that one invariant is inductive over a given set of states:
-    if it holds in `s` it holds after every enabled step.  Returns a
+    if it holds in `s` it holds after every enabled step — or, with
+    `action`, after every enabled step of that one transition (the
+    invariant is *stable* under the action; the machine's memoised
+    transition relation is filtered, not recomputed).  Returns a
     counterexample (state, transition, args, successor) or None."""
     invariant = machine.invariants[invariant_name]
     for state in states:
         if not invariant(state):
             continue  # vacuous: induction only cares about inv states
         for name, args, successor in machine.enabled_steps(state):
+            if action is not None and name != action:
+                continue
             if not invariant(successor):
                 return (state, name, args, successor)
     return None
+
+
+@dataclass
+class Explored:
+    """A spec machine and its reachable set, built and explored once on
+    first use and shared across the VC family that closes over it."""
+
+    build: Callable[[], SpecStateMachine]
+    cap: int   # `max_states`; hitting it fails the coverage VC
+
+    @cached_property
+    def machine(self) -> SpecStateMachine:
+        return self.build()
+
+    @cached_property
+    def result(self) -> ExploreResult:
+        return reachable_states(self.machine, max_states=self.cap)
+
+
+def explored_vc(explored: Explored, name: str, category: str,
+                description: str) -> VC:
+    """Coverage: exploration reached a fixed point under the cap with
+    every invariant holding in every state."""
+
+    def check():
+        result = explored.result
+        if result.truncated:
+            return ("state space exceeded the exploration cap",
+                    explored.cap)
+        if not result.ok:
+            invariant, state, trace = result.violation
+            return (invariant, trace, state)
+        return None
+
+    return VC(name=name, category=category, check=check,
+              description=description)
+
+
+def vacuity_vc(name: str, category: str, description: str,
+               broken: Callable[[], dict], flags: Callable) -> VC:
+    """Vacuity guard: `broken()` maps invariant names to hand-built states
+    that violate them, and `flags(invariant, state)` must say so."""
+
+    def check():
+        for invariant, state in broken().items():
+            if not flags(invariant, state):
+                return ("broken state not flagged", invariant, state)
+        return None
+
+    return VC(name=name, category=category, check=check,
+              description=description)

@@ -8,7 +8,7 @@ Three families behind ``python -m repro prove --layers rg``:
   :mod:`repro.verif.rgspec` (677 buddy-allocator states, 201 vspace
   states; hitting the cap is itself a regression signal), then one VC
   per (invariant × interfering action) pair checks the invariant is
-  inductive under a sub-machine containing *only* that action.  Because
+  inductive under the steps of *only* that action.  Because
   every thread's guarantee is drawn from the same action set, that is
   exactly "I is stable under the rely": any other thread firing the
   action from any reachable state preserves I.  Vacuity VCs hand-build
@@ -40,8 +40,8 @@ import pathlib
 import random
 
 from repro.verif import rgspec as rs
-from repro.verif.explore import check_inductive, reachable_states
-from repro.verif.statemachine import SpecStateMachine
+from repro.verif.explore import Explored, check_inductive, explored_vc, \
+    vacuity_vc
 from repro.verif.vc import VC
 
 #: Exploration cap — comfortably above the measured reachable-space
@@ -54,57 +54,16 @@ _TRACE_SEEDS = (1, 2, 3)
 _TRACE_OPS = 200
 
 
-class _RgModelCache:
-    """Explore each interference model once, share across the family."""
-
-    def __init__(self) -> None:
-        self._results: dict = {}
-
-    def result(self, name: str):
-        if name not in self._results:
-            builder = dict((n, b) for n, b, _invs in rs.MODELS)[name]
-            machine = builder()
-            self._results[name] = (
-                machine, reachable_states(machine, max_states=MAX_STATES))
-        return self._results[name]
-
-
-def _spec_explored_vc(cache: _RgModelCache, model: str) -> VC:
-    def check():
-        _machine, result = cache.result(model)
-        if result.truncated:
-            return ("state space exceeded the exploration cap",
-                    MAX_STATES)
-        if not result.ok:
-            name, state, trace = result.violation
-            return (name, trace, state)
-        return None
-
-    return VC(
-        name=f"rg-spec-explored-{model}",
-        category="rg",
-        check=check,
-        description=f"bounded exploration covers the finite {model} "
-                    f"interference model with every invariant holding",
-    )
-
-
-def _stability_vc(cache: _RgModelCache, model: str, invariant: str,
+def _stability_vc(explored: Explored, model: str, invariant: str,
                   action: str) -> VC:
     def check():
-        machine, result = cache.result(model)
         # The rely is the union of the other threads' guarantees, and
         # every guarantee is one declared action — so stability of the
         # invariant under the rely decomposes into inductiveness under
         # each action alone, over every state full interference can
         # reach (the explored VC certifies that set is complete).
-        sub = SpecStateMachine(
-            name=f"{machine.name}-{action}",
-            init_states=machine.init_states,
-            transitions=[machine.transition(action)],
-            invariants=machine.invariants,
-        )
-        return check_inductive(sub, result.states, invariant)
+        return check_inductive(explored.machine, explored.result.states,
+                               invariant, action=action)
 
     return VC(
         name=f"rg-stable-{invariant.replace('_', '-')}-under-{action}",
@@ -161,25 +120,8 @@ def _broken_vspace_states():
     }
 
 
-def _spec_vacuity_vc(model: str) -> VC:
-    def check():
-        broken = (_broken_pmem_states() if model == "pmem"
-                  else _broken_vspace_states())
-        invariants = dict(rs.PMEM_INVARIANTS if model == "pmem"
-                          else rs.VSPACE_INVARIANTS)
-        for name, state in broken.items():
-            if invariants[name](state):
-                return ("broken state not flagged", name, state)
-        return None
-
-    return VC(
-        name=f"rg-spec-detects-violations-{model}",
-        category="rg",
-        check=check,
-        description=f"hand-broken {model} states (leaked frames, stale "
-                    f"TLBs, zombie replicas, ...) are flagged — the "
-                    f"invariants are not vacuous",
-    )
+_BROKEN_STATES = {"pmem": _broken_pmem_states,
+                  "vspace": _broken_vspace_states}
 
 
 # -- conformance: the real allocator and vspace under seeded traces -----------
@@ -353,16 +295,26 @@ def _static_lockorder_vc() -> VC:
 
 def rg_vcs() -> list[VC]:
     """The rely-guarantee VC family (group ``rg``)."""
-    cache = _RgModelCache()
     vcs = []
     for model, builder, invariants in rs.MODELS:
-        vcs.append(_spec_explored_vc(cache, model))
-        actions = [t.name for t in builder().transitions]
+        explored = Explored(builder, MAX_STATES)
+        machine = explored.machine
+        vcs.append(explored_vc(
+            explored, f"rg-spec-explored-{model}", "rg",
+            f"bounded exploration covers the finite {model} interference "
+            f"model with every invariant holding"))
         for invariant in invariants:
-            for action in actions:
-                vcs.append(_stability_vc(cache, model, invariant,
-                                         action))
-        vcs.append(_spec_vacuity_vc(model))
+            for transition in machine.transitions:
+                vcs.append(_stability_vc(explored, model, invariant,
+                                         transition.name))
+        vcs.append(vacuity_vc(
+            f"rg-spec-detects-violations-{model}", "rg",
+            f"hand-broken {model} states (leaked frames, stale TLBs, "
+            f"zombie replicas, ...) are flagged — the invariants are not "
+            f"vacuous",
+            _BROKEN_STATES[model],
+            lambda invariant, state, machine=machine:
+                not machine.invariants[invariant](state)))
     vcs.append(_impl_pmem_trace_vc())
     vcs.append(_impl_vspace_shootdown_vc())
     vcs.append(_static_interference_vc())

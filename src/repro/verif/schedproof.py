@@ -33,7 +33,8 @@ import random
 from dataclasses import replace
 
 from repro.verif import schedspec as ss
-from repro.verif.explore import check_inductive, reachable_states
+from repro.verif.explore import Explored, check_inductive, explored_vc, \
+    vacuity_vc
 from repro.verif.vc import VC
 
 #: Exploration cap — comfortably above the measured reachable-space
@@ -44,21 +45,6 @@ MAX_STATES = 20_000
 
 _TRACE_SEEDS = (1, 2, 3)
 _TRACE_OPS = 160
-
-
-class _SchedSpecCache:
-    """Explore once, share the reachable set across the VC family."""
-
-    def __init__(self) -> None:
-        self._result = None
-
-    def result(self):
-        if self._result is None:
-            machine = ss.sched_machine()
-            self._result = (machine,
-                            reachable_states(machine,
-                                             max_states=MAX_STATES))
-        return self._result
 
 
 def _perturbed_states(states, limit: int = 400):
@@ -90,29 +76,9 @@ def _perturbed_states(states, limit: int = 400):
     return variants
 
 
-def _spec_explored_vc(cache: _SchedSpecCache) -> VC:
+def _spec_inductive_vc(explored: Explored, invariant: str) -> VC:
     def check():
-        _machine, result = cache.result()
-        if result.truncated:
-            return ("state space exceeded the exploration cap",
-                    MAX_STATES)
-        if not result.ok:
-            name, state, trace = result.violation
-            return (name, trace, state)
-        return None
-
-    return VC(
-        name="sched-spec-explored",
-        category="scheduler",
-        check=check,
-        description="bounded exploration covers the finite scheduler "
-                    "state space with every invariant holding",
-    )
-
-
-def _spec_inductive_vc(cache: _SchedSpecCache, invariant: str) -> VC:
-    def check():
-        machine, result = cache.result()
+        machine, result = explored.machine, explored.result
         # Induction is relative to the invariant *conjunction* (the
         # usual strengthening): perturbed states that already violate a
         # sibling invariant are unreachable noise, not counterexamples.
@@ -164,25 +130,6 @@ def _broken_states():
         "spread_bounded": lapped,
         "rt_first": rt_wait,
     }
-
-
-def _spec_vacuity_vc() -> VC:
-    def check():
-        machine = ss.sched_machine()
-        for expected, state in _broken_states().items():
-            violated = machine.check_invariants(state)
-            if violated is None:
-                return ("broken state not flagged", expected)
-        return None
-
-    return VC(
-        name="sched-spec-detects-violations",
-        category="scheduler",
-        check=check,
-        description="hand-broken states (double-queue, stale caches, "
-                    "blown spread, RT behind fair) are flagged — the "
-                    "invariants are not vacuous",
-    )
 
 
 # -- conformance: the real Scheduler under seeded op traces -------------------
@@ -444,11 +391,20 @@ def _impl_forget_vc() -> VC:
 
 def scheduler_vcs() -> list[VC]:
     """The scheduler VC family (group ``scheduler``)."""
-    cache = _SchedSpecCache()
-    vcs = [_spec_explored_vc(cache)]
+    explored = Explored(ss.sched_machine, MAX_STATES)
+    vcs = [explored_vc(
+        explored, "sched-spec-explored", "scheduler",
+        "bounded exploration covers the finite scheduler state space "
+        "with every invariant holding")]
     for invariant in ss.INVARIANTS:
-        vcs.append(_spec_inductive_vc(cache, invariant))
-    vcs.append(_spec_vacuity_vc())
+        vcs.append(_spec_inductive_vc(explored, invariant))
+    vcs.append(vacuity_vc(
+        "sched-spec-detects-violations", "scheduler",
+        "hand-broken states (double-queue, stale caches, blown spread, "
+        "RT behind fair) are flagged — the invariants are not vacuous",
+        _broken_states,
+        lambda _invariant, state:
+            explored.machine.check_invariants(state) is not None))
     vcs.append(_impl_trace_vc())
     vcs.append(_impl_pick_policy_vc())
     vcs.append(_impl_starvation_vc())

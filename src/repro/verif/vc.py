@@ -91,113 +91,114 @@ class VC:
         if self.goal_builder is not None:
             from repro.smt.solver import prove
 
-            result = prove(self.goal_builder(), simplify=self.simplify,
-                           max_conflicts=max_conflicts,
-                           preprocess=preprocess)
-            return result.model if result.sat else None, result.stats
+            return _refutation(prove(self.goal_builder(),
+                                     simplify=self.simplify,
+                                     max_conflicts=max_conflicts,
+                                     preprocess=preprocess))
         assert self.check is not None, f"VC {self.name} has no strategy"
         return self.check(), None
 
     def discharge(self, max_conflicts: int | None = None,
                   preprocess: bool = True) -> VCResult:
-        from repro.smt.sat import BudgetExceeded
-
-        # The span is the Figure 1a unit of measurement: its duration
-        # joins the labeled `vc.discharge_seconds` population and, when
-        # tracing is on, appears as a `vc.discharge` event.
-        span = obs.span("vc.discharge", histogram="vc.discharge_seconds",
-                        labels={"category": self.category},
-                        vc=self.name).start()
-        try:
-            counterexample, stats = self._invoke(max_conflicts, preprocess)
-        except BudgetExceeded as exc:
-            elapsed = span.finish()
-            return VCResult(
-                name=self.name,
-                status=VCStatus.TIMEOUT,
-                seconds=elapsed,
-                category=self.category,
-                detail=str(exc),
-                solver_seconds=elapsed,
-            )
-        except Exception as exc:  # surfaced, never swallowed silently
-            elapsed = span.finish()
-            return VCResult(
-                name=self.name,
-                status=VCStatus.ERROR,
-                seconds=elapsed,
-                category=self.category,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        elapsed = span.finish()
-        solver_seconds = stats.solver_seconds if stats is not None else elapsed
-        solver_stats = stats.deterministic() if stats is not None else {}
-        if counterexample is None:
-            return VCResult(
-                name=self.name,
-                status=VCStatus.PROVED,
-                seconds=elapsed,
-                category=self.category,
-                solver_seconds=solver_seconds,
-                solver_stats=solver_stats,
-            )
-        return VCResult(
-            name=self.name,
-            status=VCStatus.FAILED,
-            seconds=elapsed,
-            category=self.category,
-            detail=str(counterexample),
-            counterexample=counterexample,
-            solver_seconds=solver_seconds,
-            solver_stats=solver_stats,
-        )
+        return _attempt(self, lambda: self._invoke(max_conflicts, preprocess))
 
 
-def _discharge_single_with_ladder(vc: "VC", budgets, preprocess: bool,
-                                  on_member) -> tuple[VCResult, int]:
-    """Classic single-shot discharge under a retry ladder — the degraded
-    path for family members whose shared context failed to build."""
+def _refutation(result):
+    """``(counterexample, stats)`` of a solver result: a model of the
+    negated goal refutes it, no model proves it."""
+    return (result.model if result.sat else None), result.stats
+
+
+def _attempt(vc: VC, run) -> VCResult:
+    """One timed attempt at `vc`, for a single-shot discharge and a family
+    member alike: `run()` returns ``(counterexample | None, solver stats |
+    None)`` or raises."""
+    from repro.smt.sat import BudgetExceeded
+
+    # The span is the Figure 1a unit of measurement: its duration
+    # joins the labeled `vc.discharge_seconds` population and, when
+    # tracing is on, appears as a `vc.discharge` event.
+    span = obs.span("vc.discharge", histogram="vc.discharge_seconds",
+                    labels={"category": vc.category}, vc=vc.name).start()
     try:
-        if on_member is not None:
+        counterexample, stats = run()
+    except BudgetExceeded as exc:
+        elapsed = span.finish()
+        return VCResult(vc.name, VCStatus.TIMEOUT, elapsed, vc.category,
+                        detail=str(exc), solver_seconds=elapsed)
+    except Exception as exc:  # surfaced, never swallowed silently
+        return VCResult(vc.name, VCStatus.ERROR, span.finish(), vc.category,
+                        detail=f"{type(exc).__name__}: {exc}")
+    elapsed = span.finish()
+    failed = counterexample is not None
+    return VCResult(
+        name=vc.name,
+        status=VCStatus.FAILED if failed else VCStatus.PROVED,
+        seconds=elapsed,
+        category=vc.category,
+        detail=str(counterexample) if failed else "",
+        counterexample=counterexample,
+        solver_seconds=stats.solver_seconds if stats is not None else elapsed,
+        solver_stats=stats.deterministic() if stats is not None else {},
+    )
+
+
+def worker_failed(vc: VC, exc: BaseException) -> VCResult:
+    """The verdict of a VC whose worker died before answering: a dead
+    worker costs one ERROR, never the run."""
+    return VCResult(vc.name, VCStatus.ERROR, 0.0, vc.category,
+                    detail=f"worker failed: {type(exc).__name__}: {exc}")
+
+
+def _climb(vc: VC, budgets, attempt, on_member=None,
+           seconds: float = 0.0) -> tuple[VCResult, int]:
+    """The retry ladder: call `attempt(budget)` up the conflict budgets
+    until one does not time out.  `on_member(vc)` — the scheduler's
+    fault-injection hook — runs first, and an exception it raises is that
+    VC's verdict.  Returns the last result, its `seconds` (starting from
+    the caller's share of any set-up) and `solver_seconds` summed over
+    the attempts, and the attempt count.  A non-SMT VC has no budget to
+    overrun and runs once."""
+    if on_member is not None:
+        try:
             on_member(vc)
-    except Exception as exc:
-        return (VCResult(
-            name=vc.name, status=VCStatus.ERROR, seconds=0.0,
-            category=vc.category,
-            detail=f"worker failed: {type(exc).__name__}: {exc}",
-        ), 1)
-    total_seconds = 0.0
-    total_solver = 0.0
-    ladder = list(budgets) or [None]
-    for attempt, budget in enumerate(ladder, start=1):
-        result = vc.discharge(max_conflicts=budget, preprocess=preprocess)
-        total_seconds += result.seconds
-        total_solver += result.solver_seconds
-        if result.status is not VCStatus.TIMEOUT or attempt == len(ladder):
-            result.seconds = total_seconds
-            result.solver_seconds = total_solver
-            return result, attempt
-    raise AssertionError("unreachable: ladder always returns")
+        except Exception as exc:
+            return worker_failed(vc, exc), 1
+    ladder = tuple(budgets) if vc.is_smt and budgets else (None,)
+    solver_seconds = 0.0
+    for number, budget in enumerate(ladder, start=1):
+        result = attempt(budget)
+        seconds += result.seconds
+        solver_seconds += result.solver_seconds
+        if result.status is not VCStatus.TIMEOUT:
+            break
+    result.seconds, result.solver_seconds = seconds, solver_seconds
+    return result, number
 
 
-def discharge_family(vcs: list["VC"], budgets=(None,), preprocess: bool = True,
-                     on_member: Callable[["VC"], None] | None = None,
+def discharge_single(vc: VC, budgets=(None,), preprocess: bool = True,
+                     on_member=None) -> tuple[VCResult, int]:
+    """Classic one-solver-per-VC discharge under the retry ladder."""
+    return _climb(vc, budgets,
+                  lambda budget: vc.discharge(max_conflicts=budget,
+                                              preprocess=preprocess),
+                  on_member)
+
+
+def discharge_family(vcs: list[VC], budgets=(None,), preprocess: bool = True,
+                     on_member: Callable[[VC], None] | None = None,
                      ) -> list[tuple[VCResult, int]]:
     """Discharge structurally-similar SMT VCs through one shared
     incremental solver (:class:`repro.smt.solver.FamilySolver`).
 
     Members run in the given order — the scheduler passes canonical engine
     order, which makes every member's delta-counters a deterministic
-    function of the family alone.  Each member gets the same per-attempt
-    span / TIMEOUT / ERROR semantics as :meth:`VC.discharge`, with the
-    retry ladder `budgets` applied per member (a retry reuses the shared
-    solver, so clauses learnt during the failed attempt still help).
-
-    `on_member` is called before each member's first attempt; an exception
-    it raises (the scheduler's fault-injection hook) costs that member an
-    ERROR verdict and the family moves on.
+    function of the family alone.  Each member climbs the same ladder of
+    the same attempts as a single-shot discharge (a retry reuses the
+    shared solver, so clauses learnt during the failed attempt still
+    help), `on_member` included: a member it fails gets an ERROR verdict
+    and the family moves on.
     """
-    from repro.smt.sat import BudgetExceeded
     from repro.smt.solver import FamilySolver
 
     assert vcs and all(vc.is_smt for vc in vcs)
@@ -205,79 +206,25 @@ def discharge_family(vcs: list["VC"], budgets=(None,), preprocess: bool = True,
         goals = [vc.goal_builder() for vc in vcs]
         shared = FamilySolver(goals, simplify=vcs[0].simplify,
                               preprocess=preprocess)
-    except Exception as exc:
+    except Exception:
         # A family that cannot even build its shared context degrades to
         # one classic single-shot discharge per member — the goal builder
         # (or solver) error then surfaces per-VC, exactly as it would have
         # without grouping.
-        return [
-            _discharge_single_with_ladder(vc, budgets, preprocess, on_member)
-            for vc in vcs
-        ]
+        return [discharge_single(vc, budgets, preprocess, on_member)
+                for vc in vcs]
     # Setup (rewrite + blast + encode + preprocess of the union) happened
     # once for everyone; spread it evenly over the members' timings.
     setup_share = shared.setup_seconds / len(vcs)
-    out: list[tuple[VCResult, int]] = []
-    for index, vc in enumerate(vcs):
-        try:
-            if on_member is not None:
-                on_member(vc)
-        except Exception as exc:
-            out.append((VCResult(
-                name=vc.name, status=VCStatus.ERROR, seconds=0.0,
-                category=vc.category,
-                detail=f"worker failed: {type(exc).__name__}: {exc}",
-            ), 1))
-            continue
-        total_seconds = setup_share
-        total_solver = 0.0
-        ladder = list(budgets)
-        for attempt, budget in enumerate(ladder, start=1):
-            span = obs.span("vc.discharge",
-                            histogram="vc.discharge_seconds",
-                            labels={"category": vc.category},
-                            vc=vc.name).start()
-            try:
-                res = shared.prove_member(index, max_conflicts=budget)
-            except BudgetExceeded as exc:
-                elapsed = span.finish()
-                result = VCResult(
-                    name=vc.name, status=VCStatus.TIMEOUT, seconds=elapsed,
-                    category=vc.category, detail=str(exc),
-                    solver_seconds=elapsed,
-                )
-            except Exception as exc:
-                elapsed = span.finish()
-                result = VCResult(
-                    name=vc.name, status=VCStatus.ERROR, seconds=elapsed,
-                    category=vc.category,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            else:
-                elapsed = span.finish()
-                if res.sat:
-                    result = VCResult(
-                        name=vc.name, status=VCStatus.FAILED, seconds=elapsed,
-                        category=vc.category, detail=str(res.model),
-                        counterexample=res.model,
-                        solver_seconds=res.stats.solver_seconds,
-                        solver_stats=res.stats.deterministic(),
-                    )
-                else:
-                    result = VCResult(
-                        name=vc.name, status=VCStatus.PROVED, seconds=elapsed,
-                        category=vc.category,
-                        solver_seconds=res.stats.solver_seconds,
-                        solver_stats=res.stats.deterministic(),
-                    )
-            total_seconds += result.seconds
-            total_solver += result.solver_seconds
-            if result.status is not VCStatus.TIMEOUT or attempt == len(ladder):
-                result.seconds = total_seconds
-                result.solver_seconds = total_solver
-                out.append((result, attempt))
-                break
-    return out
+
+    def member(index: int, vc: VC) -> tuple[VCResult, int]:
+        def attempt(budget):
+            return _attempt(vc, lambda: _refutation(
+                shared.prove_member(index, max_conflicts=budget)))
+
+        return _climb(vc, budgets, attempt, on_member, seconds=setup_share)
+
+    return [member(index, vc) for index, vc in enumerate(vcs)]
 
 
 @dataclass

@@ -4,8 +4,12 @@ determinism under parallelism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +18,6 @@ from repro.prover import (
     ProverConfig,
     goal_fingerprint,
     prove_all,
-    register_builder,
     term_fingerprint,
 )
 from repro.prover import events as ev
@@ -22,10 +25,10 @@ from repro.prover.fingerprint import (
     solver_config_fingerprint,
     structural_fingerprint,
 )
-from repro.prover.scheduler import ProverScheduler, _discharge_with_ladder
+from repro.prover.scheduler import ProverScheduler
 from repro.smt import ast
 from repro.verif.engine import ProofEngine
-from repro.verif.vc import VCStatus, forall_vc, smt_vc
+from repro.verif.vc import VC, VCStatus, discharge_single, forall_vc, smt_vc
 
 
 def _goal_x_eq_x(width=8):
@@ -186,13 +189,14 @@ class TestProofCache:
         cache = ProofCache(str(tmp_path))
         engine = ProofEngine()
         engine.add(smt_vc("hard", "lemmas", _hard_goal))
-        config = ProverConfig(conflict_budget=1, max_attempts=1,
-                              hard_budget=True)
+        config = ProverConfig(budgets=(1,))
         report = prove_all(engine, cache=cache, config=config)
         assert report.results[0].status is VCStatus.TIMEOUT
         assert cache.stats.stores == 0
 
     def test_structural_results_cached_for_registered_builders(self, tmp_path):
+        """A population is registered by carrying a `rebuild_spec`: the
+        provenance its structural cache keys are made of."""
         def build():
             engine = ProofEngine()
             engine.rebuild_spec = ("test-structural-pop", {})
@@ -200,7 +204,6 @@ class TestProofCache:
                                  lambda x: x % 2 == 0))
             return engine
 
-        register_builder("test-structural-pop", build)
         cache = ProofCache(str(tmp_path))
         cold = prove_all(build(), cache=cache)
         assert cold.all_proved and cold.cache_hits == 0
@@ -241,29 +244,102 @@ class TestBudgets:
 
     def test_retry_ladder_eventually_proves(self):
         vc = smt_vc("hard", "lemmas", _hard_goal)
-        config = ProverConfig(conflict_budget=1, budget_growth=4,
-                              max_attempts=3)  # final attempt unbounded
-        result, attempts = _discharge_with_ladder(vc, config.budgets())
+        spent = []
+        discharge = vc.discharge
+
+        def timed(**kwargs):
+            result = discharge(**kwargs)
+            spent.append((result.seconds, result.solver_seconds))
+            return result
+
+        vc.discharge = timed
+        result, attempts = discharge_single(vc, (1, 4, None))
         assert result.status is VCStatus.PROVED
-        assert attempts > 1
+        assert attempts == len(spent) > 1   # final attempt unbounded
+        assert result.seconds == pytest.approx(sum(s for s, _ in spent))
+        assert result.solver_seconds == \
+            pytest.approx(sum(s for _, s in spent))
 
     def test_hard_budget_reports_timeout(self):
         engine = ProofEngine()
         engine.add(smt_vc("hard", "lemmas", _hard_goal))
-        config = ProverConfig(use_cache=False, conflict_budget=1,
-                              max_attempts=2, hard_budget=True)
+        config = ProverConfig(use_cache=False, budgets=(1, 4))
         report = prove_all(engine, config=config)
         assert report.results[0].status is VCStatus.TIMEOUT
         assert not report.all_proved
 
-    def test_budget_ladder_shape(self):
-        config = ProverConfig(conflict_budget=100, budget_growth=4,
-                              max_attempts=3)
-        assert config.budgets() == [100, 400, None]
-        assert ProverConfig(conflict_budget=None).budgets() == [None]
-        hard = ProverConfig(conflict_budget=100, budget_growth=10,
-                            max_attempts=2, hard_budget=True)
-        assert hard.budgets() == [100, 1000]
+    def test_non_smt_vc_runs_once_whatever_the_ladder(self):
+        calls = []
+        engine = ProofEngine()
+        engine.add(VC("counted", "demo", lambda: calls.append(1)))
+        scheduler = ProverScheduler(
+            engine, config=ProverConfig(use_cache=False, budgets=(1, 4)))
+        assert scheduler.run().all_proved
+        assert len(calls) == 1
+        assert [e.attempt for e in scheduler.events.of_kind(ev.FINISHED)] \
+            == [1]
+
+    def test_cli_default_ladder_is_the_config_default(self, monkeypatch):
+        """`prove` without --budget climbs `ProverConfig()`'s ladder — the
+        default is written once; --budget N is N, 4N, unbounded."""
+        from repro.__main__ import main
+        from repro.verif.engine import ProofReport
+
+        seen = []
+
+        def spy(engine, jobs=1, cache=None, config=None, progress=None):
+            seen.append(config)
+            return ProofReport()
+
+        monkeypatch.setattr("repro.prover.prove_all", spy)
+        assert main(["prove", "--layers", "lemmas", "--no-cache"]) == 0
+        assert main(["prove", "--layers", "lemmas", "--no-cache",
+                     "--budget", "7"]) == 0
+        assert seen[0].budgets == ProverConfig().budgets
+        assert seen[1].budgets == (7, 28, None)
+
+
+def _crash_at(operation: int) -> ProverConfig:
+    from repro.faults.plan import FaultPlan, FaultRule
+
+    plan = FaultPlan(1, rules=[FaultRule(site="prover.worker",
+                                         kind="worker-crash", at=operation)])
+    return ProverConfig(use_cache=False, fault_plan=plan)
+
+
+class TestWorkerCrash:
+    """The fault hook runs first on the one ladder: a crash is that VC's
+    ERROR verdict on attempt 1, for a singleton and a family member
+    alike."""
+
+    def _run(self, engine, config):
+        scheduler = ProverScheduler(engine, config=config)
+        report = scheduler.run()
+        attempts = {e.vc: e.attempt
+                    for e in scheduler.events.of_kind(ev.FINISHED)}
+        return report, attempts
+
+    def test_singleton(self):
+        engine = ProofEngine()
+        engine.add(forall_vc("a", "demo", [1], lambda x: True))
+        engine.add(smt_vc("g", "lemmas", _goal_x_eq_x))
+        report, attempts = self._run(engine, _crash_at(2))
+        first, second = report.results
+        assert first.ok
+        assert second.status is VCStatus.ERROR
+        assert second.detail == ("worker failed: WorkerCrash: injected "
+                                 "crash discharging g")
+        assert attempts == {"a": 1, "g": 1}
+
+    def test_family_member_while_siblings_prove(self):
+        engine = _family_engine()
+        report, attempts = self._run(engine, _crash_at(2))
+        assert [r.status for r in report.results] == [
+            VCStatus.PROVED, VCStatus.ERROR, VCStatus.PROVED,
+            VCStatus.PROVED]
+        crashed = report.results[1]
+        assert crashed.detail.startswith("worker failed: WorkerCrash: ")
+        assert attempts[crashed.name] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +370,6 @@ class TestScheduler:
         counts2 = scheduler2.events.counts()
         assert counts2[ev.CACHE_HIT] == 1
         assert counts2[ev.STARTED] == 1
-        assert scheduler2.events.summary_lines()
 
     def test_longest_expected_first_uses_history(self, tmp_path):
         cache = ProofCache(str(tmp_path))
@@ -348,18 +423,13 @@ class TestScheduler:
             [r.key() for r in cold.results]
 
     def test_failed_vcs_keep_counterexamples_under_parallelism(self):
-        def build():
-            engine = ProofEngine()
-            engine.rebuild_spec = ("test-failing-pop", {})
-            engine.add(forall_vc("all_small", "demo", list(range(5)),
-                                 lambda x: x < 3))
-            x = ast.bv_var("x", 8)
-            engine.add(smt_vc("x_is_zero", "lemmas",
-                              lambda: ast.eq(x, ast.bv_const(0, 8))))
-            return engine
-
-        register_builder("test-failing-pop", build)
-        report = prove_all(build(), jobs=2,
+        engine = ProofEngine()
+        engine.add(forall_vc("all_small", "demo", list(range(5)),
+                             lambda x: x < 3))
+        x = ast.bv_var("x", 8)
+        engine.add(smt_vc("x_is_zero", "lemmas",
+                          lambda: ast.eq(x, ast.bv_const(0, 8))))
+        report = prove_all(engine, jobs=2,
                            config=ProverConfig(use_cache=False))
         by_name = {r.name: r for r in report.results}
         assert by_name["all_small"].status is VCStatus.FAILED
@@ -367,34 +437,123 @@ class TestScheduler:
         assert by_name["x_is_zero"].status is VCStatus.FAILED
         assert by_name["x_is_zero"].counterexample  # a model for x != 0
 
-    def test_unreconstructible_population_falls_back_to_threads(self):
-        engine = ProofEngine()  # no rebuild_spec: closures cannot pickle
-        engine.add(forall_vc("a", "demo", [1, 2], lambda x: x > 0))
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the process lane needs fork")
+    @pytest.mark.parametrize("rebuild_spec", [None, ("test-ad-hoc", {})],
+                             ids=["ad-hoc", "rebuild-spec"])
+    def test_forked_workers_discharge_the_vcs_the_parent_built(
+            self, rebuild_spec):
+        """Workers inherit the engine's own VC objects, so any population
+        takes the process lane: names need not be unique, closures need
+        not pickle, and a closure sees what its captured list held when
+        the pool forked — with or without a `rebuild_spec`, nothing is
+        rebuilt by name."""
+        cases = [1, 2]
+        engine = ProofEngine()
+        engine.rebuild_spec = rebuild_spec
+        engine.add(forall_vc("twin", "demo", lambda: cases, lambda x: x < 3))
+        engine.add(forall_vc("twin", "demo", lambda: cases, lambda x: x > 0))
         engine.add(smt_vc("g", "lemmas", _goal_x_eq_x))
+        cases.append(3)   # after the engine is built
         scheduler = ProverScheduler(
-            engine, config=ProverConfig(jobs=3, use_cache=False))
+            engine, config=ProverConfig(jobs=2, use_cache=False))
         report = scheduler.run()
-        assert report.all_proved
         lanes = {e.worker for e in scheduler.events.of_kind(ev.STARTED)}
-        assert lanes == {"thread"}
+        assert lanes == {"proc"}
+        assert [(r.name, r.status, r.counterexample)
+                for r in report.results] == [
+            ("twin", VCStatus.FAILED, 3),
+            ("twin", VCStatus.PROVED, None),
+            ("g", VCStatus.PROVED, None),
+        ]
+
+    def test_without_fork_the_run_stays_inline(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        reference = prove_all(_family_engine(), jobs=1,
+                              config=ProverConfig(use_cache=False))
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        scheduler = ProverScheduler(
+            _family_engine(), config=ProverConfig(jobs=4, use_cache=False))
+        report = scheduler.run()
+        lanes = {e.worker for e in scheduler.events.of_kind(ev.STARTED)}
+        assert lanes == {"inline"}
+        assert [r.key() for r in report.results] == \
+            [r.key() for r in reference.results]
+        assert [r.solver_stats for r in report.results] == \
+            [r.solver_stats for r in reference.results]
 
     def test_worker_error_is_reported_not_raised(self):
-        def build():
-            engine = ProofEngine()
-            engine.rebuild_spec = ("test-error-pop", {})
+        def boom():
+            raise RuntimeError("kaput")
 
-            def boom():
-                raise RuntimeError("kaput")
-
-            from repro.verif.vc import VC
-            engine.add(VC(name="bad", category="demo", check=boom))
-            return engine
-
-        register_builder("test-error-pop", build)
-        report = prove_all(build(), jobs=2,
+        engine = ProofEngine()
+        engine.add(VC(name="bad", category="demo", check=boom))
+        report = prove_all(engine, jobs=2,
                            config=ProverConfig(use_cache=False))
         assert report.results[0].status is VCStatus.ERROR
         assert "kaput" in report.results[0].detail
+
+
+# ---------------------------------------------------------------------------
+# The population, pinned: fingerprints and verdicts recorded at PR 18
+# ---------------------------------------------------------------------------
+
+
+def _full_engine() -> ProofEngine:
+    from repro.core.refine.proof import build_proof
+
+    return build_proof(include_sched=True, include_rg=True)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The solver source digest is held fixed: an edit under `repro.smt` moves
+#: every goal key by design and is not what the pin is about.
+GOAL_FINGERPRINT_PROBE = """
+import hashlib, sys
+sys.path.insert(0, 'src')
+from repro.core.refine.proof import build_proof
+from repro.prover import fingerprint as fp
+
+fp.smt_code_digest = lambda: 'smt'
+digest = hashlib.blake2b(digest_size=16)
+goals = 0
+for vc in build_proof(include_sched=True, include_rg=True).vcs():
+    if vc.is_smt:
+        goal = vc.goal_builder()
+        goals += 1
+        digest.update(f'{vc.name}:{fp.term_fingerprint(goal)}:'
+                      f'{fp.family_fingerprint(goal)}:'
+                      f'{fp.goal_fingerprint(goal, vc.simplify)}\\n'.encode())
+print(goals, digest.hexdigest())
+"""
+
+
+class TestPinnedPopulation:
+    def test_goal_fingerprints(self):
+        """Every cache and family key of the 80 SMT goals, from a fresh
+        interpreter: `ast.and_` orders its arguments by interning id, so
+        a goal's serialization depends on which terms the process built
+        before it (a spurious cache miss at worst, never a wrong hit)."""
+        out = subprocess.run(
+            [sys.executable, "-c", GOAL_FINGERPRINT_PROBE],
+            capture_output=True, text=True, cwd=ROOT, check=True).stdout
+        assert out.split() == ["80", "98c0a901dffdc18dcd1940f8c76aedf8"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verdicts_and_solver_counters(self, jobs):
+        report = prove_all(_full_engine(), jobs=jobs,
+                           config=ProverConfig(use_cache=False))
+        assert report.total == 270
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(repr([(r.name, r.category, r.status.value, r.detail)
+                            for r in report.results]).encode())
+        digest.update(repr(sorted(report.solver_counters().items()))
+                      .encode())
+        assert digest.hexdigest() == "559243c1ed3e3df34518220a32827fac"
 
 
 # ---------------------------------------------------------------------------

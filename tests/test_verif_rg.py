@@ -1,7 +1,8 @@
 """Tests for the rely-guarantee interference models (repro.verif.rgspec)
 and their stability VC family (repro.verif.rgproof)."""
 
-from repro.verif import rgproof
+from dataclasses import replace
+
 from repro.verif import rgspec as rs
 from repro.verif.explore import check_inductive, reachable_states
 from repro.verif.rgproof import MAX_STATES, rg_vcs
@@ -33,12 +34,7 @@ def test_every_invariant_is_stable_under_every_action():
     for model, builder, invariants in rs.MODELS:
         machine, result = _explored(builder)
         for transition in machine.transitions:
-            sub = SpecStateMachine(
-                name=f"{machine.name}-{transition.name}",
-                init_states=machine.init_states,
-                transitions=[transition],
-                invariants=machine.invariants,
-            )
+            sub = _one_action_machine(machine, transition.name)
             for invariant in invariants:
                 counterexample = check_inductive(sub, result.states,
                                                  invariant)
@@ -56,30 +52,53 @@ def test_memoised_steps_equal_a_fresh_machines():
             assert machine.enabled_steps(state) is steps
 
 
-def test_stability_sub_machine_steps_only_its_own_action(monkeypatch):
-    """The memo lives on the machine instance: the one-action sub-machine
-    a stability VC builds must not see the full machine's successors."""
-    cache = rgproof._RgModelCache()
-    machine, result = cache.result("pmem")     # full machine's memo is warm
-    action = machine.transitions[-1].name
-    subs = []
+def _one_action_machine(machine, action):
+    """The reference for `check_inductive(..., action=)`: a machine whose
+    only transition is `action` (what every stability VC used to build)."""
+    return SpecStateMachine(
+        name=f"{machine.name}-{action}",
+        init_states=machine.init_states,
+        transitions=[machine.transition(action)],
+        invariants=machine.invariants,
+    )
 
-    def spy(sub, states, invariant):
-        subs.append(sub)
-        return check_inductive(sub, states, invariant)
 
-    monkeypatch.setattr(rgproof, "check_inductive", spy)
-    vc = rgproof._stability_vc(cache, "pmem", "pmem_coverage", action)
-    assert vc.check() is None
-    (sub,) = subs
-    assert sub is not machine and len(machine.transitions) > 1
-    fired = 0
-    for state in result.states:
-        own = tuple(step for step in machine.enabled_steps(state)
-                    if step[0] == action)
-        assert sub.enabled_steps(state) == own
-        fired += len(own)
-    assert fired, f"{action} never enabled: the check would be vacuous"
+def _assert_filter_equals_sub_machine(machine, states, invariants):
+    for transition in machine.transitions:
+        sub = _one_action_machine(machine, transition.name)
+        for invariant in invariants:
+            assert check_inductive(machine, states, invariant,
+                                   action=transition.name) == \
+                check_inductive(sub, states, invariant), \
+                (machine.name, invariant, transition.name)
+
+
+def test_action_filter_equals_the_one_action_sub_machine():
+    for _model, builder, invariants in rs.MODELS:
+        machine, result = _explored(builder)
+        _assert_filter_equals_sub_machine(machine, result.states, invariants)
+
+
+def test_broken_guarantee_fails_its_own_stability_vc_only(monkeypatch):
+    """Seeded bug: `free` forgets the redundant frame counter.  Exactly
+    the (pmem_free_count × free) stability VC must report it — not the
+    same invariant under `alloc`, not another invariant under `free` —
+    and the action filter must return the sub-machine's counterexamples."""
+    free = rs._pmem_free
+
+    def leaky_free(state, args):
+        return replace(free(state, args), free_frames=state.free_frames)
+
+    monkeypatch.setattr(rs, "_pmem_free", leaky_free)
+    failing = {vc.name for vc in rg_vcs()
+               if vc.name.startswith("rg-stable-") and vc.check() is not None}
+    assert failing == {"rg-stable-pmem-free-count-under-free"}
+
+    machine = rs.pmem_machine()
+    states = reachable_states(machine, max_states=MAX_STATES).states
+    assert check_inductive(machine, states, "pmem_free_count",
+                           action="free") is not None
+    _assert_filter_equals_sub_machine(machine, states, rs.PMEM_INVARIANTS)
 
 
 def test_pmem_free_coalesces_eagerly():
