@@ -25,8 +25,8 @@ from repro.analysis.imports import ImportEdge, build_import_graph, \
 from repro.analysis.layers import LAYER_MAP, classify_layer, \
     loc_classification, loc_kind
 from repro.analysis.purity import check_purity
-from repro.analysis.race import RaceMonitor, RaceReport, default_scripts, \
-    detect_races, instrument, replay
+from repro.analysis.race import RaceMonitor, RaceReport, detect_races, \
+    instrument, replay
 
 __all__ = [
     "AnalysisReport",
@@ -40,7 +40,6 @@ __all__ = [
     "check_layering",
     "check_purity",
     "classify_layer",
-    "default_scripts",
     "detect_races",
     "discover_sources",
     "instrument",

@@ -20,7 +20,7 @@ from repro.analysis.findings import (AnalysisReport, apply_suppressions,
                                      dead_suppressions)
 from repro.analysis.imports import check_layering, discover_sources
 from repro.analysis.purity import check_purity
-from repro.analysis.race import default_scripts, detect_races
+from repro.analysis.race import detect_races
 from repro.obs.console import err, out
 
 PASSES = ("layering", "purity", "rg", "lockorder", "deadsupp", "race")
@@ -120,8 +120,7 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
 
                 nr_factory = lambda: payload(KvStore, num_nodes=2)  # noqa: E731
             _record_replay(report, "nr", mutant, detect_races(
-                seeds, nr_factory=nr_factory, scripts=default_scripts(),
-                max_steps=max_steps))
+                seeds, nr_factory=nr_factory, max_steps=max_steps))
         if kind in (None, "sched"):
             kwargs = {"protocol_cls": payload} if kind == "sched" else {}
             _record_replay(report, "sched", mutant,

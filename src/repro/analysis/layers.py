@@ -61,7 +61,8 @@ LAYER_MAP = [
     ("src/repro/core/spec/hardware.py", "proof", None),
     ("src/repro/core/spec", "spec", None),
     ("src/repro/core/contract/proof.py", "proof", None),
-    # view.py is the runtime-checked Sys bridging spec and impl.
+    # view() abstracts the kernel's FdTable to SysState: it relates the
+    # two sides, so it is proof.
     ("src/repro/core/contract/view.py", "proof", None),
     ("src/repro/core/contract", "spec", None),
     ("src/repro/core/refine", "proof", None),

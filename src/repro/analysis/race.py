@@ -33,11 +33,12 @@ reports deterministically at a fixed seed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
+from repro.apps.kvstore import workload_scripts
 from repro.nr.core import NodeReplicated, Replica
 from repro.nr.datastructures import KvStore
+from repro.nr.interleave import run_interleaved
 from repro.nr.log import Log
 from repro.nr.rwlock import RwLock
 
@@ -420,29 +421,6 @@ class RaceReport:
         return not self.races
 
 
-def default_scripts(num_threads: int = 4, num_nodes: int = 2,
-                    ops_per_thread: int = 6):
-    """The mixed put/get/del workload the detector replays (mirrors the
-    kvstore linearizability workload)."""
-    from repro.nr.interleave import ThreadScript
-
-    keys = ["alpha", "beta", "gamma"]
-    scripts = []
-    for t in range(num_threads):
-        ops = []
-        for i in range(ops_per_thread):
-            key = keys[(t + i) % len(keys)]
-            which = (t * 7 + i) % 3
-            if which == 0:
-                ops.append((("put", key, f"v{t}.{i}"), False))
-            elif which == 1:
-                ops.append((("get", key), True))
-            else:
-                ops.append((("del", key), False))
-        scripts.append(ThreadScript(thread=t, node=t % num_nodes, ops=ops))
-    return scripts
-
-
 def replay(scripts, seed: int, nr_factory=None, monitor: RaceMonitor = None,
            max_steps: int = 200_000) -> RaceMonitor:
     """Interleave the scripts' protocol steps under `seed`, reporting
@@ -451,47 +429,8 @@ def replay(scripts, seed: int, nr_factory=None, monitor: RaceMonitor = None,
         nr_factory = lambda: NodeReplicated(KvStore, num_nodes=2)  # noqa: E731
     if monitor is None:
         monitor = RaceMonitor()
-    nr = instrument(nr_factory(), monitor)
-
-    rng = random.Random(seed)
-    runners = []
-    for script in scripts:
-        runners.append({"script": script, "index": 0, "gen": None})
-
-    def start_next(runner) -> bool:
-        script = runner["script"]
-        if runner["index"] >= len(script.ops):
-            return False
-        op, is_read = script.ops[runner["index"]]
-        if is_read:
-            runner["gen"] = nr.read_steps(op, script.node, script.thread)
-        else:
-            runner["gen"] = nr.execute_steps(op, script.node, script.thread)
-        return True
-
-    for runner in runners:
-        start_next(runner)
-    active = [r for r in runners if r["gen"] is not None]
-
-    steps = 0
-    while active:
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"race replay did not finish within {max_steps} steps")
-        runner = rng.choice(active)
-        thread = runner["script"].thread
-        monitor.step_begin(thread)
-        try:
-            label = next(runner["gen"])
-        except StopIteration:
-            monitor.step_end(None)
-            runner["index"] += 1
-            runner["gen"] = None
-            if not start_next(runner):
-                active.remove(runner)
-        else:
-            monitor.step_end(label)
+    run_interleaved(instrument(nr_factory(), monitor), scripts, seed,
+                    max_steps=max_steps, monitor=monitor)
     return monitor
 
 
@@ -501,7 +440,7 @@ def detect_races(seeds, nr_factory=None, scripts=None,
     every schedule starts from the same state) and merge the reports."""
     report = RaceReport(seeds=list(seeds))
     for seed in report.seeds:
-        monitor = replay(scripts or default_scripts(), seed=seed,
+        monitor = replay(scripts or workload_scripts(), seed=seed,
                          nr_factory=nr_factory, max_steps=max_steps)
         report.races.extend(monitor.races)
         report.steps += monitor.seq

@@ -28,12 +28,11 @@ deterministically:
 
 from __future__ import annotations
 
-import random
-
 from repro.analysis.race import RaceMonitor, RaceReport
 from repro.nros.sched.entity import SchedEntity, SchedPolicy, fair_charge
 from repro.nros.sched.runqueue import CoreRunQueue
 from repro.nros.sched.smp import Observer, QueueLock, SchedProtocol, drive
+from repro.verif.explore import interleave
 
 #: Worker rounds per core.  Most rounds run *after* the balancer's
 #: last migration: the balancer holds both locks, so while it is
@@ -209,7 +208,6 @@ def replay_sched(seed: int, protocol_cls=SchedProtocol,
     if monitor is None:
         monitor = RaceMonitor()
     proto = build_protocol(monitor, protocol_cls)
-    rng = random.Random(seed)
     runners = [
         {"thread": 0, "who": ("core", 0),
          "gen": _core_worker(proto, 0, _ROUNDS)},
@@ -218,21 +216,14 @@ def replay_sched(seed: int, protocol_cls=SchedProtocol,
         {"thread": 2, "who": "balancer",
          "gen": _balancer(proto, _BALANCE_ROUNDS)},
     ]
-    active = list(runners)
-    steps = 0
-    while active:
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"sched race replay did not finish within {max_steps} "
-                f"steps")
-        runner = rng.choice(active)
+
+    def step(runner) -> bool:
         monitor.step_begin(runner["thread"])
         try:
             label = next(runner["gen"])
         except StopIteration:
             monitor.step_end(None)
-            active.remove(runner)
+            return False
         except AssertionError:
             # drop any locks the crashed runner still holds, or the
             # surviving workers spin forever against a dead owner
@@ -240,9 +231,11 @@ def replay_sched(seed: int, protocol_cls=SchedProtocol,
                 if lock.owner == runner["who"]:
                     lock.unlock(runner["who"])
             monitor.step_end("CRASH")
-            active.remove(runner)
-        else:
-            monitor.step_end(label)
+            return False
+        monitor.step_end(label)
+        return True
+
+    interleave(runners, seed, step, max_steps)
     return monitor
 
 

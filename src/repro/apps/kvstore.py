@@ -47,21 +47,14 @@ class ReplicatedKv:
         return dict(self.nr.replicas[node].ds.data)
 
 
-def run_concurrent_workload(
-    num_threads: int = 4,
-    num_nodes: int = 2,
-    ops_per_thread: int = 6,
-    seed: int = 0,
-):
-    """Run a concurrent put/get/del workload and verify linearizability.
+def workload_scripts(num_threads: int = 4, num_nodes: int = 2,
+                     ops_per_thread: int = 6):
+    """The mixed put/get/del workload: one script per thread, threads
+    spread round-robin over the nodes.  The linearizability self-check
+    below and the race detector (:mod:`repro.analysis.race`) replay the
+    same scripts."""
+    from repro.nr.interleave import ThreadScript  # repro: allow(ghost-import)
 
-    Returns (kv, history, check_result)."""
-    # Ghost imports: the self-check pulls in the proof layer only when
-    # it actually runs, so the store itself deploys with proofs erased.
-    from repro.nr.interleave import ThreadScript, run_interleaved  # repro: allow(ghost-import)
-    from repro.nr.linearizability import check_linearizable  # repro: allow(ghost-import)
-
-    kv = ReplicatedKv(num_nodes=num_nodes)
     keys = ["alpha", "beta", "gamma"]
     scripts = []
     for t in range(num_threads):
@@ -75,9 +68,26 @@ def run_concurrent_workload(
                 ops.append((("get", key), True))
             else:
                 ops.append((("del", key), False))
-        scripts.append(
-            ThreadScript(thread=t, node=t % num_nodes, ops=ops)
-        )
+        scripts.append(ThreadScript(thread=t, node=t % num_nodes, ops=ops))
+    return scripts
+
+
+def run_concurrent_workload(
+    num_threads: int = 4,
+    num_nodes: int = 2,
+    ops_per_thread: int = 6,
+    seed: int = 0,
+):
+    """Run a concurrent put/get/del workload and verify linearizability.
+
+    Returns (kv, history, check_result)."""
+    # Ghost imports: the self-check pulls in the proof layer only when
+    # it actually runs, so the store itself deploys with proofs erased.
+    from repro.nr.interleave import run_interleaved  # repro: allow(ghost-import)
+    from repro.nr.linearizability import check_linearizable  # repro: allow(ghost-import)
+
+    kv = ReplicatedKv(num_nodes=num_nodes)
+    scripts = workload_scripts(num_threads, num_nodes, ops_per_thread)
     history = run_interleaved(kv.nr, scripts, seed=seed)
     result = check_linearizable(history, EMPTY_MAP, kv_model_step)
     return kv, history, result

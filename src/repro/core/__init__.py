@@ -11,5 +11,5 @@ Layout mirrors Figure 2 of the paper:
 * :mod:`repro.core.pt` — (3) the executable page-table implementation.
 * :mod:`repro.core.refine` — the refinement proofs connecting (3)+(1) to (2).
 * :mod:`repro.core.contract` — the client application contract of Section 3
-  (the `read` syscall spec and the `Sys` view).
+  (the `read` syscall spec and `view()` of the kernel's descriptor table).
 """

@@ -1,7 +1,10 @@
 """The `contract` verification conditions — Section 3's three obligations.
 
-* *spec refinement*: the executable `Sys` syscalls satisfy their
-  specification predicates over enumerated pre-states and arguments;
+* *spec refinement*: the kernel's own descriptor table
+  (:class:`~repro.nros.fs.fd.FdTable` on a freshly formatted on-disk
+  filesystem) satisfies the specification predicates, checked on
+  `view(table)` taken before and after each real call, over enumerated
+  pre-states and arguments;
 * *marshalling*: syscall argument tuples round-trip through serialization,
   and corruption is detected rather than mis-parsed;
 * *mapping*: user buffers reached through page-table translation behave as
@@ -19,11 +22,15 @@ from repro.core.contract.syscalls import (
     seek_spec,
     write_spec,
 )
-from repro.core.contract.view import Sys, SysError
+from repro.core.contract.view import view
 from repro.core.pt.defs import Flags, PageSize
 from repro.core.pt.impl import PageTable, SimpleFrameAllocator
+from repro.hw.devices.disk import Disk
 from repro.hw.mem import PhysicalMemory
 from repro.hw.mmu import Mmu
+from repro.nros.drivers.block import BlockDriver
+from repro.nros.fs.fd import O_CREAT, O_RDWR, BadFd, FdTable
+from repro.nros.fs.fs import FileSystem, FsError
 from repro.nros.syscall.marshal import (
     MarshalError,
     marshal,
@@ -42,12 +49,20 @@ from repro.verif.vc import VC
 MB = 1024 * 1024
 
 
-def _fresh_sys(contents=b"hello kernel world", offset=0) -> tuple[Sys, int]:
-    sys = Sys()
-    fd = sys.open()
-    sys.set_contents(fd, contents)
-    sys.seek(fd, offset)
-    return sys, fd
+def _fresh_table() -> FdTable:
+    return FdTable(FileSystem.mkfs(BlockDriver(Disk(64)), num_inodes=16))
+
+
+def _open_with(table: FdTable, path: str, contents: bytes, offset=0) -> int:
+    fd = table.open(path, O_CREAT | O_RDWR)
+    table.write(fd, contents)
+    table.seek(fd, offset)
+    return fd
+
+
+def _fresh_file(contents=b"hello kernel world", offset=0) -> tuple[FdTable, int]:
+    table = _fresh_table()
+    return table, _open_with(table, "/f", contents, offset)
 
 
 # -- spec refinement VCs -----------------------------------------------------
@@ -55,10 +70,10 @@ def _fresh_sys(contents=b"hello kernel world", offset=0) -> tuple[Sys, int]:
 
 def _read_case_vc(name, description, contents, offset, buffer_len) -> VC:
     def check():
-        sys, fd = _fresh_sys(contents, offset)
-        pre = sys.view()
-        data = sys.read(fd, buffer_len)
-        post = sys.view()
+        table, fd = _fresh_file(contents, offset)
+        pre = view(table)
+        data = table.read(fd, buffer_len)
+        post = view(table)
         if not read_spec(pre, post, fd, buffer_len, data, len(data)):
             return ("read_spec violated", contents, offset, buffer_len, data)
         expected_len = min(buffer_len, len(contents) - offset)
@@ -91,12 +106,16 @@ def contract_vcs() -> list[VC]:
     ))
 
     def read_requires_locked():
-        sys, fd = _fresh_sys()
-        sys._files[fd] = sys._files[fd].with_locked(False)
+        table, fd = _fresh_file()
+        pre = view(table)
+        data = table.read(fd, 4)
+        unlocked = pre.with_file(fd, pre.file(fd).with_locked(False))
+        if read_spec(unlocked, view(table), fd, 4, data, len(data)):
+            return "read_spec accepted a read through an unlocked fd"
         try:
-            sys.read(fd, 4)
-            return "read succeeded on an unlocked fd"
-        except SysError:
+            FdTable(table.fs).read(fd, 4)   # a second process, same fs
+            return "another process's table honoured the descriptor"
+        except BadFd:
             return None
 
     vcs.append(VC("contract_read_requires_locked", "contract",
@@ -104,10 +123,10 @@ def contract_vcs() -> list[VC]:
                   description="the requires clause (fd locked) is enforced"))
 
     def sequential_reads_advance():
-        sys, fd = _fresh_sys(b"abcdefgh")
-        first = sys.read(fd, 3)
-        second = sys.read(fd, 3)
-        third = sys.read(fd, 10)
+        table, fd = _fresh_file(b"abcdefgh")
+        first = table.read(fd, 3)
+        second = table.read(fd, 3)
+        third = table.read(fd, 10)
         if (first, second, third) != (b"abc", b"def", b"gh"):
             return ("sequential reads wrong", first, second, third)
         return None
@@ -124,10 +143,10 @@ def contract_vcs() -> list[VC]:
             (b"abc", 6, b"z"),           # sparse write past EOF
         ]
         for contents, offset, data in cases:
-            sys, fd = _fresh_sys(contents, offset)
-            pre = sys.view()
-            written = sys.write(fd, data)
-            if not write_spec(pre, sys.view(), fd, data, written):
+            table, fd = _fresh_file(contents, offset)
+            pre = view(table)
+            written = table.write(fd, data)
+            if not write_spec(pre, view(table), fd, data, written):
                 return ("write_spec violated", contents, offset, data)
         return None
 
@@ -135,10 +154,10 @@ def contract_vcs() -> list[VC]:
                   description="write satisfies write_spec over its cases"))
 
     def write_then_read_roundtrip():
-        sys, fd = _fresh_sys(b"")
-        sys.write(fd, b"the quick brown fox")
-        sys.seek(fd, 4)
-        if sys.read(fd, 5) != b"quick":
+        table, fd = _fresh_file(b"")
+        table.write(fd, b"the quick brown fox")
+        table.seek(fd, 4)
+        if table.read(fd, 5) != b"quick":
             return "write/seek/read roundtrip failed"
         return None
 
@@ -147,24 +166,24 @@ def contract_vcs() -> list[VC]:
                   description="data written is data read back"))
 
     def open_close_spec_holds():
-        sys = Sys()
-        pre = sys.view()
-        fd0 = sys.open()
-        if not open_spec(pre, sys.view(), fd0):
+        table = _fresh_table()
+        pre = view(table)
+        fd0 = table.open("/a", O_CREAT | O_RDWR)
+        if not open_spec(pre, view(table), fd0):
             return "open_spec violated for first fd"
-        pre = sys.view()
-        fd1 = sys.open()
-        if not open_spec(pre, sys.view(), fd1) or fd1 == fd0:
+        pre = view(table)
+        fd1 = table.open("/b", O_CREAT | O_RDWR)
+        if not open_spec(pre, view(table), fd1) or fd1 == fd0:
             return "open_spec violated for second fd"
-        pre = sys.view()
-        sys.close(fd0)
-        if not close_spec(pre, sys.view(), fd0):
+        pre = view(table)
+        table.close(fd0)
+        if not close_spec(pre, view(table), fd0):
             return "close_spec violated"
-        pre = sys.view()
-        fd2 = sys.open()
+        pre = view(table)
+        fd2 = table.open("/c", O_CREAT | O_RDWR)
         if fd2 != fd0:  # lowest free slot is reused
             return ("fd not reused", fd2, fd0)
-        if not open_spec(pre, sys.view(), fd2):
+        if not open_spec(pre, view(table), fd2):
             return "open_spec violated on reuse"
         return None
 
@@ -174,16 +193,16 @@ def contract_vcs() -> list[VC]:
                               "allocated lowest-free"))
 
     def seek_spec_holds():
-        sys, fd = _fresh_sys(b"0123456789")
+        table, fd = _fresh_file(b"0123456789")
         for offset in (0, 5, 10, 100):
-            pre = sys.view()
-            sys.seek(fd, offset)
-            if not seek_spec(pre, sys.view(), fd, offset):
+            pre = view(table)
+            table.seek(fd, offset)
+            if not seek_spec(pre, view(table), fd, offset):
                 return ("seek_spec violated", offset)
         try:
-            sys.seek(fd, -1)
+            table.seek(fd, -1)
             return "negative seek accepted"
-        except SysError:
+        except FsError:
             return None
 
     vcs.append(VC("contract_seek_spec", "contract", seek_spec_holds,
@@ -191,16 +210,14 @@ def contract_vcs() -> list[VC]:
                               "negative offsets"))
 
     def frame_condition_isolation():
-        sys = Sys()
-        fd_a = sys.open()
-        fd_b = sys.open()
-        sys.set_contents(fd_a, b"aaaa")
-        sys.set_contents(fd_b, b"bbbb")
-        before_b = sys.view().file(fd_b)
-        sys.read(fd_a, 2)
-        sys.write(fd_a, b"XX")
-        sys.seek(fd_a, 0)
-        if sys.view().file(fd_b) != before_b:
+        table = _fresh_table()
+        fd_a = _open_with(table, "/a", b"aaaa")
+        fd_b = _open_with(table, "/b", b"bbbb")
+        before_b = view(table).file(fd_b)
+        table.read(fd_a, 2)
+        table.write(fd_a, b"XX")
+        table.seek(fd_a, 0)
+        if view(table).file(fd_b) != before_b:
             return "operations on fd A disturbed fd B"
         return None
 
@@ -209,13 +226,13 @@ def contract_vcs() -> list[VC]:
                   description="the frame condition: other fds unchanged"))
 
     def bad_fd_rejected():
-        sys = Sys()
-        for call in (lambda: sys.read(7, 1), lambda: sys.write(7, b"x"),
-                     lambda: sys.seek(7, 0), lambda: sys.close(7)):
+        table = _fresh_table()
+        for call in (lambda: table.read(7, 1), lambda: table.write(7, b"x"),
+                     lambda: table.seek(7, 0), lambda: table.close(7)):
             try:
                 call()
                 return "operation on a bad fd succeeded"
-            except SysError:
+            except BadFd:
                 continue
         return None
 
@@ -370,10 +387,10 @@ def contract_vcs() -> list[VC]:
         """read_spec pins down read_len and the returned bytes uniquely:
         for a given pre-state and buffer length, exactly one (data,
         read_len) pair satisfies the relation."""
-        sys, fd = _fresh_sys(b"0123456789", offset=4)
-        pre = sys.view()
-        data = sys.read(fd, 3)
-        post = sys.view()
+        table, fd = _fresh_file(b"0123456789", offset=4)
+        pre = view(table)
+        data = table.read(fd, 3)
+        post = view(table)
         # the witnessed pair satisfies the spec...
         if not read_spec(pre, post, fd, 3, data, len(data)):
             return "witness rejected"
@@ -394,10 +411,10 @@ def contract_vcs() -> list[VC]:
                               "result"))
 
     def write_zero_bytes_is_noop():
-        sys, fd = _fresh_sys(b"abcdef", offset=2)
-        pre = sys.view()
-        written = sys.write(fd, b"")
-        post = sys.view()
+        table, fd = _fresh_file(b"abcdef", offset=2)
+        pre = view(table)
+        written = table.write(fd, b"")
+        post = view(table)
         if written != 0:
             return f"wrote {written} bytes for an empty buffer"
         if not write_spec(pre, post, fd, b"", 0):

@@ -1,118 +1,28 @@
-"""The `Sys` type: the syscall interface as user space perceives it.
+"""`view()`: the kernel's descriptor table as user space perceives it.
 
-"From the perspective of user space code, this interface is represented as
-part of a type Sys that encapsulates the syscall interface. ... The view()
-functions abstract the concrete runtime values to mathematical
-representations."
-
-`Sys` here is the executable counterpart: a mutable in-memory file table
-whose methods carry the specification predicates as runtime-checked
-ensures clauses — `view()` produces the :class:`SysState` snapshots that
-play the role of `old(sys).view()` and `sys.view()`.
+"The view() functions abstract the concrete runtime values to mathematical
+representations."  The runtime value is the :class:`FdTable` the syscall
+handlers and the WAL call; the representation is the :class:`SysState` the
+specification predicates relate — `view(table)` before and after a call
+plays `old(sys).view()` and `sys.view()`.
 """
 
 from __future__ import annotations
 
 from repro.core.contract.state import FileState, SysState
-from repro.core.contract.syscalls import (
-    close_spec,
-    open_spec,
-    read_spec,
-    seek_spec,
-    write_spec,
-)
 from repro.immutable import FrozenMap
-from repro.verif.contracts import ContractError, contracts_enabled
+from repro.nros.fs.fd import FdTable
 
 
-class SysError(Exception):
-    """A syscall was invoked outside its precondition."""
-
-
-class Sys:
-    """The executable syscall interface with self-checking contracts."""
-
-    def __init__(self) -> None:
-        self._files: dict[int, FileState] = {}
-
-    # -- the abstraction function -------------------------------------------------
-
-    def view(self) -> SysState:
-        """Abstract the runtime state to the mathematical SysState."""
-        return SysState(files=FrozenMap(self._files))
-
-    # -- syscalls -------------------------------------------------------------------
-
-    def open(self) -> int:
-        """Create a fresh (anonymous, locked) file; returns its fd."""
-        old = self.view() if contracts_enabled() else None
-        fd = 0
-        while fd in self._files:
-            fd += 1
-        self._files[fd] = FileState(contents=b"", offset=0, locked=True)
-        if old is not None and not open_spec(old, self.view(), fd):
-            raise ContractError("open violates open_spec")
-        return fd
-
-    def close(self, fd: int) -> None:
-        self._require_fd(fd)
-        old = self.view() if contracts_enabled() else None
-        del self._files[fd]
-        if old is not None and not close_spec(old, self.view(), fd):
-            raise ContractError("close violates close_spec")
-
-    def read(self, fd: int, buffer_len: int) -> bytes:
-        """The paper's read: requires the fd locked; returns the bytes
-        read (length == min(buffer_len, remaining))."""
-        self._require_fd(fd)
-        f = self._files[fd]
-        if not f.locked:
-            raise SysError(f"fd {fd} not locked (requires clause)")
-        old = self.view() if contracts_enabled() else None
-        read_len = min(buffer_len, f.size - f.offset)
-        data = f.contents[f.offset : f.offset + read_len]
-        self._files[fd] = f.with_offset(f.offset + read_len)
-        if old is not None and not read_spec(
-            old, self.view(), fd, buffer_len, data, read_len
-        ):
-            raise ContractError("read violates read_spec")
-        return data
-
-    def write(self, fd: int, data: bytes) -> int:
-        self._require_fd(fd)
-        f = self._files[fd]
-        if not f.locked:
-            raise SysError(f"fd {fd} not locked (requires clause)")
-        old = self.view() if contracts_enabled() else None
-        gap = b"\x00" * max(0, f.offset - f.size)
-        contents = (
-            f.contents[: f.offset] + gap + data
-            + f.contents[f.offset + len(data):]
-        )
-        self._files[fd] = FileState(
-            contents=contents, offset=f.offset + len(data), locked=f.locked
-        )
-        if old is not None and not write_spec(
-            old, self.view(), fd, data, len(data)
-        ):
-            raise ContractError("write violates write_spec")
-        return len(data)
-
-    def seek(self, fd: int, offset: int) -> None:
-        self._require_fd(fd)
-        if offset < 0:
-            raise SysError("negative seek offset")
-        old = self.view() if contracts_enabled() else None
-        self._files[fd] = self._files[fd].with_offset(offset)
-        if old is not None and not seek_spec(old, self.view(), fd, offset):
-            raise ContractError("seek violates seek_spec")
-
-    def set_contents(self, fd: int, contents: bytes) -> None:
-        """Test helper: install file contents directly (like an exec'd
-        environment would)."""
-        self._require_fd(fd)
-        self._files[fd] = self._files[fd].with_contents(contents)
-
-    def _require_fd(self, fd: int) -> None:
-        if fd not in self._files:
-            raise SysError(f"bad file descriptor {fd}")
+def view(table: FdTable) -> SysState:
+    """Abstract a live descriptor table: contents are read back from the
+    on-disk filesystem, the offset from the open file; `locked` holds
+    because a table is per process, so its owner holds every descriptor
+    in it."""
+    files = {}
+    for fd in table.open_fds():
+        stat = table.stat(fd)
+        files[fd] = FileState(
+            contents=table.fs.read_at(stat.inum, 0, stat.size),
+            offset=table.tell(fd), locked=True)
+    return SysState(files=FrozenMap(files))

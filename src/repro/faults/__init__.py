@@ -12,8 +12,8 @@ that claim into a gated test surface:
   scenario once to count its write boundaries, then re-run it crashing the
   disk at every boundary, remount, and audit the volume with ``fsck``.
 * :mod:`repro.faults.campaign` — the seeded campaigns behind
-  ``python -m repro faults``: disk, net, mem, prover, and cluster, each
-  reporting injected / survived / degraded / failed per site and
+  ``python -m repro faults``: disk, net, mem, prover, cluster and ring,
+  each reporting injected / survived / degraded / failed per site and
   collecting invariant violations.
 * :mod:`repro.faults.cluster` — the cluster campaign's scenarios: node
   crashes at message boundaries, link partitions with bounded heals, and
@@ -26,16 +26,7 @@ The injection sites themselves live in the layers (``Disk``,
 mocks around them.
 """
 
-from repro.faults.campaign import (
-    CampaignReport,
-    SiteSummary,
-    run_campaign,
-    run_cluster_campaign,
-    run_disk_campaign,
-    run_mem_campaign,
-    run_net_campaign,
-    run_prover_campaign,
-)
+from repro.faults.campaign import CampaignReport, SiteSummary, run_campaign
 from repro.faults.crash import CrashMatrixReport, run_crash_matrix
 from repro.faults.plan import FaultDecision, FaultPlan, FaultRule
 
@@ -47,10 +38,5 @@ __all__ = [
     "FaultRule",
     "SiteSummary",
     "run_campaign",
-    "run_cluster_campaign",
     "run_crash_matrix",
-    "run_disk_campaign",
-    "run_mem_campaign",
-    "run_net_campaign",
-    "run_prover_campaign",
 ]

@@ -25,6 +25,7 @@ the CI gate verify exactly that).
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import shutil
@@ -33,10 +34,9 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs.registry import Registry
+from repro.faults import cluster
 from repro.faults.crash import CRASH_SCENARIOS, run_crash_matrix
 from repro.faults.plan import FaultPlan, FaultRule
-
-CAMPAIGNS = ("disk", "net", "mem", "prover", "cluster", "ring")
 
 #: The four outcome classes a fault-injection site tallies.
 OUTCOMES = ("injected", "survived", "degraded", "failed")
@@ -353,7 +353,7 @@ def _disk_queue_backpressure(seed: int, report: CampaignReport) -> None:
         f"all {total} writes landed")
 
 
-def _disk_crash_matrix(report: CampaignReport) -> None:
+def _disk_crash_matrix(_seed: int, report: CampaignReport) -> None:
     site = report.site("disk.crash")
     for name in sorted(CRASH_SCENARIOS):
         scenario, setup = CRASH_SCENARIOS[name]
@@ -364,15 +364,6 @@ def _disk_crash_matrix(report: CampaignReport) -> None:
         for violation in matrix.violations:
             report.violation("disk.crash", violation)
         report.notes.append(matrix.summary())
-
-
-def run_disk_campaign(seed: int = 1) -> CampaignReport:
-    report = CampaignReport("disk", seed)
-    _disk_transient_workload(seed, report)
-    _disk_read_corruption(seed, report)
-    _disk_queue_backpressure(seed, report)
-    _disk_crash_matrix(report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +534,6 @@ def _net_data_blackout(seed: int, report: CampaignReport) -> None:
         report.violation("net.rdp", "data blackout error not surfaced")
 
 
-def run_net_campaign(seed: int = 1) -> CampaignReport:
-    report = CampaignReport("net", seed)
-    _net_adversarial(seed, report)
-    _net_blackout(seed, report)
-    _net_data_blackout(seed, report)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # mem
 # ---------------------------------------------------------------------------
@@ -663,13 +646,6 @@ def _mem_heap(seed: int, report: CampaignReport) -> None:
     report.notes.append(
         f"heap.alloc: {heap.injected_failures} injected failures, heap "
         f"stayed serviceable ({heap.pages_mapped} pages mapped)")
-
-
-def run_mem_campaign(seed: int = 1) -> CampaignReport:
-    report = CampaignReport("mem", seed)
-    _mem_pmem(seed, report)
-    _mem_heap(seed, report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -834,14 +810,6 @@ def _prover_budget_exhaustion(seed: int, report: CampaignReport) -> None:
         f"1-conflict budget ladder; none mis-verdicted")
 
 
-def run_prover_campaign(seed: int = 1) -> CampaignReport:
-    report = CampaignReport("prover", seed)
-    _prover_worker_crash(seed, report)
-    _prover_poisoned_cache(seed, report)
-    _prover_budget_exhaustion(seed, report)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # ring
 # ---------------------------------------------------------------------------
@@ -943,109 +911,93 @@ def _ring_verify(report: CampaignReport, site: str, kernel, pid: int,
     return torn
 
 
-def _ring_torn_sqes(seed: int, report: CampaignReport) -> None:
-    """Torn SQEs in user memory: every corrupted slot must surface as a
-    typed EBADMSG completion for that entry alone — never a silently
-    different syscall, never a kernel crash."""
+#: The three ring scenarios run one workload under one fault rule each:
+#: ``(site, kind, every, max_triggers, payload tag, payload count, what a
+#: caught injection counts as, note)``.
+#:
+#: * torn SQEs in user memory: every corrupted slot must surface as a
+#:   typed EBADMSG completion for that entry alone — never a silently
+#:   different syscall, never a kernel crash;
+#: * forced completion-queue-full: the dispatch pass stops early, the
+#:   undrained SQEs stay pending, and re-entering completes them with no
+#:   entry lost or duplicated;
+#: * the dispatch pass dies partway through a batch: completed entries
+#:   keep their CQEs, the rest stay submitted, and the next enter resumes
+#:   where the pass stopped — exactly-once dispatch across the crash.
+_RING_SCENARIOS = (
+    ("ring.sqe", "torn", 5, 9, "torn", 60, "degraded",
+     "{n} torn slots all caught by the SQE checksum as EBADMSG; the other "
+     "{rest} entries executed exactly once"),
+    ("ring.cq", "full", 11, 6, "bp", 48, "survived",
+     "{n} forced CQ-full stalls ridden out; every entry completed exactly "
+     "once after re-entry"),
+    ("ring.dispatch", "crash", 13, 5, "crash", 52, "survived",
+     "{n} mid-batch crashes; dispatch resumed with exactly-once completion "
+     "and intact file contents"),
+)
+
+
+def _ring_scenario(row: tuple, seed: int, report: CampaignReport) -> None:
+    """One row of :data:`_RING_SCENARIOS`: run the workload under the
+    row's rule, hold it to :func:`_ring_verify`, credit the row's
+    outcome."""
+    name, kind, every, max_triggers, tag, count, outcome, note = row
     plan = FaultPlan(seed, rules=[
-        FaultRule(site="ring.sqe", kind="torn", every=5, max_triggers=9),
+        FaultRule(site=name, kind=kind, every=every,
+                  max_triggers=max_triggers),
     ])
-    payloads = [f"torn-{i:03d};".encode() for i in range(60)]
+    payloads = [f"{tag}-{i:03d};".encode() for i in range(count)]
     kernel, results, pid = _ring_workload(plan, payloads)
-    site = report.site("ring.sqe")
+    site = report.site(name)
     site.injected += plan.injections
-    torn = _ring_verify(report, "ring.sqe", kernel, pid, payloads, results)
-    if torn != plan.injections:
+    before = len(report.violations)
+    torn = _ring_verify(report, name, kernel, pid, payloads, results)
+    expected_torn = plan.injections if kind == "torn" else 0
+    if torn != expected_torn:
         report.violation(
-            "ring.sqe", f"{plan.injections} slots torn but {torn} EBADMSG "
-                        f"completions")
-    else:
-        site.degraded += torn
-    report.notes.append(
-        f"ring.sqe: {plan.injections} torn slots all caught by the SQE "
-        f"checksum as EBADMSG; the other {len(payloads) - torn} entries "
-        f"executed exactly once")
-
-
-def _ring_cq_backpressure(seed: int, report: CampaignReport) -> None:
-    """Forced completion-queue-full: the dispatch pass stops early, the
-    undrained SQEs stay pending, and re-entering completes them with no
-    entry lost or duplicated."""
-    plan = FaultPlan(seed, rules=[
-        FaultRule(site="ring.cq", kind="full", every=11, max_triggers=6),
-    ])
-    payloads = [f"bp-{i:03d};".encode() for i in range(48)]
-    kernel, results, pid = _ring_workload(plan, payloads)
-    site = report.site("ring.cq")
-    site.injected += plan.injections
-    _ring_verify(report, "ring.cq", kernel, pid, payloads, results)
+            name, f"{expected_torn} slots torn but {torn} EBADMSG "
+                  f"completions")
     if plan.injections == 0:
-        report.violation("ring.cq", "backpressure rule never fired")
-    if not report.violations:
-        site.survived += plan.injections
+        report.violation(name, f"{kind} rule never fired")
+    # this scenario's own violations only: an earlier site's must not
+    # zero this one's column
+    if len(report.violations) == before:
+        setattr(site, outcome, getattr(site, outcome) + plan.injections)
     report.notes.append(
-        f"ring.cq: {plan.injections} forced CQ-full stalls ridden out; "
-        f"every entry completed exactly once after re-entry")
-
-
-def _ring_crash_mid_batch(seed: int, report: CampaignReport) -> None:
-    """The dispatch pass dies partway through a batch: completed entries
-    keep their CQEs, the rest stay submitted, and the next enter resumes
-    where the pass stopped — exactly-once dispatch across the crash."""
-    plan = FaultPlan(seed, rules=[
-        FaultRule(site="ring.dispatch", kind="crash", every=13,
-                  max_triggers=5),
-    ])
-    payloads = [f"crash-{i:03d};".encode() for i in range(52)]
-    kernel, results, pid = _ring_workload(plan, payloads)
-    site = report.site("ring.dispatch")
-    site.injected += plan.injections
-    _ring_verify(report, "ring.dispatch", kernel, pid, payloads, results)
-    if plan.injections == 0:
-        report.violation("ring.dispatch", "crash rule never fired")
-    if not report.violations:
-        site.survived += plan.injections
-    report.notes.append(
-        f"ring.dispatch: {plan.injections} mid-batch crashes; dispatch "
-        f"resumed with exactly-once completion and intact file contents")
-
-
-def run_ring_campaign(seed: int = 1) -> CampaignReport:
-    report = CampaignReport("ring", seed)
-    _ring_torn_sqes(seed, report)
-    _ring_cq_backpressure(seed, report)
-    _ring_crash_mid_batch(seed, report)
-    return report
+        f"{name}: " + note.format(n=plan.injections, rest=count - torn))
 
 
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
-def run_cluster_campaign(seed: int = 1) -> CampaignReport:
-    from repro.faults.cluster import run_cluster_campaign as run
-
-    return run(seed)
-
-
-_RUNNERS = {
-    "disk": run_disk_campaign,
-    "net": run_net_campaign,
-    "mem": run_mem_campaign,
-    "prover": run_prover_campaign,
-    "cluster": run_cluster_campaign,
-    "ring": run_ring_campaign,
+#: Every campaign, in ``all`` order: name -> its scenarios, each called
+#: as ``scenario(seed, report)`` on the campaign's one report.
+CAMPAIGNS = {
+    "disk": (_disk_transient_workload, _disk_read_corruption,
+             _disk_queue_backpressure, _disk_crash_matrix),
+    "net": (_net_adversarial, _net_blackout, _net_data_blackout),
+    "mem": (_mem_pmem, _mem_heap),
+    "prover": (_prover_worker_crash, _prover_poisoned_cache,
+               _prover_budget_exhaustion),
+    "cluster": cluster.SCENARIOS,
+    "ring": tuple(functools.partial(_ring_scenario, row)
+                  for row in _RING_SCENARIOS),
 }
 
 
 def run_campaign(name: str, seed: int = 1) -> list[CampaignReport]:
     """Run one campaign (or ``"all"``); returns the reports."""
-    if name == "all":
-        return [_RUNNERS[c](seed) for c in CAMPAIGNS]
-    if name not in _RUNNERS:
+    if name != "all" and name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; "
-                         f"choose from {sorted(_RUNNERS)} or 'all'")
-    return [_RUNNERS[name](seed)]
+                         f"choose from {sorted(CAMPAIGNS)} or 'all'")
+    reports = []
+    for campaign in CAMPAIGNS if name == "all" else (name,):
+        report = CampaignReport(campaign, seed)
+        for scenario in CAMPAIGNS[campaign]:
+            scenario(seed, report)
+        reports.append(report)
+    return reports
 
 
 def summary_text(reports: list[CampaignReport]) -> str:

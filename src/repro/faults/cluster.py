@@ -40,9 +40,13 @@ request is *failed* and lands in :attr:`CampaignReport.violations`.
 
 from __future__ import annotations
 
-from repro.faults.campaign import CampaignReport
+from typing import TYPE_CHECKING
+
 from repro.faults.crash import is_recoverable
 from repro.faults.plan import FaultPlan, FaultRule
+
+if TYPE_CHECKING:
+    from repro.faults.campaign import CampaignReport
 
 
 def _run_deployment(seed: int, plan: FaultPlan, ops: int,
@@ -228,7 +232,7 @@ def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
 
 def _cluster_wal_matrix(seed: int, report: CampaignReport) -> None:
     # a reduced matrix (still covering append + compaction boundaries)
-    # keeps the campaign fast; CI's cluster-recovery job runs the full
+    # keeps the campaign fast; CI's cluster job runs the full
     # run_wal_crash_matrix() at its default size
     matrix = run_wal_crash_matrix(seed=seed, ops=24, compact_every=4)
     site = report.site("cluster.wal")
@@ -241,11 +245,6 @@ def _cluster_wal_matrix(seed: int, report: CampaignReport) -> None:
         report.notes.append(f"cluster.wal: {matrix.summary()}")
 
 
-def run_cluster_campaign(seed: int = 1) -> CampaignReport:
-    report = CampaignReport("cluster", seed)
-    _cluster_node_crash(seed, report)
-    _cluster_partition(seed, report)
-    _cluster_replica_lag(seed, report)
-    _cluster_crash_restart(seed, report)
-    _cluster_wal_matrix(seed, report)
-    return report
+#: The ``cluster`` row of :data:`repro.faults.campaign.CAMPAIGNS`.
+SCENARIOS = (_cluster_node_crash, _cluster_partition, _cluster_replica_lag,
+             _cluster_crash_restart, _cluster_wal_matrix)

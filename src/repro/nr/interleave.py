@@ -9,11 +9,11 @@ real-time order in the history is exactly the order the scheduler produced.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.nr.core import NodeReplicated
 from repro.nr.linearizability import History, Invocation
+from repro.verif.explore import interleave
 
 
 @dataclass
@@ -27,19 +27,16 @@ class ThreadScript:
     ops: list[tuple[object, bool]]
 
 
-class SchedulingError(Exception):
-    """The scheduler could not finish (livelock beyond the step budget)."""
-
-
 def run_interleaved(
     nr: NodeReplicated,
     scripts: list[ThreadScript],
     seed: int,
     max_steps: int = 200_000,
+    monitor=None,
 ) -> History:
     """Interleave the scripts' protocol steps randomly; returns the
-    history."""
-    rng = random.Random(seed)
+    history.  `monitor` (the race detector's instrumentation point) is
+    told which thread each protocol step belongs to and its label."""
     history = History()
     clock = 0
 
@@ -50,36 +47,24 @@ def run_interleaved(
         gen: object = None
         invoked_at: int = 0
 
-        def start_next(self, now: int) -> bool:
+        def start_next(self) -> bool:
             if self.index >= len(self.script.ops):
                 return False
             op, is_read = self.script.ops[self.index]
-            if is_read:
-                self.gen = nr.read_steps(op, self.script.node,
-                                         self.script.thread)
-            else:
-                self.gen = nr.execute_steps(op, self.script.node,
-                                            self.script.thread)
-            self.invoked_at = now
+            steps = nr.read_steps if is_read else nr.execute_steps
+            self.gen = steps(op, self.script.node, self.script.thread)
+            self.invoked_at = clock
             return True
 
-    runners = [_Runner(s) for s in scripts]
-    for runner in runners:
-        runner.start_next(clock)
-    active = [r for r in runners if r.gen is not None]
-
-    steps = 0
-    while active:
-        steps += 1
-        if steps > max_steps:
-            raise SchedulingError(
-                f"interleaving did not finish within {max_steps} steps"
-            )
-        runner = rng.choice(active)
+    def step(runner: _Runner) -> bool:
+        nonlocal clock
         clock += 1
+        if monitor is not None:
+            monitor.step_begin(runner.script.thread)
         try:
-            next(runner.gen)
+            label, done = next(runner.gen), False
         except StopIteration as stop:
+            label, done = None, True
             op, is_read = runner.script.ops[runner.index]
             history.add(
                 Invocation(
@@ -92,7 +77,11 @@ def run_interleaved(
                 )
             )
             runner.index += 1
-            runner.gen = None
-            if not runner.start_next(clock):
-                active.remove(runner)
+        if monitor is not None:
+            monitor.step_end(label)
+        return runner.start_next() if done else True
+
+    runners = [_Runner(s) for s in scripts]
+    # every script is started before the first pick; empty ones never run
+    interleave([r for r in runners if r.start_next()], seed, step, max_steps)
     return history

@@ -17,7 +17,7 @@ formal methods:
 from repro.verif.vc import VC, VCResult, VCStatus
 from repro.verif.engine import ProofEngine, ProofReport
 from repro.verif.statemachine import SpecStateMachine, Transition
-from repro.verif.contracts import requires, ensures, contracts_enabled, ContractError
+from repro.verif.contracts import requires, ensures, ContractError
 
 __all__ = [
     "VC",
@@ -29,6 +29,5 @@ __all__ = [
     "Transition",
     "requires",
     "ensures",
-    "contracts_enabled",
     "ContractError",
 ]

@@ -3,40 +3,12 @@
 The paper's syscall interface attaches a `requires` and an `ensures` clause
 to each function (Section 3's `read` example).  In the Rust/Verus artifact
 those are checked statically; here they are written as executable predicates
-and checked at runtime when contract checking is enabled.
-
-Contract checking is globally switchable so the latency benchmarks can run
-both "debug" (checks on) and "release" (checks off) configurations — the
-release configuration is what corresponds to the paper's compiled verified
-code, where the proof has been erased.
+and checked at runtime, always.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
-from contextlib import contextmanager
-
-_state = threading.local()
-
-
-def contracts_enabled() -> bool:
-    return getattr(_state, "enabled", True)
-
-
-def set_contracts_enabled(enabled: bool) -> None:
-    _state.enabled = enabled
-
-
-@contextmanager
-def contracts(enabled: bool):
-    """Temporarily enable or disable contract checking."""
-    previous = contracts_enabled()
-    set_contracts_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_contracts_enabled(previous)
 
 
 class ContractError(AssertionError):
@@ -49,7 +21,7 @@ def requires(predicate, message: str = ""):
     def decorate(func):
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            if contracts_enabled() and not predicate(*args, **kwargs):
+            if not predicate(*args, **kwargs):
                 raise ContractError(
                     f"requires clause failed for {func.__qualname__}"
                     + (f": {message}" if message else "")
@@ -77,7 +49,7 @@ def ensures(predicate, message: str = ""):
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
             result = func(*args, **kwargs)
-            if contracts_enabled() and not predicate(result, *args, **kwargs):
+            if not predicate(result, *args, **kwargs):
                 raise ContractError(
                     f"ensures clause failed for {func.__qualname__}"
                     + (f": {message}" if message else "")
@@ -97,10 +69,7 @@ def snapshot(keyword: str, capture):
     def decorate(func):
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            if contracts_enabled():
-                kwargs[keyword] = capture(*args, **kwargs)
-            else:
-                kwargs[keyword] = None
+            kwargs[keyword] = capture(*args, **kwargs)
             return func(*args, **kwargs)
 
         wrapper.__wrapped__ = func

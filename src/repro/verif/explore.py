@@ -8,11 +8,15 @@ The second half is the kit a proof layer builds its spec obligations from
 (:mod:`repro.verif.schedproof`, :mod:`repro.verif.rgproof`): an
 :class:`Explored` machine shared across the layer's VC family, the coverage
 VC over it, :func:`check_inductive` for induction and per-action stability,
-and the vacuity VC that keeps the invariants honest.
+and the vacuity VC that keeps the invariants honest.  :func:`interleave`
+is the kit's schedule-replay driver: every obligation that runs real step
+generators under an adversarial seeded scheduler (NR linearizability, the
+two race replays) is a `step` function handed to it.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -148,3 +152,27 @@ def vacuity_vc(name: str, category: str, description: str,
 
     return VC(name=name, category=category, check=check,
               description=description)
+
+
+class SchedulingError(Exception):
+    """The scheduler could not finish (livelock beyond the step budget)."""
+
+
+def interleave(runners, seed: int, step: Callable[[object], bool],
+               max_steps: int) -> None:
+    """Seeded adversarial schedule replay: until no runner is live, pick
+    one with ``rng.choice`` and advance it by ``step(runner)``, which
+    returns whether the runner is still live.  The pick that finishes a
+    runner is consumed like any other, and live runners keep their
+    relative order, so a seed names one schedule exactly."""
+    rng = random.Random(seed)
+    active = list(runners)
+    steps = 0
+    while active:
+        steps += 1
+        if steps > max_steps:
+            raise SchedulingError(
+                f"interleaving did not finish within {max_steps} steps")
+        runner = rng.choice(active)
+        if not step(runner):
+            active.remove(runner)

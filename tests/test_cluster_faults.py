@@ -2,7 +2,6 @@
 
 from repro.faults import run_campaign
 from repro.faults.campaign import CAMPAIGNS, summary_text
-from repro.faults.cluster import run_cluster_campaign
 
 
 def test_cluster_campaign_is_registered():
@@ -12,7 +11,7 @@ def test_cluster_campaign_is_registered():
 
 
 def test_cluster_campaign_survives_seed_1():
-    report = run_cluster_campaign(seed=1)
+    report = run_campaign("cluster", seed=1)[0]
     assert report.ok, report.violations
     # every scenario must actually have injected something
     assert report.sites["cluster.node"].injected >= 1

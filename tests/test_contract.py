@@ -4,63 +4,83 @@ import pytest
 
 from repro.core.contract.proof import contract_vcs
 from repro.core.contract.state import FileState, SysState
-from repro.core.contract.syscalls import read_spec, write_spec
-from repro.core.contract.view import Sys, SysError
+from repro.core.contract.syscalls import open_spec, read_spec, write_spec
+from repro.core.contract.view import view
 from repro.core.pt.defs import Flags, PageSize
 from repro.core.pt.impl import PageTable, SimpleFrameAllocator
+from repro.hw.devices.disk import Disk
 from repro.hw.mem import PhysicalMemory
 from repro.hw.mmu import Mmu
 from repro.immutable import FrozenMap
+from repro.nros.drivers.block import BlockDriver
+from repro.nros.fs.fd import (
+    O_APPEND,
+    O_CREAT,
+    O_RDONLY,
+    O_RDWR,
+    O_WRONLY,
+    BadFd,
+    FdTable,
+    PermissionDenied,
+)
+from repro.nros.fs.fs import FileSystem
 from repro.nros.syscall.usercopy import (
     UserCopyFault,
     copy_from_user,
     copy_to_user,
 )
-from repro.verif.contracts import ContractError, contracts
+from repro.verif.vc import VCStatus
 
 MB = 1024 * 1024
 
 
+def fresh_table() -> FdTable:
+    return FdTable(FileSystem.mkfs(BlockDriver(Disk(64)), num_inodes=16))
+
+
 class TestSysBasics:
+    """The file behaviours the contract rests on, on the kernel's own
+    descriptor table as `view()` abstracts it."""
+
     def test_open_read_write_close(self):
-        sys = Sys()
-        fd = sys.open()
-        sys.write(fd, b"hello")
-        sys.seek(fd, 0)
-        assert sys.read(fd, 5) == b"hello"
-        sys.close(fd)
-        with pytest.raises(SysError):
-            sys.read(fd, 1)
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        table.write(fd, b"hello")
+        table.seek(fd, 0)
+        assert table.read(fd, 5) == b"hello"
+        assert view(table).file(fd) == FileState(b"hello", 5, True)
+
+    def test_use_after_close_refused(self):
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        table.close(fd)
+        assert not view(table).has_fd(fd)
+        with pytest.raises(BadFd):
+            table.read(fd, 1)
 
     def test_read_past_eof(self):
-        sys = Sys()
-        fd = sys.open()
-        sys.set_contents(fd, b"abc")
-        assert sys.read(fd, 10) == b"abc"
-        assert sys.read(fd, 10) == b""
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        table.write(fd, b"abc")
+        table.seek(fd, 0)
+        assert table.read(fd, 10) == b"abc"
+        assert table.read(fd, 10) == b""
+        assert view(table).file(fd).offset == 3
 
     def test_sparse_write(self):
-        sys = Sys()
-        fd = sys.open()
-        sys.seek(fd, 4)
-        sys.write(fd, b"xy")
-        sys.seek(fd, 0)
-        assert sys.read(fd, 10) == b"\x00\x00\x00\x00xy"
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        table.seek(fd, 4)
+        table.write(fd, b"xy")
+        assert view(table).file(fd).contents == b"\x00\x00\x00\x00xy"
 
     def test_view_is_snapshot(self):
-        sys = Sys()
-        fd = sys.open()
-        before = sys.view()
-        sys.write(fd, b"data")
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        before = view(table)
+        table.write(fd, b"data")
         assert before.file(fd).contents == b""
-        assert sys.view().file(fd).contents == b"data"
-
-    def test_contracts_can_be_disabled(self):
-        sys = Sys()
-        fd = sys.open()
-        sys.set_contents(fd, b"abcdef")
-        with contracts(False):
-            assert sys.read(fd, 3) == b"abc"  # runs without spec checking
+        assert view(table).file(fd).contents == b"data"
 
 
 class TestSpecPredicates:
@@ -106,30 +126,6 @@ class TestSpecPredicates:
             1: FileState(b"ZZ", 0, True),
         }))
         assert not write_spec(pre, post, 0, b"XX", 2)
-
-    def test_contract_violation_detected(self):
-        """A buggy implementation is caught by the runtime spec check."""
-
-        class BuggySys(Sys):
-            def read(self, fd, buffer_len):
-                # BUG: forgets to advance the offset; spec check must fire
-                f = self._files[fd]
-                read_len = min(buffer_len, f.size - f.offset)
-                data = f.contents[f.offset : f.offset + read_len]
-                from repro.core.contract.syscalls import read_spec as spec
-                from repro.verif.contracts import contracts_enabled
-                old = self.view() if contracts_enabled() else None
-                if old is not None and not spec(
-                    old, self.view(), fd, buffer_len, data, read_len
-                ):
-                    raise ContractError("read violates read_spec")
-                return data
-
-        sys = BuggySys()
-        fd = sys.open()
-        sys.set_contents(fd, b"abcdef")
-        with pytest.raises(ContractError):
-            sys.read(fd, 3)
 
 
 class TestUserCopy:
@@ -178,6 +174,26 @@ class TestUserCopy:
             copy_from_user(memory, mmu, pt.root_paddr, 0x10000, -1)
 
 
+# -- must-fail mutations of the table the kernel runs ---------------------
+
+
+def _read_keeps_offset(self, fd, length):
+    handle = self._get(fd)
+    return self.fs.read_at(handle.inum, handle.offset, length)
+
+
+def _write_at_eof(self, fd, data):
+    handle = self._get(fd)
+    size = self.fs.stat_inum(handle.inum).size
+    written = self.fs.write_at(handle.inum, size, data)
+    handle.offset += written
+    return written
+
+
+def _highest_plus_one(self):
+    return max(self._open, default=-1) + 1
+
+
 class TestContractVcs:
     def test_all_contract_vcs_prove(self):
         for vc in contract_vcs():
@@ -186,3 +202,78 @@ class TestContractVcs:
 
     def test_count(self):
         assert len(contract_vcs()) == 23
+
+    @pytest.mark.parametrize("method, mutant, caught_by", [
+        # the two zero-byte reads cannot see a missing offset advance
+        ("read", _read_keeps_offset,
+         {"contract_read_normal", "contract_read_short_at_eof",
+          "contract_read_sequential", "contract_read_spec_deterministic"}),
+        ("write", _write_at_eof, {"contract_write_cases"}),
+        ("_lowest_free", _highest_plus_one, {"contract_open_close_spec"}),
+    ], ids=["read-keeps-offset", "write-at-eof", "fd-highest-plus-one"])
+    def test_mutated_table_fails_exactly(self, monkeypatch, method, mutant,
+                                         caught_by):
+        """The VCs run the real `FdTable`: break it and exactly the VCs
+        that exercise the broken behaviour turn FAILED."""
+        monkeypatch.setattr(FdTable, method, mutant)
+        verdicts = {vc.name: vc.discharge().status for vc in contract_vcs()}
+        assert {n for n, s in verdicts.items() if s is not VCStatus.PROVED} \
+            == caught_by
+        assert all(verdicts[n] is VCStatus.FAILED for n in caught_by)
+
+
+class TestRecordedFindings:
+    """Where the real table and the spec disagree today.  Each assertion
+    records current behaviour; step 3 of ROADMAP's "The syscall spec is
+    about the kernel that runs" (extend the spec to open-by-path, access
+    modes and O_APPEND) is the change that flips it."""
+
+    def test_two_descriptors_on_one_inode_break_the_frame_condition(self):
+        table = fresh_table()
+        fd_a = table.open("/shared", O_CREAT | O_RDWR)
+        fd_b = table.open("/shared", O_RDWR)
+        pre = view(table)
+        written = table.write(fd_a, b"seen by both")
+        post = view(table)
+        assert post.file(fd_b).contents == b"seen by both"
+        assert not write_spec(pre, post, fd_a, b"seen by both", written)
+
+    def test_open_of_a_nonempty_path_is_outside_open_spec(self):
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        table.write(fd, b"already here")
+        table.close(fd)
+        pre = view(table)
+        fd = table.open("/f", O_RDWR)
+        post = view(table)
+        assert post.file(fd).contents == b"already here"
+        assert not open_spec(pre, post, fd)   # it describes O_CREAT of a fresh path
+
+    def test_access_mode_is_not_in_file_state(self):
+        table = fresh_table()
+        table.close(table.open("/f", O_CREAT | O_RDWR))
+        read_only = table.open("/f", O_RDONLY)
+        read_write = table.open("/f", O_RDWR)
+        state = view(table)
+        assert state.file(read_only) == state.file(read_write)
+        with pytest.raises(PermissionDenied):   # a refusal with no spec row
+            table.write(read_only, b"x")
+        assert view(table) == state
+
+    def test_read_beyond_eof_has_no_spec_row(self):
+        table = fresh_table()
+        fd = table.open("/f", O_CREAT | O_RDWR)
+        table.seek(fd, 1)                # past the end of an empty file
+        pre = view(table)
+        data = table.read(fd, 4)
+        assert data == b""               # read_spec wants read_len == -1
+        assert not read_spec(pre, view(table), fd, 4, data, len(data))
+
+    def test_o_append_is_honoured_only_at_open(self):
+        table = fresh_table()
+        fd = table.open("/log", O_CREAT | O_RDWR)
+        table.write(fd, b"XYZ")
+        appender = table.open("/log", O_WRONLY | O_APPEND)
+        table.write(fd, b"W")            # another descriptor grows the file
+        table.write(appender, b"!")      # lands at 3, where it was opened
+        assert view(table).file(fd).contents == b"XYZ!"   # POSIX: b"XYZW!"

@@ -2,143 +2,146 @@
 
 Section 3's promise is that the specification a process verifies against
 is the same one the kernel implements.  These tests run user programs on
-the full kernel (marshalled syscalls, on-disk filesystem) while mirroring
-every file operation into the abstract :class:`SysState`; after each
-kernel `read`, the paper's `read_spec` must accept the observed transition.
+the full kernel (marshalled syscalls, on-disk filesystem) through both
+transports of `Kernel._invoke` — one trap per call, and one SQE per
+`ring_enter` — with `view()` of the process's own descriptor table taken
+around every call; the call's specification predicate must accept each
+observed transition.
 """
 
-import pytest
-
-from repro.core.contract.state import FileState, SysState
-from repro.core.contract.syscalls import read_spec, seek_spec, write_spec
-from repro.immutable import FrozenMap
+from repro.core.contract.syscalls import (
+    close_spec,
+    open_spec,
+    read_spec,
+    seek_spec,
+    write_spec,
+)
+from repro.core.contract.view import view
 from repro.nros.fs.fd import O_CREAT, O_RDWR
 from repro.nros.kernel import Kernel
 from repro.nros.syscall.abi import sys
+from repro.ulib.ring import Ring
+
+TRANSPORTS = ("trap", "ring")
+
+#: syscall name -> its predicate over (pre, post, args, result)
+SPEC = {
+    "open": lambda pre, post, args, fd: open_spec(pre, post, fd),
+    "close": lambda pre, post, args, _: close_spec(pre, post, args[0]),
+    "read": lambda pre, post, args, data: read_spec(
+        pre, post, args[0], args[1], data, len(data)),
+    "write": lambda pre, post, args, written: write_spec(
+        pre, post, args[0], args[1], written),
+    "seek": lambda pre, post, args, _: seek_spec(pre, post, *args),
+}
 
 
-class SpecMirror:
-    """Tracks the abstract SysState alongside kernel fd operations.
+def run_checked(scenario, transport):
+    """Run ``scenario(call)`` as a user program.  ``yield from call(name,
+    *args)`` makes one syscall through `transport`, bracketed by `view()`
+    of the process's descriptor table.  Returns the kernel and every
+    observed call as ``(name, pre, post, args, result)``."""
+    kernel = Kernel()
+    ring = Ring(sq_depth=4)
+    calls = []
 
-    Kernel fds are "locked" in the contract sense for their owning
-    process (our kernel has per-process descriptor tables)."""
+    def call(name, *args):
+        table = kernel.processes[pid].fdtable
+        pre = view(table)
+        if transport == "trap":
+            result = yield sys(name, *args)
+        else:
+            ring.prepare(name, args)
+            (result,) = Ring.unwrap((yield from ring.submit()))
+        calls.append((name, pre, view(table), args, result))
+        return result
 
-    def __init__(self):
-        self.state = SysState(files=FrozenMap({}))
-        self.violations = []
+    def prog():
+        if transport == "ring":
+            yield from ring.setup()
+        yield from scenario(call)
 
-    def opened(self, fd, contents=b""):
-        self.state = self.state.with_file(
-            fd, FileState(contents=contents, offset=0, locked=True)
-        )
+    kernel.register_program("p", prog)
+    pid = kernel.spawn("p")
+    kernel.run()
+    assert kernel.processes[pid].exit_code == 0, transport
+    assert kernel.stats.ring_batches == \
+        (len(calls) if transport == "ring" else 0)
+    return kernel, calls
 
-    def check_read(self, fd, buffer_len, data):
-        pre = self.state
-        f = pre.file(fd)
-        post = self.state.with_file(fd, f.with_offset(f.offset + len(data)))
-        if not read_spec(pre, post, fd, buffer_len, data, len(data)):
-            self.violations.append(("read", fd, buffer_len, data))
-        self.state = post
 
-    def check_write(self, fd, data, written):
-        pre = self.state
-        f = pre.file(fd)
-        gap = b"\x00" * max(0, f.offset - f.size)
-        contents = (f.contents[: f.offset] + gap + data
-                    + f.contents[f.offset + len(data):])
-        post = pre.with_file(fd, FileState(
-            contents=contents, offset=f.offset + written, locked=True))
-        if not write_spec(pre, post, fd, data, written):
-            self.violations.append(("write", fd, data))
-        self.state = post
-
-    def check_seek(self, fd, offset):
-        pre = self.state
-        post = pre.with_file(fd, pre.file(fd).with_offset(offset))
-        if not seek_spec(pre, post, fd, offset):
-            self.violations.append(("seek", fd, offset))
-        self.state = post
+def violations(calls):
+    return [(name, args, result) for name, pre, post, args, result in calls
+            if not SPEC[name](pre, post, args, result)]
 
 
 class TestKernelRefinesContract:
     def test_read_spec_on_real_syscalls(self):
-        mirror = SpecMirror()
-
-        def prog():
-            fd = yield sys("open", "/contract.bin", O_CREAT | O_RDWR)
-            mirror.opened(fd)
-            written = yield sys("write", fd, b"0123456789abcdef")
-            mirror.check_write(fd, b"0123456789abcdef", written)
-            yield sys("seek", fd, 4)
-            mirror.check_seek(fd, 4)
+        def scenario(call):
+            fd = yield from call("open", "/contract.bin", O_CREAT | O_RDWR)
+            yield from call("write", fd, b"0123456789abcdef")
+            yield from call("seek", fd, 4)
             for buffer_len in (3, 5, 100, 1):
-                data = yield sys("read", fd, buffer_len)
-                mirror.check_read(fd, buffer_len, data)
-            yield sys("close", fd)
+                yield from call("read", fd, buffer_len)
+            yield from call("close", fd)
 
-        kernel = Kernel()
-        kernel.register_program("p", prog)
-        kernel.spawn("p")
-        kernel.run()
-        assert mirror.violations == []
-        # the mirror state agrees with what the file really holds
-        inum = kernel.fs.lookup("/contract.bin")
-        assert kernel.fs.read_at(inum, 0, 100) == \
-            mirror.state.file(0).contents
+        for transport in TRANSPORTS:
+            kernel, calls = run_checked(scenario, transport)
+            assert violations(calls) == [], transport
+            inum = kernel.fs.lookup("/contract.bin")
+            assert kernel.fs.read_at(inum, 0, 100) == b"0123456789abcdef"
 
     def test_sparse_writes_match_spec(self):
-        mirror = SpecMirror()
+        def scenario(call):
+            fd = yield from call("open", "/sparse", O_CREAT | O_RDWR)
+            yield from call("seek", fd, 10)
+            yield from call("write", fd, b"tail")
+            yield from call("seek", fd, 0)
+            yield from call("read", fd, 100)
 
-        def prog():
-            fd = yield sys("open", "/sparse", O_CREAT | O_RDWR)
-            mirror.opened(fd)
-            yield sys("seek", fd, 10)
-            mirror.check_seek(fd, 10)
-            written = yield sys("write", fd, b"tail")
-            mirror.check_write(fd, b"tail", written)
-            yield sys("seek", fd, 0)
-            mirror.check_seek(fd, 0)
-            data = yield sys("read", fd, 100)
-            mirror.check_read(fd, 100, data)
-
-        kernel = Kernel()
-        kernel.register_program("p", prog)
-        kernel.spawn("p")
-        kernel.run()
-        assert mirror.violations == []
-        assert mirror.state.file(0).contents == b"\x00" * 10 + b"tail"
+        for transport in TRANSPORTS:
+            kernel, calls = run_checked(scenario, transport)
+            assert violations(calls) == [], transport
+            final = calls[-1][2]
+            assert final.file(0).contents == b"\x00" * 10 + b"tail"
+            inum = kernel.fs.lookup("/sparse")
+            assert kernel.fs.read_at(inum, 0, 100) == final.file(0).contents
 
     def test_interleaved_fds_respect_frame_condition(self):
         """Operations on one fd leave the other fd's abstract state
         untouched (the contract's frame condition) on the real kernel."""
-        mirror = SpecMirror()
 
-        def prog():
-            fd_a = yield sys("open", "/a", O_CREAT | O_RDWR)
-            mirror.opened(fd_a)
-            fd_b = yield sys("open", "/b", O_CREAT | O_RDWR)
-            mirror.opened(fd_b)
-            w = yield sys("write", fd_a, b"aaaa")
-            mirror.check_write(fd_a, b"aaaa", w)
-            w = yield sys("write", fd_b, b"bb")
-            mirror.check_write(fd_b, b"bb", w)
-            yield sys("seek", fd_a, 0)
-            mirror.check_seek(fd_a, 0)
-            data = yield sys("read", fd_a, 4)
-            mirror.check_read(fd_a, 4, data)
+        def scenario(call):
+            fd_a = yield from call("open", "/a", O_CREAT | O_RDWR)
+            fd_b = yield from call("open", "/b", O_CREAT | O_RDWR)
+            yield from call("write", fd_a, b"aaaa")
+            yield from call("write", fd_b, b"bb")
+            yield from call("seek", fd_a, 0)
+            yield from call("read", fd_a, 4)
 
-        kernel = Kernel()
-        kernel.register_program("p", prog)
-        kernel.spawn("p")
-        kernel.run()
-        assert mirror.violations == []
-        assert mirror.state.file(1).contents == b"bb"
-        assert mirror.state.file(1).offset == 2
+        for transport in TRANSPORTS:
+            kernel, calls = run_checked(scenario, transport)
+            assert violations(calls) == [], transport
+            final = calls[-1][2]
+            assert final.file(1).contents == b"bb"
+            assert final.file(1).offset == 2
+            inum = kernel.fs.lookup("/b")
+            assert kernel.fs.read_at(inum, 0, 100) == b"bb"
 
     def test_mirror_catches_a_lying_kernel(self):
-        """Vacuity guard: if the kernel returned wrong bytes, read_spec
-        would reject the transition."""
-        mirror = SpecMirror()
-        mirror.opened(0, contents=b"real contents")
-        mirror.check_read(0, 4, b"fake")
-        assert mirror.violations  # spec caught the lie
+        """Vacuity guard: had the kernel returned wrong bytes, or left the
+        offset where it was, the same check would have rejected the call."""
+
+        def scenario(call):
+            fd = yield from call("open", "/f", O_CREAT | O_RDWR)
+            yield from call("write", fd, b"real contents")
+            yield from call("seek", fd, 0)
+            yield from call("read", fd, 4)
+
+        for transport in TRANSPORTS:
+            _, calls = run_checked(scenario, transport)
+            name, pre, post, args, result = calls[-1]
+            assert (name, result) == ("read", b"real")
+            assert SPEC[name](pre, post, args, result)
+            assert not SPEC[name](pre, post, args, b"fake")
+            assert not SPEC[name](pre, pre, args, result)

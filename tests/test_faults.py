@@ -4,7 +4,7 @@ failure surface, and the campaign runner."""
 import pytest
 
 from repro.faults import run_campaign
-from repro.faults.campaign import summary_text
+from repro.faults.campaign import CAMPAIGNS, CampaignReport, summary_text
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.hw.devices.disk import Disk, DiskCrash, DiskIOError
 from repro.nros.drivers.block import BlockDriver, BlockRequest, QueueFull
@@ -272,6 +272,18 @@ class TestCampaigns:
     def test_unknown_campaign_rejected(self):
         with pytest.raises(ValueError):
             run_campaign("cosmic-rays")
+
+    def test_ring_sites_are_credited_per_scenario(self):
+        """An earlier site's violation must not zero a later site's
+        `survived` column."""
+        report = CampaignReport("ring", 1)
+        report.violation("ring.sqe", "seeded by the test")
+        for scenario in CAMPAIGNS["ring"][1:]:
+            scenario(1, report)
+        for name in ("ring.cq", "ring.dispatch"):
+            site = report.sites[name]
+            assert site.survived == site.injected > 0, name
+        assert len(report.violations) == 1
 
     def test_cli_exit_codes(self):
         from repro.__main__ import main

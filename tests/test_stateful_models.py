@@ -1,9 +1,10 @@
 """Hypothesis stateful (model-based) testing.
 
-Two rule-based state machines drive long random operation sequences and
+Three rule-based state machines drive long random operation sequences and
 compare the real implementations against functional models after every
 step — the page table against the abstract map (a randomized extension of
-the refinement proof) and the filesystem against an in-memory dict model.
+the refinement proof), the filesystem against an in-memory dict model, and
+the descriptor table against the syscall specification predicates.
 """
 
 from hypothesis import settings
@@ -22,11 +23,21 @@ from repro.core.pt.impl import (
     PageTable,
     SimpleFrameAllocator,
 )
+from repro.core.contract.syscalls import (
+    close_spec,
+    open_spec,
+    read_spec,
+    seek_spec,
+    write_spec,
+)
+from repro.core.contract.view import view
 from repro.core.refine.interp import interpret
 from repro.core.spec.highlevel import AbstractState, map_enabled, unmap_enabled
 from repro.hw.devices.disk import Disk
 from repro.hw.mem import PhysicalMemory
+from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs.blockdev import BlockDevice
+from repro.nros.fs.fd import O_CREAT, O_RDWR, FdTable
 from repro.nros.fs.fs import Exists, FileSystem, FsError, NotFound
 
 MB = 1024 * 1024
@@ -210,4 +221,87 @@ class FsModelMachine(RuleBasedStateMachine):
 TestFsModel = FsModelMachine.TestCase
 TestFsModel.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None
+)
+
+
+PATHS = ["/p0", "/p1", "/p2"]
+#: three paths, so fd 3 is never open: calls on it must raise
+FDS = st.integers(0, 3)
+
+
+class FdTableContractMachine(RuleBasedStateMachine):
+    """Every `FdTable` call that returns satisfies its specification
+    predicate on (`view` before, `view` after); every call that raises
+    leaves `view` unchanged.  Each path is opened while no descriptor
+    holds it and its file is still empty — `open_spec` describes
+    `O_CREAT` of a fresh path, and two descriptors on one inode break
+    `write_spec`'s frame condition; a descriptor seeked past end of file
+    is not read, because `read_spec` has no row for it
+    (tests/test_contract.py records all three)."""
+
+    def __init__(self):
+        super().__init__()
+        self.table = FdTable(
+            FileSystem.mkfs(BlockDriver(Disk(64)), num_inodes=16))
+        self.open_paths: dict[int, str] = {}
+
+    def _checked(self, call, spec):
+        pre = view(self.table)
+        try:
+            result = call()
+        except FsError:
+            assert view(self.table) == pre
+            return None
+        assert spec(pre, view(self.table), result)
+        return result
+
+    @rule(path=st.sampled_from(PATHS))
+    def open(self, path):
+        fs = self.table.fs
+        if path in self.open_paths.values() or \
+                (fs.exists(path) and fs.stat(path).size):
+            return
+        fd = self._checked(
+            lambda: self.table.open(path, O_CREAT | O_RDWR),
+            lambda pre, post, fd: open_spec(pre, post, fd))
+        self.open_paths[fd] = path
+
+    @rule(fd=FDS, length=st.integers(0, 6000))
+    def read(self, fd, length):
+        state = view(self.table)
+        if state.has_fd(fd) and state.file(fd).offset > state.file(fd).size:
+            return
+        self._checked(
+            lambda: self.table.read(fd, length),
+            lambda pre, post, data: read_spec(pre, post, fd, length, data,
+                                              len(data)))
+
+    @rule(fd=FDS, data=st.binary(max_size=5000))
+    def write(self, fd, data):
+        self._checked(
+            lambda: self.table.write(fd, data),
+            lambda pre, post, n: write_spec(pre, post, fd, data, n))
+
+    @rule(fd=FDS, offset=st.integers(-1, 9000))
+    def seek(self, fd, offset):
+        self._checked(
+            lambda: self.table.seek(fd, offset),
+            lambda pre, post, _: seek_spec(pre, post, fd, offset))
+
+    @rule(fd=FDS)
+    def close(self, fd):
+        self._checked(
+            lambda: self.table.close(fd),
+            lambda pre, post, _: close_spec(pre, post, fd))
+        self.open_paths.pop(fd, None)
+
+    @invariant()
+    def view_lists_exactly_the_open_descriptors(self):
+        assert sorted(view(self.table).files.keys()) == \
+            sorted(self.open_paths) == self.table.open_fds()
+
+
+TestFdTableContract = FdTableContractMachine.TestCase
+TestFdTableContract.settings = settings(
+    max_examples=20, stateful_step_count=30, deadline=None
 )

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.verif.contracts import (
-    ContractError,
-    contracts,
-    contracts_enabled,
-    ensures,
-    requires,
-    set_contracts_enabled,
-    snapshot,
-)
+from repro.verif.contracts import ContractError, ensures, requires, snapshot
 from repro.verif.linear import OwnershipError, OwnershipTable, Region
 
 
@@ -53,25 +45,6 @@ class TestContracts:
         c = Counter()
         assert c.bump() == 1
         assert c.bump() == 2
-
-    def test_disable_contracts(self):
-        @requires(lambda x: x > 0)
-        def f(x):
-            return x
-
-        with contracts(False):
-            assert not contracts_enabled()
-            assert f(-5) == -5  # unchecked
-        assert contracts_enabled()
-        with pytest.raises(ContractError):
-            f(-5)
-
-    def test_set_contracts_enabled(self):
-        set_contracts_enabled(False)
-        try:
-            assert not contracts_enabled()
-        finally:
-            set_contracts_enabled(True)
 
 
 class TestRegion:
