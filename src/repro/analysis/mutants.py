@@ -4,10 +4,10 @@ A detector that has only ever said "no findings" is indistinguishable
 from a detector that is wired to nothing.  :data:`MUTANTS` names every
 seeded mutant with the pass that must flag it; ``analyze --mutant``
 dispatches from it and one tier-1 test iterates it, so "every checker
-has a must-fail mutant" is a tested property.  The NR step-protocol
-mutants are defined here, the scheduler-protocol ones beside their replay
-(:mod:`~repro.analysis.sched_race`), the source-transform interference
-ones in :mod:`~repro.analysis.rg_mutants`.
+has a must-fail mutant" is a tested property.  The protocol mutants
+override one bracket of the protocol that runs (DESIGN.md, "One
+descent, one catch-up"); the source-transform interference ones are in
+:mod:`~repro.analysis.rg_mutants`.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from repro.analysis.rg_mutants import (PMEM_MODULE, free_unlocked,
                                        split_no_merge_lock)
 from repro.analysis.sched_race import (DoubleEnqueueProtocol,
                                        StealLockElisionProtocol)
-from repro.nr.core import (
-    APPLY,
-    NodeReplicated,
-    READ,
-    READ_TAIL,
-    RELEASE,
-    SPIN,
-    TRY_COMBINE,
-    WLOCK,
-)
-from repro.nr.log import LogEntry
+from repro.nr.core import READ, NodeReplicated
 
 
 class ReaderLockElisionNR(NodeReplicated):
@@ -37,36 +27,7 @@ class ReaderLockElisionNR(NodeReplicated):
     with the reader's ``READ``, which is exactly what the lockset +
     vector-clock detector reports."""
 
-    def read_steps(self, op, node: int, thread: int):
-        replica = self.replicas[node]
-        observed_tail = self.log.tail
-        yield READ_TAIL
-
-        # Catch-up is unchanged from the real protocol.
-        while replica.ltail < observed_tail:
-            if replica.combiner is None:
-                replica.combiner = thread
-                acquired = True
-            else:
-                acquired = False
-            yield TRY_COMBINE
-            if not acquired:
-                yield SPIN
-                continue
-            while not replica.lock.try_acquire_write():
-                yield WLOCK
-            yield WLOCK
-            tail = self.log.tail
-            for entry in self.log.slice_from(replica.ltail, tail):
-                result = replica.ds.apply(entry.op)
-                if entry.node == node:
-                    replica.results[entry.thread] = result
-                replica.ltail += 1
-                yield APPLY
-            replica.lock.release_write()
-            replica.combiner = None
-            yield RELEASE
-
+    def _query_bracket(self, replica, op):
         # BUG (deliberate): the RLOCK acquire/release bracket is elided —
         # the query reads the replica unprotected.
         result = replica.ds.query(op)
@@ -80,53 +41,11 @@ class WriterLockElisionNR(NodeReplicated):
     any reader's locked ``READ`` (a read-lock alone cannot exclude an
     unlocked writer)."""
 
-    def execute_steps(self, op, node: int, thread: int):
-        replica = self.replicas[node]
-        replica.slots[thread] = op
-        yield "publish"
-
-        while True:
-            if thread in replica.results:
-                result = replica.results.pop(thread)
-                yield "check_result"
-                return result
-            yield "check_result"
-
-            if replica.combiner is None:
-                replica.combiner = thread
-                acquired = True
-            else:
-                acquired = False
-            yield TRY_COMBINE
-
-            if not acquired:
-                yield SPIN
-                continue
-
-            batch = list(replica.slots.items())
-            replica.slots.clear()
-            yield "collect"
-
-            entries = [LogEntry(op=o, node=node, thread=t) for t, o in batch]
-            self.log.append_batch(entries)
-            replica.batches += 1
-            replica.max_batch = max(replica.max_batch, len(entries))
-            self.batch_sizes.record(len(entries))
-            yield "append"
-
-            # BUG (deliberate): the WLOCK acquire/release bracket is
-            # elided — entries are applied with no writer lock held.
-            tail = self.log.tail
-            for entry in self.log.slice_from(replica.ltail, tail):
-                result = replica.ds.apply(entry.op)
-                if entry.node == node:
-                    replica.results[entry.thread] = result
-                replica.ltail += 1
-                yield APPLY
-
-            replica.combiner = None
-            self._maybe_auto_gc()
-            yield RELEASE
+    def _apply_bracket(self, replica, node):
+        # BUG (deliberate): the WLOCK acquire/release bracket is
+        # elided — entries are applied with no writer lock held.
+        yield from self._apply_log(replica, node)
+        replica.combiner = None
 
 
 #: name -> (kind, payload).  The kind names the pass that must flag the

@@ -89,21 +89,9 @@ class StealLockElisionProtocol(SchedProtocol):
     work-stealing bug where the scan of the victim's queue is
     unsynchronized against the victim's own picks."""
 
-    def migrate_steps(self, who: object, src: int, dst: int):
-        if src == dst:
-            return None
+    def _acquire_both(self, who: object, src: int, dst: int):
         yield from self._acquire(who, dst)
-        tid = self._steal_scan_locked(src)
-        yield "SCAN"
-        if tid is not None:
-            self._unqueue_locked(src, tid)
-            yield "DEQ"
-            self._renorm_locked(tid, src, dst)
-            yield "TOUCH"
-            self._enqueue_locked(dst, tid)
-            yield "ENQ"
-        yield from self._release(who, dst)
-        return tid
+        return (dst,)
 
 
 class DoubleEnqueueProtocol(SchedProtocol):
@@ -111,22 +99,8 @@ class DoubleEnqueueProtocol(SchedProtocol):
     copy: the thread becomes runnable on two cores at once, and both
     cores' subsequent picks write its entity unsynchronized."""
 
-    def migrate_steps(self, who: object, src: int, dst: int):
-        if src == dst:
-            return None
-        first, second = sorted((src, dst))
-        yield from self._acquire(who, first)
-        yield from self._acquire(who, second)
-        tid = self._steal_scan_locked(src)
-        yield "SCAN"
-        if tid is not None:
-            self._renorm_locked(tid, src, dst)
-            yield "TOUCH"
-            self._enqueue_locked(dst, tid)
-            yield "ENQ"
-        yield from self._release(who, second)
-        yield from self._release(who, first)
-        return tid
+    def _unqueue_steps(self, src: int, tid: int):
+        return ()  # BUG (deliberate): no dequeue, and no DEQ step
 
 
 # -- the replay ---------------------------------------------------------------

@@ -75,15 +75,8 @@ class SimpleFrameAllocator:
         self._free.append(paddr)
 
 
-# Hot-path bit tests (semantically identical to entry.decode, which the
-# refinement proof checks; the implementation avoids building EntryView
-# objects on every walk step, exactly as the compiled Rust original would).
 _PRESENT = 1 << defs.BIT_PRESENT
 _HUGE = 1 << defs.BIT_HUGE
-
-
-def _maps_page(raw: int, level: int) -> bool:
-    return level == 3 or (level in (1, 2) and bool(raw & _HUGE))
 
 
 @dataclass(frozen=True)
@@ -94,6 +87,24 @@ class Mapping:
     paddr: int  # frame base physical address
     size: PageSize
     flags: Flags
+
+
+def _mapping(vaddr: int, raw: int, level: int) -> Mapping:
+    """The mapping a page entry `raw` at `level` gives `vaddr`."""
+    view = entry.decode(raw, level)
+    size = PageSize.for_level(level)
+    return Mapping(vaddr=defs.vaddr_base(vaddr, size), paddr=view.paddr,
+                   size=size, flags=view.flags)
+
+
+def _check_map_args(vaddr: int, frame_paddr: int, size: PageSize) -> None:
+    mask = int(size) - 1
+    if vaddr & mask:
+        raise BadRequest(f"vaddr {vaddr:#x} not aligned to {size.name}")
+    if frame_paddr & mask:
+        raise BadRequest(f"frame {frame_paddr:#x} not aligned to {size.name}")
+    if frame_paddr & ~defs.ADDR_MASK:
+        raise BadRequest(f"frame {frame_paddr:#x} beyond physical range")
 
 
 class PageTable:
@@ -107,19 +118,44 @@ class PageTable:
             memory.zero_frame(root_paddr)
         self.root_paddr = root_paddr
 
-    # -- helpers ----------------------------------------------------------------
+    # -- the walk -----------------------------------------------------------------
 
     def _entry_paddr(self, table_paddr: int, vaddr: int, level: int) -> int:
         # shift+mask == the bit-field extraction (VC addr_index_extract_*)
         index = (vaddr >> defs.LEVEL_SHIFTS[level]) & 0x1FF
         return table_paddr + index * defs.ENTRY_SIZE
 
-    def _read(self, table_paddr: int, vaddr: int, level: int) -> tuple[int, entry.EntryView]:
-        raw = self.memory.load_u64(self._entry_paddr(table_paddr, vaddr, level))
-        return raw, entry.decode(raw, level)
+    def _descend(self, vaddr: int, stop: int, path: list[int] | None = None):
+        """Follow present table entries from the root; stop at the first
+        entry that is non-present, maps a page, or sits at level `stop`.
+        Returns ``(table, level, entry_paddr, raw)`` of that entry and
+        appends the paddr of every table entry followed to `path`.
 
-    def _table_is_empty(self, table_paddr: int) -> bool:
-        return self.memory.is_zero_range(table_paddr, defs.PAGE_SIZE)
+        The one four-level walk: `map_frame`, `unmap`, `unmap_batch` and
+        `resolve` are readings of it.  The bit tests are semantically
+        `entry.decode` (which the refinement proof checks) without an
+        EntryView per step, as the compiled Rust original would be."""
+        if not defs.is_canonical(vaddr):
+            raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
+        load = self.memory.load_u64
+        table = self.root_paddr
+        for level in range(defs.NUM_LEVELS):
+            entry_paddr = self._entry_paddr(table, vaddr, level)
+            raw = load(entry_paddr)
+            if (level == stop or not raw & _PRESENT
+                    or (raw & _HUGE and level in (1, 2))):
+                return table, level, entry_paddr, raw
+            if path is not None:
+                path.append(entry_paddr)
+            table = raw & defs.ADDR_MASK
+        raise AssertionError("unreachable: stop is a level")
+
+    def _set_leaf(self, entry_paddr: int, raw: int, vaddr: int,
+                  frame_paddr: int, flags: Flags, level: int) -> None:
+        if raw & _PRESENT:
+            raise AlreadyMapped(f"{vaddr:#x} already mapped")
+        self.memory.store_u64(
+            entry_paddr, entry.encode_page(frame_paddr, flags, level))
 
     # -- operations ---------------------------------------------------------------
 
@@ -131,54 +167,36 @@ class PageTable:
         leaf entry (:meth:`map_batch` caches it to skip repeat walks).
 
         Raises :class:`BadRequest` on misalignment, :class:`AlreadyMapped`
-        when any existing mapping overlaps the range, and
-        :class:`OutOfFrames` when a needed intermediate table cannot be
+        when any existing mapping overlaps the range, and whatever the
+        allocator raises when a needed intermediate table cannot be
         allocated (in which case the tree is left unchanged)."""
-        if not 0 <= vaddr < defs.MAX_VADDR:
-            raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
-        mask = int(size) - 1
-        if vaddr & mask:
-            raise BadRequest(f"vaddr {vaddr:#x} not aligned to {size.name}")
-        if frame_paddr & mask:
-            raise BadRequest(f"frame {frame_paddr:#x} not aligned to {size.name}")
-        if frame_paddr & ~defs.ADDR_MASK:
-            raise BadRequest(f"frame {frame_paddr:#x} beyond physical range")
-
-        target_level = size.level
-        table = self.root_paddr
-        created: list[tuple[int, int]] = []  # (entry paddr, table frame)
-        try:
-            for level in range(target_level):
-                entry_paddr = self._entry_paddr(table, vaddr, level)
-                raw = self.memory.load_u64(entry_paddr)
-                if raw & _PRESENT:
-                    if _maps_page(raw, level):
-                        raise AlreadyMapped(
-                            f"{vaddr:#x} covered by a "
-                            f"{PageSize.for_level(level).name} page at "
-                            f"{defs.LEVEL_NAMES[level]}"
-                        )
-                    table = raw & defs.ADDR_MASK
-                else:
-                    new_table = self.allocator.alloc_frame()
-                    self.memory.zero_frame(new_table)
-                    self.memory.store_u64(entry_paddr, entry.encode_table(new_table))
-                    created.append((entry_paddr, new_table))
-                    table = new_table
-            leaf = self._entry_paddr(table, vaddr, target_level)
-            if self.memory.load_u64(leaf) & _PRESENT:
-                raise AlreadyMapped(f"{vaddr:#x} already mapped")
-            self.memory.store_u64(
-                leaf, entry.encode_page(frame_paddr, flags, target_level)
-            )
-            return table
-        except (AlreadyMapped, OutOfFrames):
-            # Roll back any tables created on this walk so a failed map
-            # leaves the tree exactly as it was.
-            for entry_paddr, table_frame in reversed(created):
-                self.memory.store_u64(entry_paddr, 0)
-                self.allocator.free_frame(table_frame)
-            raise
+        _check_map_args(vaddr, frame_paddr, size)
+        target = size.level
+        table, level, entry_paddr, raw = self._descend(vaddr, target)
+        if level < target:
+            if raw & _PRESENT:
+                raise AlreadyMapped(
+                    f"{vaddr:#x} covered by a "
+                    f"{PageSize.for_level(level).name} page at "
+                    f"{defs.LEVEL_NAMES[level]}"
+                )
+            created: list[tuple[int, int]] = []  # (entry paddr, table frame)
+            try:
+                for child_level in range(level + 1, target + 1):
+                    table = self.allocator.alloc_frame()
+                    self.memory.zero_frame(table)
+                    self.memory.store_u64(entry_paddr, entry.encode_table(table))
+                    created.append((entry_paddr, table))
+                    entry_paddr = self._entry_paddr(table, vaddr, child_level)
+            except Exception:
+                # Roll back the tables created so far so a failed map
+                # leaves the tree exactly as it was.
+                for entry_paddr, table in reversed(created):
+                    self.memory.store_u64(entry_paddr, 0)
+                    self.allocator.free_frame(table)
+                raise
+        self._set_leaf(entry_paddr, raw, vaddr, frame_paddr, flags, target)
+        return table
 
     def map_batch(self, entries) -> int:
         """Map N ``(vaddr, frame, size, flags)`` entries; returns the count.
@@ -202,24 +220,12 @@ class PageTable:
                     if size is PageSize.SIZE_4K:
                         leaf_tables[vaddr >> shift] = table
                 else:
-                    # same checks map_frame's leaf step performs; the
-                    # interior descent is skipped, not the obligations
-                    if vaddr & 0xFFF:
-                        raise BadRequest(
-                            f"vaddr {vaddr:#x} not aligned to SIZE_4K")
-                    if frame_paddr & 0xFFF:
-                        raise BadRequest(
-                            f"frame {frame_paddr:#x} not aligned to SIZE_4K")
-                    if frame_paddr & ~defs.ADDR_MASK:
-                        raise BadRequest(
-                            f"frame {frame_paddr:#x} beyond physical range")
+                    _check_map_args(vaddr, frame_paddr, size)
                     leaf = self._entry_paddr(table, vaddr, last)
-                    if self.memory.load_u64(leaf) & _PRESENT:
-                        raise AlreadyMapped(f"{vaddr:#x} already mapped")
-                    self.memory.store_u64(
-                        leaf, entry.encode_page(frame_paddr, flags, last))
+                    self._set_leaf(leaf, self.memory.load_u64(leaf), vaddr,
+                                   frame_paddr, flags, last)
                 done.append(vaddr)
-        except PtError:
+        except Exception:  # a PtError, or whatever the allocator raises
             for vaddr in reversed(done):
                 self.unmap(vaddr)
             raise
@@ -230,41 +236,14 @@ class PageTable:
 
         Intermediate tables left empty by the removal are freed.  Raises
         :class:`NotMapped` when nothing covers `vaddr`."""
-        if not defs.is_canonical(vaddr):
-            raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
-        table = self.root_paddr
-        path: list[tuple[int, int]] = []  # (table frame, entry paddr) per level
-        for level in range(defs.NUM_LEVELS):
-            entry_paddr = self._entry_paddr(table, vaddr, level)
-            raw = self.memory.load_u64(entry_paddr)
-            if not raw & _PRESENT:
-                raise NotMapped(f"{vaddr:#x} not mapped")
-            if _maps_page(raw, level):
-                view = entry.decode(raw, level)
-                size = PageSize.for_level(level)
-                self.memory.store_u64(entry_paddr, 0)
-                removed = Mapping(
-                    vaddr=defs.vaddr_base(vaddr, size),
-                    paddr=view.paddr,
-                    size=size,
-                    flags=view.flags,
-                )
-                self._collect_empty_tables(path)
-                return removed
-            path.append((table, entry_paddr))
-            table = raw & defs.ADDR_MASK
-        raise AssertionError("unreachable: PT level maps or is empty")
-
-    def _collect_empty_tables(self, path: list[tuple[int, int]]) -> None:
-        """Free tables on the walk path that became empty, bottom-up."""
-        for parent_table, entry_paddr in reversed(path):
-            raw = self.memory.load_u64(entry_paddr)
-            child = raw & defs.ADDR_MASK
-            if not self._table_is_empty(child):
-                return
-            self.memory.store_u64(entry_paddr, 0)
-            self.allocator.free_frame(child)
-            del parent_table
+        path: list[int] = []
+        _table, level, entry_paddr, raw = self._descend(
+            vaddr, defs.NUM_LEVELS - 1, path)
+        if not raw & _PRESENT:
+            raise NotMapped(f"{vaddr:#x} not mapped")
+        self.memory.store_u64(entry_paddr, 0)
+        self._collect_empty_tables(path)
+        return _mapping(vaddr, raw, level)
 
     def unmap_batch(self, vaddrs) -> list[Mapping]:
         """Remove the mappings covering `vaddrs`, all-or-nothing.
@@ -280,117 +259,63 @@ class PageTable:
         """
         last = defs.NUM_LEVELS - 1
         shift = defs.LEVEL_SHIFTS[last - 1]
-        size_4k = PageSize.for_level(last)
-        recorded: list[tuple[int, Mapping, list[tuple[int, int]]]] = []
-        seen_leaves: set[int] = set()
+        recorded: dict[int, tuple[Mapping, list[int]]] = {}  # by leaf entry
         # vaddr >> 21 -> (leaf table paddr, interior path).  The walk is
         # read-only until the point of no return, so a leaf table found
         # once serves every other 4K page of its 2MB region: one load +
         # present check per page instead of a four-level descent.
-        leaf_tables: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        leaf_tables: dict[int, tuple[int, list[int]]] = {}
         for vaddr in vaddrs:
             cached = leaf_tables.get(vaddr >> shift)
             if cached is not None:
                 table, path = cached
+                level = last
                 entry_paddr = self._entry_paddr(table, vaddr, last)
                 raw = self.memory.load_u64(entry_paddr)
-                if not raw & _PRESENT:
-                    raise NotMapped(f"{vaddr:#x} not mapped")
-                if entry_paddr in seen_leaves:
-                    raise NotMapped(
-                        f"{vaddr:#x} covered by a mapping already "
-                        f"unmapped in this batch")
-                seen_leaves.add(entry_paddr)
-                view = entry.decode(raw, last)
-                recorded.append((
-                    entry_paddr,
-                    Mapping(
-                        vaddr=defs.vaddr_base(vaddr, size_4k),
-                        paddr=view.paddr,
-                        size=size_4k,
-                        flags=view.flags,
-                    ),
-                    path,
-                ))
-                continue
-            if not defs.is_canonical(vaddr):
-                raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
-            table = self.root_paddr
-            path = []
-            for level in range(defs.NUM_LEVELS):
-                entry_paddr = self._entry_paddr(table, vaddr, level)
-                raw = self.memory.load_u64(entry_paddr)
-                if not raw & _PRESENT:
-                    raise NotMapped(f"{vaddr:#x} not mapped")
-                if _maps_page(raw, level):
-                    if entry_paddr in seen_leaves:
-                        raise NotMapped(
-                            f"{vaddr:#x} covered by a mapping already "
-                            f"unmapped in this batch")
-                    seen_leaves.add(entry_paddr)
-                    if level == last:
-                        leaf_tables[vaddr >> shift] = (table, path)
-                    view = entry.decode(raw, level)
-                    size = PageSize.for_level(level)
-                    recorded.append((
-                        entry_paddr,
-                        Mapping(
-                            vaddr=defs.vaddr_base(vaddr, size),
-                            paddr=view.paddr,
-                            size=size,
-                            flags=view.flags,
-                        ),
-                        path,
-                    ))
-                    break
-                path.append((table, entry_paddr))
-                table = raw & defs.ADDR_MASK
+            else:
+                path = []
+                table, level, entry_paddr, raw = self._descend(
+                    vaddr, last, path)
+                if level == last:
+                    leaf_tables[vaddr >> shift] = (table, path)
+            if not raw & _PRESENT:
+                raise NotMapped(f"{vaddr:#x} not mapped")
+            if entry_paddr in recorded:
+                raise NotMapped(
+                    f"{vaddr:#x} covered by a mapping already "
+                    f"unmapped in this batch")
+            recorded[entry_paddr] = (_mapping(vaddr, raw, level), path)
         # point of no return: clear every leaf entry, then free tables
         # the batch emptied (once per distinct path, bottom-up)
-        for entry_paddr, _mapping, _path in recorded:
+        for entry_paddr in recorded:
             self.memory.store_u64(entry_paddr, 0)
         collected: set[tuple] = set()
-        for _entry_paddr, _mapping, path in recorded:
-            key = tuple(entry_paddr for _table, entry_paddr in path)
-            if key in collected:
-                continue
-            collected.add(key)
-            self._collect_empty_tables_batch(path)
-        return [mapping for _entry_paddr, mapping, _path in recorded]
+        for _removed, path in recorded.values():
+            key = tuple(path)
+            if key not in collected:
+                collected.add(key)
+                self._collect_empty_tables(path)
+        return [mapping for mapping, _path in recorded.values()]
 
-    def _collect_empty_tables_batch(self, path: list[tuple[int, int]]) -> None:
-        """Bottom-up empty collection tolerant of entries a sibling
-        path's collection already cleared (shared ancestors in a batch)."""
-        for _parent_table, entry_paddr in reversed(path):
+    def _collect_empty_tables(self, path: list[int]) -> None:
+        """Free tables on the walk path that became empty, bottom-up,
+        tolerant of entries a sibling path's collection already cleared
+        (shared ancestors in a batch)."""
+        for entry_paddr in reversed(path):
             raw = self.memory.load_u64(entry_paddr)
             if not raw & _PRESENT:
                 continue  # an earlier path in the batch freed this child
             child = raw & defs.ADDR_MASK
-            if not self._table_is_empty(child):
+            if not self.memory.is_zero_range(child, defs.PAGE_SIZE):
                 return
             self.memory.store_u64(entry_paddr, 0)
             self.allocator.free_frame(child)
 
     def resolve(self, vaddr: int) -> Mapping | None:
         """Return the mapping covering `vaddr`, or None."""
-        if not defs.is_canonical(vaddr):
-            raise BadRequest(f"non-canonical vaddr {vaddr:#x}")
-        table = self.root_paddr
-        for level in range(defs.NUM_LEVELS):
-            raw = self.memory.load_u64(self._entry_paddr(table, vaddr, level))
-            if not raw & _PRESENT:
-                return None
-            if _maps_page(raw, level):
-                view = entry.decode(raw, level)
-                size = PageSize.for_level(level)
-                return Mapping(
-                    vaddr=defs.vaddr_base(vaddr, size),
-                    paddr=view.paddr,
-                    size=size,
-                    flags=view.flags,
-                )
-            table = raw & defs.ADDR_MASK
-        raise AssertionError("unreachable")
+        _table, level, _entry_paddr, raw = self._descend(
+            vaddr, defs.NUM_LEVELS - 1)
+        return _mapping(vaddr, raw, level) if raw & _PRESENT else None
 
     # -- whole-tree operations ---------------------------------------------------
 

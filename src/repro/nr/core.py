@@ -146,20 +146,7 @@ class NodeReplicated:
             _BATCHES.inc()
             yield APPEND
 
-            while not replica.lock.try_acquire_write():
-                yield WLOCK
-            yield WLOCK
-
-            tail = self.log.tail
-            for entry in self.log.slice_from(replica.ltail, tail):
-                result = replica.ds.apply(entry.op)
-                if entry.node == node:
-                    replica.results[entry.thread] = result
-                replica.ltail += 1
-                yield APPLY
-
-            replica.lock.release_write()
-            replica.combiner = None
+            yield from self._apply_bracket(replica, node)
             self._maybe_auto_gc()
             yield RELEASE
 
@@ -170,13 +157,19 @@ class NodeReplicated:
                 self.auto_gcs += 1
 
     def read_steps(self, op, node: int, thread: int):
-        """Generator protocol for one read-only operation."""
+        """Generator protocol for one read-only operation: catch the
+        local replica up to the observed tail, then query it."""
+        yield from self.sync_steps(node, thread)
+        return (yield from self._query_bracket(self.replicas[node], op))
+
+    def sync_steps(self, node: int, thread: int):
+        """Generator protocol: catch the replica up to the current tail
+        without performing a query (the first half of a read; also used
+        by GC and by readers on other replicas), becoming a
+        (non-collecting) combiner if needed."""
         replica = self.replicas[node]
         observed_tail = self.log.tail
         yield READ_TAIL
-
-        # Ensure the local replica has applied everything up to the
-        # observed tail; become a (non-collecting) combiner if needed.
         while replica.ltail < observed_tail:
             if replica.combiner is None:
                 replica.combiner = thread
@@ -187,20 +180,36 @@ class NodeReplicated:
             if not acquired:
                 yield SPIN
                 continue
-            while not replica.lock.try_acquire_write():
-                yield WLOCK
-            yield WLOCK
-            tail = self.log.tail
-            for entry in self.log.slice_from(replica.ltail, tail):
-                result = replica.ds.apply(entry.op)
-                if entry.node == node:
-                    replica.results[entry.thread] = result
-                replica.ltail += 1
-                yield APPLY
-            replica.lock.release_write()
-            replica.combiner = None
+            yield from self._apply_bracket(replica, node)
             yield RELEASE
 
+    # -- the two lock brackets (what the seeded mutants override) -------------------
+
+    def _apply_bracket(self, replica: Replica, node: int):
+        """Combiner side: under the writer lock, apply the log from
+        ``ltail`` to the tail; then drop the lock and the combiner slot
+        — also when the data structure raises, so a failing operation
+        surfaces as an exception, never as a wedged replica."""
+        while not replica.lock.try_acquire_write():
+            yield WLOCK
+        yield WLOCK
+        try:
+            yield from self._apply_log(replica, node)
+        finally:
+            replica.lock.release_write()
+            replica.combiner = None
+
+    def _apply_log(self, replica: Replica, node: int):
+        tail = self.log.tail
+        for entry in self.log.slice_from(replica.ltail, tail):
+            result = replica.ds.apply(entry.op)
+            if entry.node == node:
+                replica.results[entry.thread] = result
+            replica.ltail += 1
+            yield APPLY
+
+    def _query_bracket(self, replica: Replica, op):
+        """Reader side: query the replica under the reader lock."""
         while not replica.lock.try_acquire_read():
             yield RLOCK
         yield RLOCK
@@ -226,37 +235,6 @@ class NodeReplicated:
         """Bring every replica up to the current log tail (quiescence)."""
         for node in range(self.num_nodes):
             _drain(self.sync_steps(node, thread=-1 - node))
-
-    def sync_steps(self, node: int, thread: int):
-        """Generator protocol: catch the replica up to the current tail
-        without performing a query (used by GC and by readers on other
-        replicas)."""
-        replica = self.replicas[node]
-        observed_tail = self.log.tail
-        yield READ_TAIL
-        while replica.ltail < observed_tail:
-            if replica.combiner is None:
-                replica.combiner = thread
-                acquired = True
-            else:
-                acquired = False
-            yield TRY_COMBINE
-            if not acquired:
-                yield SPIN
-                continue
-            while not replica.lock.try_acquire_write():
-                yield WLOCK
-            yield WLOCK
-            tail = self.log.tail
-            for entry in self.log.slice_from(replica.ltail, tail):
-                result = replica.ds.apply(entry.op)
-                if entry.node == node:
-                    replica.results[entry.thread] = result
-                replica.ltail += 1
-                yield APPLY
-            replica.lock.release_write()
-            replica.combiner = None
-            yield RELEASE
 
 
 def _drain(gen):

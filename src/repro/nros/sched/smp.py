@@ -177,18 +177,27 @@ class SchedProtocol:
         core order, held across scan + dequeue + renorm + enqueue."""
         if src == dst:
             return None
-        first, second = sorted((src, dst))
-        yield from self._acquire(who, first)
-        yield from self._acquire(who, second)
+        held = yield from self._acquire_both(who, src, dst)
         tid = self._steal_scan_locked(src)
         yield SCAN
         if tid is not None:
-            self._unqueue_locked(src, tid)
-            yield DEQ
+            yield from self._unqueue_steps(src, tid)
             self._renorm_locked(tid, src, dst)
             yield TOUCH
             self._enqueue_locked(dst, tid)
             yield ENQ
-        yield from self._release(who, second)
-        yield from self._release(who, first)
+        for core in reversed(held):
+            yield from self._release(who, core)
         return tid
+
+    # -- migration's two obligations (what the seeded mutants override) ----
+
+    def _acquire_both(self, who: object, src: int, dst: int):
+        first, second = sorted((src, dst))
+        yield from self._acquire(who, first)
+        yield from self._acquire(who, second)
+        return first, second
+
+    def _unqueue_steps(self, src: int, tid: int):
+        self._unqueue_locked(src, tid)
+        yield DEQ

@@ -28,20 +28,22 @@ from repro.core.pt.impl import (
     BadRequest,
     Mapping,
     NotMapped,
+    OutOfFrames,
     PageTable,
 )
 from repro.hw.mem import PhysicalMemory
 from repro.hw.mmu import Mmu, TranslationFault
 from repro.hw.tlb import Tlb
 from repro.nr.core import NodeReplicated
+from repro.nros.pmem import OutOfMemory
 
 
 class VSpaceError(Exception):
     """An address-space operation failed (wraps the page-table error).
 
     ``kind`` is the replica's typed error class (``not_mapped``,
-    ``already_mapped``, ``bad_request``) when known, so callers can map
-    it to an errno without parsing the message."""
+    ``already_mapped``, ``bad_request``, ``no_memory``) when known, so
+    callers can map it to an errno without parsing the message."""
 
     def __init__(self, message: str, kind: str | None = None) -> None:
         super().__init__(message)
@@ -77,6 +79,10 @@ class _PtDs:
             return ("err", "not_mapped", str(exc))
         except BadRequest as exc:
             return ("err", "bad_request", str(exc))
+        except (OutOfFrames, OutOfMemory) as exc:
+            # no table frame: the page table rolled the op back; a typed
+            # result lets every replica consume the log entry
+            return ("err", "no_memory", str(exc))
         raise ValueError(f"unknown vspace op {op!r}")
 
     def _apply_map_batch(self, entries):
@@ -154,22 +160,22 @@ class VSpace:
 
     # -- operations -----------------------------------------------------------------
 
-    def map(self, vaddr: int, frame: int, size: PageSize, flags: Flags,
-            core: int = 0) -> None:
-        node = self._core_node.get(core, 0)
-        result = self.nr.execute(("map", vaddr, frame, size, flags),
-                                 node=node, thread=core)
+    def _run(self, driver, op, core: int):
+        """Run `op` from `core` through NR; an err result raises
+        :class:`VSpaceError` carrying the replica's typed kind."""
+        result = driver(op, node=self._core_node.get(core, 0), thread=core)
         if result[0] != "ok":
             raise VSpaceError(result[2], kind=result[1])
+        return result[1]
+
+    def map(self, vaddr: int, frame: int, size: PageSize, flags: Flags,
+            core: int = 0) -> None:
+        self._run(self.nr.execute, ("map", vaddr, frame, size, flags), core)
         self.mapped_pages += 1
         self._obs_mapped.inc()
 
     def unmap(self, vaddr: int, core: int = 0) -> Mapping:
-        node = self._core_node.get(core, 0)
-        result = self.nr.execute(("unmap", vaddr), node=node, thread=core)
-        if result[0] != "ok":
-            raise VSpaceError(result[2], kind=result[1])
-        removed = result[1]
+        removed = self._run(self.nr.execute, ("unmap", vaddr), core)
         self.mapped_pages -= 1
         self._obs_mapped.dec()
         # The unmap is only safe once *every* replica has applied it (no
@@ -193,11 +199,7 @@ class VSpace:
         entries = tuple(entries)
         if not entries:
             return
-        node = self._core_node.get(core, 0)
-        result = self.nr.execute(("map_batch", entries), node=node,
-                                 thread=core)
-        if result[0] != "ok":
-            raise VSpaceError(result[2], kind=result[1])
+        self._run(self.nr.execute, ("map_batch", entries), core)
         self.mapped_pages += len(entries)
         self._obs_mapped.inc(len(entries))
         self._obs_batch.record(len(entries))
@@ -219,12 +221,8 @@ class VSpace:
         vaddrs = tuple(vaddrs)
         if not vaddrs:
             return []
-        node = self._core_node.get(core, 0)
-        result = self.nr.execute(("unmap_batch", vaddrs), node=node,
-                                 thread=core)
-        if result[0] != "ok":
-            raise VSpaceError(result[2], kind=result[1])
-        removed = list(result[1])
+        removed = list(self._run(self.nr.execute, ("unmap_batch", vaddrs),
+                                 core))
         self.mapped_pages -= len(removed)
         self._obs_mapped.dec(len(removed))
         self._obs_batch.record(len(removed))
@@ -233,11 +231,7 @@ class VSpace:
         return removed
 
     def resolve(self, vaddr: int, core: int = 0) -> Mapping | None:
-        node = self._core_node.get(core, 0)
-        result = self.nr.execute_ro(("resolve", vaddr), node=node, thread=core)
-        if result[0] != "ok":
-            raise VSpaceError(result[2], kind=result[1])
-        return result[1]
+        return self._run(self.nr.execute_ro, ("resolve", vaddr), core)
 
     def _shootdown(self, vaddrs: list[int]) -> None:
         """One shootdown round: deliver every registered core its

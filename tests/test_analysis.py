@@ -294,11 +294,14 @@ def test_json_format_validates_against_obs_schema():
 
 #: Active findings ``analyze --seed 1`` reports per registered mutant
 #: (None = the clean tree).  A new mutant must be added here, so the
-#: registry cannot grow an entry no gate exercises.
+#: registry cannot grow an entry no gate exercises.  writer-lock-elision
+#: moved 2 -> 3 once (PR 22): the mutant now overrides the one apply
+#: bracket, which the read-side catch-up shares, so a reader that
+#: becomes combiner also applies unlocked — one more racing pair.
 MUTANT_FINDINGS_AT_SEED_1 = {
     None: 0,
     "reader-lock-elision": 2,
-    "writer-lock-elision": 2,
+    "writer-lock-elision": 3,
     "sched-steal-lock-elision": 9,
     "sched-double-enqueue": 2,
     "pmem-free-unlocked": 7,
@@ -310,6 +313,39 @@ def test_mutant_registry_is_fully_gated():
     assert set(MUTANTS) == set(MUTANT_FINDINGS_AT_SEED_1) - {None}
     assert {kind for kind, _payload in MUTANTS.values()} \
         == {"nr", "sched", "rg"}
+
+
+def test_protocol_mutants_override_exactly_one_bracket():
+    """A protocol mutant is the protocol that runs minus one bracket: it
+    cannot drift from `execute_steps` / `read_steps` / `sync_steps` /
+    `migrate_steps` because it does not contain them."""
+    brackets = {"nr": {"_apply_bracket", "_query_bracket"},
+                "sched": {"_acquire_both", "_unqueue_steps"}}
+    for name, (kind, cls) in MUTANTS.items():
+        if kind in brackets:
+            own = [attr for attr, value in vars(cls).items()
+                   if callable(value)]
+            assert len(own) == 1 and own[0] in brackets[kind], (name, own)
+
+
+def test_nr_step_labels_are_pr21s():
+    """The label sequences of single-threaded execute / execute_ro /
+    sync_all, taken from PR 21's three inlined catch-up loops."""
+    from repro.nr.core import NodeReplicated
+    from repro.nr.datastructures import Counter
+
+    nr = NodeReplicated(Counter, num_nodes=2)
+    execute = ["publish", "check_result", "try_combine", "collect",
+               "append", "wlock", "apply", "release", "check_result"]
+    assert list(nr.execute_steps(("add", 1), 0, 0)) == execute
+    assert list(nr.execute_steps(("add", 1), 0, 0)) == execute
+    assert list(nr.read_steps("get", 1, 0)) == [
+        "read_tail", "try_combine", "wlock", "apply", "apply", "release",
+        "rlock", "read", "runlock"]
+    nr.execute(("add", 1), node=1)
+    assert [list(nr.sync_steps(node, -1 - node)) for node in (0, 1)] == [
+        ["read_tail", "try_combine", "wlock", "apply", "release"],
+        ["read_tail"]]
 
 
 @pytest.mark.parametrize("mutant", MUTANT_FINDINGS_AT_SEED_1,

@@ -263,6 +263,37 @@ class TestMemorySyscalls:
         assert results["paddr"] > 0
         assert results["after_unmap"] == EFAULT
 
+    def test_vm_map_enomem_then_success_once_frames_are_freed(self):
+        """Table-frame exhaustion is ENOMEM, and the address space is
+        still usable afterwards (it used to keep its NR writer lock)."""
+        from repro.nros.pmem import OutOfMemory
+        from repro.nros.syscall.abi import ENOMEM
+
+        kernel, results = Kernel(num_cores=2), {}
+
+        def prog():
+            hoard = []
+            try:
+                while True:
+                    hoard.append(kernel.frames.alloc_frame())
+            except OutOfMemory:
+                pass
+            for _ in range(2):  # the user page and one of three tables
+                kernel.frames.free_frame(hoard.pop())
+            try:
+                yield sys("vm_map", 1)
+            except SyscallError as exc:
+                results["starved"] = exc.errno
+            for frame in hoard:
+                kernel.frames.free_frame(frame)
+            base = yield sys("vm_map", 1)
+            yield sys("poke", base, 7)
+            results["value"] = yield sys("peek", base)
+
+        run_program(prog, kernel=kernel)
+        assert results == {"starved": ENOMEM, "value": 7}
+        assert kernel.frames.check_integrity() is None
+
     def test_cas(self):
         results = []
 

@@ -140,3 +140,12 @@ class TestFunctionalExecution:
         assert not replica.results
         assert not replica.lock.writer
         assert replica.lock.readers == 0
+
+    def test_raising_data_structure_releases_the_replica(self):
+        """An exception out of `apply` is an exception for the caller,
+        not a writer lock and a combiner slot held forever."""
+        nr = NodeReplicated(Counter, num_nodes=1)
+        with pytest.raises(ValueError):
+            nr.execute(("mul", 2))
+        replica = nr.replicas[0]
+        assert replica.combiner is None and not replica.lock.writer

@@ -1,5 +1,7 @@
 """Page-table implementation tests: map/unmap/resolve, GC, rollback."""
 
+from hashlib import blake2b
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from repro.core.pt.impl import (
     PageTable,
     SimpleFrameAllocator,
 )
+from repro.core.refine.proof import TREE_INVARIANTS
 from repro.hw.mem import PhysicalMemory
+from repro.nros.pmem import OutOfMemory
 
 MB = 1024 * 1024
 
@@ -173,6 +177,49 @@ class TestRollbackAndDestroy:
         with pytest.raises(OutOfFrames):
             pt.map_frame(1 << 39, 0x1000, PageSize.SIZE_4K, Flags())
         assert alloc.allocated == used
+
+    @pytest.mark.parametrize("exc", [OutOfFrames, OutOfMemory])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kth_table_allocation_failure_rolls_back(self, k, exc):
+        """Whatever the allocator raises — the kernel's buddy allocator
+        raises OutOfMemory, not OutOfFrames — a map whose k-th table
+        allocation fails leaves memory and allocator untouched."""
+        pt, alloc = make_pt(64 * defs.PAGE_SIZE)
+        mem, real, calls = pt.memory, alloc.alloc_frame, []
+
+        def failing():
+            calls.append(None)
+            if len(calls) == k:
+                raise exc("injected")
+            return real()
+
+        def state():  # a digest, so a failure does not print the image
+            return blake2b(mem.read(0, mem.size)).hexdigest(), alloc.allocated
+
+        alloc.alloc_frame = failing
+        before = state()
+        with pytest.raises(exc):
+            pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags())
+        assert state() == before
+        for name in ("no_empty_intermediate", "entries_well_formed",
+                     "tables_within_memory"):
+            assert TREE_INVARIANTS[name](mem, pt), name
+
+    def test_batch_rolls_back_on_allocator_failure(self):
+        """A batch whose second leaf table cannot be allocated unwinds
+        the pages it already mapped, OutOfMemory included."""
+        pt, alloc = make_pt(64 * defs.PAGE_SIZE)
+        pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags())
+        used, before = alloc.allocated, pt.mappings()
+
+        def exhausted():
+            raise OutOfMemory("injected")
+
+        alloc.alloc_frame = exhausted
+        with pytest.raises(OutOfMemory):
+            pt.map_batch([(0x2000, 0x20_0000, PageSize.SIZE_4K, Flags()),
+                          (0x20_0000, 0x30_0000, PageSize.SIZE_4K, Flags())])
+        assert (alloc.allocated, pt.mappings()) == (used, before)
 
     def test_destroy_frees_everything(self):
         pt, alloc = make_pt()

@@ -6,7 +6,7 @@ from repro.core.pt.defs import Flags, PageSize
 from repro.core.pt.impl import PageTable
 from repro.hw.mem import PhysicalMemory
 from repro.hw.mmu import TranslationFault
-from repro.nros.pmem import BuddyAllocator
+from repro.nros.pmem import BuddyAllocator, OutOfMemory
 from repro.nros.pt_unverified import UnverifiedPageTable
 from repro.nros.vspace import VSpace, VSpaceError
 
@@ -20,6 +20,36 @@ def make_vspace(num_nodes=2, cores=4):
     for core in range(cores):
         vspace.attach_core(core, core % num_nodes)
     return vspace, mem, alloc
+
+
+class TestFrameExhaustion:
+    def test_failed_map_is_typed_and_does_not_wedge_the_space(self):
+        """A table-frame shortage inside the replica surfaces as a typed
+        error with the writer lock and combiner slot released: the next
+        map / resolve / unmap on the same address space completes.
+        (One replica: a second one would apply the logged map later,
+        against whatever the shared allocator holds by then.)"""
+        vspace, _, alloc = make_vspace(num_nodes=1)
+        real, calls = alloc.alloc_frame, []
+
+        def scarce():  # the PDPT is granted, the PD is not
+            calls.append(None)
+            if len(calls) == 2:
+                raise OutOfMemory("injected")
+            return real()
+
+        alloc.alloc_frame = scarce
+        free = alloc.free_blocks()
+        with pytest.raises(VSpaceError) as failure:
+            vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+        assert failure.value.kind == "no_memory"
+        replica = vspace.nr.replicas[0]
+        assert replica.lock.writer is False and replica.combiner is None
+        assert replica.ltail == vspace.nr.log.tail
+        assert alloc.free_blocks() == free
+        assert vspace.resolve(0x1000) is None
+        vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+        assert vspace.unmap(0x1000).paddr == 0x10_0000
 
 
 class TestMapping:
