@@ -53,19 +53,26 @@ class ClusterMsgError(Exception):
     """A datagram that is not a well-formed cluster message."""
 
 
+#: The canonical JSON form (sorted keys, no whitespace) as one encoder
+#: built once: ``json.dumps`` with these arguments builds one per call.
+#: The WAL frames its records with the same encoder.
+canonical_json = json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode
+_parse_json = json.JSONDecoder().decode
+
+
 def encode(msg: dict) -> bytes:
     """Canonical bytes of one message (must carry a known ``kind``)."""
     kind = msg.get("kind")
     if kind not in ALL_KINDS:
         raise ClusterMsgError(f"unknown message kind {kind!r}")
-    return json.dumps(msg, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return canonical_json(msg).encode("utf-8")
 
 
 def decode(data: bytes) -> dict:
     """Parse one datagram; raises :class:`ClusterMsgError` on garbage."""
     try:
-        msg = json.loads(data.decode("utf-8"))
+        msg = _parse_json(data.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ClusterMsgError(f"not a cluster message: {exc}") from exc
     if not isinstance(msg, dict):

@@ -38,6 +38,11 @@ class HashRing:
         self.vnodes = vnodes
         self._nodes: set[str] = set()
         self._tokens: list[tuple[int, str]] = []  # sorted (point, node)
+        # token index -> every node, in clockwise order of first token
+        # from there.  A function of the membership alone, so it is
+        # filled on demand, holds at most one entry per token however
+        # many keys are looked up, and is dropped when membership moves.
+        self._clockwise: dict[int, list[str]] = {}
         for node in nodes:
             self.add_node(node)
 
@@ -57,6 +62,7 @@ class HashRing:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on the ring")
         self._nodes.add(node)
+        self._clockwise.clear()
         for i in range(self.vnodes):
             token = (ring_hash(f"{node}#{i}"), node)
             bisect.insort(self._tokens, token)
@@ -65,6 +71,7 @@ class HashRing:
         if node not in self._nodes:
             raise ValueError(f"node {node!r} not on the ring")
         self._nodes.remove(node)
+        self._clockwise.clear()
         self._tokens = [t for t in self._tokens if t[1] != node]
 
     # -- placement ----------------------------------------------------------
@@ -74,17 +81,24 @@ class HashRing:
         (primary first).  `n` is clamped to the ring population."""
         if not self._tokens:
             raise ValueError("ring is empty")
-        n = min(n, len(self._nodes))
-        point = ring_hash(key)
-        start = bisect.bisect_right(self._tokens, (point, "￿"))
-        owners: list[str] = []
+        start = bisect.bisect_right(
+            self._tokens, (ring_hash(key), "\uffff")) % len(self._tokens)
+        order = self._clockwise.get(start)
+        if order is None:
+            order = self._clockwise[start] = self._distinct_from(start)
+        return order[:n] if n > 0 else []
+
+    def _distinct_from(self, start: int) -> list[str]:
+        """Every node, in the order a clockwise walk from token `start`
+        first meets it."""
+        order: list[str] = []
         for offset in range(len(self._tokens)):
             node = self._tokens[(start + offset) % len(self._tokens)][1]
-            if node not in owners:
-                owners.append(node)
-                if len(owners) == n:
+            if node not in order:
+                order.append(node)
+                if len(order) == len(self._nodes):
                     break
-        return owners
+        return order
 
     def primary_for(self, key: str) -> str:
         return self.owners(key, 1)[0]

@@ -49,6 +49,7 @@ import struct
 from dataclasses import dataclass, field
 from hashlib import blake2b
 
+from repro.cluster.messages import canonical_json
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs.alloc import NoSpace
 from repro.nros.fs.fs import FileTooBig
@@ -82,8 +83,7 @@ def _checksum(payload: bytes) -> bytes:
 
 def encode_record(key, value, version: int) -> bytes:
     """One framed, checksummed record (key None = commit marker)."""
-    payload = json.dumps([key, value, version], sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+    payload = canonical_json([key, value, version]).encode("utf-8")
     return (MAGIC + struct.pack("<I", len(payload))
             + _checksum(payload) + payload)
 

@@ -21,15 +21,20 @@ class PacketError(Exception):
 def checksum16(data: bytes) -> int:
     """RFC 1071 ones'-complement sum.
 
-    The big-endian 16-bit words are summed in one pass and the carries
-    folded at the end: ones'-complement addition is associative, so the
-    result equals the word-at-a-time end-around-carry loop's."""
+    Read as one big-endian integer, `data` is the sum of its 16-bit
+    words each scaled by a power of 2**16; 2**16 = 1 (mod 0xFFFF), so
+    that integer is congruent to the plain word sum, and folding carries
+    end-around is reduction mod 0xFFFF with one difference — a non-zero
+    multiple of 0xFFFF folds to 0xFFFF, not to 0."""
+    total = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+        total <<= 8     # the odd trailing byte is the high half of its word
+    return ~(total % 0xFFFF or (0xFFFF if total else 0)) & 0xFFFF
+
+
+# version/IHL, TOS, total length, identification, flags/fragment, TTL,
+# protocol, header checksum, source, destination
+_HEADER = struct.Struct(">BBHHHBBHII")
 
 
 @dataclass(frozen=True)
@@ -42,27 +47,30 @@ class Ipv4Packet:
 
     def encode(self) -> bytes:
         total_len = HEADER_LEN + len(self.payload)
-        header = struct.pack(
-            ">BBHHHBBHII",
+        cksum = checksum16(_HEADER.pack(
             0x45, 0, total_len, 0, 0, self.ttl, self.proto, 0,
-            self.src, self.dst,
-        )
-        cksum = checksum16(header)
-        header = header[:10] + cksum.to_bytes(2, "big") + header[12:]
-        return header + self.payload
+            self.src, self.dst))
+        return _HEADER.pack(
+            0x45, 0, total_len, 0, 0, self.ttl, self.proto, cksum,
+            self.src, self.dst) + self.payload
 
     @staticmethod
     def decode(data: bytes) -> "Ipv4Packet":
         if len(data) < HEADER_LEN:
             raise PacketError("packet shorter than IPv4 header")
-        (vihl, _tos, total_len, _ident, _frag, ttl, proto, cksum,
-         src, dst) = struct.unpack(">BBHHHBBHII", data[:HEADER_LEN])
+        (vihl, tos, total_len, ident, frag, ttl, proto, cksum,
+         src, dst) = _HEADER.unpack_from(data)
         if vihl != 0x45:
             raise PacketError(f"unsupported version/IHL {vihl:#x}")
         if total_len > len(data):
             raise PacketError("truncated packet")
-        header_zeroed = data[:10] + b"\x00\x00" + data[12:HEADER_LEN]
-        if checksum16(header_zeroed) != cksum:
+        if total_len < HEADER_LEN:
+            raise PacketError(
+                f"total length {total_len} is shorter than the header")
+        # the header as received (TOS, identification and fragment bits
+        # included) with its checksum field zeroed
+        if checksum16(_HEADER.pack(vihl, tos, total_len, ident, frag, ttl,
+                                   proto, 0, src, dst)) != cksum:
             raise PacketError("header checksum mismatch")
         return Ipv4Packet(
             src=src, dst=dst, proto=proto,

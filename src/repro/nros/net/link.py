@@ -59,6 +59,8 @@ class Link:
 
     def _take_for(self, src: Nic, peer: Nic) -> list[bytes]:
         """Pull the frames in `src`'s tx ring this cable should carry."""
+        if not src.tx_ring:
+            return []
         taken: list[bytes] = []
         kept: list[bytes] = []
         for frame in src.tx_ring:

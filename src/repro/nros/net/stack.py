@@ -65,6 +65,7 @@ class NetStack:
         self.stats_bad = 0
         self.stats_arp_requests = 0
         self.stats_arp_replies = 0
+        self.stats_arp_dropped = 0   # datagrams refused by a full ARP queue
         self.stats_gave_up = 0
 
     # -- neighbours ---------------------------------------------------------------
@@ -93,6 +94,8 @@ class NetStack:
             pending = self._arp_pending.setdefault(dst_ip, [])
             if len(pending) < 16:
                 pending.append(udp_bytes)
+            else:
+                self.stats_arp_dropped += 1
             self._send_arp(arp.request(self.nic.mac, self.ip, dst_ip))
             self.stats_arp_requests += 1
             return
@@ -214,14 +217,8 @@ class NetStack:
         if port in self._listeners:
             self._handle_rdp_server(packet.src, datagram)
             return 1
-        conn = self._find_conn(port, packet.src, datagram.src_port,
-                               datagram.payload)
+        conn, segment = self._find_conn(port, packet.src, datagram)
         if conn is not None:
-            try:
-                segment = RdpSegment.decode(datagram.payload)
-            except RdpError:
-                self.stats_bad += 1
-                return 0
             for reply in conn.on_segment(segment):
                 self._send_segment(conn, reply)
             return 1
@@ -233,14 +230,20 @@ class NetStack:
             return 1
         return 0  # no listener: drop
 
-    def _find_conn(self, local_port: int, remote_ip: int, remote_port: int,
-                   payload: bytes) -> RdpConnection | None:
+    def _find_conn(self, local_port: int, remote_ip: int,
+                   datagram: UdpDatagram,
+                   ) -> tuple[RdpConnection | None, RdpSegment | None]:
+        """-> (connection, decoded segment), the segment decoded once;
+        (None, None) for a datagram that belongs to no connection.  A
+        stack with no connections does not parse plain UDP as RDP."""
+        if not self._conns:
+            return None, None
         try:
-            segment = RdpSegment.decode(payload)
+            segment = RdpSegment.decode(datagram.payload)
         except RdpError:
-            return None
-        key = (local_port, remote_ip, remote_port, segment.conn_id)
-        return self._conns.get(key)
+            return None, None
+        key = (local_port, remote_ip, datagram.src_port, segment.conn_id)
+        return self._conns.get(key), segment
 
     def _handle_rdp_server(self, src_ip: int, datagram: UdpDatagram) -> None:
         listener = self._listeners[datagram.dst_port]

@@ -14,6 +14,12 @@ class DatagramError(Exception):
     pass
 
 
+_HEADER = struct.Struct(">HHHH")  # source port, destination port, length, checksum
+# what the checksum covers ahead of the payload: the IPv4 pseudo-header
+# (source, destination, zero, protocol, UDP length), then the header
+_CHECKED = struct.Struct(">IIBBHHHHH")
+
+
 @dataclass(frozen=True)
 class UdpDatagram:
     src_port: int
@@ -22,23 +28,28 @@ class UdpDatagram:
 
     def encode(self, src_ip: int, dst_ip: int) -> bytes:
         length = HEADER_LEN + len(self.payload)
-        header = struct.pack(">HHHH", self.src_port, self.dst_port, length, 0)
-        pseudo = struct.pack(">IIBBH", src_ip, dst_ip, 0, PROTO_UDP, length)
-        cksum = checksum16(pseudo + header + self.payload)
-        header = header[:6] + cksum.to_bytes(2, "big")
-        return header + self.payload
+        cksum = checksum16(
+            _CHECKED.pack(src_ip, dst_ip, 0, PROTO_UDP, length,
+                          self.src_port, self.dst_port, length, 0)
+            + self.payload)
+        return (_HEADER.pack(self.src_port, self.dst_port, length, cksum)
+                + self.payload)
 
     @staticmethod
     def decode(data: bytes, src_ip: int, dst_ip: int) -> "UdpDatagram":
         if len(data) < HEADER_LEN:
             raise DatagramError("datagram shorter than UDP header")
-        src_port, dst_port, length, cksum = struct.unpack(">HHHH", data[:8])
+        src_port, dst_port, length, cksum = _HEADER.unpack_from(data)
         if length > len(data):
             raise DatagramError("truncated datagram")
+        if length < HEADER_LEN:
+            raise DatagramError(
+                f"length {length} is shorter than the header")
         payload = data[HEADER_LEN:length]
-        pseudo = struct.pack(">IIBBH", src_ip, dst_ip, 0, PROTO_UDP, length)
-        zeroed = data[:6] + b"\x00\x00" + payload
-        if checksum16(pseudo + zeroed) != cksum:
+        if checksum16(
+                _CHECKED.pack(src_ip, dst_ip, 0, PROTO_UDP, length,
+                              src_port, dst_port, length, 0)
+                + payload) != cksum:
             raise DatagramError("UDP checksum mismatch")
         return UdpDatagram(src_port=src_port, dst_port=dst_port,
                            payload=payload)

@@ -15,6 +15,8 @@ argument tuples.
 
 from __future__ import annotations
 
+import struct
+
 TAG_U64 = 0x01
 TAG_BOOL = 0x02
 TAG_BYTES = 0x03
@@ -30,42 +32,60 @@ class MarshalError(Exception):
     """Unsupported value or malformed buffer."""
 
 
-def _pack_u64(value: int) -> bytes:
-    return value.to_bytes(8, "little")
+# Every tag but NONE and BOOL is followed by one u64 (the value, or the
+# length / arity of what follows): one tagged word, packed and unpacked
+# in a single call.
+_WORD = struct.Struct("<BQ")
+_pack_word = _WORD.pack
+_unpack_word = _WORD.unpack_from
 
-
-def _unpack_u64(buf: bytes, offset: int) -> tuple[int, int]:
-    if offset + 8 > len(buf):
-        raise MarshalError(f"truncated u64 at offset {offset}")
-    return int.from_bytes(buf[offset : offset + 8], "little"), offset + 8
+_NONE = bytes([TAG_NONE])
+_FALSE, _TRUE = bytes([TAG_BOOL, 0]), bytes([TAG_BOOL, 1])
+_WIRE_TYPES = (bool, int, bytes, str, tuple)  # bool first: it is an int subtype
+_WORD_TAGS = frozenset((TAG_U64, TAG_I64, TAG_BYTES, TAG_STR, TAG_TUPLE))
 
 
 def marshal(value) -> bytes:
     """Serialize a supported value to bytes."""
-    if value is None:
-        return bytes([TAG_NONE])
-    if isinstance(value, bool):  # before int: bool is an int subtype
-        return bytes([TAG_BOOL, 1 if value else 0])
-    if isinstance(value, int):
+    # Every word and payload is appended to one list and joined once, so
+    # marshalling an N-item tuple stays linear in the payload however
+    # deeply it nests (test_syscall_marshal pins the scaling).
+    parts: list[bytes] = []
+    _marshal_into(parts.append, value)
+    return b"".join(parts)
+
+
+def _marshal_into(emit, value) -> None:
+    kind = type(value)
+    if kind not in _WIRE_TYPES and value is not None:
+        # a subclass (IntEnum, namedtuple, ...) encodes as its base type
+        for kind in _WIRE_TYPES:
+            if isinstance(value, kind):
+                break
+        else:
+            raise MarshalError(f"cannot marshal {type(value).__name__}")
+    if kind is int:
         if 0 <= value <= U64_MAX:
-            return bytes([TAG_U64]) + _pack_u64(value)
-        if -(1 << 63) <= value < (1 << 63):
-            return bytes([TAG_I64]) + _pack_u64(value & U64_MAX)
-        raise MarshalError(f"integer {value} does not fit in 64 bits")
-    if isinstance(value, bytes):
-        return bytes([TAG_BYTES]) + _pack_u64(len(value)) + value
-    if isinstance(value, str):
+            emit(_pack_word(TAG_U64, value))
+        elif -(1 << 63) <= value < 0:
+            emit(_pack_word(TAG_I64, value & U64_MAX))
+        else:
+            raise MarshalError(f"integer {value} does not fit in 64 bits")
+    elif kind is tuple:
+        emit(_pack_word(TAG_TUPLE, len(value)))
+        for item in value:
+            _marshal_into(emit, item)
+    elif kind is bytes:
+        emit(_pack_word(TAG_BYTES, len(value)))
+        emit(value)
+    elif kind is str:
         payload = value.encode("utf-8")
-        return bytes([TAG_STR]) + _pack_u64(len(payload)) + payload
-    if isinstance(value, tuple):
-        # Collect the parts and join once: the final bytes() is built in
-        # a single pass instead of re-copying the accumulator per item,
-        # so marshalling an N-item tuple stays linear in the payload
-        # (test_syscall_marshal pins the scaling).
-        parts = [bytes([TAG_TUPLE]), _pack_u64(len(value))]
-        parts.extend(marshal(item) for item in value)
-        return b"".join(parts)
-    raise MarshalError(f"cannot marshal {type(value).__name__}")
+        emit(_pack_word(TAG_STR, len(payload)))
+        emit(payload)
+    elif kind is bool:
+        emit(_TRUE if value else _FALSE)
+    else:  # None: the one value the type test above lets through
+        emit(_NONE)
 
 
 def unmarshal(buf: bytes) -> object:
@@ -79,49 +99,53 @@ def unmarshal(buf: bytes) -> object:
 
 
 def _unmarshal_at(buf: bytes, offset: int) -> tuple[object, int]:
-    if offset >= len(buf):
+    end = len(buf)
+    if offset >= end:
         raise MarshalError("empty buffer")
     tag = buf[offset]
-    offset += 1
     if tag == TAG_NONE:
-        return None, offset
+        return None, offset + 1
     if tag == TAG_BOOL:
-        if offset >= len(buf):
+        if offset + 1 >= end:
             raise MarshalError("truncated bool")
-        flag = buf[offset]
+        flag = buf[offset + 1]
         if flag not in (0, 1):
             raise MarshalError(f"bad bool payload {flag}")
-        return bool(flag), offset + 1
+        return bool(flag), offset + 2
+    if tag not in _WORD_TAGS:
+        raise MarshalError(f"unknown tag {tag:#x} at offset {offset}")
+    if offset + _WORD.size > end:
+        raise MarshalError(f"truncated u64 at offset {offset + 1}")
+    _, word = _unpack_word(buf, offset)
+    offset += _WORD.size
     if tag == TAG_U64:
-        return _unpack_u64(buf, offset)
+        return word, offset
     if tag == TAG_I64:
-        raw, offset = _unpack_u64(buf, offset)
-        if raw >= 1 << 63:
-            raw -= 1 << 64
-        return raw, offset
-    if tag == TAG_BYTES:
-        length, offset = _unpack_u64(buf, offset)
-        if offset + length > len(buf):
-            raise MarshalError("truncated bytes payload")
-        return bytes(buf[offset : offset + length]), offset + length
-    if tag == TAG_STR:
-        length, offset = _unpack_u64(buf, offset)
-        if offset + length > len(buf):
-            raise MarshalError("truncated string payload")
-        try:
-            return buf[offset : offset + length].decode("utf-8"), offset + length
-        except UnicodeDecodeError as exc:
-            raise MarshalError(f"bad UTF-8: {exc}") from exc
+        return (word - (1 << 64) if word >= 1 << 63 else word), offset
     if tag == TAG_TUPLE:
-        count, offset = _unpack_u64(buf, offset)
-        if count > len(buf):  # cheap sanity bound
-            raise MarshalError(f"implausible tuple arity {count}")
+        if word > end:  # cheap sanity bound
+            raise MarshalError(f"implausible tuple arity {word}")
         items = []
-        for _ in range(count):
-            item, offset = _unmarshal_at(buf, offset)
-            items.append(item)
+        for _ in range(word):
+            # the item syscalls carry most — a whole u64 word — is
+            # decoded here; anything else (and every error) recurses
+            if offset + _WORD.size <= end and buf[offset] == TAG_U64:
+                items.append(_unpack_word(buf, offset)[1])
+                offset += _WORD.size
+            else:
+                item, offset = _unmarshal_at(buf, offset)
+                items.append(item)
         return tuple(items), offset
-    raise MarshalError(f"unknown tag {tag:#x} at offset {offset - 1}")
+    if offset + word > end:
+        raise MarshalError("truncated bytes payload" if tag == TAG_BYTES
+                           else "truncated string payload")
+    payload = buf[offset : offset + word]
+    if tag == TAG_BYTES:
+        return bytes(payload), offset + word
+    try:
+        return payload.decode("utf-8"), offset + word
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"bad UTF-8: {exc}") from exc
 
 
 def marshal_call(syscall_number: int, args: tuple) -> bytes:

@@ -1,6 +1,8 @@
 """The consistent-hash ring: determinism, balance, minimal movement."""
 
+import bisect
 import os
+import random
 import subprocess
 import sys
 
@@ -102,3 +104,71 @@ def test_membership_errors():
     empty = HashRing()
     with pytest.raises(ValueError):
         empty.owners("k")
+
+
+# -- the per-token owner table ----------------------------------------------
+
+
+def reference_owners(nodes, vnodes, key, n):
+    """The clockwise walk `owners` used to do per call, on tokens built
+    from scratch — what the per-token table must keep answering."""
+    tokens = sorted((ring_hash(f"{node}#{i}"), node)
+                    for node in nodes for i in range(vnodes))
+    n = min(n, len(set(nodes)))
+    start = bisect.bisect_right(tokens, (ring_hash(key), "￿"))
+    owners = []
+    for offset in range(len(tokens)):
+        node = tokens[(start + offset) % len(tokens)][1]
+        if node not in owners:
+            owners.append(node)
+            if len(owners) == n:
+                break
+    return owners
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_owners_after_any_membership_sequence_match_a_fresh_ring(seed):
+    rng = random.Random(seed)
+    vnodes = rng.choice((1, 3, 16, 64))
+    ring = HashRing([f"n{i}" for i in range(rng.randrange(1, 5))],
+                    vnodes=vnodes)
+    spare = [f"n{i}" for i in range(len(ring), 9)]
+    for _ in range(12):
+        # query between changes, so a stale table would be caught
+        members = ring.nodes
+        fresh = HashRing(rng.sample(members, len(members)), vnodes=vnodes)
+        for key in KEYS[:200]:
+            for n in (1, 2, 3, 99):
+                got = ring.owners(key, n)
+                assert got == fresh.owners(key, n)
+                assert got == reference_owners(members, vnodes, key, n)
+        if spare and (len(ring) == 1 or rng.random() < 0.5):
+            ring.add_node(spare.pop(rng.randrange(len(spare))))
+        else:
+            gone = rng.choice(members)
+            ring.remove_node(gone)
+            spare.append(gone)
+
+
+def test_returned_owner_lists_are_the_callers_to_mutate():
+    ring = HashRing(NODES, vnodes=16)
+    first = ring.owners("some-key", 3)
+    want = list(first)
+    first.clear()
+    first.append("intruder")
+    assert ring.owners("some-key", 3) == want
+    assert ring.owners("some-key", 99)[:3] == want
+    assert ring.owners("some-key", 0) == []
+
+
+def test_owner_table_is_bounded_by_the_ring_not_by_the_keys():
+    ring = HashRing(NODES, vnodes=8)
+    for i in range(10_000):
+        ring.owners(f"client-{i}/key-{i * 7919}", 1 + i % 3)
+    assert 0 < len(ring._clockwise) <= len(NODES) * 8
+    assert all(len(order) == len(NODES) for order in ring._clockwise.values())
+    ring.remove_node("node0")
+    assert not ring._clockwise   # dropped with the membership it described
+    ring.owners("k", 2)
+    ring.add_node("node0")
+    assert not ring._clockwise

@@ -1,6 +1,13 @@
 """The per-node WAL: framing, recovery, compaction, and its crash
 matrix on the verified filesystem."""
 
+import json
+import struct
+from hashlib import blake2b
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.cluster.wal import (
     HEADER_BYTES,
     VOLUME_FULL,
@@ -15,6 +22,7 @@ from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs.fs import FileSystem
 from repro.nros.fs.fsck import fsck
+from tests.test_cluster_messages import json_value
 
 
 def _fresh_fs(num_sectors=128):
@@ -33,6 +41,22 @@ def test_codec_roundtrip():
     records, clean = decode_records(stream)
     assert clean
     assert records == [("a", "v1", 1), ("b", None, 2), (None, 2, 7)]
+
+
+@given(st.one_of(st.none(), st.text(max_size=12)), json_value,
+       st.integers(0, 1 << 62))
+def test_record_payload_is_canonical_json(key, value, version):
+    payload = json.dumps([key, value, version], sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    assert encode_record(key, value, version) == (
+        b"WALR" + struct.pack("<I", len(payload))
+        + blake2b(payload, digest_size=8).digest() + payload)
+
+
+def test_one_record_pinned_as_bytes():
+    assert encode_record("clé", {"b": 1, "a": None}, 3).hex() == (
+        "57414c52" "1f000000" "23dd8d48ba0277f7"
+        + b'["cl\\u00e9",{"a":null,"b":1},3]'.hex())
 
 
 def test_torn_tail_is_ignored_not_fatal():

@@ -1,5 +1,7 @@
 """Network stack tests: framing, checksums, UDP, RDP over lossy links."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,33 @@ class TestIp:
     def test_checksum16_matches_reference_property(self, data):
         assert checksum16(data) == rfc1071_reference(data)
 
+    def test_decode_verifies_the_header_as_received(self):
+        """TOS / identification / fragment bits we never send are still
+        covered by the checksum of a packet that carries them."""
+        fields = [0x45, 0x10, 22, 0x1234, 0x4000, 9, 17, 0, IP_A, IP_B]
+        fields[7] = rfc1071_reference(struct.pack(">BBHHHBBHII", *fields))
+        data = struct.pack(">BBHHHBBHII", *fields) + b"hi"
+        assert Ipv4Packet.decode(data) == Ipv4Packet(IP_A, IP_B, 17, b"hi",
+                                                     ttl=9)
+        for index in (1, 4, 6):     # tos, identification, fragment bits
+            damaged = bytearray(data)
+            damaged[index] ^= 0x01
+            with pytest.raises(PacketError, match="checksum"):
+                Ipv4Packet.decode(bytes(damaged))
+
+    def test_trailing_bytes_beyond_total_len_are_not_payload(self):
+        data = Ipv4Packet(IP_A, IP_B, 17, b"hi").encode() + b"padding"
+        assert Ipv4Packet.decode(data).payload == b"hi"
+
+    def test_total_len_smaller_than_the_header_is_malformed(self):
+        """`total_len = 8` with a header checksum that is *right*: only
+        the length check can refuse it."""
+        fields = [0x45, 0, 8, 0, 0, 64, 17, 0, IP_A, IP_B]
+        fields[7] = rfc1071_reference(struct.pack(">BBHHHBBHII", *fields))
+        data = struct.pack(">BBHHHBBHII", *fields) + b"vanishing payload"
+        with pytest.raises(PacketError, match="total length 8"):
+            Ipv4Packet.decode(data)
+
     def test_ip_str_addr_roundtrip(self):
         assert ip_str(ip_addr("192.168.1.200")) == "192.168.1.200"
         with pytest.raises(ValueError):
@@ -128,6 +157,31 @@ class TestUdp:
     def test_truncated(self):
         with pytest.raises(DatagramError):
             UdpDatagram.decode(b"\x00\x01", IP_A, IP_B)
+
+    def test_trailing_bytes_beyond_length_are_not_payload(self):
+        data = UdpDatagram(1, 2, b"abc").encode(IP_A, IP_B) + b"padding"
+        assert UdpDatagram.decode(data, IP_A, IP_B).payload == b"abc"
+
+    def test_length_smaller_than_the_header_is_malformed(self):
+        """A length field of 4, checksummed over that same length the
+        way the decoder does (pseudo-header + header, no payload): only
+        the length check can refuse it."""
+        pseudo = struct.pack(">IIBBH", IP_A, IP_B, 0, 17, 4)
+        header = struct.pack(">HHHH", 1234, 80, 4, 0)
+        cksum = rfc1071_reference(pseudo + header)
+        data = struct.pack(">HHHH", 1234, 80, 4, cksum) + b"vanishing payload"
+        with pytest.raises(DatagramError, match="length 4"):
+            UdpDatagram.decode(data, IP_A, IP_B)
+
+    def test_undersized_lengths_count_as_bad_frames(self):
+        a, b, link = make_pair()
+        sock = b.udp_bind(80)
+        pseudo = struct.pack(">IIBBH", IP_A, IP_B, 0, 17, 4)
+        cksum = rfc1071_reference(pseudo + struct.pack(">HHHH", 1, 80, 4, 0))
+        bad_udp = struct.pack(">HHHH", 1, 80, 4, cksum) + b"lost"
+        a._send_ip(IP_B, bad_udp)
+        pump(link, a, b)
+        assert (b.stats_bad, b.stats_rx, list(sock.recv_queue)) == (1, 0, [])
 
 
 class TestUdpSockets:
@@ -213,6 +267,20 @@ class TestArp:
             a.udp_send(1, ip_addr("10.9.9.9"), 2, bytes([i]))
         assert len(a._arp_pending[ip_addr("10.9.9.9")]) == 16
 
+    def test_overflow_of_the_pending_queue_is_counted(self):
+        """20 sends to an unresolved address: 16 wait, 4 are dropped and
+        *counted*, and the 16 arrive in order once the reply does."""
+        a, b, link = self._unseeded_pair()
+        sock = b.udp_bind(53)
+        for i in range(20):
+            a.udp_send(1000, IP_B, 53, bytes([i]))
+        assert len(a._arp_pending[IP_B]) == 16
+        assert a.stats_arp_dropped == 4
+        pump(link, a, b, rounds=3)
+        assert [payload for _, _, payload in sock.recv_queue] == \
+            [bytes([i]) for i in range(16)]
+        assert a.stats_arp_dropped == 4
+
     def test_rdp_over_arp_resolution(self):
         """A full RDP session where neither side was preconfigured."""
         a, b, link = self._unseeded_pair()
@@ -231,6 +299,38 @@ class TestArp:
                 got = server.recv_queue.popleft()
                 break
         assert got == b"payload"
+
+
+class TestWireBytesPinned:
+    """One `udp_send` frame, byte for byte (eth + IPv4 + UDP), as the
+    stack put it on the wire before its header codecs were rewritten."""
+
+    FRAMES = {
+        b"ping": "020000000002" "020000000001" "0800"
+                 "4500002000000000401166cb" "0a000001" "0a000002"
+                 "15b31e61000cd8ee" "70696e67",
+        b"odd":  "020000000002" "020000000001" "0800"
+                 "4500001f00000000401166cc" "0a000001" "0a000002"
+                 "15b31e61000be45c" "6f6464",
+    }
+
+    @pytest.mark.parametrize("payload", sorted(FRAMES), ids=["odd", "even"])
+    def test_udp_send_frame(self, payload):
+        a, _, _ = make_pair()
+        a.udp_send(5555, IP_B, 7777, payload)
+        assert a.nic.tx_ring.popleft().hex() == self.FRAMES[payload]
+
+    @pytest.mark.parametrize("payload", sorted(FRAMES), ids=["odd", "even"])
+    def test_frame_decodes_to_the_three_dataclasses(self, payload):
+        frame = EthFrame.decode(bytes.fromhex(self.FRAMES[payload]))
+        assert (frame.dst, frame.src, frame.ethertype) == (MAC_B, MAC_A,
+                                                           0x0800)
+        packet = Ipv4Packet.decode(frame.payload)
+        assert packet == Ipv4Packet(IP_A, IP_B, 17, frame.payload[20:])
+        datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
+        assert datagram == UdpDatagram(5555, 7777, payload)
+        assert type(datagram.payload) is bytes
+        assert frame.encode() == bytes.fromhex(self.FRAMES[payload])
 
 
 class TestRdpSegments:
