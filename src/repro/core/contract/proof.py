@@ -24,10 +24,10 @@ from repro.core.contract.syscalls import (
 )
 from repro.core.contract.view import view
 from repro.core.pt.defs import Flags, PageSize
-from repro.core.pt.impl import PageTable, SimpleFrameAllocator
+from repro.core.pt.impl import SimpleFrameAllocator
 from repro.hw.devices.disk import Disk
 from repro.hw.mem import PhysicalMemory
-from repro.hw.mmu import Mmu
+from repro.hw.mmu import TranslationFault
 from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs.fd import O_CREAT, O_RDWR, BadFd, FdTable
 from repro.nros.fs.fs import FileSystem, FsError
@@ -38,11 +38,8 @@ from repro.nros.syscall.marshal import (
     unmarshal,
     unmarshal_call,
 )
-from repro.nros.syscall.usercopy import (
-    UserCopyFault,
-    copy_from_user,
-    copy_to_user,
-)
+from repro.nros.syscall.usercopy import copy_from_user, copy_to_user
+from repro.nros.vspace import VSpace
 from repro.verif.linear import OwnershipError, OwnershipTable
 from repro.verif.vc import VC
 
@@ -291,20 +288,21 @@ def contract_vcs() -> list[VC]:
     # -- mapping obligation -------------------------------------------------------
 
     def _user_setup():
+        """An address space as the kernel builds one, reached through
+        the door the kernel uses (core 0)."""
         memory = PhysicalMemory(8 * MB)
-        allocator = SimpleFrameAllocator(memory, start=4 * MB)
-        pt = PageTable(memory, allocator)
-        mmu = Mmu(memory)
+        vspace = VSpace(memory, SimpleFrameAllocator(memory, start=4 * MB))
+        vspace.attach_core(0, 0)
         # two contiguous user pages backed by *non*-contiguous frames
-        pt.map_frame(0x10000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
-        pt.map_frame(0x11000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
-        return memory, pt, mmu
+        vspace.map(0x10000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
+        vspace.map(0x11000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+        return memory, vspace
 
     def usercopy_roundtrip():
-        memory, pt, mmu = _user_setup()
+        _memory, vspace = _user_setup()
         data = bytes(range(256)) * 4
-        copy_to_user(memory, mmu, pt.root_paddr, 0x10100, data)
-        back = copy_from_user(memory, mmu, pt.root_paddr, 0x10100, len(data))
+        copy_to_user(vspace, 0, 0x10100, data)
+        back = copy_from_user(vspace, 0, 0x10100, len(data))
         if back != data:
             return "usercopy roundtrip mismatch"
         return None
@@ -315,14 +313,14 @@ def contract_vcs() -> list[VC]:
                               "location"))
 
     def usercopy_page_crossing():
-        memory, pt, mmu = _user_setup()
+        memory, vspace = _user_setup()
         data = b"Z" * 0x200
-        copy_to_user(memory, mmu, pt.root_paddr, 0x10F80, data)  # crosses
+        copy_to_user(vspace, 0, 0x10F80, data)  # crosses
         if memory.read(0x20_0F80, 0x80) != b"Z" * 0x80:
             return "first page got wrong bytes"
         if memory.read(0x10_0000, 0x180) != b"Z" * 0x180:
             return "second page got wrong bytes"
-        back = copy_from_user(memory, mmu, pt.root_paddr, 0x10F80, 0x200)
+        back = copy_from_user(vspace, 0, 0x10F80, 0x200)
         if back != data:
             return "page-crossing readback mismatch"
         return None
@@ -333,18 +331,18 @@ def contract_vcs() -> list[VC]:
                               "reassembled correctly"))
 
     def usercopy_faults_propagate():
-        memory, pt, mmu = _user_setup()
+        _memory, vspace = _user_setup()
         try:
-            copy_from_user(memory, mmu, pt.root_paddr, 0x13000, 8)
+            copy_from_user(vspace, 0, 0x13000, 8)
             return "read of unmapped user buffer succeeded"
-        except UserCopyFault:
+        except TranslationFault:
             pass
-        pt.map_frame(0x14000, 0x30_0000, PageSize.SIZE_4K,
-                     Flags(writable=False, user=True))
+        vspace.map(0x14000, 0x30_0000, PageSize.SIZE_4K,
+                   Flags(writable=False, user=True))
         try:
-            copy_to_user(memory, mmu, pt.root_paddr, 0x14000, b"x")
+            copy_to_user(vspace, 0, 0x14000, b"x")
             return "write to read-only user buffer succeeded"
-        except UserCopyFault:
+        except TranslationFault:
             return None
 
     vcs.append(VC("contract_usercopy_faults", "contract",

@@ -47,13 +47,22 @@ class Translation:
         return wordlib.align_down(self.paddr, int(self.page_size))
 
 
-class Mmu:
-    """Walks page tables in physical memory.
+def check_access(vaddr: int, flags: defs.Flags, access: AccessType,
+                 user_mode: bool) -> None:
+    """The architecture's permission rule, for a walked or a cached
+    translation alike: user accesses require the user bit, writes the
+    writable bit, instruction fetches an executable entry (NX clear)."""
+    if user_mode and not flags.user:
+        raise TranslationFault(vaddr, "supervisor page accessed from user")
+    if access is AccessType.WRITE and not flags.writable:
+        raise TranslationFault(vaddr, "write to read-only page")
+    if access is AccessType.EXECUTE and not flags.executable:
+        raise TranslationFault(vaddr, "execute of NX page")
 
-    `user_mode` access checks follow the architecture: user accesses require
-    the user bit, writes require the writable bit, instruction fetches
-    require the entry to be executable (NX clear).
-    """
+
+class Mmu:
+    """Walks page tables in physical memory; :meth:`translate` applies
+    :func:`check_access` to the walk."""
 
     def __init__(self, memory: PhysicalMemory) -> None:
         self.memory = memory
@@ -103,16 +112,10 @@ class Mmu:
     ) -> Translation:
         """Walk and enforce permissions for the given access."""
         translation = self.walk(root_paddr, vaddr)
-        flags = translation.flags
-        if user_mode and not flags.user:
-            raise TranslationFault(vaddr, "supervisor page accessed from user")
-        if access is AccessType.WRITE and not flags.writable:
-            raise TranslationFault(vaddr, "write to read-only page")
-        if access is AccessType.EXECUTE and not flags.executable:
-            raise TranslationFault(vaddr, "execute of NX page")
+        check_access(vaddr, translation.flags, access, user_mode)
         return translation
 
-    # -- convenience accessors used by the kernel's usercopy path ------------
+    # -- convenience accessors (only the hw_memops_* VCs use them) -----------
 
     def load_u64(
         self, root_paddr: int, vaddr: int, user_mode: bool = False

@@ -27,7 +27,6 @@ from repro.hw.devices.nic import Nic
 from repro.hw.devices.serial import SerialPort
 from repro.hw.devices.timer import Timer
 from repro.hw.mem import PhysicalMemory
-from repro.hw.mmu import Mmu, TranslationFault
 from repro.nros.drivers.block import BlockDriver
 from repro.nros.drivers.console import Console
 from repro.nros.drivers.netdev import NetDriver
@@ -88,7 +87,6 @@ class Kernel:
         self.num_cores = num_cores
         self.memory = PhysicalMemory(memory_bytes)
         self.frames = BuddyAllocator(self.memory)
-        self.mmu = Mmu(self.memory)
         self.disk = Disk(disk_sectors)
         self.scheduler = Scheduler(num_cores)
         self.timer = Timer()
@@ -116,7 +114,6 @@ class Kernel:
         self._registry: dict[str, object] = {}
         self._next_pid = 1
         self.pipes = PipeTable()
-        self._futex_waiters: dict[int, list[Thread]] = {}
         self._threads_by_tid: dict[int, Thread] = {}
         self.stats = KernelStats()
         self._num_nodes = max(1, (num_cores + 13) // 14)
@@ -207,42 +204,31 @@ class Kernel:
             self.net_driver.tick(self.timer.ticks)
         self._pump_network()
         self._wake_sleepers()
-        self._wake_net_waiters()
+        self._wake_pollers()
 
     def _pump_network(self) -> None:
         if self.net_driver is not None:
             if self.net_driver.poll():
-                self._wake_net_waiters()
+                self._wake_pollers()
         for irq in self.irq.pending():
             self.irq.acknowledge(irq)
 
     def _wake_sleepers(self) -> None:
         now = self.timer.ticks
-        for thread in list(self._blocked_threads("sleep")):
+        for thread in self.scheduler.parked("sleep"):
             if thread.block_reason.key <= now:
                 self.scheduler.wake(thread)
 
-    def _wake_net_waiters(self) -> None:
-        for thread in list(self._blocked_threads("net")):
-            poll_fn = thread.block_reason.key
-            result = poll_fn()
+    def _wake_pollers(self) -> None:
+        """Re-run the poll function of every thread parked by
+        ``poll_or_block`` (socket *and* pipe waits); wake the completed."""
+        for thread in self.scheduler.parked("net"):
+            result = thread.block_reason.key()
             if result is not None:
                 status, value = result
-                if status == "err":
-                    errno, message = value
-                    self.scheduler.wake(
-                        thread, ("error", SyscallError(errno, message))
-                    )
-                else:
-                    self.scheduler.wake(thread, ("value", value))
-
-    def _blocked_threads(self, kind: str):
-        for process in self.processes.values():
-            for thread in process.threads.values():
-                if (thread.state is ThreadState.BLOCKED
-                        and thread.block_reason is not None
-                        and thread.block_reason.kind == kind):
-                    yield thread
+                self.scheduler.wake(
+                    thread, ("error", SyscallError(*value))
+                    if status == "err" else ("value", value))
 
     # -- thread resumption and the syscall boundary ------------------------------------
 
@@ -294,8 +280,6 @@ class Kernel:
             return None
         if park is not None:
             self.scheduler.block(thread, park)
-            if park.kind == "futex":
-                self._futex_waiters.setdefault(park.key, []).append(thread)
             return None
         if status:
             return ("error", SyscallError(status, value))
@@ -332,7 +316,7 @@ class Kernel:
         thread.exit_value = value
         self.scheduler.forget(thread)
         # wake joiners
-        for other in list(self._blocked_threads("join")):
+        for other in self.scheduler.parked("join"):
             if other.block_reason.key == thread.tid:
                 self.scheduler.wake(other, ("value", value))
         process = thread.process
@@ -351,7 +335,7 @@ class Kernel:
         process.fdtable.close_all()
         process.vspace.sync()
         # wake a parent blocked in wait()
-        for thread in self._blocked_threads("wait"):
+        for thread in self.scheduler.parked("wait"):
             if (thread.process.pid == process.parent
                     and thread.block_reason.key in (process.pid, -1)):
                 process.state = ProcessState.REAPED
@@ -359,14 +343,3 @@ class Kernel:
                     thread, ("value", (process.pid, exit_code))
                 )
                 break
-
-    # -- what handlers ask of the kernel ---------------------------------------------------
-
-    def _translate(self, thread: Thread, vaddr: int, write: bool) -> int:
-        try:
-            return thread.process.vspace.translate(
-                self.scheduler.core_of(thread), vaddr, write=write
-            )
-        except TranslationFault as fault:
-            self.stats.page_faults += 1
-            raise SyscallFailure(abi.EFAULT, str(fault)) from fault

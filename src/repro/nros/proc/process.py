@@ -27,10 +27,13 @@ class ProcessState(enum.Enum):
 
 @dataclass
 class BlockReason:
-    """Why a thread is parked and what wakes it."""
+    """Why a thread is parked (its row in the scheduler's wait table)
+    and what wakes it."""
 
-    kind: str               # "futex" | "wait" | "join" | "sleep" | "net"
-    key: object = None      # futex paddr / pid / tid / wake tick / socket key
+    kind: str   # "futex" | "wait" | "join" | "sleep" | "sigwait" | "net"
+    #: futex paddr / child pid or -1 / tid / wake tick / own pid / the
+    #: ``poll_or_block`` poll function of a socket *or pipe* operation
+    key: object = None
 
     def __repr__(self) -> str:
         return f"<blocked on {self.kind}:{self.key}>"

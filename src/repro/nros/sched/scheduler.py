@@ -80,7 +80,9 @@ class Scheduler:
         self._threads: dict[int, Thread] = {}
         self._protocol = SchedProtocol(self._queues, self._entities,
                                        self._locks)
-        self._blocked: set[int] = set()
+        #: The wait table: ``BlockReason.kind -> {tid: Thread}`` in arrival
+        #: order (``Thread.block_reason`` is the per-thread half).
+        self._parked: dict[str, dict[int, Thread]] = {}
         self._running: dict[int, int] = {}   # tid -> core
         self._rt_streak = [0] * num_cores
         self._ready_total = 0
@@ -206,8 +208,7 @@ class Scheduler:
         tid = thread.tid
         if tid in self._running:
             self._charge(ent)
-        was_blocked = tid in self._blocked
-        self._blocked.discard(tid)
+        was_blocked = self._unpark(thread)
         thread.state = ThreadState.READY
         if ent.in_queue:
             return
@@ -235,14 +236,26 @@ class Scheduler:
             self._charge(ent)
         if ent.in_queue:
             self._unqueue(ent)
+        self._unpark(thread)
         thread.block(reason)
-        self._blocked.add(thread.tid)
+        self._parked.setdefault(reason.kind, {})[thread.tid] = thread
 
     def wake(self, thread: Thread, result=("value", None)) -> None:
         if thread.state is not ThreadState.BLOCKED:
             return
-        thread.wake(result)
-        self.ready(thread)
+        self.ready(thread)      # leaves the wait table by its block_reason
+        thread.wake(result)     # ... which this clears
+
+    def parked(self, kind: str) -> list[Thread]:
+        """The threads blocked on a ``kind`` reason, in arrival order (a
+        snapshot: wakers wake while they iterate)."""
+        return list(self._parked.get(kind, {}).values())
+
+    def _unpark(self, thread: Thread) -> bool:
+        """Take ``thread`` out of the wait table; True if it was there."""
+        reason = thread.block_reason
+        return reason is not None and self._parked.get(
+            reason.kind, {}).pop(thread.tid, None) is not None
 
     def next_thread(self, core: int | None = None) -> Thread | None:
         """The next runnable thread.
@@ -275,13 +288,13 @@ class Scheduler:
         return self._ready_total
 
     def blocked_count(self) -> int:
-        return len(self._blocked)
+        return sum(map(len, self._parked.values()))
 
     def forget(self, thread: Thread) -> None:
         tid = thread.tid
         ent = self._entities.pop(tid, None)
         self._threads.pop(tid, None)
-        self._blocked.discard(tid)
+        self._unpark(thread)
         self._running.pop(tid, None)
         if ent is not None and ent.in_queue:
             # satellite fix: exited threads no longer linger in queues
@@ -410,15 +423,21 @@ class Scheduler:
                 problems.append(f"tids {sorted(overlap)} queued on "
                                 f"multiple cores")
             queued |= members
+        blocked = set()
+        for kind, waiters in self._parked.items():
+            blocked.update(waiters)
+            problems.extend(
+                f"tid {tid} parked on {kind}, block_reason {t.block_reason!r}"
+                for tid, t in waiters.items()
+                if t.block_reason is None or t.block_reason.kind != kind)
         for tid, ent in self._entities.items():
-            places = [ent.in_queue, tid in self._running,
-                      tid in self._blocked]
+            places = [ent.in_queue, tid in self._running, tid in blocked]
             if sum(places) != 1:
                 problems.append(
                     f"tid {tid} in {sum(places)} places "
                     f"(queued={ent.in_queue}, "
                     f"running={tid in self._running}, "
-                    f"blocked={tid in self._blocked})")
+                    f"blocked={tid in blocked})")
             if ent.in_queue != (tid in queued):
                 problems.append(f"tid {tid} in_queue={ent.in_queue} but "
                                 f"queue membership={tid in queued}")

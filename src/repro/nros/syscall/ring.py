@@ -225,8 +225,8 @@ class SyscallRing:
         """``(vaddr, slots)`` runs covering SQ indices [start, start+count)
         — at most two, since a window never wraps more than once.  The
         kernel copies each run with ONE ``usercopy`` call instead of one
-        per slot, so the per-batch mapping check walks the page table a
-        couple of times per enter, not four times per entry."""
+        per slot, so the per-batch mapping check translates a couple of
+        pages per enter, not four per entry."""
         return _segments(self.sq_base, self.sq_depth, SQE_SIZE, start, count)
 
     def cq_segments(self, start: int, count: int):

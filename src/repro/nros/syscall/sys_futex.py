@@ -1,15 +1,17 @@
 """Futex syscalls: wait on / wake a word of user memory, keyed by the
-physical address so threads sharing a frame meet on one queue."""
+physical address so threads sharing a frame meet on one queue — the
+``"futex"`` row of the scheduler's wait table, in arrival order."""
 
 from __future__ import annotations
 
-from repro.nros.proc.process import BlockReason, ThreadState
+from repro.hw.mmu import AccessType
+from repro.nros.proc.process import BlockReason
 from repro.nros.syscall import abi
-from repro.nros.syscall.table import Block, SyscallFailure
+from repro.nros.syscall.table import Block, SyscallFailure, user_paddr
 
 
 def sys_futex_wait(k, thread, vaddr: int, expected: int):
-    paddr = k._translate(thread, vaddr, write=False)
+    paddr = user_paddr(k, thread, vaddr, AccessType.READ)
     current = k.memory.load_u64(paddr)
     if current != expected:
         raise SyscallFailure(abi.EAGAIN,
@@ -18,14 +20,9 @@ def sys_futex_wait(k, thread, vaddr: int, expected: int):
 
 
 def sys_futex_wake(k, thread, vaddr: int, count: int = 1) -> int:
-    paddr = k._translate(thread, vaddr, write=False)
-    waiters = k._futex_waiters.get(paddr, [])
-    woken = 0
-    while waiters and woken < count:
-        waiter = waiters.pop(0)
-        if waiter.state is ThreadState.BLOCKED:
-            k.scheduler.wake(waiter)
-            woken += 1
-    if not waiters:
-        k._futex_waiters.pop(paddr, None)
-    return woken
+    paddr = user_paddr(k, thread, vaddr, AccessType.READ)
+    waiters = [waiter for waiter in k.scheduler.parked("futex")
+               if waiter.block_reason.key == paddr][:max(count, 0)]
+    for waiter in waiters:
+        k.scheduler.wake(waiter)
+    return len(waiters)

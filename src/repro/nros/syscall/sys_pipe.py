@@ -28,7 +28,7 @@ def sys_pipe_read(k, thread, pipe_id: int, length: int):
         return None if data is None else ("ok", data)
 
     data = poll_or_block(poll)
-    k._wake_net_waiters()  # a blocked writer may now have space
+    k._wake_pollers()  # a blocked writer may now have space
     return data
 
 
@@ -43,7 +43,7 @@ def sys_pipe_write(k, thread, pipe_id: int, data: bytes):
         return None if written is None else ("ok", written)
 
     written = poll_or_block(poll)
-    k._wake_net_waiters()  # a blocked reader may now have data
+    k._wake_pollers()  # a blocked reader may now have data
     return written
 
 
@@ -52,5 +52,5 @@ def sys_pipe_close(k, thread, pipe_id: int, end: str) -> None:
     if end not in ("r", "w"):
         raise SyscallFailure(abi.EINVAL, f"bad pipe end {end!r}")
     pipe.close(end)
-    k._wake_net_waiters()  # EOF / EPIPE now observable
+    k._wake_pollers()  # EOF / EPIPE now observable
     k.pipes.reap()

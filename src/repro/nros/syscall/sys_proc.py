@@ -54,7 +54,7 @@ def sys_kill(k, thread, pid: int, sig: int = abi.SIGKILL) -> None:
             raise ProcessExited()
         return
     target.pending_signals.append(sig)
-    for waiter in list(k._blocked_threads("sigwait")):
+    for waiter in k.scheduler.parked("sigwait"):
         if waiter.process is target and target.pending_signals:
             delivered = target.pending_signals.pop(0)
             k.scheduler.wake(waiter, ("value", delivered))

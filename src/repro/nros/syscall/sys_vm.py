@@ -4,10 +4,12 @@ word access to user memory."""
 from __future__ import annotations
 
 from repro.core.pt.defs import Flags, PageSize, PAGE_SIZE
+from repro.hw.mmu import AccessType
 from repro.nros.pmem import OutOfMemory
 from repro.nros.syscall import abi
 from repro.nros.syscall.sys_files import fs_call
-from repro.nros.syscall.table import SyscallFailure, errno_call, user_read
+from repro.nros.syscall.table import (SyscallFailure, errno_call, user_paddr,
+                                      user_read)
 from repro.nros.vspace import VSpaceError
 
 
@@ -150,15 +152,15 @@ def sys_msync(k, thread, path: str, vaddr: int, length: int) -> int:
 
 
 def sys_peek(k, thread, vaddr: int) -> int:
-    return k.memory.load_u64(k._translate(thread, vaddr, write=False))
+    return k.memory.load_u64(user_paddr(k, thread, vaddr, AccessType.READ))
 
 
 def sys_poke(k, thread, vaddr: int, value: int) -> None:
-    k.memory.store_u64(k._translate(thread, vaddr, write=True), value)
+    k.memory.store_u64(user_paddr(k, thread, vaddr, AccessType.WRITE), value)
 
 
 def sys_cas(k, thread, vaddr: int, expected: int, new: int) -> tuple:
-    paddr = k._translate(thread, vaddr, write=True)
+    paddr = user_paddr(k, thread, vaddr, AccessType.WRITE)
     old = k.memory.load_u64(paddr)
     if old == expected:
         k.memory.store_u64(paddr, new)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.mmu import AccessType, TranslationFault
 from repro.nros.proc.process import BlockReason
 from repro.nros.syscall import abi
-from repro.nros.syscall.usercopy import (UserCopyFault, copy_from_user,
-                                         copy_to_user)
+from repro.nros.syscall.usercopy import copy_from_user, copy_to_user
+from repro.nros.vspace import VSpace
 
 
 class Block(Exception):
@@ -96,23 +97,29 @@ def errno_call(errnos, fn, *args, **kwargs):
         raise SyscallFailure(errno, str(exc)) from exc
 
 
-def user_read(k, thread, vaddr: int, length: int) -> bytes:
-    """``copy_from_user`` on the caller's address space; a fault is the
-    caller's ``EFAULT`` (the mapping obligation)."""
-    root = thread.process.vspace.root_for(k.scheduler.core_of(thread))
+def _user_access(k, thread, access, *args):
+    """Run ``access(vspace, core, *args)`` — the door, or a usercopy loop
+    over it — for the caller.  The one place a translation fault becomes
+    ``EFAULT`` (the mapping obligation) and is counted."""
     try:
-        return copy_from_user(k.memory, k.mmu, root, vaddr, length)
-    except UserCopyFault as exc:
-        raise SyscallFailure(abi.EFAULT, str(exc)) from exc
+        return access(thread.process.vspace, k.scheduler.core_of(thread),
+                      *args)
+    except TranslationFault as fault:
+        k.stats.page_faults += 1
+        raise SyscallFailure(abi.EFAULT, str(fault)) from fault
+
+
+def user_paddr(k, thread, vaddr: int, access: AccessType) -> int:
+    """Where the caller's word at ``vaddr`` lives, checked for ``access``."""
+    return _user_access(k, thread, VSpace.translate, vaddr, access)
+
+
+def user_read(k, thread, vaddr: int, length: int) -> bytes:
+    return _user_access(k, thread, copy_from_user, vaddr, length)
 
 
 def user_write(k, thread, vaddr: int, data: bytes) -> None:
-    """``copy_to_user`` twin of :func:`user_read`."""
-    root = thread.process.vspace.root_for(k.scheduler.core_of(thread))
-    try:
-        copy_to_user(k.memory, k.mmu, root, vaddr, data)
-    except UserCopyFault as exc:
-        raise SyscallFailure(abi.EFAULT, str(exc)) from exc
+    _user_access(k, thread, copy_to_user, vaddr, data)
 
 
 def poll_or_block(poll):

@@ -4,16 +4,17 @@ NrOS replicates kernel state — including address-space structures — per
 NUMA node through node replication.  A :class:`VSpace` therefore owns one
 page table *per node* (the NR replicas), all kept consistent through the
 operation log; each core's MMU walks its own node's tree, and unmap performs
-a TLB shootdown across every registered core.
+a TLB shootdown across every registered core.  :meth:`VSpace.translate` is
+the only way the kernel turns a user address into a physical one.
 
 Interference model (see :mod:`repro.verif.rgspec`): the page-table trees
 are mutated only inside ``_PtDs.apply``, which NR runs while holding the
 replica writer lock — that lock is the guard the rely-guarantee spec
 names for every vspace action.  The per-space bookkeeping counters
-(``mapped_pages``, ``shootdowns``) and the obs instruments are declared
-*benign* shared state: the rely admits concurrent monitoring updates and
-no invariant depends on their exact values, so the static checker does
-not require a lock around them.  TLB registration (``attach_core`` /
+(``mapped_pages``, ``shootdowns``, the walker's ``mmu.walks``) and the
+obs instruments are declared *benign* shared state: the rely admits
+concurrent monitoring updates and no invariant depends on their exact
+values, so the static checker does not require a lock around them.  TLB registration (``attach_core`` /
 ``detach_core``) is core-local configuration serialized by the caller.
 """
 
@@ -32,7 +33,7 @@ from repro.core.pt.impl import (
     PageTable,
 )
 from repro.hw.mem import PhysicalMemory
-from repro.hw.mmu import Mmu, TranslationFault
+from repro.hw.mmu import AccessType, Mmu, TranslationFault, check_access
 from repro.hw.tlb import Tlb
 from repro.nr.core import NodeReplicated
 from repro.nros.pmem import OutOfMemory
@@ -122,6 +123,7 @@ class VSpace:
         self.memory = memory
         self.allocator = allocator
         self.asid = asid
+        self.mmu = Mmu(memory)  # the walker of every miss; `walks` counts them
         self.nr = NodeReplicated(
             lambda: _PtDs(pt_factory(memory, allocator)), num_nodes=num_nodes
         )
@@ -243,32 +245,33 @@ class VSpace:
         for tlb in self._tlbs.values():
             tlb.invalidate_pages(vaddrs)
 
-    # -- translation (what instruction execution uses) -------------------------------
+    # -- translation: the one door from a user address to a physical one -------------
 
-    def translate(self, core: int, vaddr: int, write: bool = False):
-        """Translate through the core's TLB, walking on a miss."""
+    def translate(self, core: int, vaddr: int,
+                  access: AccessType = AccessType.READ) -> int:
+        """The physical address a user-mode `access` at `vaddr` reaches
+        from `core`, or :class:`TranslationFault`.
+
+        TLB first; a miss walks the core's own replica, and a walk that
+        faults syncs that replica and retries once (the tree may simply
+        lag the log; NrOS handles that page fault the same way).  The
+        permission rule is applied once, to cached and walked alike.  A
+        hit is never stale: unmap syncs every replica and shoots down
+        every core before it returns."""
         if core not in self._core_node:
             raise ValueError(f"core {core} not attached")
         tlb = self._tlbs[core]
-        cached = tlb.lookup(vaddr)
-        if cached is not None:
-            if write and not cached.flags.writable:
-                raise TranslationFault(vaddr, "write to read-only page")
-            offset = vaddr - cached.page_base_vaddr
-            return cached.frame_paddr + offset
-        mmu = Mmu(self.memory)
-        node = self._core_node[core]
-        try:
-            translation = mmu.walk(self.root_for(core), vaddr)
-        except TranslationFault:
-            # The local replica may simply lag the log (NrOS handles this
-            # page fault by syncing the replica and retrying the access).
-            self._sync_node(node, core)
-            translation = mmu.walk(self.root_for(core), vaddr)
-        if write and not translation.flags.writable:
-            raise TranslationFault(vaddr, "write to read-only page")
-        tlb.insert(translation)
-        return translation.paddr
+        translation = tlb.lookup(vaddr)
+        if translation is None:
+            root = self.root_for(core)
+            try:
+                translation = self.mmu.walk(root, vaddr)
+            except TranslationFault:
+                self._sync_node(self._core_node[core], core)
+                translation = self.mmu.walk(root, vaddr)
+            tlb.insert(translation)
+        check_access(vaddr, translation.flags, access, user_mode=True)
+        return translation.frame_paddr + vaddr - translation.page_base_vaddr
 
     def _sync_node(self, node: int, core: int) -> None:
         """Apply any outstanding log entries to this node's replica."""

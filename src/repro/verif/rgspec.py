@@ -231,7 +231,9 @@ VSPACE = Component(
         Action("_sync_node", "nr.log", writes=("nr",)),
         Action("sync", "nr.log", writes=("nr",)),
     ),
-    benign=("mapped_pages", "shootdowns", "_obs_rounds",
+    # ``mmu`` is the walker ``translate`` uses: stateless but for its
+    # ``walks`` counter
+    benign=("mapped_pages", "shootdowns", "mmu", "_obs_rounds",
             "_obs_shot_pages", "_obs_mapped", "_obs_batch"),
     readonly_methods=("execute_ro", "lookup"),
     replica_access=("root_for",),

@@ -7,10 +7,10 @@ from repro.core.contract.state import FileState, SysState
 from repro.core.contract.syscalls import open_spec, read_spec, write_spec
 from repro.core.contract.view import view
 from repro.core.pt.defs import Flags, PageSize
-from repro.core.pt.impl import PageTable, SimpleFrameAllocator
+from repro.core.pt.impl import SimpleFrameAllocator
 from repro.hw.devices.disk import Disk
 from repro.hw.mem import PhysicalMemory
-from repro.hw.mmu import Mmu
+from repro.hw.mmu import TranslationFault
 from repro.immutable import FrozenMap
 from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs.fd import (
@@ -24,11 +24,8 @@ from repro.nros.fs.fd import (
     PermissionDenied,
 )
 from repro.nros.fs.fs import FileSystem
-from repro.nros.syscall.usercopy import (
-    UserCopyFault,
-    copy_from_user,
-    copy_to_user,
-)
+from repro.nros.syscall.usercopy import copy_from_user, copy_to_user
+from repro.nros.vspace import VSpace
 from repro.verif.vc import VCStatus
 
 MB = 1024 * 1024
@@ -131,47 +128,46 @@ class TestSpecPredicates:
 class TestUserCopy:
     def _setup(self):
         memory = PhysicalMemory(8 * MB)
-        allocator = SimpleFrameAllocator(memory, start=4 * MB)
-        pt = PageTable(memory, allocator)
-        mmu = Mmu(memory)
-        pt.map_frame(0x10000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
-        pt.map_frame(0x11000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
-        return memory, pt, mmu
+        vspace = VSpace(memory, SimpleFrameAllocator(memory, start=4 * MB))
+        vspace.attach_core(0, 0)
+        vspace.map(0x10000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
+        vspace.map(0x11000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+        return memory, vspace
 
     def test_roundtrip(self):
-        memory, pt, mmu = self._setup()
-        copy_to_user(memory, mmu, pt.root_paddr, 0x10010, b"abc123")
-        assert copy_from_user(memory, mmu, pt.root_paddr, 0x10010, 6) == b"abc123"
+        memory, vspace = self._setup()
+        copy_to_user(vspace, 0, 0x10010, b"abc123")
+        assert copy_from_user(vspace, 0, 0x10010, 6) == b"abc123"
 
     def test_crosses_noncontiguous_frames(self):
-        memory, pt, mmu = self._setup()
+        memory, vspace = self._setup()
         data = bytes(range(64)) * 8  # 512 bytes
-        copy_to_user(memory, mmu, pt.root_paddr, 0x10F00, data)
-        assert copy_from_user(memory, mmu, pt.root_paddr, 0x10F00, 512) == data
+        copy_to_user(vspace, 0, 0x10F00, data)
+        assert copy_from_user(vspace, 0, 0x10F00, 512) == data
         # physically split across the two frames
         assert memory.read(0x20_0F00, 0x100) == data[:0x100]
         assert memory.read(0x10_0000, 0x100) == data[0x100:0x200]
 
     def test_unmapped_faults(self):
-        memory, pt, mmu = self._setup()
-        with pytest.raises(UserCopyFault):
-            copy_from_user(memory, mmu, pt.root_paddr, 0x50000, 4)
+        memory, vspace = self._setup()
+        with pytest.raises(TranslationFault):
+            copy_from_user(vspace, 0, 0x50000, 4)
 
     def test_kernel_page_faults_for_user(self):
-        memory, pt, mmu = self._setup()
-        pt.map_frame(0x20000, 0x30_0000, PageSize.SIZE_4K, Flags.kernel_rw())
-        with pytest.raises(UserCopyFault):
-            copy_from_user(memory, mmu, pt.root_paddr, 0x20000, 4)
+        memory, vspace = self._setup()
+        vspace.map(0x20000, 0x30_0000, PageSize.SIZE_4K, Flags.kernel_rw())
+        with pytest.raises(TranslationFault):
+            copy_from_user(vspace, 0, 0x20000, 4)
 
     def test_zero_length(self):
-        memory, pt, mmu = self._setup()
-        assert copy_from_user(memory, mmu, pt.root_paddr, 0x10000, 0) == b""
-        copy_to_user(memory, mmu, pt.root_paddr, 0x10000, b"")
+        memory, vspace = self._setup()
+        assert copy_from_user(vspace, 0, 0x10000, 0) == b""
+        copy_to_user(vspace, 0, 0x10000, b"")
 
     def test_negative_length_rejected(self):
-        memory, pt, mmu = self._setup()
+        memory, vspace = self._setup()
         with pytest.raises(ValueError):
-            copy_from_user(memory, mmu, pt.root_paddr, 0x10000, -1)
+            copy_from_user(vspace, 0, 0x10000, -1)
 
 
 # -- must-fail mutations of the table the kernel runs ---------------------

@@ -356,6 +356,116 @@ class TestMemorySyscalls:
         assert results == {"distinct": True, "a": 1, "b": 2, "reused": True}
 
 
+class TestTheMappingObligation:
+    """Every user access of every syscall goes through the address
+    space's one checked translation (``VSpace.translate``)."""
+
+    def test_buffer_mapped_from_the_other_numa_node_is_not_efault(self):
+        """The paper's machine: 28 cores, two NR replicas.  A thread on a
+        node-1 core maps and fills a page; a thread on a node-0 core —
+        whose replica has not applied the map — passes it to
+        ``write_from`` *before* any ``peek`` could sync the replica."""
+        word = int.from_bytes(b"HGFEDCBA", "big")
+        kernel = Kernel(num_cores=28)
+        shared, results = {}, {}
+
+        def core_of(index):   # of the index-th thread created (0 = main)
+            thread = list(kernel.processes[pid].threads.values())[index]
+            return kernel.scheduler.core_of(thread)
+
+        def worker(index, fd):
+            # the mapper is whichever worker first finds itself on node 1,
+            # the writer whichever then finds itself on node 0
+            while "write_from" not in results:
+                core = core_of(index)
+                if core >= 14 and "mapper_core" not in shared:
+                    shared["mapper_core"] = core
+                    base = yield sys("vm_map", 1)
+                    yield sys("poke", base, word)
+                    shared["base"] = base
+                elif core < 14 and "base" in shared \
+                        and "writer_core" not in shared:
+                    shared["writer_core"] = core
+                    results["write_from"] = yield sys(
+                        "write_from", fd, shared["base"], 8)
+                yield sys("sched_yield")   # keeps every core's queue busy
+
+        def main():
+            fd = yield sys("open", "/out", O_CREAT | O_RDWR)
+            tids = []
+            for index in range(1, 31):
+                tids.append((yield sys("thread_spawn", "worker",
+                                       (index, fd))))
+            for tid in tids:
+                yield sys("thread_join", tid)
+            yield sys("seek", fd, 0)
+            results["data"] = yield sys("read", fd, 8)
+
+        kernel.register_program("worker", worker)
+        kernel.register_program("main", main)
+        pid = kernel.spawn("main")
+        kernel.run()
+        assert shared["mapper_core"] >= 14 > shared["writer_core"]
+        assert results["write_from"] == 8
+        assert results["data"] == b"ABCDEFGH"
+        assert kernel.stats.page_faults == 0   # a lagging replica is no fault
+
+    def test_page_faults_counts_every_refused_user_access(self):
+        """Not only the word syscalls: a copy and a ring window that the
+        door refuses are the caller's EFAULT and one page fault each."""
+        from repro.nros.syscall import abi, ring as ringmod
+
+        faults = []
+
+        def prog():
+            stats = kernel.stats
+
+            def refused(call):
+                before = stats.page_faults
+                with pytest.raises(SyscallError) as failure:
+                    yield call
+                assert failure.value.errno == abi.EFAULT
+                faults.append(stats.page_faults - before)
+
+            fd = yield sys("open", "/blob", O_CREAT | O_RDWR)
+            yield sys("write", fd, b"ABCDEFGH")
+            yield sys("seek", fd, 0)
+            yield from refused(sys("write_from", fd, 0x7000_0000, 8))
+            readonly, _size = yield sys("mmap_file", "/blob")
+            yield from refused(sys("read_into", fd, readonly, 8))
+            rid, sq_base, *_ = yield sys("ring_setup", 8)
+            yield sys("vm_unmap", sq_base)
+            blob = ringmod.encode_sqe(1, abi.SYSCALLS["getpid"], ())
+            yield from refused(sys("ring_enter", rid, blob, True))
+            yield from refused(sys("peek", 0x7000_0000))
+
+        kernel = Kernel(num_cores=2)
+        _, process = run_program(prog, kernel=kernel)
+        assert process.exit_code == 0
+        assert faults == [1, 1, 1, 1]
+        assert kernel.stats.page_faults == 4
+
+
+    def test_ring_batches_translate_through_the_tlb(self):
+        """A ring's SQ/CQ window is copied four times per batch; after
+        the first batch every one of those translations is a TLB hit."""
+        from repro.ulib import Ring
+
+        def prog():
+            ring = Ring(sq_depth=4)
+            yield from ring.setup()
+            for _ in range(50):
+                ring.prepare("getpid", ())
+                yield from ring.submit()
+
+        kernel, process = run_program(prog, kernel=Kernel(num_cores=1))
+        assert process.exit_code == 0
+        assert kernel.stats.ring_batches == 50
+        (tlb,) = process.vspace._tlbs.values()
+        assert process.vspace.mmu.walks == tlb.misses == 2   # SQ page, CQ page
+        assert tlb.hits == 50 * 4 - 2
+
+
 class TestThreadsAndSync:
     def test_thread_spawn_join(self):
         results = {}
@@ -539,6 +649,107 @@ class TestThreadsAndSync:
 
         run_program(main)
         assert results == {0: b"one", 1: b"two"}
+
+
+class TestWaitTable:
+    """Parked threads live in the scheduler's one table: nothing outlives
+    its process, and every kind is woken in arrival order."""
+
+    def test_killed_futex_waiter_leaves_the_table(self):
+        from repro.nros.syscall import abi
+
+        shared = {}
+
+        def victim():
+            shared["addr"] = yield sys("vm_map", 1)
+            yield sys("futex_wait", shared["addr"], 0)
+
+        def killer(pid):
+            while not kernel.scheduler.parked("futex"):
+                yield sys("sched_yield")
+            shared["parked"] = [t.process.pid
+                                for t in kernel.scheduler.parked("futex")]
+            yield sys("kill", pid)
+
+        kernel = Kernel(num_cores=2)
+        kernel.register_program("victim", victim)
+        kernel.register_program("killer", killer)
+        victim_pid = kernel.spawn("victim")
+        kernel.spawn("killer", (victim_pid,))
+        kernel.run()
+        assert shared["parked"] == [victim_pid]
+        assert kernel.processes[victim_pid].exit_code == 137
+        assert kernel.scheduler.parked("futex") == []
+        assert kernel.scheduler.blocked_count() == 0
+        assert kernel.scheduler.audit() == []
+        # a later wake of that word finds nobody (only the dead process's
+        # own address space still names the frame, so dispatch as it)
+        (dead,) = kernel.processes[victim_pid].threads.values()
+        assert kernel._invoke(dead, abi.SYSCALLS["futex_wake"],
+                              (shared["addr"], 1)) == (0, 0, None)
+        assert not kernel.scheduler.has_runnable()
+
+    def test_pipe_readers_are_served_in_arrival_order(self):
+        """pid 2 parks on the empty pipe before pid 1 does: pid 2 gets
+        the first write (a scan by (pid, tid) served pid 1 first)."""
+        got = {}
+
+        def parked_pids():
+            return [t.process.pid for t in kernel.scheduler.parked("net")]
+
+        def first():   # pid 1
+            pipe = yield sys("pipe")
+            yield sys("spawn", "second", (pipe,))
+            yield sys("spawn", "writer", (pipe,))
+            while parked_pids() != [2]:
+                yield sys("sched_yield")
+            got[1] = yield sys("pipe_read", pipe, 16)
+
+        def second(pipe):   # pid 2
+            got[2] = yield sys("pipe_read", pipe, 16)
+
+        def writer(pipe):   # pid 3
+            while parked_pids() != [2, 1]:
+                yield sys("sched_yield")
+            yield sys("pipe_write", pipe, b"first")
+            assert parked_pids() == [1]
+            yield sys("pipe_write", pipe, b"second")
+
+        kernel = Kernel(num_cores=2)
+        for name, factory in (("first", first), ("second", second),
+                              ("writer", writer)):
+            kernel.register_program(name, factory)
+        kernel.spawn("first")
+        kernel.run()
+        assert got == {2: b"first", 1: b"second"}
+        assert kernel.scheduler.audit() == []
+
+    def test_sleepers_to_one_tick_wake_in_arrival_order(self):
+        woken = []
+
+        def first():   # pid 1
+            yield sys("spawn", "second")
+            while not kernel.scheduler.parked("sleep"):
+                yield sys("sched_yield")
+            (other,) = kernel.scheduler.parked("sleep")
+            yield sys("sleep", other.block_reason.key - kernel.timer.ticks)
+
+        def second():   # pid 2
+            yield sys("sleep", 5)
+
+        kernel = Kernel(num_cores=2)
+        wake = kernel.scheduler.wake
+
+        def recording_wake(thread, *result):
+            woken.append(thread.process.pid)
+            wake(thread, *result)
+
+        kernel.scheduler.wake = recording_wake
+        kernel.register_program("first", first)
+        kernel.register_program("second", second)
+        kernel.spawn("first")
+        kernel.run()
+        assert woken == [2, 1]
 
 
 class TestDeadlockDetection:

@@ -307,6 +307,84 @@ class TestForgetPurges:
         assert sched.audit() == []
 
 
+class TestWaitTable:
+    """Who is parked on what is recorded once: ``parked(kind)``."""
+
+    KINDS = ("futex", "wait", "join", "sleep", "sigwait", "net")
+
+    def test_parked_is_arrival_order_per_kind(self):
+        sched = Scheduler(num_cores=2)
+        threads = [make_thread(str(i)) for i in range(5)]
+        for t in threads:
+            sched.ready(t)
+        for i in (3, 0, 4, 1):
+            kind = "futex" if i != 4 else "sleep"
+            sched.block(threads[i], BlockReason(kind, 0x1000))
+        assert sched.parked("futex") == [threads[3], threads[0], threads[1]]
+        assert sched.parked("sleep") == [threads[4]]
+        assert sched.parked("join") == []
+        sched.wake(threads[0])
+        assert sched.parked("futex") == [threads[3], threads[1]]
+        assert threads[0].block_reason is None
+        assert sched.audit() == []
+
+    def test_forget_takes_a_parked_thread_out_of_the_table(self):
+        sched = Scheduler(num_cores=1)
+        waiter = make_thread("waiter")
+        sched.ready(waiter)
+        assert sched.next_thread() is waiter
+        sched.block(waiter, BlockReason("futex", 0x1000))
+        waiter.state = ThreadState.EXITED     # what _process_exit does
+        sched.forget(waiter)
+        assert sched.parked("futex") == []
+        assert sched.blocked_count() == 0
+        assert sched.audit() == []
+
+    def test_reblocking_moves_the_thread_to_the_new_row(self):
+        sched = Scheduler(num_cores=1)
+        thread = make_thread()
+        sched.block(thread, BlockReason("sleep", 3))
+        sched.block(thread, BlockReason("join", 7))
+        assert sched.parked("sleep") == []
+        assert sched.parked("join") == [thread]
+        assert sched.blocked_count() == 1
+        assert sched.audit() == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_blocked_count_is_the_table_size_after_every_step(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        sched = Scheduler(num_cores=3)
+        pool = [make_thread(str(i)) for i in range(8)]
+        for t in pool:
+            sched.ready(t)
+        blocked = []   # the model: arrival order, all kinds together
+        for _ in range(300):
+            op = rng.choice(("block", "block", "wake", "forget", "run"))
+            if op == "block" and len(blocked) < len(pool):
+                thread = rng.choice([t for t in pool if t not in blocked])
+                sched.block(thread, BlockReason(rng.choice(self.KINDS), 0))
+                blocked.append(thread)
+            elif op == "wake" and blocked:
+                sched.wake(blocked.pop(rng.randrange(len(blocked))))
+            elif op == "forget" and len(pool) > 2:
+                thread = pool.pop(rng.randrange(len(pool)))
+                if thread in blocked:
+                    blocked.remove(thread)
+                thread.state = ThreadState.EXITED
+                sched.forget(thread)
+            elif op == "run":
+                run_quanta(sched, 2)
+            table = [t for kind in self.KINDS for t in sched.parked(kind)]
+            assert sched.blocked_count() == len(table) == len(blocked)
+            assert set(table) == set(blocked)
+            for kind in self.KINDS:   # each row keeps arrival order
+                row = sched.parked(kind)
+                assert row == [t for t in blocked if t in row]
+            assert sched.audit() == []
+
+
 class TestMigration:
     def test_steal_fills_idle_core(self):
         sched = Scheduler(num_cores=2)

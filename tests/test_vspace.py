@@ -5,9 +5,10 @@ import pytest
 from repro.core.pt.defs import Flags, PageSize
 from repro.core.pt.impl import PageTable
 from repro.hw.mem import PhysicalMemory
-from repro.hw.mmu import TranslationFault
+from repro.hw.mmu import AccessType, TranslationFault, check_access
 from repro.nros.pmem import BuddyAllocator, OutOfMemory
 from repro.nros.pt_unverified import UnverifiedPageTable
+from repro.nros.syscall.usercopy import copy_from_user
 from repro.nros.vspace import VSpace, VSpaceError
 
 MB = 1024 * 1024
@@ -119,10 +120,10 @@ class TestTranslationAndShootdown:
                    Flags(writable=False, user=True))
         vspace.translate(0, 0x1000)  # read fine
         with pytest.raises(TranslationFault):
-            vspace.translate(0, 0x1000, write=True)
+            vspace.translate(0, 0x1000, AccessType.WRITE)
         # the cached entry must also enforce the permission
         with pytest.raises(TranslationFault):
-            vspace.translate(0, 0x1000, write=True)
+            vspace.translate(0, 0x1000, AccessType.WRITE)
 
     def test_shootdown_on_unmap(self):
         vspace, _, _ = make_vspace(cores=4)
@@ -155,6 +156,100 @@ class TestTranslationAndShootdown:
         vspace, _, _ = make_vspace(num_nodes=2)
         with pytest.raises(ValueError):
             vspace.attach_core(9, 7)
+
+
+# -- the door: one checked, TLB-backed translation ------------------------
+
+
+class NoSyncDoor(VSpace):
+    """Must-fail variant: a faulting walk is final — the lagging replica
+    is never synced (the kernel's copy path before there was one door)."""
+
+    def translate(self, core, vaddr, access=AccessType.READ):
+        tlb = self._tlbs[core]
+        translation = tlb.lookup(vaddr)
+        if translation is None:
+            translation = self.mmu.walk(self.root_for(core), vaddr)
+            tlb.insert(translation)
+        check_access(vaddr, translation.flags, access, user_mode=True)
+        return translation.frame_paddr + vaddr - translation.page_base_vaddr
+
+
+class MissOnlyCheckDoor(VSpace):
+    """Must-fail variant: permissions are checked on the walked
+    translation only, so a TLB hit grants whatever is cached."""
+
+    def translate(self, core, vaddr, access=AccessType.READ):
+        tlb = self._tlbs[core]
+        translation = tlb.lookup(vaddr)
+        if translation is None:
+            translation = self.mmu.walk(self.root_for(core), vaddr)
+            tlb.insert(translation)
+            check_access(vaddr, translation.flags, access, user_mode=True)
+        return translation.frame_paddr + vaddr - translation.page_base_vaddr
+
+
+def two_node_space(vspace_cls):
+    """The paper's machine shape in small: core 0 on node 0, core 14 on
+    node 1, one NR replica each."""
+    mem = PhysicalMemory(16 * MB)
+    vspace = vspace_cls(mem, BuddyAllocator(mem, start=8 * MB), num_nodes=2)
+    vspace.attach_core(0, 0)
+    vspace.attach_core(14, 1)
+    return vspace, mem
+
+
+def check_copy_from_the_other_node(vspace_cls):
+    """A buffer mapped from node 1 is readable by a copy issued for a
+    node-0 core whose replica has not applied the map yet."""
+    vspace, mem = two_node_space(vspace_cls)
+    vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw(),
+               core=14)
+    mem.write(0x10_0010, b"ABCDEFGH")
+    assert copy_from_user(vspace, 0, 0x1010, 8) == b"ABCDEFGH"
+    assert vspace._tlbs[0].cached_bases() == [0x1000]
+
+
+def check_supervisor_page_faults(vspace_cls, cached):
+    """A kernel-only mapping is refused for READ and WRITE — on a TLB
+    miss, and (``cached``) when the core's TLB already holds the page."""
+    for access in (AccessType.READ, AccessType.WRITE):
+        vspace, _ = two_node_space(vspace_cls)
+        vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.kernel_rw())
+        tlb = vspace._tlbs[0]
+        if cached:
+            tlb.insert(vspace.mmu.walk(vspace.root_for(0), 0x1000))
+        with pytest.raises(TranslationFault):
+            vspace.translate(0, 0x1008, access)
+        assert tlb.hits == (1 if cached else 0)
+
+
+class TestTheDoor:
+    def test_copy_from_the_other_node_syncs_and_fills_the_tlb(self):
+        check_copy_from_the_other_node(VSpace)
+
+    def test_without_sync_and_retry_the_copy_faults(self):
+        with pytest.raises(TranslationFault):
+            check_copy_from_the_other_node(NoSyncDoor)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
+    def test_supervisor_page_faults_for_read_and_write(self, cached):
+        check_supervisor_page_faults(VSpace, cached)
+
+    def test_miss_only_check_passes_the_miss_half_and_fails_the_hit_half(self):
+        check_supervisor_page_faults(MissOnlyCheckDoor, cached=False)
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            check_supervisor_page_faults(MissOnlyCheckDoor, cached=True)
+
+    def test_every_miss_walks_the_one_mmu_and_a_hit_does_not(self):
+        vspace, _ = two_node_space(VSpace)
+        vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+        for _ in range(5):
+            assert vspace.translate(0, 0x1ff8) == 0x10_0ff8
+        assert vspace.mmu.walks == 1
+        vspace.translate(14, 0x1000)   # lagging replica: fault, sync, retry
+        vspace.translate(14, 0x1000)
+        assert vspace.mmu.walks == 3
 
 
 class TestBatchedOps:
