@@ -70,9 +70,9 @@ def tour() -> int:
     for line in proof_structure():
         out("  " + line)
 
-    out("\nQuick proof slice (SMT lemmas + a bounded structural check):")
-    engine = build_proof(include_nr=True, include_contract=True,
-                         include_structural=False)
+    engine = build_proof(include_structural=False)
+    groups = ", ".join(group.name for group in engine.groups)
+    out(f"\nQuick proof slice ({groups}: {engine.vc_count} VCs):")
     report = engine.run()
     out(f"  {report.proved}/{report.total} verification conditions "
         f"proved in {report.total_seconds:.1f} s")

@@ -12,6 +12,10 @@ Builds the full verification-condition population:
   abstract map on every probe address;
 * ``tlb`` — the shootdown protocol keeps TLBs consistent.
 
+The simulation step is stated once, in :func:`_diagram`: the simulation
+VCs apply it to one operation from every scenario, the refinement traces
+to every step of a long run.
+
 `build_proof()` returns a :class:`ProofEngine` whose `run()` produces the
 timing population of Figure 1a.  Optional groups (node-replication
 linearizability, the client syscall contract) are added by their own
@@ -20,28 +24,45 @@ modules to keep the layering of the paper's Figure 2.
 
 from __future__ import annotations
 
+import functools
+import random
+
 from repro.core.pt import defs, entry
 from repro.core.pt.defs import Flags, PageSize
 from repro.core.pt.impl import (
     AlreadyMapped,
     BadRequest,
+    Mapping,
     NotMapped,
     PageTable,
     PtError,
-    SimpleFrameAllocator,
 )
 from repro.core.refine import scenarios as scen
 from repro.core.refine.interp import interpret
 from repro.core.refine.lemmas import all_lemma_vcs
 from repro.core.spec import hardware as hwspec
-from repro.core.spec.highlevel import AbstractState, map_enabled, unmap_enabled
-from repro.hw.mem import PhysicalMemory
+from repro.core.spec import highlevel as spec
 from repro.hw.mmu import AccessType, Mmu, TranslationFault
 from repro.hw.tlb import Tlb
 from repro.verif.engine import ProofEngine
 from repro.verif.vc import VC
 
-MB = 1024 * 1024
+_VOCABULARY = tuple(scen.default_vocabulary())
+
+#: The addresses `resolve` is probed at: page bases, interiors and last
+#: words of the vocabulary's pages, and unmapped neighbours.
+_PROBES = (0x0, 0x1000, 0x1008, 0x2000, 0x2ff8, 0x40_0000,
+           0x40_0000 + 0x10_0000, 1 << 39, scen.GB, scen.GB + 0x12_3000,
+           0x7000, 0x9_9000)
+
+
+def _short(size: PageSize) -> str:
+    return size.name[5:].lower()  # SIZE_4K -> 4k
+
+
+def _kind(op) -> str:
+    """The OP_KINDS entry a vocabulary op belongs to."""
+    return f"map_{_short(op.size)}" if isinstance(op, scen.MapOp) else "unmap"
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +70,25 @@ MB = 1024 * 1024
 # ---------------------------------------------------------------------------
 
 
-def _reachable_entries(memory, root):
-    """Yield (level, table_paddr, index, raw) for every reachable entry
-    that is not the zero word (which satisfies every predicate below)."""
+def _tables(memory, root):
+    """Yield (level, table_paddr, entries) for every reachable table, where
+    `entries` lists (index, raw, view) for each word that is not zero (the
+    zero word satisfies every predicate below)."""
     stack = [(root, 0)]
     while stack:
         table, level = stack.pop()
-        words = memory.frame_words(table)
-        for index, raw, view in entry.decode_table(words, level):
+        entries = list(entry.decode_table(memory.frame_words(table), level))
+        yield level, table, entries
+        stack.extend((view.paddr, level + 1) for _, _, view in entries
+                     if view.kind is entry.EntryKind.TABLE)
+
+
+def _reachable_entries(memory, root):
+    """Yield (level, table_paddr, index, raw) for every reachable entry
+    that is not the zero word."""
+    for level, table, entries in _tables(memory, root):
+        for index, raw, _view in entries:
             yield level, table, index, raw
-            if view.kind is entry.EntryKind.TABLE:
-                stack.append((view.paddr, level + 1))
 
 
 def inv_entries_well_formed(memory, pt):
@@ -83,28 +112,19 @@ def inv_no_stray_bits_on_empty(memory, pt):
 
 
 def inv_frames_aligned(memory, pt):
-    for level, _, _, raw in _reachable_entries(memory, pt.root_paddr):
-        view = entry.decode(raw, level)
-        if view.kind is entry.EntryKind.PAGE:
-            if view.paddr % int(PageSize.for_level(level)):
-                return False
-    return True
+    return all(
+        view.paddr % int(PageSize.for_level(level)) == 0
+        for level, _, entries in _tables(memory, pt.root_paddr)
+        for _, _, view in entries if view.kind is entry.EntryKind.PAGE
+    )
 
 
 def inv_no_empty_intermediate(memory, pt):
-    stack = [(pt.root_paddr, 0)]
-    while stack:
-        table, level = stack.pop()
-        present = 0
-        words = memory.frame_words(table)
-        for _index, _raw, view in entry.decode_table(words, level):
-            if view.kind is not entry.EntryKind.EMPTY:
-                present += 1
-            if view.kind is entry.EntryKind.TABLE:
-                stack.append((view.paddr, level + 1))
-        if level > 0 and present == 0:
-            return False
-    return True
+    return all(
+        level == 0 or any(view.kind is not entry.EntryKind.EMPTY
+                          for _, _, view in entries)
+        for level, _, entries in _tables(memory, pt.root_paddr)
+    )
 
 
 def inv_no_pml4_huge_bit(memory, pt):
@@ -118,28 +138,9 @@ def inv_tables_within_memory(memory, pt):
     return all(0 <= frame < memory.size for frame in pt.table_frames())
 
 
-def inv_interp_no_overlap(memory, pt):
-    abstract = interpret(memory, pt.root_paddr)
-    spans = sorted(
-        (base, base + int(pte.size)) for base, pte in abstract.mappings.items()
-    )
-    return all(b >= a_end for (_, a_end), (b, _) in zip(spans, spans[1:]))
-
-
-def inv_interp_aligned(memory, pt):
-    abstract = interpret(memory, pt.root_paddr)
-    return all(
-        base % int(pte.size) == 0 and pte.frame % int(pte.size) == 0
-        for base, pte in abstract.mappings.items()
-    )
-
-
-def inv_interp_canonical(memory, pt):
-    abstract = interpret(memory, pt.root_paddr)
-    return all(
-        defs.is_canonical(base) and defs.is_canonical(base + int(pte.size) - 1)
-        for base, pte in abstract.mappings.items()
-    )
+def _of_interpretation(invariant):
+    """A high-level spec invariant, demanded of the tree's abstraction."""
+    return lambda memory, pt: invariant(interpret(memory, pt.root_paddr))
 
 
 TREE_INVARIANTS = {
@@ -150,31 +151,37 @@ TREE_INVARIANTS = {
     "no_empty_intermediate": inv_no_empty_intermediate,
     "no_pml4_huge_bit": inv_no_pml4_huge_bit,
     "tables_within_memory": inv_tables_within_memory,
-    "interp_no_overlap": inv_interp_no_overlap,
-    "interp_aligned": inv_interp_aligned,
-    "interp_canonical": inv_interp_canonical,
+    "interp_no_overlap": _of_interpretation(spec.no_overlap_invariant),
+    "interp_aligned": _of_interpretation(spec.aligned_invariant),
+    "interp_canonical": _of_interpretation(spec.canonical_invariant),
 }
 
 
 # ---------------------------------------------------------------------------
-# Operation kinds the preservation VCs quantify over
+# Quantifying over the scenario space
 # ---------------------------------------------------------------------------
 
 
-def _vocab_ops_of_kind(kind: str):
-    vocab = scen.default_vocabulary()
-    if kind == "map_4k":
-        return [op for op in vocab
-                if isinstance(op, scen.MapOp) and op.size is PageSize.SIZE_4K]
-    if kind == "map_2m":
-        return [op for op in vocab
-                if isinstance(op, scen.MapOp) and op.size is PageSize.SIZE_2M]
-    if kind == "map_1g":
-        return [op for op in vocab
-                if isinstance(op, scen.MapOp) and op.size is PageSize.SIZE_1G]
-    if kind == "unmap":
-        return [op for op in vocab if isinstance(op, scen.UnmapOp)]
-    raise ValueError(kind)
+def _each_scenario(source, check_one):
+    """`check_one(abstract, memory, pt)` on a fresh build of every
+    scenario: the first problem it reports, labelled, or None."""
+    for scenario in source():
+        problem = check_one(scenario.abstract, *scenario.build())
+        if problem is not None:
+            return scenario.label(), problem
+    return None
+
+
+def _each_step(source, select, check_one):
+    """`check_one(abstract, op, memory, pt)` on a fresh build of every
+    scenario, once per vocabulary op that `select(abstract, op)` admits."""
+    for scenario in source():
+        for op in _VOCABULARY:
+            if select(scenario.abstract, op):
+                problem = check_one(scenario.abstract, op, *scenario.build())
+                if problem is not None:
+                    return scenario.label(), op.label(), problem
+    return None
 
 
 OP_KINDS = ("map_4k", "map_2m", "map_1g", "unmap", "failed_op", "resolve")
@@ -185,31 +192,28 @@ def _invariant_preservation_vc(
 ) -> VC:
     invariant = TREE_INVARIANTS[inv_name]
 
-    def check():
-        for scenario in scenario_source():
-            if kind == "resolve":
-                memory, pt = scenario.build()
-                for probe in (0x1000, 0x2000, 0x40_0000, scen.GB, 0x7000):
-                    pt.resolve(probe)
-                if not invariant(memory, pt):
-                    return (scenario.label(), "resolve")
-                continue
-            if kind == "failed_op":
-                ops = scen.default_vocabulary()
-            else:
-                ops = _vocab_ops_of_kind(kind)
-            for op in ops:
-                memory, pt = scenario.build()
-                try:
-                    op.apply(pt)
-                    if kind == "failed_op":
-                        continue  # only failures interest this kind
-                except PtError:
-                    if kind != "failed_op":
-                        continue  # only successes interest these kinds
-                if not invariant(memory, pt):
-                    return (scenario.label(), op.label())
+    def after_resolves(abstract, memory, pt):
+        for vaddr in _PROBES:
+            pt.resolve(vaddr)
+        return None if invariant(memory, pt) else "broken by resolve"
+
+    def after_op(abstract, op, memory, pt):
+        try:
+            op.apply(pt)
+            refused = False
+        except PtError:
+            refused = True
+        # failed_op is about refusals only, the other kinds successes only
+        if refused is (kind == "failed_op") and not invariant(memory, pt):
+            return "broken"
         return None
+
+    def check():
+        if kind == "resolve":
+            return _each_scenario(scenario_source, after_resolves)
+        return _each_step(scenario_source,
+                          lambda _, op: kind in ("failed_op", _kind(op)),
+                          after_op)
 
     return VC(
         name=f"inv_{inv_name}_preserved_by_{kind}",
@@ -220,156 +224,108 @@ def _invariant_preservation_vc(
 
 
 # ---------------------------------------------------------------------------
+# The simulation step
+# ---------------------------------------------------------------------------
+
+
+def _spec_step(abstract, op):
+    """The spec's side of `op`: whether it is enabled, the post-state
+    (`abstract` itself when not), and the refusal the implementation
+    must raise when it is not."""
+    if isinstance(op, scen.MapOp):
+        args = (op.vaddr, op.frame, op.size, op.flags)
+        if spec.map_enabled(abstract, args):
+            return True, abstract.map_page(*args), None
+        return False, abstract, (AlreadyMapped, BadRequest)
+    if spec.unmap_enabled(abstract, (op.vaddr,)):
+        return True, abstract.unmap_page(op.vaddr), None
+    return False, abstract, NotMapped
+
+
+def _mapping_at(abstract, vaddr) -> Mapping | None:
+    """What `resolve(vaddr)` — or `unmap(vaddr)` — owes per the spec."""
+    hit = abstract.lookup(vaddr)
+    if hit is None:
+        return None
+    base, pte = hit
+    return Mapping(base, pte.frame, pte.size, pte.flags)
+
+
+def _diagram(abstract, op, memory, pt):
+    """One step of the forward simulation: run `op` on the tree
+    (`memory`, `pt`) whose interpretation is `abstract`, and check that
+    the square commutes.  An op the spec enables succeeds, an unmap
+    returns the mapping the spec removes, and the tree's interpretation
+    becomes the spec's post-state; an op the spec refuses raises the
+    typed refusal and leaves the interpretation alone.
+
+    Returns ``(post, problem)``: the spec's post-state, and None or what
+    broke.  The oracle the symbolic step lemmas must agree with."""
+    enabled, post, refusal = _spec_step(abstract, op)
+    try:
+        returned = op.apply(pt)
+    except PtError as exc:
+        if enabled or not isinstance(exc, refusal):
+            return post, f"impl raised {exc!r}"
+    else:
+        if not enabled:
+            return post, "impl succeeded where the spec refuses"
+        if isinstance(op, scen.UnmapOp) and \
+                returned != _mapping_at(abstract, op.vaddr):
+            return post, f"unmap returned {returned}"
+    if interpret(memory, pt.root_paddr).mappings != post.mappings:
+        return post, "diagram does not commute"
+    return post, None
+
+
+def _resolve_problem(pt, abstract, vaddr):
+    """How `pt.resolve(vaddr)` disagrees with the abstract map, or None."""
+    got, owed = pt.resolve(vaddr), _mapping_at(abstract, vaddr)
+    return None if got == owed else f"resolve({vaddr:#x}) = {got}, spec {owed}"
+
+
+# ---------------------------------------------------------------------------
 # Simulation diagrams
 # ---------------------------------------------------------------------------
 
 
-def _sim_map_success_vc(size: PageSize, scenario_source) -> VC:
-    def check():
-        for scenario in scenario_source():
-            for op in _vocab_ops_of_kind(f"map_{size.name[5:].lower()}"):
-                spec_args = (op.vaddr, op.frame, op.size, op.flags)
-                if not map_enabled(scenario.abstract, spec_args):
-                    continue
-                memory, pt = scenario.build()
-                try:
-                    op.apply(pt)
-                except PtError as exc:
-                    return (scenario.label(), op.label(), f"impl failed: {exc}")
-                got = interpret(memory, pt.root_paddr)
-                expected = scenario.abstract.map_page(*spec_args)
-                if got.mappings != expected.mappings:
-                    return (scenario.label(), op.label(), "diagram mismatch")
-        return None
+def _sim_step_vc(kind: str, enabled: bool, scenario_source) -> VC:
+    """The diagram for every `kind` op the spec enables (or refuses)."""
 
+    def select(abstract, op):
+        return _kind(op) == kind and _spec_step(abstract, op)[0] is enabled
+
+    def diagram(abstract, op, memory, pt):
+        return _diagram(abstract, op, memory, pt)[1]
+
+    outcome = "success_commutes" if enabled else "failure_agrees"
     return VC(
-        name=f"sim_map_{size.name[5:].lower()}_success_commutes",
+        name=f"sim_{kind}_{outcome}",
         category="simulation",
-        check=check,
-        description=f"spec-enabled {size.name} maps succeed and commute",
-    )
-
-
-def _sim_map_failure_vc(size: PageSize, scenario_source) -> VC:
-    def check():
-        for scenario in scenario_source():
-            for op in _vocab_ops_of_kind(f"map_{size.name[5:].lower()}"):
-                spec_args = (op.vaddr, op.frame, op.size, op.flags)
-                if map_enabled(scenario.abstract, spec_args):
-                    continue
-                memory, pt = scenario.build()
-                try:
-                    op.apply(pt)
-                    return (scenario.label(), op.label(),
-                            "impl succeeded where spec disabled")
-                except (AlreadyMapped, BadRequest):
-                    pass
-                got = interpret(memory, pt.root_paddr)
-                if got.mappings != scenario.abstract.mappings:
-                    return (scenario.label(), op.label(),
-                            "failed map changed the tree")
-        return None
-
-    return VC(
-        name=f"sim_map_{size.name[5:].lower()}_failure_agrees",
-        category="simulation",
-        check=check,
-        description=f"spec-disabled {size.name} maps fail and leave state",
-    )
-
-
-def _sim_unmap_success_vc(scenario_source) -> VC:
-    def check():
-        for scenario in scenario_source():
-            for op in _vocab_ops_of_kind("unmap"):
-                if not unmap_enabled(scenario.abstract, (op.vaddr,)):
-                    continue
-                memory, pt = scenario.build()
-                base, pte = scenario.abstract.lookup(op.vaddr)
-                removed = pt.unmap(op.vaddr)
-                if (removed.vaddr, removed.paddr, removed.size) != (
-                    base, pte.frame, pte.size,
-                ):
-                    return (scenario.label(), op.label(), "return mismatch")
-                got = interpret(memory, pt.root_paddr)
-                expected = scenario.abstract.unmap_page(op.vaddr)
-                if got.mappings != expected.mappings:
-                    return (scenario.label(), op.label(), "diagram mismatch")
-        return None
-
-    return VC(
-        name="sim_unmap_success_commutes",
-        category="simulation",
-        check=check,
-        description="spec-enabled unmaps succeed, return the removed "
-                    "mapping, and commute",
-    )
-
-
-def _sim_unmap_failure_vc(scenario_source) -> VC:
-    def check():
-        for scenario in scenario_source():
-            for op in _vocab_ops_of_kind("unmap"):
-                if unmap_enabled(scenario.abstract, (op.vaddr,)):
-                    continue
-                memory, pt = scenario.build()
-                try:
-                    pt.unmap(op.vaddr)
-                    return (scenario.label(), op.label(),
-                            "unmap of unmapped address succeeded")
-                except NotMapped:
-                    pass
-                got = interpret(memory, pt.root_paddr)
-                if got.mappings != scenario.abstract.mappings:
-                    return (scenario.label(), op.label(), "tree changed")
-        return None
-
-    return VC(
-        name="sim_unmap_failure_agrees",
-        category="simulation",
-        check=check,
-        description="unmap fails exactly when the spec says nothing is mapped",
+        check=lambda: _each_step(scenario_source, select, diagram),
+        description=f"spec-{'enabled' if enabled else 'disabled'} {kind} "
+                    "ops commute with the spec",
     )
 
 
 def _sim_resolve_vc(kind: str, scenario_source) -> VC:
     """kind is a size name or 'unmapped'."""
 
-    def check():
-        probes = (0x0, 0x1000, 0x1008, 0x2000, 0x2ff8, 0x40_0000,
-                  0x40_0000 + 0x10_0000, 1 << 39, scen.GB, scen.GB + 0x12_3000,
-                  0x7000, 0x9_9000)
-        for scenario in scenario_source():
-            memory, pt = scenario.build()
-            before = interpret(memory, pt.root_paddr)
-            for vaddr in probes:
-                hit = scenario.abstract.lookup(vaddr)
-                if kind == "unmapped":
-                    if hit is not None:
-                        continue
-                    if pt.resolve(vaddr) is not None:
-                        return (scenario.label(), hex(vaddr),
-                                "resolve found a phantom mapping")
-                    continue
-                if hit is None or hit[1].size.name != kind:
-                    continue
-                base, pte = hit
-                resolved = pt.resolve(vaddr)
-                if resolved is None:
-                    return (scenario.label(), hex(vaddr), "resolve missed")
-                if (resolved.vaddr, resolved.paddr, resolved.size,
-                        resolved.flags) != (base, pte.frame, pte.size,
-                                            pte.flags):
-                    return (scenario.label(), hex(vaddr), "resolve mismatch")
-            after = interpret(memory, pt.root_paddr)
-            if before.mappings != after.mappings:
-                return (scenario.label(), "resolve mutated the tree")
+    def resolves(abstract, memory, pt):
+        for vaddr in _PROBES:
+            hit = abstract.lookup(vaddr)
+            if (hit[1].size.name if hit else "unmapped") == kind:
+                problem = _resolve_problem(pt, abstract, vaddr)
+                if problem is not None:
+                    return problem
+        if interpret(memory, pt.root_paddr).mappings != abstract.mappings:
+            return "resolve mutated the tree"
         return None
 
     return VC(
         name=f"sim_resolve_agrees_{kind.lower()}",
         category="simulation",
-        check=check,
+        check=lambda: _each_scenario(scenario_source, resolves),
         description=f"resolve agrees with the abstract map ({kind})",
     )
 
@@ -379,9 +335,7 @@ def _sim_overlap_matrix_vc(new_size: PageSize, old_size: PageSize) -> VC:
     of `new_size`, in both nesting directions."""
 
     def check():
-        memory = PhysicalMemory(scen.MEMORY_SIZE)
-        allocator = SimpleFrameAllocator(memory, start=8 * MB)
-        pt = PageTable(memory, allocator)
+        memory, pt = scen.Scenario().build()
         region = 1 << 30  # 1 GiB-aligned region, valid base for any size
         pt.map_frame(region, region, old_size, Flags.user_rw())
         before = interpret(memory, pt.root_paddr)
@@ -405,7 +359,7 @@ def _sim_overlap_matrix_vc(new_size: PageSize, old_size: PageSize) -> VC:
         return None
 
     return VC(
-        name=f"sim_overlap_{new_size.name[5:].lower()}_over_{old_size.name[5:].lower()}",
+        name=f"sim_overlap_{_short(new_size)}_over_{_short(old_size)}",
         category="simulation",
         check=check,
         description=f"{new_size.name} over existing {old_size.name} is rejected",
@@ -414,9 +368,7 @@ def _sim_overlap_matrix_vc(new_size: PageSize, old_size: PageSize) -> VC:
 
 def _sim_unmap_interior_vc(size: PageSize) -> VC:
     def check():
-        memory = PhysicalMemory(scen.MEMORY_SIZE)
-        allocator = SimpleFrameAllocator(memory, start=8 * MB)
-        pt = PageTable(memory, allocator)
+        memory, pt = scen.Scenario().build()
         region = 1 << 30
         pt.map_frame(region, region, size, Flags.user_rw())
         interior = region + int(size) // 2 + 0x8
@@ -428,7 +380,7 @@ def _sim_unmap_interior_vc(size: PageSize) -> VC:
         return None
 
     return VC(
-        name=f"sim_unmap_interior_{size.name[5:].lower()}",
+        name=f"sim_unmap_interior_{_short(size)}",
         category="simulation",
         check=check,
         description=f"unmap through an interior address removes the {size.name} page",
@@ -444,267 +396,259 @@ def _hw_walk_agreement_vc(kind: str, scenario_source) -> VC:
     """kind: a size name (mapped agreement) or 'unmapped' (fault
     agreement)."""
 
-    def check():
-        for scenario in scenario_source():
-            memory, pt = scenario.build()
-            if kind != "unmapped" and not any(
-                pte.size.name == kind
-                for pte in scenario.abstract.mappings.values()
-            ):
-                continue
-            probes = hwspec.probe_addresses_for(scenario.abstract)
-            result = hwspec.walk_agrees_with_abstract(
-                memory, pt.root_paddr, scenario.abstract, probes
-            )
-            if result is not None:
-                return (scenario.label(),) + result
-        return None
+    def agrees(abstract, memory, pt):
+        if kind != "unmapped" and all(
+            pte.size.name != kind for pte in abstract.mappings.values()
+        ):
+            return None
+        return hwspec.walk_agrees_with_abstract(
+            memory, pt.root_paddr, abstract,
+            hwspec.probe_addresses_for(abstract))
 
     return VC(
         name=f"hw_walk_agrees_{kind.lower()}",
         category="hardware-agreement",
-        check=check,
+        check=lambda: _each_scenario(scenario_source, agrees),
         description=f"MMU walk matches the abstract map ({kind})",
     )
 
 
-def _hw_permission_vc(which: str) -> VC:
+_USER, _SUPERVISOR = True, False
+
+#: name -> (flags of a 4K page, the access to it that must fault, the
+#: accesses to the same page that must succeed); an access is a pair
+#: (access type, user mode).
+_PERMISSIONS = {
+    "write_to_readonly": (
+        Flags(writable=False, user=True),
+        (AccessType.WRITE, _USER),
+        [(AccessType.READ, _USER)]),
+    "user_to_supervisor": (
+        Flags.kernel_rw(),
+        (AccessType.READ, _USER),
+        [(AccessType.READ, _SUPERVISOR), (AccessType.WRITE, _SUPERVISOR)]),
+    "execute_nx": (
+        Flags(writable=True, user=True, executable=False),
+        (AccessType.EXECUTE, _USER),
+        [(AccessType.READ, _USER), (AccessType.WRITE, _USER)]),
+}
+
+
+def _hw_permission_vc(name: str, flags: Flags, forbidden, permitted) -> VC:
     def check():
-        memory = PhysicalMemory(scen.MEMORY_SIZE)
-        allocator = SimpleFrameAllocator(memory, start=8 * MB)
-        pt = PageTable(memory, allocator)
+        memory, pt = scen.Scenario().build()
+        pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, flags)
         mmu = Mmu(memory)
-        if which == "write_to_readonly":
-            pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K,
-                         Flags(writable=False, user=True))
+
+        def faults(access, user_mode):
             try:
-                mmu.translate(pt.root_paddr, 0x1000, AccessType.WRITE,
-                              user_mode=True)
-                return "write to read-only page did not fault"
+                mmu.translate(pt.root_paddr, 0x1000, access, user_mode)
             except TranslationFault:
-                return None
-        if which == "user_to_supervisor":
-            pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.kernel_rw())
-            try:
-                mmu.translate(pt.root_paddr, 0x1000, AccessType.READ,
-                              user_mode=True)
-                return "user access to supervisor page did not fault"
-            except TranslationFault:
-                pass
-            # and the kernel can still access it
-            mmu.translate(pt.root_paddr, 0x1000, AccessType.READ)
-            return None
-        if which == "execute_nx":
-            pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K,
-                         Flags(writable=True, user=True, executable=False))
-            try:
-                mmu.translate(pt.root_paddr, 0x1000, AccessType.EXECUTE,
-                              user_mode=True)
-                return "execute of NX page did not fault"
-            except TranslationFault:
-                return None
-        raise ValueError(which)
+                return True
+            return False
 
-    return VC(
-        name=f"hw_permission_{which}",
-        category="hardware-agreement",
-        check=check,
-        description=f"permission fault behaviour: {which}",
-    )
-
-
-def _hw_memops_vc(which: str, scenario_source) -> VC:
-    """Reads/writes through the MMU behave like the abstract read/write."""
-
-    def check():
-        for scenario in scenario_source():
-            memory, pt = scenario.build()
-            mmu = Mmu(memory)
-            abstract = scenario.abstract
-            writable = [
-                (base, pte)
-                for base, pte in abstract.mappings.items()
-                if pte.flags.writable
-            ]
-            for base, pte in writable:
-                vaddr = base + 0x18
-                value = (base ^ 0xA5A5_5A5A) & ((1 << 64) - 1)
-                if which == "store_then_load":
-                    mmu.store_u64(pt.root_paddr, vaddr, value)
-                    if mmu.load_u64(pt.root_paddr, vaddr) != value:
-                        return (scenario.label(), hex(vaddr), "readback mismatch")
-                    abstract = abstract.write_word(vaddr, value)
-                    if abstract.read_word(vaddr) != value:
-                        return (scenario.label(), hex(vaddr), "spec mismatch")
-                elif which == "aliasing":
-                    aliases = [
-                        other for other, op in abstract.mappings.items()
-                        if op.frame == pte.frame and op.size == pte.size
-                    ]
-                    if len(aliases) < 2:
-                        continue
-                    mmu.store_u64(pt.root_paddr, aliases[0] + 0x20, value)
-                    got = mmu.load_u64(pt.root_paddr, aliases[1] + 0x20)
-                    if got != value:
-                        return (scenario.label(), "alias readback mismatch")
+        if not faults(*forbidden):
+            return f"{forbidden} did not fault"
+        for access in permitted:
+            if faults(*access):
+                return f"{access} faulted"
         return None
 
     return VC(
-        name=f"hw_memops_{which}",
+        name=f"hw_permission_{name}",
         category="hardware-agreement",
         check=check,
-        description=f"memory semantics through translation: {which}",
+        description=f"permission fault behaviour, both sides: {name}",
+    )
+
+
+def _store_then_load(abstract, memory, pt):
+    """A store through the MMU to each writable page reads back, as the
+    abstract write/read does."""
+    mmu = Mmu(memory)
+    for base, pte in abstract.mappings.items():
+        if not pte.flags.writable:
+            continue
+        vaddr = base + 0x18
+        value = (base ^ 0xA5A5_5A5A) & ((1 << 64) - 1)
+        mmu.store_u64(pt.root_paddr, vaddr, value)
+        if mmu.load_u64(pt.root_paddr, vaddr) != value:
+            return hex(vaddr), "readback mismatch"
+        abstract = abstract.write_word(vaddr, value)
+        if abstract.read_word(vaddr) != value:
+            return hex(vaddr), "spec mismatch"
+    return None
+
+
+def _aliasing(abstract, memory, pt):
+    """A store through one page is visible through every page mapping
+    the same frame."""
+    mmu = Mmu(memory)
+    for base, pte in abstract.mappings.items():
+        if not pte.flags.writable:
+            continue
+        aliases = [other for other, op in abstract.mappings.items()
+                   if op.frame == pte.frame and op.size == pte.size]
+        if len(aliases) < 2:
+            continue
+        value = (base ^ 0xA5A5_5A5A) & ((1 << 64) - 1)
+        mmu.store_u64(pt.root_paddr, aliases[0] + 0x20, value)
+        if mmu.load_u64(pt.root_paddr, aliases[1] + 0x20) != value:
+            return "alias readback mismatch"
+    return None
+
+
+_MEMOPS = {"store_then_load": _store_then_load, "aliasing": _aliasing}
+
+
+def _hw_memops_vc(name: str, memop, scenario_source) -> VC:
+    """Reads/writes through the MMU behave like the abstract read/write."""
+    return VC(
+        name=f"hw_memops_{name}",
+        category="hardware-agreement",
+        check=lambda: _each_scenario(scenario_source, memop),
+        description=f"memory semantics through translation: {name}",
     )
 
 
 def _hw_resolve_vs_walk_vc(size: PageSize, scenario_source) -> VC:
-    def check():
-        for scenario in scenario_source():
-            memory, pt = scenario.build()
-            mmu = Mmu(memory)
-            for base, pte in scenario.abstract.mappings.items():
-                if pte.size != size:
-                    continue
-                for vaddr in (base, base + 0x8, base + int(size) - 8):
-                    resolved = pt.resolve(vaddr)
-                    walked = mmu.walk(pt.root_paddr, vaddr)
-                    if resolved is None:
-                        return (scenario.label(), hex(vaddr), "resolve missed")
-                    if (walked.frame_paddr, walked.page_size, walked.flags) != (
-                        resolved.paddr, resolved.size, resolved.flags,
-                    ):
-                        return (scenario.label(), hex(vaddr), "disagreement")
+    def agrees(abstract, memory, pt):
+        mmu = Mmu(memory)
+        for base, pte in abstract.mappings.items():
+            if pte.size != size:
+                continue
+            for vaddr in (base, base + 0x8, base + int(size) - 8):
+                resolved = pt.resolve(vaddr)
+                walked = mmu.walk(pt.root_paddr, vaddr)
+                if resolved is None or (
+                    walked.frame_paddr, walked.page_size, walked.flags,
+                ) != (resolved.paddr, resolved.size, resolved.flags):
+                    return hex(vaddr), "resolve and walk disagree"
         return None
 
     return VC(
-        name=f"hw_resolve_matches_walk_{size.name[5:].lower()}",
+        name=f"hw_resolve_matches_walk_{_short(size)}",
         category="hardware-agreement",
-        check=check,
+        check=lambda: _each_scenario(scenario_source, agrees),
         description=f"impl resolve and MMU walk agree on {size.name} pages",
     )
 
 
 # ---------------------------------------------------------------------------
-# TLB obligations
+# TLB obligations: name -> check(scenario source)
 # ---------------------------------------------------------------------------
 
 
-def _tlb_vc(which: str, scenario_source) -> VC:
-    def check():
-        if which in ("shootdown_4k", "shootdown_2m", "shootdown_1g"):
-            size = {"shootdown_4k": PageSize.SIZE_4K,
-                    "shootdown_2m": PageSize.SIZE_2M,
-                    "shootdown_1g": PageSize.SIZE_1G}[which]
-            memory = PhysicalMemory(scen.MEMORY_SIZE)
-            allocator = SimpleFrameAllocator(memory, start=8 * MB)
-            pt = PageTable(memory, allocator)
-            mmu = Mmu(memory)
-            region = 1 << 30
-            pt.map_frame(region, region, size, Flags.user_rw())
-            tlb = Tlb()
-            tlb.insert(mmu.walk(pt.root_paddr, region + 0x8))
-            pt.unmap(region)
-            tlb.invalidate_page(region + 0x8)  # the shootdown
-            result = hwspec.tlb_consistent(
-                memory, pt.root_paddr, tlb, [region, region + 0x8]
-            )
-            return result
+def _fill(tlb: Tlb, memory, root_paddr: int, vaddrs) -> Tlb:
+    """`tlb` after inserting a fresh walk of each of `vaddrs`."""
+    mmu = Mmu(memory)
+    for vaddr in vaddrs:
+        tlb.insert(mmu.walk(root_paddr, vaddr))
+    return tlb
 
-        if which == "fill_consistent":
-            for scenario in scenario_source():
-                memory, pt = scenario.build()
-                mmu = Mmu(memory)
-                tlb = Tlb()
-                for base in scenario.abstract.mappings.keys():
-                    tlb.insert(mmu.walk(pt.root_paddr, base))
-                probes = hwspec.probe_addresses_for(scenario.abstract)
-                result = hwspec.tlb_consistent(
-                    memory, pt.root_paddr, tlb, probes
-                )
-                if result is not None:
-                    return (scenario.label(),) + result
-            return None
 
-        if which == "flush_consistent":
-            for scenario in scenario_source():
-                memory, pt = scenario.build()
-                mmu = Mmu(memory)
-                tlb = Tlb()
-                for base in scenario.abstract.mappings.keys():
-                    tlb.insert(mmu.walk(pt.root_paddr, base))
-                # mutate arbitrarily, then a full flush must restore
-                # consistency no matter what changed
-                for op in scen.default_vocabulary():
-                    try:
-                        op.apply(pt)
-                    except PtError:
-                        pass
-                tlb.flush()
-                probes = hwspec.probe_addresses_for(
-                    interpret(memory, pt.root_paddr)
-                )
-                result = hwspec.tlb_consistent(memory, pt.root_paddr, tlb,
-                                               probes)
-                if result is not None:
-                    return (scenario.label(),) + result
-            return None
+def _tlb_shootdown(size: PageSize, _source):
+    memory, pt = scen.Scenario().build()
+    region = 1 << 30
+    pt.map_frame(region, region, size, Flags.user_rw())
+    tlb = _fill(Tlb(), memory, pt.root_paddr, [region + 0x8])
+    pt.unmap(region)
+    tlb.invalidate_page(region + 0x8)  # the shootdown
+    return hwspec.tlb_consistent(
+        memory, pt.root_paddr, tlb, [region, region + 0x8])
 
-        if which == "remap_after_shootdown":
-            memory = PhysicalMemory(scen.MEMORY_SIZE)
-            allocator = SimpleFrameAllocator(memory, start=8 * MB)
-            pt = PageTable(memory, allocator)
-            mmu = Mmu(memory)
-            tlb = Tlb()
-            pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
-            tlb.insert(mmu.walk(pt.root_paddr, 0x1000))
-            pt.unmap(0x1000)
-            tlb.invalidate_page(0x1000)
-            pt.map_frame(0x1000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
-            tlb.insert(mmu.walk(pt.root_paddr, 0x1000))
-            hit = tlb.lookup(0x1000)
-            if hit is None or hit.paddr != 0x20_0000:
-                return "remapped translation not visible"
-            return hwspec.tlb_consistent(memory, pt.root_paddr, tlb, [0x1000])
 
-        if which == "eviction_preserves_consistency":
-            memory = PhysicalMemory(scen.MEMORY_SIZE)
-            allocator = SimpleFrameAllocator(memory, start=8 * MB)
-            pt = PageTable(memory, allocator)
-            mmu = Mmu(memory)
-            tlb = Tlb(capacity=4)
-            vaddrs = [0x1000 * (i + 1) for i in range(12)]
-            for i, vaddr in enumerate(vaddrs):
-                pt.map_frame(vaddr, 0x10_0000 + 0x1000 * i,
-                             PageSize.SIZE_4K, Flags.user_rw())
-                tlb.insert(mmu.walk(pt.root_paddr, vaddr))
-            if len(tlb) > 4:
-                return "TLB exceeded capacity"
-            return hwspec.tlb_consistent(memory, pt.root_paddr, tlb, vaddrs)
+def _tlb_fill_consistent(source):
+    def consistent(abstract, memory, pt):
+        tlb = _fill(Tlb(), memory, pt.root_paddr, abstract.mappings.keys())
+        return hwspec.tlb_consistent(
+            memory, pt.root_paddr, tlb, hwspec.probe_addresses_for(abstract))
 
-        if which == "stale_entry_detected":
-            # The consistency checker must *catch* a skipped shootdown —
-            # this VC guards the checker itself against vacuity.
-            memory = PhysicalMemory(scen.MEMORY_SIZE)
-            allocator = SimpleFrameAllocator(memory, start=8 * MB)
-            pt = PageTable(memory, allocator)
-            mmu = Mmu(memory)
-            tlb = Tlb()
-            pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
-            tlb.insert(mmu.walk(pt.root_paddr, 0x1000))
-            pt.unmap(0x1000)  # no invalidation: protocol violated
-            result = hwspec.tlb_consistent(memory, pt.root_paddr, tlb, [0x1000])
-            if result is None:
-                return "checker failed to detect a stale TLB entry"
-            return None
+    return _each_scenario(source, consistent)
 
-        raise ValueError(which)
 
-    return VC(
-        name=f"tlb_{which}",
-        category="tlb",
-        check=check,
-        description=f"TLB protocol obligation: {which}",
-    )
+def _tlb_flush_consistent(source):
+    def consistent(abstract, memory, pt):
+        tlb = _fill(Tlb(), memory, pt.root_paddr, abstract.mappings.keys())
+        # mutate arbitrarily, then a full flush must restore consistency
+        # no matter what changed
+        for op in _VOCABULARY:
+            try:
+                op.apply(pt)
+            except PtError:
+                pass
+        tlb.flush()
+        probes = hwspec.probe_addresses_for(interpret(memory, pt.root_paddr))
+        return hwspec.tlb_consistent(memory, pt.root_paddr, tlb, probes)
+
+    return _each_scenario(source, consistent)
+
+
+def _tlb_remap_after_shootdown(_source):
+    memory, pt = scen.Scenario().build()
+    pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+    tlb = _fill(Tlb(), memory, pt.root_paddr, [0x1000])
+    pt.unmap(0x1000)
+    tlb.invalidate_page(0x1000)
+    pt.map_frame(0x1000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
+    hit = _fill(tlb, memory, pt.root_paddr, [0x1000]).lookup(0x1000)
+    if hit is None or hit.paddr != 0x20_0000:
+        return "remapped translation not visible"
+    return hwspec.tlb_consistent(memory, pt.root_paddr, tlb, [0x1000])
+
+
+def _tlb_eviction_preserves_consistency(_source):
+    memory, pt = scen.Scenario().build()
+    vaddrs = [0x1000 * (i + 1) for i in range(12)]
+    for i, vaddr in enumerate(vaddrs):
+        pt.map_frame(vaddr, 0x10_0000 + 0x1000 * i, PageSize.SIZE_4K,
+                     Flags.user_rw())
+    tlb = _fill(Tlb(capacity=4), memory, pt.root_paddr, vaddrs)
+    if len(tlb) > 4:
+        return "TLB exceeded capacity"
+    return hwspec.tlb_consistent(memory, pt.root_paddr, tlb, vaddrs)
+
+
+def _tlb_stale_entry_detected(_source):
+    """The consistency checker must *catch* a skipped shootdown — this
+    obligation guards the checker itself against vacuity."""
+    memory, pt = scen.Scenario().build()
+    pt.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+    tlb = _fill(Tlb(), memory, pt.root_paddr, [0x1000])
+    pt.unmap(0x1000)  # no invalidation: protocol violated
+    if hwspec.tlb_consistent(memory, pt.root_paddr, tlb, [0x1000]) is None:
+        return "checker failed to detect a stale TLB entry"
+    return None
+
+
+def _tlb_context_switch_flush(_source):
+    """Flushing on address-space switch keeps translations consistent even
+    across two different page tables sharing one TLB (CR3 reload)."""
+    memory, pt_a = scen.Scenario().build()
+    pt_b = PageTable(memory, pt_a.allocator)
+    pt_a.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
+    pt_b.map_frame(0x1000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
+    tlb = _fill(Tlb(), memory, pt_a.root_paddr, [0x1000])
+    tlb.flush()  # context switch: CR3 reload flushes the (non-global) TLB
+    result = hwspec.tlb_consistent(memory, pt_b.root_paddr, tlb, [0x1000])
+    if result is not None:
+        return result
+    hit = _fill(tlb, memory, pt_b.root_paddr, [0x1000]).lookup(0x1000)
+    if hit is None or hit.frame_paddr != 0x20_0000:
+        return "process B saw process A's translation"
+    return None
+
+
+TLB_OBLIGATIONS = {
+    **{f"shootdown_{_short(size)}": functools.partial(_tlb_shootdown, size)
+       for size in PageSize},
+    "fill_consistent": _tlb_fill_consistent,
+    "flush_consistent": _tlb_flush_consistent,
+    "remap_after_shootdown": _tlb_remap_after_shootdown,
+    "eviction_preserves_consistency": _tlb_eviction_preserves_consistency,
+    "stale_entry_detected": _tlb_stale_entry_detected,
+    "context_switch_flush": _tlb_context_switch_flush,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -712,97 +656,31 @@ def _tlb_vc(which: str, scenario_source) -> VC:
 # ---------------------------------------------------------------------------
 
 
-def _refinement_trace_vc(which: str) -> VC:
-    """Replay a long pseudo-random operation trace and check that the
-    abstraction of every intermediate concrete state equals the state of
-    the high-level machine run on the same (successful) operations, and
-    that observable return values agree."""
-    import random
+def _refinement_trace_vc(name: str, seed: int, probes=()) -> VC:
+    """Replay a long pseudo-random operation trace from the empty tree,
+    checking the simulation diagram at every step — and, for the
+    observable trace, that `resolve` agrees with the spec at `probes`
+    after every step."""
 
     def check():
-        rng = random.Random(0xC0FFEE if which == "state" else 0xBEEF)
-        memory = PhysicalMemory(scen.MEMORY_SIZE)
-        allocator = SimpleFrameAllocator(memory, start=8 * MB)
-        pt = PageTable(memory, allocator)
-        spec = AbstractState()
-        vocab = scen.default_vocabulary()
-        probes = (0x1000, 0x2000, 0x40_0000, scen.GB, 1 << 39, 0x7000)
+        rng = random.Random(seed)
+        memory, pt = scen.Scenario().build()
+        abstract = spec.AbstractState()
         for step in range(120):
-            op = rng.choice(vocab)
-            try:
-                op.apply(pt)
-                impl_ok = True
-            except PtError:
-                impl_ok = False
-            if isinstance(op, scen.MapOp):
-                spec_args = (op.vaddr, op.frame, op.size, op.flags)
-                spec_ok = map_enabled(spec, spec_args)
-                if spec_ok:
-                    spec = spec.map_page(*spec_args)
-            else:
-                spec_ok = unmap_enabled(spec, (op.vaddr,))
-                if spec_ok:
-                    spec = spec.unmap_page(op.vaddr)
-            if impl_ok != spec_ok:
-                return (f"step {step}", op.label(),
-                        f"impl_ok={impl_ok} spec_ok={spec_ok}")
-            if which == "state":
-                got = interpret(memory, pt.root_paddr)
-                if got.mappings != spec.mappings:
-                    return (f"step {step}", op.label(), "abstraction diverged")
-            else:  # observable return values of resolve
-                for vaddr in probes:
-                    resolved = pt.resolve(vaddr)
-                    hit = spec.lookup(vaddr)
-                    if (resolved is None) != (hit is None):
-                        return (f"step {step}", hex(vaddr),
-                                "resolve observability mismatch")
-                    if resolved is not None:
-                        base, pte = hit
-                        if (resolved.vaddr, resolved.paddr) != (base, pte.frame):
-                            return (f"step {step}", hex(vaddr),
-                                    "resolve returned different values")
+            op = rng.choice(_VOCABULARY)
+            abstract, problem = _diagram(abstract, op, memory, pt)
+            for vaddr in probes:
+                problem = problem or _resolve_problem(pt, abstract, vaddr)
+            if problem is not None:
+                return f"step {step}", op.label(), problem
         return None
 
     return VC(
-        name=f"refinement_trace_{which}",
+        name=f"refinement_trace_{name}",
         category="refinement",
         check=check,
         description="every behaviour of the implementation corresponds to a "
-                    f"behaviour of the high-level spec ({which})",
-    )
-
-
-def _tlb_context_switch_vc() -> VC:
-    """Flushing on address-space switch keeps translations consistent even
-    across two different page tables sharing one TLB (CR3 reload)."""
-
-    def check():
-        memory = PhysicalMemory(scen.MEMORY_SIZE)
-        allocator = SimpleFrameAllocator(memory, start=8 * MB)
-        pt_a = PageTable(memory, allocator)
-        pt_b = PageTable(memory, allocator)
-        pt_a.map_frame(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
-        pt_b.map_frame(0x1000, 0x20_0000, PageSize.SIZE_4K, Flags.user_rw())
-        mmu = Mmu(memory)
-        tlb = Tlb()
-        tlb.insert(mmu.walk(pt_a.root_paddr, 0x1000))
-        # context switch: CR3 reload flushes the (non-global) TLB
-        tlb.flush()
-        result = hwspec.tlb_consistent(memory, pt_b.root_paddr, tlb, [0x1000])
-        if result is not None:
-            return result
-        tlb.insert(mmu.walk(pt_b.root_paddr, 0x1000))
-        hit = tlb.lookup(0x1000)
-        if hit is None or hit.frame_paddr != 0x20_0000:
-            return "process B saw process A's translation"
-        return None
-
-    return VC(
-        name="tlb_context_switch_flush",
-        category="tlb",
-        check=check,
-        description="CR3 reload isolates address spaces sharing a TLB",
+                    f"behaviour of the high-level spec ({name})",
     )
 
 
@@ -837,22 +715,6 @@ def proof_structure() -> list[str]:
     ]
 
 
-class _ScenarioCache:
-    """Builds the scenario list once and shares it across VCs."""
-
-    def __init__(self, max_depth: int, max_scenarios: int) -> None:
-        self.max_depth = max_depth
-        self.max_scenarios = max_scenarios
-        self._scenarios: list | None = None
-
-    def __call__(self):
-        if self._scenarios is None:
-            self._scenarios = scen.generate_scenarios(
-                max_depth=self.max_depth, max_scenarios=self.max_scenarios
-            )
-        return self._scenarios
-
-
 def build_proof(
     include_lemmas: bool = True,
     include_structural: bool = True,
@@ -884,7 +746,10 @@ def build_proof(
         "scenario_depth": scenario_depth,
         "scenario_cap": scenario_cap,
     })
-    source = _ScenarioCache(scenario_depth, scenario_cap)
+    # built on first use, then shared by every VC of this engine
+    source = functools.cache(functools.partial(
+        scen.generate_scenarios, max_depth=scenario_depth,
+        max_scenarios=scenario_cap))
 
     if include_lemmas:
         for vc in all_lemma_vcs():
@@ -897,11 +762,10 @@ def build_proof(
                     _invariant_preservation_vc(inv_name, kind, source),
                     group="invariants",
                 )
-        for size in PageSize:
-            engine.add(_sim_map_success_vc(size, source), group="simulation")
-            engine.add(_sim_map_failure_vc(size, source), group="simulation")
-        engine.add(_sim_unmap_success_vc(source), group="simulation")
-        engine.add(_sim_unmap_failure_vc(source), group="simulation")
+        for kind in ("map_4k", "map_2m", "map_1g", "unmap"):
+            for enabled in (True, False):
+                engine.add(_sim_step_vc(kind, enabled, source),
+                           group="simulation")
         for kind in ("SIZE_4K", "SIZE_2M", "SIZE_1G", "unmapped"):
             engine.add(_sim_resolve_vc(kind, source), group="simulation")
         for new_size in PageSize:
@@ -914,25 +778,26 @@ def build_proof(
         for kind in ("SIZE_4K", "SIZE_2M", "SIZE_1G", "unmapped"):
             engine.add(_hw_walk_agreement_vc(kind, source),
                        group="hardware-agreement")
-        for which in ("write_to_readonly", "user_to_supervisor", "execute_nx"):
-            engine.add(_hw_permission_vc(which), group="hardware-agreement")
-        for which in ("store_then_load", "aliasing"):
-            engine.add(_hw_memops_vc(which, source),
+        for name, case in _PERMISSIONS.items():
+            engine.add(_hw_permission_vc(name, *case),
+                       group="hardware-agreement")
+        for name, memop in _MEMOPS.items():
+            engine.add(_hw_memops_vc(name, memop, source),
                        group="hardware-agreement")
         for size in PageSize:
             engine.add(_hw_resolve_vs_walk_vc(size, source),
                        group="hardware-agreement")
 
-        for which in ("shootdown_4k", "shootdown_2m", "shootdown_1g",
-                      "fill_consistent", "flush_consistent",
-                      "remap_after_shootdown",
-                      "eviction_preserves_consistency",
-                      "stale_entry_detected"):
-            engine.add(_tlb_vc(which, source), group="tlb")
-        engine.add(_tlb_context_switch_vc(), group="tlb")
+        for name, obligation in TLB_OBLIGATIONS.items():
+            engine.add(VC(name=f"tlb_{name}", category="tlb",
+                          check=functools.partial(obligation, source),
+                          description=f"TLB protocol obligation: {name}"),
+                       group="tlb")
 
-        engine.add(_refinement_trace_vc("state"), group="refinement")
-        engine.add(_refinement_trace_vc("observable"), group="refinement")
+        engine.add(_refinement_trace_vc("state", 0xC0FFEE),
+                   group="refinement")
+        engine.add(_refinement_trace_vc("observable", 0xBEEF, _PROBES),
+                   group="refinement")
 
     if include_nr:
         from repro.nr.proof import linearizability_vcs

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pt.defs import Flags, PageSize
-from repro.core.pt.impl import PageTable, PtError, SimpleFrameAllocator
+from repro.core.pt.impl import Mapping, PageTable, PtError, SimpleFrameAllocator
 from repro.core.refine.interp import interpret
 from repro.core.spec.highlevel import AbstractState
 from repro.hw.mem import PhysicalMemory
@@ -47,8 +47,8 @@ class MapOp:
 class UnmapOp:
     vaddr: int
 
-    def apply(self, pt: PageTable) -> None:
-        pt.unmap(self.vaddr)
+    def apply(self, pt: PageTable) -> Mapping:
+        return pt.unmap(self.vaddr)
 
     def label(self) -> str:
         return f"unmap({self.vaddr:#x})"

@@ -173,14 +173,18 @@ def highlevel_machine(
             ),
         ],
         invariants={
-            "no_overlap": _no_overlap_invariant,
-            "aligned": _aligned_invariant,
-            "canonical": _canonical_invariant,
+            "no_overlap": no_overlap_invariant,
+            "aligned": aligned_invariant,
+            "canonical": canonical_invariant,
         },
     )
 
 
-def _no_overlap_invariant(state: AbstractState) -> bool:
+# The invariants of a well-formed abstract map — also what the refinement
+# proof demands of the interpretation of every page-table tree.
+
+
+def no_overlap_invariant(state: AbstractState) -> bool:
     spans = sorted(
         (base, base + int(pte.size)) for base, pte in state.mappings.items()
     )
@@ -190,12 +194,17 @@ def _no_overlap_invariant(state: AbstractState) -> bool:
     return True
 
 
-def _aligned_invariant(state: AbstractState) -> bool:
+def aligned_invariant(state: AbstractState) -> bool:
     return all(
         base % int(pte.size) == 0 and pte.frame % int(pte.size) == 0
         for base, pte in state.mappings.items()
     )
 
 
-def _canonical_invariant(state: AbstractState) -> bool:
-    return all(is_canonical(base) for base in state.mappings.keys())
+def canonical_invariant(state: AbstractState) -> bool:
+    """Every mapped page lies wholly in the canonical range: its first
+    and its last byte."""
+    return all(
+        is_canonical(base) and is_canonical(base + int(pte.size) - 1)
+        for base, pte in state.mappings.items()
+    )

@@ -5,6 +5,8 @@ seeded bugs in the implementation, the walker, and the encoder must be
 caught by the corresponding verification conditions.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.pt import defs, entry
@@ -105,22 +107,28 @@ class TestInterpretationStrictness:
 
 
 class TestMutations:
-    """Seeded bugs must be caught by the right VC group."""
+    """Seeded bugs must be caught by the right VCs: each test pins the
+    VCs that caught its mutant when the sets were first recorded, and a
+    later proof may catch it with more VCs, never with fewer."""
 
     def _structural_failures(self, scenario_cap=10):
         engine = build_proof(include_lemmas=False, include_nr=False,
                              include_contract=False, scenario_depth=2,
                              scenario_cap=scenario_cap)
         report = engine.run()
-        return [r for r in report.results if r.status is not VCStatus.PROVED]
+        return {r.name for r in report.results
+                if r.status is not VCStatus.PROVED}
 
     def test_skipping_gc_caught(self, monkeypatch):
         """Bug: unmap forgets to garbage-collect empty tables."""
         monkeypatch.setattr(
             PageTable, "_collect_empty_tables", lambda self, path: None
         )
-        failures = self._structural_failures()
-        assert any("no_empty_intermediate" in r.name for r in failures)
+        assert {
+            "inv_no_empty_intermediate_preserved_by_unmap",
+            "refinement_trace_observable",
+            "refinement_trace_state",
+        } <= self._structural_failures()
 
     def test_wrong_level_shift_caught(self, monkeypatch):
         """Bug: the implementation walks with a wrong PD shift."""
@@ -135,8 +143,14 @@ class TestMutations:
         monkeypatch.setattr(
             "repro.core.pt.impl.defs.vaddr_index", broken
         )
-        failures = self._structural_failures(scenario_cap=8)
-        assert failures  # interp/walk disagreement shows up somewhere
+        assert {
+            "hw_memops_store_then_load",
+            "hw_resolve_matches_walk_2m",
+            "hw_walk_agrees_size_2m",
+            "hw_walk_agrees_unmapped",
+            "tlb_fill_consistent",
+            "tlb_flush_consistent",
+        } <= self._structural_failures(scenario_cap=8)
 
     def test_dropped_nx_bit_caught(self, monkeypatch):
         """Bug: the encoder forgets the NX bit."""
@@ -147,18 +161,18 @@ class TestMutations:
             return raw & ~(1 << defs.BIT_NX)
 
         monkeypatch.setattr("repro.core.pt.impl.entry.encode_page", broken)
-        failures = self._structural_failures()
-        assert failures
-        names = " ".join(r.name for r in failures)
-        assert "sim" in names or "hw" in names
+        assert {
+            "hw_permission_execute_nx",
+            "refinement_trace_state",
+            "sim_map_2m_success_commutes",
+            "sim_map_4k_success_commutes",
+        } <= self._structural_failures()
 
     def test_missing_shootdown_caught(self):
         """The tlb group's stale-entry VC guards against a missing
         invalidation (checked positively: the stale detector works)."""
-        from repro.core.refine.proof import _tlb_vc
-
-        vc = _tlb_vc("stale_entry_detected", lambda: [])
-        assert vc.discharge().ok
+        stale_entry_detected = proofmod.TLB_OBLIGATIONS["stale_entry_detected"]
+        assert stale_entry_detected(lambda: []) is None
 
     def test_broken_spec_overlap_caught(self, monkeypatch):
         """Bug in the spec direction: overlap check ignores huge pages."""
@@ -169,8 +183,45 @@ class TestMutations:
 
         monkeypatch.setattr(highlevel.AbstractState, "overlaps",
                             broken_overlaps)
-        failures = self._structural_failures()
-        assert any("sim_map" in r.name for r in failures)
+        assert {
+            "refinement_trace_observable",
+            "refinement_trace_state",
+            "sim_map_2m_success_commutes",
+            "sim_map_4k_success_commutes",
+        } <= self._structural_failures()
+
+    def test_user_mode_denied_everywhere_caught(self, monkeypatch):
+        """Bug in the hardware model: every user-mode access faults.  The
+        permission VCs are two-sided, so a fault-everything rule fails
+        them."""
+        from repro.hw import mmu
+
+        def deny_user(vaddr, flags, access, user_mode):
+            if user_mode:
+                raise mmu.TranslationFault(vaddr, "user access denied")
+
+        monkeypatch.setattr(mmu, "check_access", deny_user)
+        assert {
+            "hw_permission_write_to_readonly",
+            "hw_permission_execute_nx",
+        } <= self._structural_failures()
+
+    def test_wrong_unmap_return_caught_by_the_traces(self, monkeypatch):
+        """Bug: unmap updates the tree right but reports the wrong frame.
+        The traces check the whole simulation step, return value
+        included."""
+        original = PageTable.unmap
+
+        def shifted(self, vaddr):
+            removed = original(self, vaddr)
+            return dataclasses.replace(removed, paddr=removed.paddr + 0x1000)
+
+        monkeypatch.setattr(PageTable, "unmap", shifted)
+        assert {
+            "refinement_trace_observable",
+            "refinement_trace_state",
+            "sim_unmap_success_commutes",
+        } <= self._structural_failures()
 
 
 class TestTimingReport:

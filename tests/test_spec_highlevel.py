@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.pt.defs import Flags, PageSize
+from repro.core.pt.defs import MAX_VADDR, Flags, PageSize
 from repro.core.spec.highlevel import (
     AbstractPte,
     AbstractState,
+    canonical_invariant,
     highlevel_machine,
     map_enabled,
     unmap_enabled,
@@ -143,3 +144,14 @@ class TestMachineExploration:
             spans.sort()
             for (a_start, a_end), (b_start, b_end) in zip(spans, spans[1:]):
                 assert b_start >= a_end
+
+    def test_canonical_invariant_checks_the_last_byte(self):
+        """A 2 MiB page whose base is canonical but whose end runs past
+        the lower half is not a well-formed abstract map."""
+        size = PageSize.SIZE_2M
+        pte = AbstractPte(0x20_0000, size, Flags.user_rw())
+        straddling = AbstractState(
+            mappings=EMPTY_MAP.set(MAX_VADDR - 0x1000, pte))
+        assert not canonical_invariant(straddling)
+        last = AbstractState(mappings=EMPTY_MAP.set(MAX_VADDR - int(size), pte))
+        assert canonical_invariant(last)
