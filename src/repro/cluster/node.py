@@ -4,9 +4,10 @@ A node is a *user-space service the verified OS carries*: it talks UDP
 through its kernel's :class:`~repro.nros.net.stack.NetStack`, its
 local state is a :class:`~repro.nr.core.NodeReplicated` ``KvStore`` —
 the NR structure whose linearizability the proof layer checks — and
-(since the crash-restart work) every applied write is first made
-durable through a :class:`~repro.cluster.wal.NodeWal` on the node's own
-verified filesystem, so the paper's claim ("the application is correct
+(since the crash-restart work) every applied write is made durable
+through a :class:`~repro.cluster.wal.NodeWal` on the node's own
+verified filesystem before anything that depends on it leaves the
+node, so the paper's claim ("the application is correct
 because the OS's verified services carry it") is literal end to end:
 every byte this service stores moves through the verified net stack,
 the verified replication protocol, and the crash-ordered filesystem.
@@ -15,9 +16,13 @@ Cluster-level replication lives *above* that boundary (see DESIGN.md):
 
 * **placement** — a :class:`~repro.cluster.ring.HashRing` maps each key
   to `rf` distinct nodes, primary first;
-* **writes** — the primary logs to its WAL, applies locally, forwards
-  to every live replica (each of which logs + applies), and
-  acknowledges the client only once all of them confirmed; if the ring
+* **writes** — the primary applies locally, forwards to every live
+  replica (each of which applies and confirms), and acknowledges the
+  client only once all of them confirmed.  Each node logs an inbox
+  pass's records to its WAL in one write and holds every datagram the
+  pass sends after its first record until that write returns, so no
+  forward, confirmation or ack leaves before its record is on the
+  platter; if the ring
   currently holds fewer than `rf` nodes the primary refuses the write
   with the typed retryable ``degraded`` error instead of acking thin;
 * **reads** — served by the primary only, which (with primary-forwarded
@@ -130,6 +135,10 @@ class ClusterNode:
         self._sync_queue: deque = deque()     # (target id, key, val, ver)
         self._catchup_queue: deque = deque()  # + (target, None, req, 0)
         self._lagged: list[tuple[int, int, dict]] = []  # (due, ip, msg)
+        #: this inbox pass's WAL records, and the datagrams held behind
+        #: them — (ip, port, payload) sent after the pass's first record
+        self._batch: list[tuple] = []
+        self._outbox: list[tuple[int, int, bytes]] = []
 
         # peers announced as restarting: out of the ring, streamed data
         self._recovering_peers: set[str] = set()
@@ -186,6 +195,9 @@ class ClusterNode:
             "cluster.wal.compact_seconds", node=node_id)
         self._snapshot_bytes = self.registry.counter(
             "cluster.wal.snapshot_bytes", node=node_id)
+        #: records per WAL write (one sample per pass that logged any)
+        self._batch_records = self.registry.histogram(
+            "cluster.wal.batch_records", node=node_id)
         self._compact_failed = self.registry.counter(
             "cluster.wal_compact_failed", node=node_id)
         if recover:
@@ -203,14 +215,16 @@ class ClusterNode:
     def _apply(self, key: str, value, version: int) -> bool:
         """Version-guarded last-writer-wins apply; True if it landed.
 
-        Durability order: the WAL record reaches the filesystem *before*
-        the in-memory apply — a :class:`DiskCrash` mid-append leaves
-        neither (the torn record is ignored at replay, and the write was
-        never acknowledged)."""
+        The record joins this pass's WAL batch.  Durability rule:
+        nothing a pass sends leaves before the pass's records are on
+        the platter (:meth:`_commit`).  The in-memory store is updated
+        at once, so later messages of the pass see the write; a node
+        that dies before the batch is logged loses that store with it,
+        and nothing that saw the write was sent."""
         current = self._lookup(key)
         if current is not None and current[1] >= version:
             return False
-        self.wal.append(key, value, version)
+        self._batch.append((key, value, version))
         self.store.execute(("put", key, (value, version)))
         if version > self._next_version.get(key, 0):
             self._next_version[key] = version
@@ -235,8 +249,13 @@ class ClusterNode:
     # -- wire helpers -------------------------------------------------------
 
     def _send(self, dst_ip: int, dst_port: int, message: dict) -> None:
-        self.stack.udp_send(SERVICE_PORT, dst_ip, dst_port,
-                            msg.encode(message))
+        """Send now — or, once this pass has a WAL record, hold the
+        datagram in the outbox until :meth:`_commit` logs the batch."""
+        payload = msg.encode(message)
+        if self._batch:
+            self._outbox.append((dst_ip, dst_port, payload))
+        else:
+            self.stack.udp_send(SERVICE_PORT, dst_ip, dst_port, payload)
 
     def _send_peer(self, peer: str, message: dict) -> None:
         self._send(self.members[peer], SERVICE_PORT, message)
@@ -323,12 +342,16 @@ class ClusterNode:
                 self._send(dst_ip, SERVICE_PORT, message)
 
     def _process_inbox(self, now: int) -> bool:
-        """Serve queued datagrams; data-plane messages consume capacity
-        (the queueing model behind the latency distributions).  Returns
-        False if an injected crash — or the disk dying, or filling up,
-        under the WAL — killed the node at a message boundary."""
+        """Serve queued datagrams as one pass; data-plane messages
+        consume capacity (the queueing model behind the latency
+        distributions).  The pass ends in :meth:`_commit`.  Returns
+        False if the node died: the disk dying, or filling up, under
+        the pass's WAL write, or an injected crash at a message
+        boundary — which lands after the messages before it were
+        committed, so each of those was served in full."""
         budget = self.capacity
         queue = self.sock.recv_queue
+        injected = False
         while queue:
             src_ip, src_port, payload = queue.popleft()
             try:
@@ -345,20 +368,38 @@ class ClusterNode:
                     decision = self.fault_plan.draw(
                         f"cluster.node.{self.node_id}")
                     if decision is not None and decision.kind == "crash":
-                        self.crash(now, reason="injected")
-                        return False
+                        injected = True
+                        break
                 self._served[kind].inc()
-            try:
-                self._handle(message, (src_ip, src_port), now)
-            except DiskCrash:
-                self.crash(now, reason="disk-crash")
-                return False
-            except VOLUME_FULL:
-                # the WAL append found no room: the write is neither
-                # applied nor acknowledged, and a node that cannot log
-                # cannot serve
-                self.crash(now, reason="volume-full")
-                return False
+            self._handle(message, (src_ip, src_port), now)
+        if not self._commit(now):
+            return False
+        if injected:
+            self.crash(now, reason="injected")
+        return not injected
+
+    def _commit(self, now: int) -> bool:
+        """Log the pass's records with one WAL write, then release the
+        datagrams held behind them, in order.  Returns False if the
+        write failed: the node fail-stops and the outbox dies with it,
+        so nothing that depended on the batch was ever sent."""
+        batch, held = self._batch, self._outbox
+        if not batch:
+            return True
+        self._batch, self._outbox = [], []
+        try:
+            self.wal.append(batch)
+        except DiskCrash:
+            self.crash(now, reason="disk-crash")
+            return False
+        except VOLUME_FULL:
+            # no room to log: nothing of the batch was acknowledged,
+            # and a node that cannot log cannot serve
+            self.crash(now, reason="volume-full")
+            return False
+        self._batch_records.record(len(batch))
+        for dst_ip, dst_port, payload in held:
+            self.stack.udp_send(SERVICE_PORT, dst_ip, dst_port, payload)
         return True
 
     def crash(self, now: int, reason: str = "killed") -> None:

@@ -1,8 +1,10 @@
 """Per-node durable write-ahead log on the node's own verified FS.
 
-Every applied write/delete of a cluster node appends one versioned,
-checksummed record here *before* it lands in the in-memory NR
-``KvStore`` — through the normal file API
+Every applied write/delete of a cluster node becomes one versioned,
+checksummed record here.  The node logs an inbox pass's records with
+one :meth:`NodeWal.append` — one file write, which returns only once
+every frame is on the platter — and nothing the pass sends leaves
+before it returns.  The writes go through the normal file API
 (:class:`~repro.nros.fs.fd.FdTable` over :class:`~repro.nros.fs.fs
 .FileSystem` over the block driver and simulated disk), so durability
 rests on exactly the stack the PR 2 crash matrix hardened.
@@ -257,14 +259,17 @@ class NodeWal:
 
     # -- the hot path -------------------------------------------------------
 
-    def append(self, key: str, value, version: int) -> None:
-        """Durably log one write before it is applied; a
-        :class:`~repro.hw.devices.disk.DiskCrash` escaping here means
-        the record may be half on the platter — replay ignores it, and
-        the write was never acknowledged."""
-        self.fdtable.write(self._wal_fd, encode_record(key, value, version))
-        self.appended += 1
-        self.total_appends += 1
+    def append(self, records) -> None:
+        """Durably log a batch of ``(key, value, version)`` records with
+        one write; it returns once all of them are on the platter.  A
+        :class:`~repro.hw.devices.disk.DiskCrash` escaping here leaves
+        at most a prefix of the batch readable — replay ignores a torn
+        frame, and none of the batch was acknowledged."""
+        self.fdtable.write(self._wal_fd, b"".join(
+            [encode_record(key, value, version)
+             for key, value, version in records]))
+        self.appended += len(records)
+        self.total_appends += len(records)
 
     def should_compact(self) -> bool:
         return self.appended >= self._compact_at

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.cluster.client import AUDIT_CLIENT
 from repro.cluster.deploy import Deployment
 from repro.cluster.node import TICK_NS
+from repro.obs import Histogram
 
 
 class ZipfSampler:
@@ -87,6 +88,9 @@ class WorkloadReport:
     gaveup: int = 0
     sim_ns: int = 0
     latency: dict = field(default_factory=dict)  # op -> snapshot dict
+    #: records per WAL write, merged over the nodes
+    wal_batches: Histogram = field(
+        default_factory=lambda: Histogram(name="cluster.wal.batch_records"))
     ryw_violations: list = field(default_factory=list)
     lost_acked_writes: list = field(default_factory=list)
     gaveup_ops: list = field(default_factory=list)  # typed give-up records
@@ -121,6 +125,10 @@ class WorkloadReport:
                 lines.append(
                     f"  {op:4s} n={snap['count']:>6} p50={snap['p50']:.0f}ns "
                     f"p99={snap['p99']:.0f}ns max={snap['max']:.0f}ns")
+        batches = self.wal_batches
+        lines.append(
+            f"  wal  writes={batches.count} records per write "
+            f"p50={batches.percentile(50)} max={batches.max}")
         lines.append(
             f"  audit: {self.audited_keys} acked keys re-read, "
             f"{len(self.lost_acked_writes)} lost, "
@@ -219,6 +227,9 @@ def run_workload(deployment: Deployment, profile: WorkloadProfile,
     for op, hist in gateway.latency.items():
         report.latency[op] = hist.snapshot() if hist.count else {
             "count": 0, "p50": 0, "p99": 0, "max": 0, "mean": 0}
+    for hist in deployment.registry.histograms():
+        if hist.name == report.wal_batches.name:
+            report.wal_batches.merge(hist)
 
     # -- durability audit: read back every acknowledged write --------------
     audit_keys = gateway.audit_keys()

@@ -7,9 +7,10 @@ import pytest
 from repro.cluster import messages as msg
 from repro.cluster.deploy import Deployment
 from repro.cluster.harness import recovery_bench, run_cluster
-from repro.cluster.node import HB_EVERY, HB_TIMEOUT
+from repro.cluster.node import HB_EVERY, HB_TIMEOUT, SERVICE_PORT, ClusterNode
 from repro.cluster.workload import WorkloadProfile, run_workload
 from repro.faults.cluster import run_wal_crash_matrix
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.nros.fs.alloc import NoSpace
 from repro.nros.fs.blockdev import BLOCK_SIZE
 from repro.nros.fs.fsck import fsck
@@ -149,6 +150,122 @@ def test_wal_crash_matrix_smoke_every_boundary_recovers():
     matrix = run_wal_crash_matrix(seed=1, ops=16, compact_every=4)
     assert matrix.crash_points > 0
     assert matrix.ok, matrix.violations
+
+
+# -- group commit: one WAL write per pass, nothing sent ahead of it ---------
+
+
+def test_one_wal_write_per_inbox_pass_that_applied_a_record():
+    registry = Registry()
+    deployment = Deployment(3, rf=2, registry=registry, seed=1)
+    writes = dict.fromkeys(deployment.nodes, 0)
+    passes = dict.fromkeys(deployment.nodes, 0)
+    for node_id, node in deployment.nodes.items():
+        landed: list[bool] = []
+
+        def counting_write(fd, data, node=node, node_id=node_id,
+                           write=node.fdtable.write):
+            writes[node_id] += fd == node.wal._wal_fd
+            return write(fd, data)
+
+        def noting_apply(*record, apply=node._apply, landed=landed):
+            landed.append(apply(*record))
+            return landed[-1]
+
+        def counting_pass(now, inbox=node._process_inbox, landed=landed,
+                          node_id=node_id):
+            landed.clear()
+            alive = inbox(now)
+            passes[node_id] += any(landed)
+            return alive
+
+        node.fdtable.write = counting_write
+        node._apply = noting_apply
+        node._process_inbox = counting_pass
+    report = run_workload(deployment, _profile(ops=400))
+    assert report.ok, report.summary_lines()
+    for node_id, node in deployment.nodes.items():
+        batches = registry.histogram("cluster.wal.batch_records",
+                                     node=node_id)
+        assert writes[node_id] == passes[node_id] == batches.count > 0
+        assert batches.total == node.wal.total_appends
+    assert report.wal_batches.max >= 2          # passes do share a write
+
+
+def _crash_a_batch_write(seed: int = 1):
+    """A 3-node run in which node1's disk dies under the first WAL write
+    that carries >= 2 records, in a tick where node1 sent nothing before
+    that pass's first record.  Returns the deployment, what the
+    observers saw — ``seen["crash"]`` is the fail-stop's reason and
+    node1's NIC tx count at the start of that tick and at the
+    fail-stop — and the audited workload report."""
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=seed,
+                            auto_restart_delay=150)
+    node = deployment.nodes["node1"]
+    nic = node.kernel.nic
+    seen: dict = {}
+    on_tick, apply, append, crash = (node.on_tick, node._apply,
+                                     node.wal.append, node.crash)
+
+    def observed_tick(now):
+        seen["tick_tx"] = nic.stats.tx_frames
+        on_tick(now)
+
+    def observed_apply(*record):
+        if not node._batch:
+            seen["first_record_tx"] = nic.stats.tx_frames
+        return apply(*record)
+
+    def arming_append(records):
+        if "armed" not in seen and len(records) >= 2 \
+                and seen["first_record_tx"] == seen["tick_tx"]:
+            seen["armed"] = len(records)
+            node.kernel.disk.fault_plan = FaultPlan(seed, rules=[
+                FaultRule(site="disk.write", kind="crash", at=1)])
+        append(records)
+
+    def observed_crash(now, reason="killed"):
+        seen.setdefault("crash", (reason, seen["tick_tx"],
+                                  nic.stats.tx_frames))
+        crash(now, reason)
+
+    node.on_tick, node._apply = observed_tick, observed_apply
+    node.wal.append, node.crash = arming_append, observed_crash
+    report = run_workload(deployment, _profile(ops=400, seed=seed))
+    return deployment, seen, report
+
+
+def test_a_crashed_batch_write_sends_nothing_from_its_tick():
+    deployment, seen, report = _crash_a_batch_write()
+    assert seen["armed"] >= 2
+    reason, tick_tx, tx = seen["crash"]
+    assert reason == "disk-crash"
+    # the forwards, confirmations and acks of that pass died unsent
+    assert tx == tick_tx
+    # ... and the node came back from its platter with the audit clean
+    assert report.restarts == 1
+    assert deployment.nodes["node1"].state == "serving"
+    assert report.ok, report.summary_lines()
+    assert report.lost_acked_writes == [] and report.ryw_violations == []
+
+
+def test_releasing_the_outbox_before_the_wal_write_fails_that_check(
+        monkeypatch):
+    """The ``ack-before-WAL-append`` mutant: the same run, with the
+    held datagrams released before the batch is written."""
+    commit = ClusterNode._commit
+
+    def release_then_write(self, now):
+        held, self._outbox = self._outbox, []
+        for dst_ip, dst_port, payload in held:
+            self.stack.udp_send(SERVICE_PORT, dst_ip, dst_port, payload)
+        return commit(self, now)
+
+    monkeypatch.setattr(ClusterNode, "_commit", release_then_write)
+    _, seen, _ = _crash_a_batch_write()
+    reason, tick_tx, tx = seen["crash"]
+    assert reason == "disk-crash"
+    assert tx > tick_tx
 
 
 # -- a full volume degrades the service, it does not abort it ---------------

@@ -95,9 +95,9 @@ def test_fresh_volume_starts_generation_zero():
 def test_reopen_recovers_appends_and_rewrites_clean_generation():
     _, fs = _fresh_fs()
     wal, _ = NodeWal.open(fdmod.FdTable(fs))
-    wal.append("k1", "a", 1)
-    wal.append("k2", "b", 2)
-    wal.append("k1", "c", 4)                         # newer version wins
+    wal.append([("k1", "a", 1), ("k2", "b", 2)])
+    wal.append([("k1", "c", 4)])                     # newer version wins
+    assert (wal.appended, wal.total_appends) == (3, 3)   # counts records
 
     wal2, recovery = NodeWal.open(fdmod.FdTable(fs))
     assert recovery.entries == {"k1": ("c", 4), "k2": ("b", 2)}
@@ -116,7 +116,7 @@ def test_compaction_rotates_generation_and_prunes_old_files():
     state = {}
     for i in range(2):
         state[f"k{i}"] = (f"v{i}", i + 1)
-        wal.append(f"k{i}", f"v{i}", i + 1)
+        wal.append([(f"k{i}", f"v{i}", i + 1)])
     assert wal.should_compact()
     wal.compact(dict(state))
     assert wal.gen == 1
@@ -132,7 +132,7 @@ def test_compaction_rotates_generation_and_prunes_old_files():
 def test_stray_snapshot_tmp_is_swept_on_open():
     _, fs = _fresh_fs()
     wal, _ = NodeWal.open(fdmod.FdTable(fs))
-    wal.append("k", "v", 1)
+    wal.append([("k", "v", 1)])
     # a compaction that died before its rename leaves /snap.tmp behind
     inum = fs.create("/snap.tmp")
     fs.write_at(inum, 0, b"half-written snapshot garbage")
@@ -145,10 +145,9 @@ def test_stray_snapshot_tmp_is_swept_on_open():
 def test_invalid_snapshot_falls_back_to_wal_replay():
     _, fs = _fresh_fs()
     wal, _ = NodeWal.open(fdmod.FdTable(fs), compact_every=2)
-    wal.append("k0", "v0", 1)
-    wal.append("k1", "v1", 2)
+    wal.append([("k0", "v0", 1), ("k1", "v1", 2)])
     wal.compact({"k0": ("v0", 1), "k1": ("v1", 2)})
-    wal.append("k2", "v2", 3)
+    wal.append([("k2", "v2", 3)])
     # corrupt the committed snapshot: its commit marker no longer parses
     inum = fs.lookup(f"/snap.{wal.gen}")
     fs.write_at(inum, 0, b"X")
@@ -161,30 +160,60 @@ def test_invalid_snapshot_falls_back_to_wal_replay():
 # -- the WAL's own crash matrix (unit level, no cluster) -------------------
 
 
-def _wal_scenario(fs: FileSystem, completed: dict | None = None) -> None:
-    """Ten appends over three keys with compaction every four — the
-    write pattern whose every boundary the matrix crashes at.  Each
-    append that *returned* is noted in `completed` (key -> version)."""
+def _batches(sizes) -> list[list[tuple]]:
+    """Consecutive batches of the given sizes over three keys; record
+    ``n`` is ``(f"k{n % 3}", f"v{n}", n + 1)``, so versions ascend."""
+    batches, n = [], 0
+    for size in sizes:
+        batches.append([(f"k{i % 3}", f"v{i}", i + 1)
+                        for i in range(n, n + size)])
+        n += size
+    return batches
+
+
+#: The unit matrix's appends: 19 records in batches of 1-5.
+_BATCHES = _batches((1, 2, 3, 4, 5, 3, 1))
+
+
+def _replay(records) -> dict:
+    """The state `records` leave (versions ascend, so the last wins)."""
+    return {key: (value, version) for key, value, version in records}
+
+
+def _wal_scenario(fs: FileSystem, journal: dict | None = None) -> None:
+    """`_BATCHES` appended with compaction every four records — the
+    write pattern whose every boundary the matrix crashes at.  The
+    `journal` maps each batch index to ``"torn"`` while its append is
+    in flight and to ``"done"`` once it returned."""
     fdtable = fdmod.FdTable(fs)
     wal, _ = NodeWal.open(fdtable, compact_every=4)
     state = {}
-    for i in range(10):
-        key = f"k{i % 3}"
-        state[key] = (f"v{i}", i + 1)
-        wal.append(key, f"v{i}", i + 1)
-        if completed is not None:
-            completed[key] = i + 1
+    for index, batch in enumerate(_BATCHES):
+        if journal is not None:
+            journal[index] = "torn"
+        wal.append(batch)
+        if journal is not None:
+            journal[index] = "done"
+        state.update(_replay(batch))
         if wal.should_compact():
             wal.compact(dict(state))
 
 
+def _lost(completed: dict, entries: dict) -> list[str]:
+    """The completed appends (key -> version) recovery does not surface."""
+    return [f"{key}@{version} (recovered {entries.get(key)})"
+            for key, version in completed.items()
+            if entries.get(key, (None, -1))[1] < version]
+
+
 def _crash_sweep(scenario, setup=None):
     """Kill the disk at every write boundary of `scenario(fs,
-    completed)` and recover from the surviving image; yields ``(n,
-    issues, mid_stream, lost)``: the non-recoverable fsck issues,
-    whether power died inside a snapshot stream (``/snap.tmp`` holds
-    data sectors but not yet its size), and the completed appends
-    (`setup(fs)`'s returned ones included) recovery does not surface."""
+    journal)` and recover from the surviving image; yields ``(n,
+    issues, mid_stream, entries, journal)``: the non-recoverable fsck
+    issues, whether power died inside a snapshot stream (``/snap.tmp``
+    holds data sectors but not yet its size), what recovery surfaced,
+    and what the scenario noted before power died (starting from
+    `setup(fs)`'s returned dict)."""
     disk, fs = _fresh_fs()
     baseline = setup(fs) if setup is not None else {}
     pristine = disk.snapshot()
@@ -214,10 +243,7 @@ def _crash_sweep(scenario, setup=None):
         mid_stream = survivor_fs.exists("/snap.tmp") \
             and survivor_fs.stat("/snap.tmp").size == 0
         _, recovery = NodeWal.open(fdmod.FdTable(survivor_fs))
-        lost = [f"{key}@{version} (recovered {recovery.entries.get(key)})"
-                for key, version in completed.items()
-                if recovery.entries.get(key, (None, -1))[1] < version]
-        yield n, issues, mid_stream, lost
+        yield n, issues, mid_stream, recovery.entries, completed
 
 
 def test_wal_crash_matrix_is_fsck_recoverable_at_every_boundary():
@@ -228,13 +254,27 @@ def test_wal_crash_matrix_is_fsck_recoverable_at_every_boundary():
 
 
 def test_every_crash_point_recovers_all_completed_appends():
-    """The durability contract itself: an append that *returned* is on
-    the platter, so recovery must surface that key at >= that version —
-    no matter which write boundary power died at."""
+    """The durability contract itself, per batch: whichever write
+    boundary power died at, recovery returns every record of every
+    batch whose append *returned*, at most a prefix of the batch in
+    flight, and nothing of any later batch — i.e. exactly the state
+    after the completed batches plus some prefix of the torn one."""
     points = list(_crash_sweep(_wal_scenario))
     assert points
-    for n, _, _, lost in points:
-        assert not lost, f"crash at write {n}: completed append lost: {lost}"
+    in_batches = 0
+    for n, _, _, entries, journal in points:
+        done = [record for index, state in sorted(journal.items())
+                if state == "done" for record in _BATCHES[index]]
+        torn = [_BATCHES[index] for index, state in journal.items()
+                if state == "torn"]
+        torn = torn[0] if torn else []
+        in_batches += len(torn) >= 2
+        allowed = [_replay(done + torn[:cut]) for cut in range(len(torn) + 1)]
+        assert entries in allowed, (
+            f"crash at write {n}: recovered {entries}, completed "
+            f"{_replay(done)}, torn batch {torn}")
+    # the matrix does crash into multi-record batch writes
+    assert in_batches >= 2 * 4, in_batches
 
 
 # -- multi-sector snapshots: the stream itself is crashed into -------------
@@ -252,16 +292,14 @@ def _big_setup(fs: FileSystem) -> dict[str, int]:
     multi-sector ``/snap.1`` and a non-empty ``/wal.1``; returns the
     version every completed append left per key."""
     wal, _ = NodeWal.open(fdmod.FdTable(fs), compact_every=_BIG_KEYS)
-    completed = {}
-    for i in range(_BIG_KEYS):
-        wal.append(f"k{i:03d}", _big_value(i, 1), 1)
-        completed[f"k{i:03d}"] = 1
+    wal.append([(f"k{i:03d}", _big_value(i, 1), 1)
+                for i in range(_BIG_KEYS)])
+    completed = {f"k{i:03d}": 1 for i in range(_BIG_KEYS)}
     wal.compact({key: (_big_value(int(key[1:]), 1), 1)
                  for key in completed})
     assert fs.stat("/snap.1").size > 3 * Disk.SECTOR_SIZE
-    for i in range(5):
-        wal.append(f"k{i:03d}", _big_value(i, 2), 2)
-        completed[f"k{i:03d}"] = 2
+    wal.append([(f"k{i:03d}", _big_value(i, 2), 2) for i in range(5)])
+    completed.update({f"k{i:03d}": 2 for i in range(5)})
     return completed
 
 
@@ -274,22 +312,23 @@ def _big_scenario(fs: FileSystem, completed: dict[str, int],
     for i in range(5, 13):
         key = f"k{i:03d}"
         state[key] = (_big_value(i, 3), 3)
-        wal.append(key, *state[key])
+        wal.append([(key, *state[key])])
         completed[key] = 3
     assert wal.should_compact()
     compact(wal, dict(state))
-    wal.append("k000", _big_value(0, 4), 4)
+    wal.append([("k000", _big_value(0, 4), 4)])
     completed["k000"] = 4
 
 
 def test_multi_sector_snapshot_crash_matrix_recovers_g_or_g_plus_1():
     points = list(_crash_sweep(_big_scenario, _big_setup))
-    for n, issues, _, lost in points:
+    for n, issues, _, entries, completed in points:
         assert not issues, f"crash at write {n}: fsck: {issues}"
+        lost = _lost(completed, entries)
         assert not lost, f"crash at write {n}: completed append lost: {lost}"
     # both snapshots (open's rewrite, compact's) are crashed mid-stream:
     # every sector of each costs a bitmap, a zeroing and a data write
-    mid_stream = sum(1 for _, _, mid_stream, _ in points if mid_stream)
+    mid_stream = sum(1 for _, _, mid_stream, _, _ in points if mid_stream)
     assert mid_stream >= 2 * 3 * 3, (len(points), mid_stream)
 
 
@@ -312,7 +351,7 @@ def test_multi_sector_matrix_flags_the_unlink_before_rename_mutant():
     def scenario(fs, completed):
         _big_scenario(fs, completed, _compact_unlinking_old_wal_first)
 
-    assert any(lost for _, _, _, lost
+    assert any(_lost(completed, entries) for _, _, _, entries, completed
                in _crash_sweep(scenario, _big_setup))
 
 
@@ -348,8 +387,7 @@ def test_compaction_device_ops_are_per_sector_not_per_record():
     state = {}
     for i in range(700):                     # ~64 KiB: direct + indirect
         state[f"k{i:03d}"] = (_big_value(i, 1), 1)
-    for key in list(state)[:20]:
-        wal.append(key, *state[key])
+    wal.append([(key, *state[key]) for key in list(state)[:20]])
     old_blocks = len(_file_blocks(fs, "/wal.0"))
 
     disk.log.clear()
@@ -387,25 +425,39 @@ def test_compaction_device_ops_are_per_sector_not_per_record():
 
 
 def test_append_device_ops_are_unchanged():
-    """The append path keeps the parent's write boundaries: data sector
-    then inode, plus bitmap + zeroing when a record opens a new block."""
+    """A batch costs what one record used to: one write, whatever its
+    size — data sector then inode, plus bitmap + zeroing when the
+    batch opens a new block."""
     disk = _LoggingDisk(128)
     fs = FileSystem.mkfs(BlockDriver(disk), num_inodes=64)
     wal, _ = NodeWal.open(fdmod.FdTable(fs))
-    wal.append("warm", "up", 1)              # allocates /wal.0's block 0
-    record = len(encode_record("k000", _big_value(0, 1), 1))
-    per_block = Disk.SECTOR_SIZE // record
-    costs = []
-    for i in range(per_block + 5):
-        reads, writes = disk.reads, disk.writes
-        wal.append(f"k{i:03d}", _big_value(i, 1), 1)
-        costs.append((disk.reads - reads, disk.writes - writes))
-    # within a block: read inode, read-modify-write the data sector,
-    # read-modify-write the inode-table sector
-    assert set(costs) == {(3, 2), (4, 5)}
-    # the one record that straddles into a fresh block pays the second
+    wal.append([("warm", "up", 1)])          # allocates /wal.0's block 0
+    inside, opening = set(), []
+    n = 0
+    while len(opening) < 2:
+        for size in range(1, 6):
+            batch = [(f"k{i:03d}", _big_value(i, 1), 1)
+                     for i in range(n, n + size)]
+            n += size
+            before = fs.stat("/wal.0").size
+            assert before % Disk.SECTOR_SIZE   # no batch starts a block
+            reads, writes = disk.reads, disk.writes
+            wal.append(batch)
+            cost = (disk.reads - reads, disk.writes - writes)
+            after = fs.stat("/wal.0").size
+            assert after - before == sum(len(encode_record(*record))
+                                         for record in batch)
+            if (after - 1) // Disk.SECTOR_SIZE == before // Disk.SECTOR_SIZE:
+                inside.add((size, cost))
+            else:
+                opening.append(cost)
+    # within a block, batches of every size 1-5 pay the same: read the
+    # inode, read-modify-write the data sector, read-modify-write the
+    # inode-table sector
+    assert inside == {(size, (3, 2)) for size in range(1, 6)}
+    # a batch that straddles into a fresh block also pays the second
     # sector's bitmap bit, zeroing, read and write
-    assert costs.count((4, 5)) == 1
+    assert opening == [(4, 5), (4, 5)]
 
 
 # -- a full volume: compaction gives up cleanly, generation g stays live ---
@@ -420,7 +472,7 @@ def test_compaction_on_a_full_volume_keeps_generation_g_and_retries_later():
     for i in range(400):
         key = f"k{i:03d}"
         state[key] = (_big_value(i, 1), 1)
-        wal.append(key, *state[key])
+        wal.append([(key, *state[key])])
         if not wal.should_compact():
             continue
         free, gen, files = fs.bitmap.count_free(), wal.gen, wal.files()
@@ -439,7 +491,7 @@ def test_compaction_on_a_full_volume_keeps_generation_g_and_retries_later():
         assert not wal.should_compact()
         key = f"k{i:03d}"
         state[key] = (_big_value(i, 1), 1)
-        wal.append(key, *state[key])
+        wal.append([(key, *state[key])])
     assert wal.should_compact()
     # with room again the retry rotates the generation as usual
     fs.unlink("/ballast")
