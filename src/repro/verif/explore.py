@@ -47,6 +47,9 @@ def reachable_states(
     """BFS over the machine's reachable states, checking invariants.
 
     Traces to violations are recorded so VC counterexamples are replayable.
+    On a violation, `states` holds every state discovered so far in BFS
+    order (checked or still queued), so the result does not depend on
+    the hash seed.
     """
     result = ExploreResult()
     seen: set = set()
@@ -62,7 +65,7 @@ def reachable_states(
         violated = machine.check_invariants(state)
         if violated is not None:
             result.violation = (violated, state, trace)
-            result.states = list(seen)
+            result.states += [state] + [queued for queued, _, _ in queue]
             return result
         result.states.append(state)
         if max_depth is not None and depth >= max_depth:
@@ -89,16 +92,21 @@ def check_inductive(
     if it holds in `s` it holds after every enabled step — or, with
     `action`, after every enabled step of that one transition (the
     invariant is *stable* under the action; the machine's memoised
-    transition relation is filtered, not recomputed).  Returns a
-    counterexample (state, transition, args, successor) or None."""
-    invariant = machine.invariants[invariant_name]
+    transition relation is filtered, not recomputed).  Verdicts come
+    from the machine's memo (`SpecStateMachine.violated`), so a state
+    judged by exploration or by a sibling induction VC is not judged
+    again.  Returns a counterexample (state, transition, args,
+    successor) or None."""
+    if invariant_name not in machine.invariants:
+        raise KeyError(invariant_name)
+    violated = machine.violated
     for state in states:
-        if not invariant(state):
+        if invariant_name in violated(state):
             continue  # vacuous: induction only cares about inv states
         for name, args, successor in machine.enabled_steps(state):
             if action is not None and name != action:
                 continue
-            if not invariant(successor):
+            if invariant_name in violated(successor):
                 return (state, name, args, successor)
     return None
 

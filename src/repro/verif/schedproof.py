@@ -30,7 +30,6 @@ mutate scratch state freely; the spec it checks stays pure.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from repro.verif import schedspec as ss
 from repro.verif.explore import Explored, check_inductive, explored_vc, \
@@ -60,17 +59,16 @@ def _perturbed_states(states, limit: int = 400):
         if which == 0 and state.threads:
             victim = rng.choice(state.threads)
             if victim.kind == ss.FAIR and victim.state != ss.EXITED:
-                bumped = replace(victim,
-                                 vruntime=victim.vruntime
-                                 + rng.randint(1, 2))
+                bumped = victim._replace(vruntime=victim.vruntime
+                                         + rng.randint(1, 2))
                 threads = tuple(bumped if t.tid == victim.tid else t
                                 for t in state.threads)
-                variants.append(ss.canonical(replace(state,
-                                                     threads=threads)))
+                variants.append(ss.canonical(
+                    state._replace(threads=threads)))
         elif which == 1:
             streak = tuple(rng.randint(0, ss.RT_STREAK_LIMIT)
                            for _ in range(state.ncores))
-            variants.append(replace(state, rt_streak=streak))
+            variants.append(state._replace(rt_streak=streak))
         else:
             variants.append(state)
     return variants
@@ -83,7 +81,7 @@ def _spec_inductive_vc(explored: Explored, invariant: str) -> VC:
         # usual strengthening): perturbed states that already violate a
         # sibling invariant are unreachable noise, not counterexamples.
         perturbed = [s for s in _perturbed_states(result.states)
-                     if machine.check_invariants(s) is None]
+                     if not machine.violated(s)]
         states = list(result.states) + perturbed
         return check_inductive(machine, states, invariant)
 
@@ -102,28 +100,28 @@ def _broken_states():
     base = ss.smp_config()
     t1 = ss.thread_by_tid(base, 1)
     # tid 1 queued on both cores
-    double = replace(base, queues=(base.queues[0],
+    double = base._replace(queues=(base.queues[0],
                                    base.queues[1] + (1,)))
     # weight cache out of sync with members
-    stale = replace(base, weight_sums=(base.weight_sums[0] + 1,
+    stale = base._replace(weight_sums=(base.weight_sums[0] + 1,
                                        base.weight_sums[1]))
     # one queued fair thread lapped the field
     lapped_threads = tuple(
-        replace(t, vruntime=ss.SPREAD_LIMIT + 50)
+        t._replace(vruntime=ss.SPREAD_LIMIT + 50)
         if t.tid == 1 else t for t in base.threads)
-    lapped = replace(base, threads=lapped_threads)
+    lapped = base._replace(threads=lapped_threads)
     # a fair thread running past queued RT work with a live streak
     running_threads = tuple(
-        replace(t, state=ss.RUNNING) if t.tid == 1 else t
+        t._replace(state=ss.RUNNING) if t.tid == 1 else t
         for t in base.threads)
-    rt_wait = replace(base, threads=running_threads,
-                      queues=(tuple(tid for tid in base.queues[0]
-                                    if tid != 1), base.queues[1]),
-                      weight_sums=(base.weight_sums[0] - t1.weight,
-                                   base.weight_sums[1]),
-                      ready_counts=(base.ready_counts[0] - 1,
-                                    base.ready_counts[1]),
-                      rt_streak=(1, 0))
+    rt_wait = base._replace(threads=running_threads,
+                            queues=(tuple(tid for tid in base.queues[0]
+                                          if tid != 1), base.queues[1]),
+                            weight_sums=(base.weight_sums[0] - t1.weight,
+                                         base.weight_sums[1]),
+                            ready_counts=(base.ready_counts[0] - 1,
+                                          base.ready_counts[1]),
+                            rt_streak=(1, 0))
     return {
         "one_place": double,
         "weight_sums": stale,

@@ -22,13 +22,15 @@ transition the minimum runnable fair vruntime is shifted to zero, so
 bounded exploration in :mod:`repro.verif.schedproof` covers the whole
 reachable quotient space.
 
-This module is spec-layer: pure functions over frozen dataclasses
-(checked by ``python -m repro analyze``'s purity lint).
+This module is spec-layer: pure functions over immutable named tuples
+(checked by ``python -m repro analyze``'s purity lint).  Named tuples
+rather than frozen dataclasses because exploration hashes and compares
+every successor it builds: a tuple does both in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.verif.statemachine import SpecStateMachine, Transition
 
@@ -56,8 +58,7 @@ FAIR = "fair"
 RT = "rt"
 
 
-@dataclass(frozen=True, order=True)
-class SpecThread:
+class SpecThread(NamedTuple):
     """One abstract thread: ``weight`` is the fair weight for fair
     threads and the RT priority for RT threads."""
 
@@ -69,8 +70,7 @@ class SpecThread:
     core: int
 
 
-@dataclass(frozen=True)
-class SchedState:
+class SchedState(NamedTuple):
     """Threads plus the redundant per-core caches the invariants pin."""
 
     ncores: int
@@ -129,57 +129,56 @@ def charge(weight: int) -> int:
     return QUANTUM * MAX_WEIGHT // weight
 
 
-def _rebuild(state: SchedState,
-             threads: tuple[SpecThread, ...]) -> SchedState:
+def _rebuild(ncores: int, threads: tuple[SpecThread, ...],
+             rt_streak: tuple[int, ...]) -> SchedState:
     """Recompute the cached aggregates from the threads and normalize
     vruntimes *per core* so each core's minimum runnable fair vruntime
     is zero.  Nothing in the spec compares vruntimes across cores
     (migration renormalizes against per-core floors), so the shift is a
-    congruence — and it is what keeps the reachable space finite."""
-    shifts = []
-    for core in range(state.ncores):
-        runnable = [t.vruntime for t in threads
-                    if t.kind == FAIR and t.core == core
-                    and t.state in (QUEUED, RUNNING)]
-        shifts.append(min(runnable) if runnable else 0)
+    congruence — and it is what keeps the reachable space finite.
+
+    One pass over the threads collects the floors, queue members, fair
+    weights and counts; the shift moves vruntimes only, so it leaves
+    the aggregates alone."""
+    floors: list = [None] * ncores
+    queues: list = [[] for _ in range(ncores)]
+    weight_sums = [0] * ncores
+    for t in threads:
+        if t.state == QUEUED:
+            queues[t.core].append(t.tid)
+            if t.kind == FAIR:
+                weight_sums[t.core] += t.weight
+        if t.kind == FAIR and t.state in (QUEUED, RUNNING):
+            floor = floors[t.core]
+            if floor is None or t.vruntime < floor:
+                floors[t.core] = t.vruntime
+    shifts = [floor or 0 for floor in floors]
     if any(shift > 0 for shift in shifts):
-        shifted = []
-        for t in threads:
-            if t.kind == FAIR and t.state != EXITED:
-                shifted.append(replace(
-                    t, vruntime=max(0, t.vruntime - shifts[t.core])))
-            else:
-                shifted.append(t)
-        threads = tuple(shifted)
-    queues = []
-    weight_sums = []
-    ready_counts = []
-    for core in range(state.ncores):
-        members = [t for t in threads
-                   if t.state == QUEUED and t.core == core]
-        queues.append(tuple(sorted(t.tid for t in members)))
-        weight_sums.append(sum(t.weight for t in members
-                               if t.kind == FAIR))
-        ready_counts.append(len(members))
-    return replace(state, threads=threads, queues=tuple(queues),
-                   weight_sums=tuple(weight_sums),
-                   ready_counts=tuple(ready_counts))
+        threads = tuple(
+            SpecThread(t.tid, t.kind, t.weight,
+                       max(0, t.vruntime - shifts[t.core]), t.state, t.core)
+            if t.kind == FAIR and t.state != EXITED else t
+            for t in threads)
+    return SchedState(ncores, threads,
+                      tuple(tuple(sorted(queue)) for queue in queues),
+                      tuple(weight_sums),
+                      tuple(len(queue) for queue in queues),
+                      rt_streak)
 
 
 def canonical(state: SchedState) -> SchedState:
     """Recompute the cached aggregates and renormalize vruntimes — the
     public entry the proof layer uses to re-canonicalize perturbed
     states before induction checks."""
-    return _rebuild(state, state.threads)
+    return _rebuild(state.ncores, state.threads, state.rt_streak)
 
 
 def _update(state: SchedState, new: SpecThread,
             streak: tuple[int, ...] | None = None) -> SchedState:
     threads = tuple(new if t.tid == new.tid else t
                     for t in state.threads)
-    mid = replace(state, threads=threads,
-                  rt_streak=state.rt_streak if streak is None else streak)
-    return _rebuild(mid, mid.threads)
+    return _rebuild(state.ncores, threads,
+                    state.rt_streak if streak is None else streak)
 
 
 # -- the pick policy (shared by transition and conformance VCs) ---------------
@@ -215,7 +214,7 @@ def _pick_apply(state: SchedState, args: tuple) -> SchedState:
         streak[core] = min(streak[core] + 1, RT_STREAK_LIMIT)
     else:
         streak[core] = 0
-    return _update(state, replace(chosen, state=RUNNING),
+    return _update(state, chosen._replace(state=RUNNING),
                    streak=tuple(streak))
 
 
@@ -226,27 +225,27 @@ def _deschedule_enabled(state: SchedState, args: tuple) -> bool:
 
 def _charged(thread: SpecThread) -> SpecThread:
     if thread.kind == FAIR:
-        return replace(thread,
-                       vruntime=thread.vruntime + charge(thread.weight))
+        return thread._replace(
+            vruntime=thread.vruntime + charge(thread.weight))
     return thread
 
 
 def _requeue_apply(state: SchedState, args: tuple) -> SchedState:
     (core,) = args
     thread = _charged(running_on(state, core))
-    return _update(state, replace(thread, state=QUEUED))
+    return _update(state, thread._replace(state=QUEUED))
 
 
 def _block_apply(state: SchedState, args: tuple) -> SchedState:
     (core,) = args
     thread = _charged(running_on(state, core))
-    return _update(state, replace(thread, state=BLOCKED))
+    return _update(state, thread._replace(state=BLOCKED))
 
 
 def _exit_apply(state: SchedState, args: tuple) -> SchedState:
     (core,) = args
     thread = running_on(state, core)
-    return _update(state, replace(thread, state=EXITED))
+    return _update(state, thread._replace(state=EXITED))
 
 
 def _wake_enabled(state: SchedState, args: tuple) -> bool:
@@ -264,8 +263,8 @@ def _wake_apply(state: SchedState, args: tuple) -> SchedState:
     if thread.kind == FAIR:
         floor = min_fair_vruntime(state, thread.core)
         vruntime = max(vruntime, floor - BONUS)
-    return _update(state, replace(thread, state=QUEUED,
-                                  vruntime=max(0, vruntime)))
+    return _update(state, thread._replace(state=QUEUED,
+                                          vruntime=max(0, vruntime)))
 
 
 def _migrate_args(state: SchedState):
@@ -294,7 +293,7 @@ def _migrate_apply(state: SchedState, args: tuple) -> SchedState:
     lead = max(0, thread.vruntime
                - min_fair_vruntime(state, thread.core))
     vruntime = min_fair_vruntime(state, dst) + lead
-    return _update(state, replace(thread, core=dst, vruntime=vruntime))
+    return _update(state, thread._replace(core=dst, vruntime=vruntime))
 
 
 def _wake_args(state: SchedState):
@@ -411,12 +410,7 @@ INVARIANTS = {
 
 def make_state(threads: tuple[SpecThread, ...],
                ncores: int) -> SchedState:
-    base = SchedState(ncores=ncores, threads=tuple(sorted(threads)),
-                      queues=((),) * ncores,
-                      weight_sums=(0,) * ncores,
-                      ready_counts=(0,) * ncores,
-                      rt_streak=(0,) * ncores)
-    return _rebuild(base, base.threads)
+    return _rebuild(ncores, tuple(sorted(threads)), (0,) * ncores)
 
 
 def smp_config() -> SchedState:

@@ -59,6 +59,8 @@ class SpecStateMachine:
     invariants: dict[str, Callable] = field(default_factory=dict)
     _steps: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def transition(self, name: str) -> Transition:
         for t in self.transitions:
@@ -94,9 +96,24 @@ class SpecStateMachine:
             )
         return steps
 
+    def violated(self, state) -> tuple[str, ...]:
+        """Names of the invariants `state` violates, in declaration
+        order; empty when every invariant holds.
+
+        Memoised like `enabled_steps` and sound for the same reason:
+        invariants are pure predicates over frozen states.  Exploration,
+        the coverage VC and every induction VC then judge each (state,
+        invariant) pair once.  A machine's `invariants` dict is not to be
+        edited after its first verdict; a sub-machine with other
+        invariants has its own memo."""
+        verdict = self._verdicts.get(state)
+        if verdict is None:
+            verdict = self._verdicts[state] = tuple(
+                name for name, pred in self.invariants.items()
+                if not pred(state))
+        return verdict
+
     def check_invariants(self, state) -> str | None:
         """Name of the first violated invariant, or None."""
-        for name, pred in self.invariants.items():
-            if not pred(state):
-                return name
-        return None
+        verdict = self.violated(state)
+        return verdict[0] if verdict else None

@@ -2,6 +2,7 @@
 the layering/erasure checker, the purity lint, the suppression syntax,
 and the seeded violation fixture the checker must flag."""
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -163,6 +164,25 @@ def test_purity_allows_seeded_random():
     # random.Random(7) is seeded; the .random() call on the instance has
     # a local root, so nothing fires at all.
     assert findings == []
+
+
+def test_purity_covers_the_named_tuple_sched_spec():
+    """The scheduler spec's states are named tuples whose aggregates
+    `_rebuild` collects in local lists: every function of the module is
+    linted and clean, and a store through a parameter is still caught."""
+    path = "src/repro/verif/schedspec.py"
+    source = discover_sources(repo_root())[path]
+    findings, stats = check_purity({path: source})
+    assert findings == []
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)]
+    assert stats["predicates"] == len(functions)
+    broken = source.replace("    floors: list = [None] * ncores\n",
+                            "    floors: list = [None] * ncores\n"
+                            "    threads[0] = None\n")
+    assert broken != source
+    findings, _ = check_purity({path: broken})
+    assert [f.rule for f in findings] == ["purity.mutation"]
 
 
 # -- the clean tree and the fixture -------------------------------------------------

@@ -3,7 +3,10 @@ the bounded state space is finite and invariant-clean, every invariant
 is inductive, hand-broken states are flagged (no vacuous invariants),
 and the scheduler VC family discharges through the proof engine."""
 
-from dataclasses import replace
+import gc
+import hashlib
+import sys
+import weakref
 
 import pytest
 
@@ -42,17 +45,44 @@ def test_reachable_space_is_pinned(explored):
     assert sum(len(machine.enabled_steps(s)) for s in result.states) == 28623
 
 
+def test_reachable_space_is_pinned_in_bfs_order(explored):
+    """The same space in the same order, not only of the same size: a
+    BLAKE2b over each state's field values, in exploration order, with
+    the (name, args) labels of its enabled steps.  Written against
+    field names only, so a change of state representation that keeps
+    the spec keeps the digest."""
+    machine, result = explored
+    digest = hashlib.blake2b(digest_size=16)
+    for state in result.states:
+        threads = tuple((t.tid, t.kind, t.weight, t.vruntime, t.state,
+                         t.core) for t in state.threads)
+        labels = tuple((name, args)
+                       for name, args, _ in machine.enabled_steps(state))
+        digest.update(repr((state.ncores, threads, state.queues,
+                            state.weight_sums, state.ready_counts,
+                            state.rt_streak, labels)).encode())
+    assert digest.hexdigest() == "460a56d2adf0f33a53db32b790f755ae"
+
+
 def test_memoised_steps_equal_a_fresh_machines(explored):
-    """`enabled_steps` is computed once per state and machine; exploration
-    has already filled `machine`'s memo, `fresh` computes from scratch."""
+    """`enabled_steps` and `violated` are computed once per state and
+    machine; exploration has already filled `machine`'s memos, `fresh`
+    computes from scratch."""
     machine, result = explored
     fresh = ss.sched_machine()
     perturbed = _perturbed_states(result.states)
     assert set(perturbed) - set(result.states), "perturbation adds states"
+    assert any(fresh.violated(s) for s in perturbed), \
+        "some perturbed state violates an invariant"
     for state in list(result.states) + perturbed:
         steps = machine.enabled_steps(state)
         assert steps == fresh.enabled_steps(state)
         assert machine.enabled_steps(state) is steps
+        verdict = machine.violated(state)
+        assert verdict == fresh.violated(state)
+        assert verdict == tuple(name for name, pred in ss.INVARIANTS.items()
+                                if not pred(state))
+        assert machine.violated(state) is verdict
 
 
 def test_every_invariant_is_inductive(explored):
@@ -79,11 +109,20 @@ def test_transitions_preserve_canonical_form(explored):
 # -- vacuity ------------------------------------------------------------------
 
 
-def test_broken_states_are_flagged():
-    machine = ss.sched_machine()
+def test_broken_states_are_flagged(explored):
+    machine, _result = explored          # a machine whose memo is full
     for expected, state in _broken_states().items():
-        assert machine.check_invariants(state) is not None, \
+        assert expected in machine.violated(state), \
             f"hand-broken state for {expected} not flagged"
+        assert machine.check_invariants(state) is not None
+
+
+def test_detects_violations_vc_flags_after_exploration():
+    """The vacuity VC reads the same verdict memo exploration and the
+    induction VCs fill; it must still flag every hand-broken state."""
+    vcs = {vc.name: vc for vc in scheduler_vcs()}
+    assert vcs["sched-spec-explored"].check() is None
+    assert vcs["sched-spec-detects-violations"].check() is None
 
 
 def test_rt_streak_violation_flagged():
@@ -92,7 +131,7 @@ def test_rt_streak_violation_flagged():
     picked = ss.sched_machine().step(base, "pick", (0,))
     running = ss.running_on(picked, 0)
     if running.kind == ss.FAIR:
-        broken = replace(picked, rt_streak=(1,))
+        broken = picked._replace(rt_streak=(1,))
         assert not ss.inv_rt_first(broken)
 
 
@@ -107,8 +146,7 @@ def test_pick_chooses_rt_over_fair():
 
 def test_pick_throttle_forces_fair():
     state = ss.smp_config()
-    throttled = replace(
-        state, rt_streak=(ss.RT_STREAK_LIMIT, 0))
+    throttled = state._replace(rt_streak=(ss.RT_STREAK_LIMIT, 0))
     chosen = ss.pick_choice(throttled, 0)
     assert chosen.kind == ss.FAIR
     # min-vruntime fair thread wins
@@ -126,6 +164,33 @@ def test_scheduler_vcs_all_discharge():
         counterexample = vc.check()
         assert counterexample is None, \
             f"{vc.name} failed: {counterexample}"
+
+
+def test_a_discharged_family_is_freed(monkeypatch):
+    """The family's explored machine, its memos and every state its VCs
+    derive live only as long as the VCs do.  The weakref catches a cache
+    that keeps the machine; the block count catches one that keeps only
+    states (a module-level dict of induction states keyed by id held
+    ~55 000 blocks)."""
+    build, built = ss.sched_machine, []
+
+    def sched_machine():
+        machine = build()
+        built.append(weakref.ref(machine))
+        return machine
+
+    monkeypatch.setattr(ss, "sched_machine", sched_machine)
+    gc.collect()
+    blocks = sys.getallocatedblocks()
+    vcs = [vc for vc in scheduler_vcs() if vc.name.startswith("sched-spec-")]
+    for vc in vcs:
+        assert vc.check() is None, vc.name
+    assert len(built) == 1, "one machine per family"
+    del vcs, vc
+    gc.collect()
+    assert built[0]() is None, "a discharged family leaks its machine"
+    assert sys.getallocatedblocks() - blocks < 1_000, \
+        "a discharged family leaks its states"
 
 
 def test_build_proof_registers_scheduler_group():

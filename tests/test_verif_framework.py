@@ -76,6 +76,27 @@ class TestStateMachine:
         assert m.check_invariants(2) is None
         assert m.check_invariants(7) == "bounded"
 
+    def test_violated_is_memoised_per_machine(self):
+        m = counter_machine(limit=3)
+        m.invariants["even"] = lambda s: s % 2 == 0
+        assert m.violated(2) == ()
+        assert m.violated(7) == ("bounded", "even")
+        assert m.violated(7) is m.violated(7)
+        assert m.check_invariants(5) == "bounded"
+
+    def test_sub_machine_keeps_its_own_verdicts(self):
+        """A machine sharing another's transitions but not all of its
+        invariants judges states against its own invariants only."""
+        m = counter_machine(limit=3)
+        m.invariants["even"] = lambda s: s % 2 == 0
+        assert m.violated(5) == ("bounded", "even")
+        sub = SpecStateMachine(name="sub", init_states=m.init_states,
+                               transitions=m.transitions,
+                               invariants={"even": m.invariants["even"]})
+        assert sub.violated(5) == ("even",)
+        assert sub.violated(4) == ()
+        assert m.violated(4) == ("bounded",)
+
 
 class TestExplore:
     def test_reachable_states(self):
@@ -118,6 +139,50 @@ class TestExplore:
         assert cex is not None
         state, name, args, successor = cex
         assert state == 2 and name == "inc" and successor == 3
+
+    def test_counterexample_survives_a_full_memo(self):
+        """Verdicts judged for one invariant's induction serve the next:
+        a non-inductive invariant still yields its counterexample."""
+        m = counter_machine(limit=4)
+        m.invariants["lt3"] = lambda s: s < 3
+        assert check_inductive(m, range(0, 5), "bounded") is None
+        assert all(m.violated(s) is m.violated(s) for s in range(0, 5))
+        assert check_inductive(m, range(0, 5), "lt3") == (2, "inc", (), 3)
+
+    def test_each_state_invariant_pair_is_judged_once(self):
+        """Exploration and every induction pass share one verdict per
+        (state, invariant)."""
+        judged = []
+
+        def counted(name, pred):
+            def check(s):
+                judged.append((name, s))
+                return pred(s)
+            return check
+
+        m = counter_machine(limit=4)
+        m.invariants = {"bounded": counted("bounded", m.invariants["bounded"]),
+                        "nonneg": counted("nonneg", lambda s: s >= 0)}
+        result = reachable_states(m)
+        for name in m.invariants:
+            assert check_inductive(m, result.states, name) is None
+        assert judged and len(judged) == len(set(judged))
+
+    def test_failing_exploration_returns_states_in_bfs_order(self):
+        """On a violation `states` is every state discovered, in BFS
+        order — not a set's order, which for `str` states depends on the
+        hash seed."""
+        m = SpecStateMachine(
+            name="words", init_states=[""],
+            transitions=[Transition(letter, lambda s, a: True,
+                                    lambda s, a, letter=letter: s + letter)
+                         for letter in "xy"],
+            invariants={"short": lambda s: len(s) < 3})
+        result = reachable_states(m)
+        assert result.violation[:2] == ("short", "xxx")
+        assert result.states == sorted(result.states,
+                                       key=lambda s: (len(s), s))
+        assert len(result.states) == 15
 
 
 class TestRefinement:

@@ -50,6 +50,7 @@ def test_memoised_steps_equal_a_fresh_machines():
             steps = machine.enabled_steps(state)
             assert steps == fresh.enabled_steps(state)
             assert machine.enabled_steps(state) is steps
+            assert machine.violated(state) == fresh.violated(state) == ()
 
 
 def _one_action_machine(machine, action):
