@@ -1,42 +1,32 @@
-"""Ethernet framing."""
+"""Ethernet framing: a frame is bytes, read and written field by field."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 
 ETHERTYPE_IPV4 = 0x0800
 BROADCAST = b"\xff" * 6
 HEADER_LEN = 14
+
+# destination MAC, source MAC, ethertype
+_HEADER = struct.Struct(">6s6sH")
 
 
 class FrameError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class EthFrame:
-    dst: bytes
-    src: bytes
-    ethertype: int
-    payload: bytes
+def encode(dst: bytes, src: bytes, ethertype: int, payload: bytes) -> bytes:
+    # `6s` pads or truncates silently: a wrong-length MAC is refused here
+    if len(dst) != 6 or len(src) != 6:
+        raise FrameError("MAC addresses are 6 bytes")
+    if not 0 <= ethertype <= 0xFFFF:
+        raise FrameError(f"bad ethertype {ethertype:#x}")
+    return _HEADER.pack(dst, src, ethertype) + payload
 
-    def __post_init__(self):
-        if len(self.dst) != 6 or len(self.src) != 6:
-            raise FrameError("MAC addresses are 6 bytes")
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise FrameError(f"bad ethertype {self.ethertype:#x}")
 
-    def encode(self) -> bytes:
-        return (self.dst + self.src
-                + self.ethertype.to_bytes(2, "big") + self.payload)
-
-    @staticmethod
-    def decode(data: bytes) -> "EthFrame":
-        if len(data) < HEADER_LEN:
-            raise FrameError(f"frame too short: {len(data)} bytes")
-        return EthFrame(
-            dst=data[0:6],
-            src=data[6:12],
-            ethertype=int.from_bytes(data[12:14], "big"),
-            payload=data[14:],
-        )
+def decode(data: bytes) -> tuple[bytes, bytes, int, bytes]:
+    """-> (dst, src, ethertype, payload)."""
+    if len(data) < HEADER_LEN:
+        raise FrameError(f"frame too short: {len(data)} bytes")
+    return _HEADER.unpack_from(data) + (data[HEADER_LEN:],)

@@ -8,7 +8,6 @@ dropped, which the lossy-link tests rely on."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 PROTO_UDP = 17
 HEADER_LEN = 20
@@ -18,17 +17,21 @@ class PacketError(Exception):
     pass
 
 
-def checksum16(data: bytes) -> int:
-    """RFC 1071 ones'-complement sum.
+def checksum16(data: bytes = b"", fields: int = 0) -> int:
+    """RFC 1071 ones'-complement sum of header `fields`, then `data`.
 
     Read as one big-endian integer, `data` is the sum of its 16-bit
     words each scaled by a power of 2**16; 2**16 = 1 (mod 0xFFFF), so
     that integer is congruent to the plain word sum, and folding carries
     end-around is reduction mod 0xFFFF with one difference — a non-zero
-    multiple of 0xFFFF folds to 0xFFFF, not to 0."""
+    multiple of 0xFFFF folds to 0xFFFF, not to 0.  For the same reason a
+    header need not be packed to be summed: `fields` is the plain sum of
+    its 16- and 32-bit fields (two byte fields count as one word), and
+    the result is that of `checksum16(<the packed header> + data)`."""
     total = int.from_bytes(data, "big")
     if len(data) % 2:
         total <<= 8     # the odd trailing byte is the high half of its word
+    total += fields
     return ~(total % 0xFFFF or (0xFFFF if total else 0)) & 0xFFFF
 
 
@@ -37,45 +40,35 @@ def checksum16(data: bytes) -> int:
 _HEADER = struct.Struct(">BBHHHBBHII")
 
 
-@dataclass(frozen=True)
-class Ipv4Packet:
-    src: int        # 32-bit address
-    dst: int
-    proto: int
-    payload: bytes
-    ttl: int = 64
+def encode(src: int, dst: int, proto: int, payload: bytes,
+           ttl: int = 64) -> bytes:
+    """One packet from 32-bit source and destination addresses."""
+    total_len = HEADER_LEN + len(payload)
+    cksum = checksum16(fields=0x4500 + total_len + (ttl << 8 | proto)
+                       + src + dst)
+    return _HEADER.pack(
+        0x45, 0, total_len, 0, 0, ttl, proto, cksum, src, dst) + payload
 
-    def encode(self) -> bytes:
-        total_len = HEADER_LEN + len(self.payload)
-        cksum = checksum16(_HEADER.pack(
-            0x45, 0, total_len, 0, 0, self.ttl, self.proto, 0,
-            self.src, self.dst))
-        return _HEADER.pack(
-            0x45, 0, total_len, 0, 0, self.ttl, self.proto, cksum,
-            self.src, self.dst) + self.payload
 
-    @staticmethod
-    def decode(data: bytes) -> "Ipv4Packet":
-        if len(data) < HEADER_LEN:
-            raise PacketError("packet shorter than IPv4 header")
-        (vihl, tos, total_len, ident, frag, ttl, proto, cksum,
-         src, dst) = _HEADER.unpack_from(data)
-        if vihl != 0x45:
-            raise PacketError(f"unsupported version/IHL {vihl:#x}")
-        if total_len > len(data):
-            raise PacketError("truncated packet")
-        if total_len < HEADER_LEN:
-            raise PacketError(
-                f"total length {total_len} is shorter than the header")
-        # the header as received (TOS, identification and fragment bits
-        # included) with its checksum field zeroed
-        if checksum16(_HEADER.pack(vihl, tos, total_len, ident, frag, ttl,
-                                   proto, 0, src, dst)) != cksum:
-            raise PacketError("header checksum mismatch")
-        return Ipv4Packet(
-            src=src, dst=dst, proto=proto,
-            payload=data[HEADER_LEN:total_len], ttl=ttl,
-        )
+def decode(data: bytes) -> tuple[int, int, int, int, bytes]:
+    """-> (src, dst, proto, ttl, payload)."""
+    if len(data) < HEADER_LEN:
+        raise PacketError("packet shorter than IPv4 header")
+    (vihl, tos, total_len, ident, frag, ttl, proto, cksum,
+     src, dst) = _HEADER.unpack_from(data)
+    if vihl != 0x45:
+        raise PacketError(f"unsupported version/IHL {vihl:#x}")
+    if total_len > len(data):
+        raise PacketError("truncated packet")
+    if total_len < HEADER_LEN:
+        raise PacketError(
+            f"total length {total_len} is shorter than the header")
+    # the header as received (TOS, identification and fragment bits
+    # included) but for its checksum field
+    if checksum16(fields=(vihl << 8 | tos) + total_len + ident + frag
+                  + (ttl << 8 | proto) + src + dst) != cksum:
+        raise PacketError("header checksum mismatch")
+    return src, dst, proto, ttl, data[HEADER_LEN:total_len]
 
 
 def ip_str(addr: int) -> str:

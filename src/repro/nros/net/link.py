@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from repro.hw.devices.nic import Nic
-from repro.nros.net.eth import BROADCAST, HEADER_LEN, EthFrame, FrameError
+from repro.nros.net.eth import BROADCAST, HEADER_LEN
 
 
 class Link:
@@ -136,21 +136,20 @@ class Hub:
     def pump(self) -> int:
         moved = 0
         for src in self.nics:
-            for raw in src.drain_tx():
-                try:
-                    frame = EthFrame.decode(raw)
-                except FrameError:
+            for frame in src.drain_tx():
+                if len(frame) < HEADER_LEN:
                     self.dropped += 1
                     continue
+                dst_mac = frame[0:6]
                 for dst in self.nics:
                     if dst is src:
                         continue
-                    if frame.dst not in (dst.mac, BROADCAST):
+                    if dst_mac != dst.mac and dst_mac != BROADCAST:
                         continue
                     if self.drop_rate and self._rng.random() < self.drop_rate:
                         self.dropped += 1
                         continue
-                    dst.deliver(raw)
+                    dst.deliver(frame)
                     self.delivered += 1
                     moved += 1
         return moved

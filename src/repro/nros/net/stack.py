@@ -14,10 +14,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.hw.devices.nic import Nic
-from repro.nros.net import arp, rdp
+from repro.nros.net import arp, eth, ip, rdp, udp
 from repro.nros.net.arp import ETHERTYPE_ARP, ArpError, ArpPacket
-from repro.nros.net.eth import BROADCAST, ETHERTYPE_IPV4, EthFrame, FrameError
-from repro.nros.net.ip import Ipv4Packet, PacketError, PROTO_UDP
+from repro.nros.net.eth import BROADCAST, ETHERTYPE_IPV4, FrameError
+from repro.nros.net.ip import PacketError, PROTO_UDP
 from repro.nros.net.rdp import (
     RdpConnection,
     RdpError,
@@ -25,7 +25,7 @@ from repro.nros.net.rdp import (
     RdpSegment,
     STATE_ESTABLISHED,
 )
-from repro.nros.net.udp import DatagramError, UdpDatagram
+from repro.nros.net.udp import DatagramError
 
 
 class NetError(Exception):
@@ -62,7 +62,8 @@ class NetStack:
         self.now = 0
         self.stats_rx = 0
         self.stats_tx = 0
-        self.stats_bad = 0
+        self.stats_bad = 0           # malformed frames
+        self.stats_dropped = 0       # well-formed frames nobody here wants
         self.stats_arp_requests = 0
         self.stats_arp_replies = 0
         self.stats_arp_dropped = 0   # datagrams refused by a full ARP queue
@@ -71,6 +72,8 @@ class NetStack:
     # -- neighbours ---------------------------------------------------------------
 
     def add_neighbour(self, ip: int, mac: bytes) -> None:
+        if len(mac) != 6:
+            raise FrameError("MAC addresses are 6 bytes")
         self.neighbours[ip] = mac
 
     # -- UDP ----------------------------------------------------------------------
@@ -84,8 +87,8 @@ class NetStack:
 
     def udp_send(self, src_port: int, dst_ip: int, dst_port: int,
                  payload: bytes) -> None:
-        datagram = UdpDatagram(src_port, dst_port, payload)
-        self._send_ip(dst_ip, datagram.encode(self.ip, dst_ip))
+        self._send_ip(dst_ip,
+                      udp.encode(self.ip, dst_ip, src_port, dst_port, payload))
 
     def _send_ip(self, dst_ip: int, udp_bytes: bytes) -> None:
         dst_mac = self.neighbours.get(dst_ip)
@@ -99,15 +102,13 @@ class NetStack:
             self._send_arp(arp.request(self.nic.mac, self.ip, dst_ip))
             self.stats_arp_requests += 1
             return
-        packet = Ipv4Packet(src=self.ip, dst=dst_ip, proto=PROTO_UDP,
-                            payload=udp_bytes)
-        frame = EthFrame(dst=dst_mac, src=self.nic.mac,
-                         ethertype=ETHERTYPE_IPV4, payload=packet.encode())
+        frame = eth.encode(dst_mac, self.nic.mac, ETHERTYPE_IPV4,
+                           ip.encode(self.ip, dst_ip, PROTO_UDP, udp_bytes))
         if dst_ip == self.ip:
             # loopback: short-circuit into our own receive ring
-            self.nic.deliver(frame.encode())
+            self.nic.deliver(frame)
         else:
-            self.nic.transmit(frame.encode())
+            self.nic.transmit(frame)
         self.stats_tx += 1
 
     # -- RDP ---------------------------------------------------------------------------
@@ -157,9 +158,9 @@ class NetStack:
         return port
 
     def _send_segment(self, conn: RdpConnection, segment: RdpSegment) -> None:
-        datagram = UdpDatagram(conn.local_port, conn.remote_port,
-                               segment.encode())
-        self._send_ip(conn.remote_ip, datagram.encode(self.ip, conn.remote_ip))
+        self._send_ip(conn.remote_ip,
+                      udp.encode(self.ip, conn.remote_ip, conn.local_port,
+                                 conn.remote_port, segment.encode()))
 
     # -- receive path -------------------------------------------------------------------
 
@@ -173,9 +174,8 @@ class NetStack:
             handled += self._handle_frame(raw)
 
     def _send_arp(self, packet: ArpPacket) -> None:
-        frame = EthFrame(dst=BROADCAST, src=self.nic.mac,
-                         ethertype=ETHERTYPE_ARP, payload=packet.encode())
-        self.nic.transmit(frame.encode())
+        self.nic.transmit(eth.encode(BROADCAST, self.nic.mac, ETHERTYPE_ARP,
+                                     packet.encode()))
 
     def _handle_arp(self, payload: bytes) -> None:
         try:
@@ -195,43 +195,45 @@ class NetStack:
             self._send_ip(packet.sender_ip, udp_bytes)
 
     def _handle_frame(self, raw: bytes) -> int:
+        """Dispatch one frame; 1 if it reached a socket, listener or
+        connection.  A refused frame is counted once: `stats_bad` if
+        malformed, `stats_dropped` if well-formed but unwanted."""
         try:
-            frame = EthFrame.decode(raw)
-            if frame.ethertype == ETHERTYPE_ARP:
-                self._handle_arp(frame.payload)
+            _, _, ethertype, payload = eth.decode(raw)
+            if ethertype == ETHERTYPE_ARP:
+                self._handle_arp(payload)
                 return 0
-            if frame.ethertype != ETHERTYPE_IPV4:
+            if ethertype != ETHERTYPE_IPV4:
+                self.stats_dropped += 1
                 return 0
-            packet = Ipv4Packet.decode(frame.payload)
-            if packet.dst != self.ip or packet.proto != PROTO_UDP:
+            src_ip, dst_ip, proto, _, payload = ip.decode(payload)
+            if dst_ip != self.ip or proto != PROTO_UDP:
+                self.stats_dropped += 1
                 return 0
-            datagram = UdpDatagram.decode(packet.payload, packet.src,
-                                          packet.dst)
+            src_port, dst_port, payload = udp.decode(payload, src_ip, dst_ip)
         except (FrameError, PacketError, DatagramError):
             self.stats_bad += 1
             return 0
         self.stats_rx += 1
-        port = datagram.dst_port
 
         # RDP listener or connection traffic?
-        if port in self._listeners:
-            self._handle_rdp_server(packet.src, datagram)
+        if dst_port in self._listeners:
+            self._handle_rdp_server(src_ip, src_port, dst_port, payload)
             return 1
-        conn, segment = self._find_conn(port, packet.src, datagram)
+        conn, segment = self._find_conn(src_ip, src_port, dst_port, payload)
         if conn is not None:
             for reply in conn.on_segment(segment):
                 self._send_segment(conn, reply)
             return 1
-        sock = self._udp_ports.get(port)
+        sock = self._udp_ports.get(dst_port)
         if sock is not None:
-            sock.recv_queue.append(
-                (packet.src, datagram.src_port, datagram.payload)
-            )
+            sock.recv_queue.append((src_ip, src_port, payload))
             return 1
-        return 0  # no listener: drop
+        self.stats_dropped += 1     # no socket, listener or connection
+        return 0
 
-    def _find_conn(self, local_port: int, remote_ip: int,
-                   datagram: UdpDatagram,
+    def _find_conn(self, remote_ip: int, src_port: int, dst_port: int,
+                   payload: bytes,
                    ) -> tuple[RdpConnection | None, RdpSegment | None]:
         """-> (connection, decoded segment), the segment decoded once;
         (None, None) for a datagram that belongs to no connection.  A
@@ -239,28 +241,29 @@ class NetStack:
         if not self._conns:
             return None, None
         try:
-            segment = RdpSegment.decode(datagram.payload)
+            segment = RdpSegment.decode(payload)
         except RdpError:
             return None, None
-        key = (local_port, remote_ip, datagram.src_port, segment.conn_id)
+        key = (dst_port, remote_ip, src_port, segment.conn_id)
         return self._conns.get(key), segment
 
-    def _handle_rdp_server(self, src_ip: int, datagram: UdpDatagram) -> None:
-        listener = self._listeners[datagram.dst_port]
+    def _handle_rdp_server(self, src_ip: int, src_port: int, dst_port: int,
+                           payload: bytes) -> None:
+        listener = self._listeners[dst_port]
         try:
-            segment = RdpSegment.decode(datagram.payload)
+            segment = RdpSegment.decode(payload)
         except RdpError:
             self.stats_bad += 1
             return
-        key = (datagram.dst_port, src_ip, datagram.src_port, segment.conn_id)
+        key = (dst_port, src_ip, src_port, segment.conn_id)
         conn = self._conns.get(key)
         if segment.kind == rdp.TYPE_SYN:
             if conn is None:
                 conn = RdpConnection(
                     conn_id=segment.conn_id,
-                    local_port=datagram.dst_port,
+                    local_port=dst_port,
                     remote_ip=src_ip,
-                    remote_port=datagram.src_port,
+                    remote_port=src_port,
                     state=STATE_ESTABLISHED,
                 )
                 self._conns[key] = conn
@@ -271,7 +274,8 @@ class NetStack:
             )
             return
         if conn is None:
-            return  # segment for an unknown connection: drop
+            self.stats_dropped += 1     # segment for an unknown connection
+            return
         for reply in conn.on_segment(segment):
             self._send_segment(conn, reply)
 

@@ -7,18 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.devices.nic import Nic
-from repro.nros.net.eth import BROADCAST, EthFrame, FrameError
-from repro.nros.net.ip import (
-    Ipv4Packet,
-    PacketError,
-    checksum16,
-    ip_addr,
-    ip_str,
-)
+from repro.nros.net import eth, ip, udp
+from repro.nros.net.arp import ETHERTYPE_ARP, request
+from repro.nros.net.eth import BROADCAST, FrameError
+from repro.nros.net.ip import PacketError, checksum16, ip_addr, ip_str
 from repro.nros.net.link import Hub, Link
 from repro.nros.net.rdp import RdpSegment, RdpError, TYPE_DATA
 from repro.nros.net.stack import NetError, NetStack
-from repro.nros.net.udp import DatagramError, UdpDatagram
+from repro.nros.net.udp import DatagramError
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -54,31 +50,64 @@ def pump(link, *stacks, rounds=1):
             stack.poll()
 
 
+def reference_frame(dst_mac, src_mac, src_ip, dst_ip, src_port, dst_port,
+                    payload):
+    """The Ethernet + IPv4 + UDP frame `udp_send` must put on the wire,
+    laid out field by field with `struct` and `rfc1071_reference`."""
+    length = 8 + len(payload)
+    pseudo = struct.pack(">IIBBH", src_ip, dst_ip, 0, 17, length)
+    udp_cksum = rfc1071_reference(
+        pseudo + struct.pack(">HHHH", src_port, dst_port, length, 0)
+        + payload)
+    datagram = struct.pack(">HHHH", src_port, dst_port, length,
+                           udp_cksum) + payload
+    fields = [0x45, 0, 20 + len(datagram), 0, 0, 64, 17, 0, src_ip, dst_ip]
+    fields[7] = rfc1071_reference(struct.pack(">BBHHHBBHII", *fields))
+    packet = struct.pack(">BBHHHBBHII", *fields) + datagram
+    return dst_mac + src_mac + b"\x08\x00" + packet
+
+
 class TestEth:
     def test_roundtrip(self):
-        frame = EthFrame(MAC_A, MAC_B, 0x0800, b"payload")
-        assert EthFrame.decode(frame.encode()) == frame
+        raw = eth.encode(MAC_A, MAC_B, 0x0800, b"payload")
+        assert eth.decode(raw) == (MAC_A, MAC_B, 0x0800, b"payload")
 
     def test_short_frame(self):
-        with pytest.raises(FrameError):
-            EthFrame.decode(b"short")
+        with pytest.raises(FrameError, match="frame too short: 5 bytes"):
+            eth.decode(b"short")
 
     def test_bad_mac(self):
-        with pytest.raises(FrameError):
-            EthFrame(b"xx", MAC_B, 0x0800, b"")
+        """`struct`'s `6s` would pad a short MAC and cut a long one: the
+        explicit length check is what refuses them."""
+        for mac in (b"xx", MAC_A[:5], MAC_A + b"\x00"):
+            with pytest.raises(FrameError, match="MAC addresses are 6 bytes"):
+                eth.encode(mac, MAC_B, 0x0800, b"")
+            with pytest.raises(FrameError, match="MAC addresses are 6 bytes"):
+                eth.encode(MAC_A, mac, 0x0800, b"")
+
+    @pytest.mark.parametrize("ethertype", [-1, 0x10000])
+    def test_ethertype_out_of_range(self, ethertype):
+        with pytest.raises(FrameError, match="bad ethertype"):
+            eth.encode(MAC_A, MAC_B, ethertype, b"")
+
+    def test_add_neighbour_refuses_a_bad_mac_at_the_call(self):
+        a, _, _ = make_pair()
+        for mac in (MAC_B[:5], MAC_B + b"\x00"):
+            with pytest.raises(FrameError, match="MAC addresses are 6 bytes"):
+                a.add_neighbour(IP_B, mac)
+        assert a.neighbours[IP_B] == MAC_B
 
 
 class TestIp:
     def test_roundtrip(self):
-        packet = Ipv4Packet(src=IP_A, dst=IP_B, proto=17, payload=b"hi")
-        decoded = Ipv4Packet.decode(packet.encode())
-        assert decoded == packet
+        raw = ip.encode(IP_A, IP_B, 17, b"hi")
+        assert ip.decode(raw) == (IP_A, IP_B, 17, 64, b"hi")
 
     def test_checksum_detects_corruption(self):
-        data = bytearray(Ipv4Packet(IP_A, IP_B, 17, b"hi").encode())
+        data = bytearray(ip.encode(IP_A, IP_B, 17, b"hi"))
         data[12] ^= 0xFF  # flip src address bits
         with pytest.raises(PacketError, match="checksum"):
-            Ipv4Packet.decode(bytes(data))
+            ip.decode(bytes(data))
 
     def test_checksum16_known_value(self):
         # RFC 1071 example bytes
@@ -102,23 +131,32 @@ class TestIp:
     def test_checksum16_matches_reference_property(self, data):
         assert checksum16(data) == rfc1071_reference(data)
 
+    @given(st.lists(st.integers(0, 0xFFFF), max_size=4),
+           st.lists(st.integers(0, 0xFFFF_FFFF), max_size=4),
+           st.binary(max_size=64))
+    @settings(max_examples=300)
+    def test_checksum16_of_summed_fields_is_that_of_the_packed_header(
+            self, words, longs, data):
+        header = struct.pack(f">{len(words)}H{len(longs)}I", *words, *longs)
+        assert checksum16(data, sum(words) + sum(longs)) == \
+            rfc1071_reference(header + data)
+
     def test_decode_verifies_the_header_as_received(self):
         """TOS / identification / fragment bits we never send are still
         covered by the checksum of a packet that carries them."""
         fields = [0x45, 0x10, 22, 0x1234, 0x4000, 9, 17, 0, IP_A, IP_B]
         fields[7] = rfc1071_reference(struct.pack(">BBHHHBBHII", *fields))
         data = struct.pack(">BBHHHBBHII", *fields) + b"hi"
-        assert Ipv4Packet.decode(data) == Ipv4Packet(IP_A, IP_B, 17, b"hi",
-                                                     ttl=9)
+        assert ip.decode(data) == (IP_A, IP_B, 17, 9, b"hi")
         for index in (1, 4, 6):     # tos, identification, fragment bits
             damaged = bytearray(data)
             damaged[index] ^= 0x01
             with pytest.raises(PacketError, match="checksum"):
-                Ipv4Packet.decode(bytes(damaged))
+                ip.decode(bytes(damaged))
 
     def test_trailing_bytes_beyond_total_len_are_not_payload(self):
-        data = Ipv4Packet(IP_A, IP_B, 17, b"hi").encode() + b"padding"
-        assert Ipv4Packet.decode(data).payload == b"hi"
+        data = ip.encode(IP_A, IP_B, 17, b"hi") + b"padding"
+        assert ip.decode(data)[4] == b"hi"
 
     def test_total_len_smaller_than_the_header_is_malformed(self):
         """`total_len = 8` with a header checksum that is *right*: only
@@ -127,7 +165,7 @@ class TestIp:
         fields[7] = rfc1071_reference(struct.pack(">BBHHHBBHII", *fields))
         data = struct.pack(">BBHHHBBHII", *fields) + b"vanishing payload"
         with pytest.raises(PacketError, match="total length 8"):
-            Ipv4Packet.decode(data)
+            ip.decode(data)
 
     def test_ip_str_addr_roundtrip(self):
         assert ip_str(ip_addr("192.168.1.200")) == "192.168.1.200"
@@ -139,28 +177,27 @@ class TestIp:
     @given(st.binary(max_size=100))
     @settings(max_examples=40)
     def test_roundtrip_property(self, payload):
-        packet = Ipv4Packet(IP_A, IP_B, 17, payload)
-        assert Ipv4Packet.decode(packet.encode()).payload == payload
+        assert ip.decode(ip.encode(IP_A, IP_B, 17, payload))[4] == payload
 
 
 class TestUdp:
     def test_roundtrip(self):
-        d = UdpDatagram(1234, 80, b"data")
-        assert UdpDatagram.decode(d.encode(IP_A, IP_B), IP_A, IP_B) == d
+        raw = udp.encode(IP_A, IP_B, 1234, 80, b"data")
+        assert udp.decode(raw, IP_A, IP_B) == (1234, 80, b"data")
 
     def test_checksum_includes_pseudo_header(self):
-        encoded = UdpDatagram(1, 2, b"x").encode(IP_A, IP_B)
+        encoded = udp.encode(IP_A, IP_B, 1, 2, b"x")
         # decoding with different addresses must fail the checksum
-        with pytest.raises(DatagramError):
-            UdpDatagram.decode(encoded, IP_A, IP_A)
+        with pytest.raises(DatagramError, match="UDP checksum mismatch"):
+            udp.decode(encoded, IP_A, IP_A)
 
     def test_truncated(self):
-        with pytest.raises(DatagramError):
-            UdpDatagram.decode(b"\x00\x01", IP_A, IP_B)
+        with pytest.raises(DatagramError, match="shorter than UDP header"):
+            udp.decode(b"\x00\x01", IP_A, IP_B)
 
     def test_trailing_bytes_beyond_length_are_not_payload(self):
-        data = UdpDatagram(1, 2, b"abc").encode(IP_A, IP_B) + b"padding"
-        assert UdpDatagram.decode(data, IP_A, IP_B).payload == b"abc"
+        data = udp.encode(IP_A, IP_B, 1, 2, b"abc") + b"padding"
+        assert udp.decode(data, IP_A, IP_B)[2] == b"abc"
 
     def test_length_smaller_than_the_header_is_malformed(self):
         """A length field of 4, checksummed over that same length the
@@ -171,7 +208,7 @@ class TestUdp:
         cksum = rfc1071_reference(pseudo + header)
         data = struct.pack(">HHHH", 1234, 80, 4, cksum) + b"vanishing payload"
         with pytest.raises(DatagramError, match="length 4"):
-            UdpDatagram.decode(data, IP_A, IP_B)
+            udp.decode(data, IP_A, IP_B)
 
     def test_undersized_lengths_count_as_bad_frames(self):
         a, b, link = make_pair()
@@ -209,6 +246,132 @@ class TestUdpSockets:
         # datagram queued pending resolution, ARP request broadcast
         assert a.stats_arp_requests == 1
         assert ip_addr("10.9.9.9") in a._arp_pending
+
+
+def _ipv4_frame(packet):
+    return eth.encode(MAC_B, MAC_A, 0x0800, packet)
+
+
+def _bad_ip_checksum():
+    packet = bytearray(ip.encode(IP_A, IP_B, 17,
+                                 udp.encode(IP_A, IP_B, 1, 80, b"x")))
+    packet[10] ^= 0x01
+    return _ipv4_frame(bytes(packet))
+
+
+# one frame of each kind a host is handed, built against B (10.0.0.2)
+# with a socket on port 80 and an RDP listener on port 9000
+REFUSED_OR_TAKEN = {
+    "runt": lambda: b"\x02" * 9,
+    "bad_ip_checksum": _bad_ip_checksum,
+    "bad_udp_checksum": lambda: _ipv4_frame(ip.encode(
+        IP_A, IP_B, 17, udp.encode(IP_A, IP_A, 1, 80, b"x"))),
+    "foreign_ethertype": lambda: eth.encode(MAC_B, MAC_A, 0x86DD, b"v6"),
+    "other_host": lambda: _ipv4_frame(ip.encode(
+        IP_A, ip_addr("10.0.0.9"), 17,
+        udp.encode(IP_A, ip_addr("10.0.0.9"), 1, 80, b"x"))),
+    "not_udp": lambda: _ipv4_frame(ip.encode(IP_A, IP_B, 6, b"tcp")),
+    "dead_port": lambda: _ipv4_frame(ip.encode(
+        IP_A, IP_B, 17, udp.encode(IP_A, IP_B, 1, 81, b"x"))),
+    "rdp_garbage": lambda: _ipv4_frame(ip.encode(
+        IP_A, IP_B, 17, udp.encode(IP_A, IP_B, 1, 9000, b"?"))),
+    "rdp_unknown_conn": lambda: _ipv4_frame(ip.encode(
+        IP_A, IP_B, 17, udp.encode(IP_A, IP_B, 1, 9000,
+                                   RdpSegment(TYPE_DATA, 7, 0, 0).encode()))),
+    "arp": lambda: eth.encode(BROADCAST, MAC_A, ETHERTYPE_ARP,
+                              request(MAC_A, IP_A, IP_B).encode()),
+    "delivered": lambda: _ipv4_frame(ip.encode(
+        IP_A, IP_B, 17, udp.encode(IP_A, IP_B, 1, 80, b"x"))),
+}
+
+
+class TestRefusedFrames:
+    """Every frame a host refuses is counted once: `stats_bad` if it is
+    malformed, `stats_dropped` if it is well formed but nobody here
+    wants it.  `stats_rx` counts well-formed datagrams, taken or not."""
+
+    def _host(self):
+        _, b, _ = make_pair()
+        b.rdp_listen(9000)
+        return b, b.udp_bind(80)
+
+    @pytest.mark.parametrize("kind, moved", [
+        ("runt", (0, 1, 0)),
+        ("bad_ip_checksum", (0, 1, 0)),
+        ("bad_udp_checksum", (0, 1, 0)),
+        ("foreign_ethertype", (0, 0, 1)),
+        ("other_host", (0, 0, 1)),
+        ("not_udp", (0, 0, 1)),
+        ("dead_port", (1, 0, 1)),
+        ("rdp_garbage", (1, 1, 0)),
+        ("rdp_unknown_conn", (1, 0, 1)),
+        ("arp", (0, 0, 0)),
+        ("delivered", (1, 0, 0)),
+    ])
+    def test_each_kind_moves_only_its_counter(self, kind, moved):
+        b, sock = self._host()
+        b.nic.deliver(REFUSED_OR_TAKEN[kind]())
+        b.poll()
+        assert (b.stats_rx, b.stats_bad, b.stats_dropped) == moved
+        assert len(sock.recv_queue) == (kind == "delivered")
+
+    @given(st.lists(st.sampled_from(sorted(set(REFUSED_OR_TAKEN)
+                                           - {"rdp_garbage",
+                                              "rdp_unknown_conn"})),
+                    max_size=60))
+    @settings(max_examples=50)
+    def test_every_polled_frame_is_accounted_for(self, kinds):
+        b, sock = self._host()
+        for kind in kinds:
+            b.nic.deliver(REFUSED_OR_TAKEN[kind]())
+        handled = b.poll()
+        arp_frames = kinds.count("arp")
+        assert handled == len(sock.recv_queue)
+        assert len(kinds) == (arp_frames + b.stats_bad + b.stats_dropped
+                              + len(sock.recv_queue))
+
+
+macs = st.binary(min_size=6, max_size=6)
+addrs = st.integers(0, 0xFFFF_FFFF)
+ports = st.integers(0, 0xFFFF)
+
+
+class TestCrossLayer:
+    """`udp_send` through Ethernet, IPv4 and UDP against the reference
+    layout above, and the peer's receive path against single-byte
+    damage anywhere the IPv4 header checksum or the UDP checksum
+    covers."""
+
+    @given(mac_a=macs, mac_b=macs, ip_a=addrs, ip_b=addrs, src_port=ports,
+           dst_port=ports, payload=st.binary(max_size=1472),
+           mask=st.integers(1, 0xFF))
+    @settings(max_examples=40, deadline=None)
+    def test_udp_send_frame_and_single_byte_flips(
+            self, mac_a, mac_b, ip_a, ip_b, src_port, dst_port, payload,
+            mask):
+        if ip_a == ip_b:
+            ip_b ^= 1
+        a, b = NetStack(ip_a, Nic(mac_a)), NetStack(ip_b, Nic(mac_b))
+        a.add_neighbour(ip_b, mac_b)
+        sock = b.udp_bind(dst_port)
+        a.udp_send(src_port, ip_b, dst_port, payload)
+        frame = a.nic.tx_ring.popleft()
+        assert frame == reference_frame(mac_b, mac_a, ip_a, ip_b, src_port,
+                                        dst_port, payload)
+        b.nic.deliver(frame)
+        b.poll()
+        assert list(sock.recv_queue) == [(ip_a, src_port, payload)]
+
+        # IPv4 header 14..34, UDP ports 34..38, UDP checksum 40..42,
+        # payload 42..
+        covered = [*range(14, 38), 40, 41, *range(42, len(frame))]
+        for index in covered:
+            damaged = bytearray(frame)
+            damaged[index] ^= mask
+            b.nic.deliver(bytes(damaged))
+            b.poll()
+        assert b.stats_bad == len(covered)
+        assert (b.stats_rx, b.stats_dropped, len(sock.recv_queue)) == (1, 0, 1)
 
 
 class TestArp:
@@ -321,16 +484,17 @@ class TestWireBytesPinned:
         assert a.nic.tx_ring.popleft().hex() == self.FRAMES[payload]
 
     @pytest.mark.parametrize("payload", sorted(FRAMES), ids=["odd", "even"])
-    def test_frame_decodes_to_the_three_dataclasses(self, payload):
-        frame = EthFrame.decode(bytes.fromhex(self.FRAMES[payload]))
-        assert (frame.dst, frame.src, frame.ethertype) == (MAC_B, MAC_A,
-                                                           0x0800)
-        packet = Ipv4Packet.decode(frame.payload)
-        assert packet == Ipv4Packet(IP_A, IP_B, 17, frame.payload[20:])
-        datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-        assert datagram == UdpDatagram(5555, 7777, payload)
-        assert type(datagram.payload) is bytes
-        assert frame.encode() == bytes.fromhex(self.FRAMES[payload])
+    def test_frame_decodes_to_the_three_headers(self, payload):
+        raw = bytes.fromhex(self.FRAMES[payload])
+        dst, src, ethertype, packet = eth.decode(raw)
+        assert (dst, src, ethertype) == (MAC_B, MAC_A, 0x0800)
+        assert ip.decode(packet) == (IP_A, IP_B, 17, 64, packet[20:])
+        src_port, dst_port, data = udp.decode(packet[20:], IP_A, IP_B)
+        assert (src_port, dst_port, data) == (5555, 7777, payload)
+        assert type(data) is bytes
+        assert eth.encode(dst, src, ethertype, packet) == raw
+        assert raw == reference_frame(MAC_B, MAC_A, IP_A, IP_B, 5555, 7777,
+                                      payload)
 
 
 class TestRdpSegments:
@@ -446,7 +610,7 @@ class TestHub:
         macs = [bytes([2, 0, 0, 0, 0, i]) for i in (1, 2, 3)]
         nics = [Nic(m) for m in macs]
         hub = Hub(nics)
-        frame = EthFrame(macs[1], macs[0], 0x0800, b"direct").encode()
+        frame = eth.encode(macs[1], macs[0], 0x0800, b"direct")
         nics[0].transmit(frame)
         hub.pump()
         assert nics[1].receive() == frame
@@ -456,7 +620,7 @@ class TestHub:
         macs = [bytes([2, 0, 0, 0, 0, i]) for i in (1, 2, 3)]
         nics = [Nic(m) for m in macs]
         hub = Hub(nics)
-        frame = EthFrame(BROADCAST, macs[0], 0x0800, b"all").encode()
+        frame = eth.encode(BROADCAST, macs[0], 0x0800, b"all")
         nics[0].transmit(frame)
         hub.pump()
         assert nics[1].receive() == frame
