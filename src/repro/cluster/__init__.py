@@ -4,8 +4,9 @@ The paper's argument is that a verified kernel is a *foundation*, not a
 destination: applications above it still have to get distribution right.
 This package builds that application layer end to end — consistent-hash
 placement (:mod:`repro.cluster.ring`), primary-forwarded synchronous
-replication with failover (:mod:`repro.cluster.node`), a durable
-write-ahead log on each node's own verified filesystem
+replication with failover (:mod:`repro.cluster.core`, the node's
+protocol with no I/O, run by the shell :mod:`repro.cluster.node`), a
+durable write-ahead log on each node's own verified filesystem
 (:mod:`repro.cluster.wal`), a client gateway that checks session
 guarantees and backs off with seeded jitter
 (:mod:`repro.cluster.client`), a deterministic multi-kernel deployment

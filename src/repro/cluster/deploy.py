@@ -53,8 +53,7 @@ class Deployment:
     """A running cluster: kernels, links, nodes, gateway, virtual time."""
 
     def __init__(self, num_nodes: int, rf: int = 2, vnodes: int = 64,
-                 capacity: int = 4, nr_nodes: int = 1,
-                 ring_size: int = 4096, fault_plan=None,
+                 capacity: int = 4, ring_size: int = 4096, fault_plan=None,
                  registry=None, seed: int = 1,
                  compact_every: int = COMPACT_EVERY,
                  auto_restart_delay: int | None = None) -> None:
@@ -70,7 +69,6 @@ class Deployment:
         self.now = 0
         self._vnodes = vnodes
         self._capacity = capacity
-        self._nr_nodes = nr_nodes
         self._ring_size = ring_size
         self._compact_every = compact_every
         self.auto_restart_delay = auto_restart_delay
@@ -107,7 +105,7 @@ class Deployment:
         self.nodes = {
             node_id: ClusterNode(node_id, self.kernels[node_id], members,
                                  rf=rf, vnodes=vnodes, capacity=capacity,
-                                 nr_nodes=nr_nodes, fault_plan=fault_plan,
+                                 fault_plan=fault_plan,
                                  registry=self.registry, seed=seed,
                                  compact_every=compact_every)
             for node_id in ids
@@ -133,8 +131,8 @@ class Deployment:
 
     @property
     def serving_nodes(self) -> list[str]:
-        return [n for n in sorted(self.nodes)
-                if self.nodes[n].alive and self.nodes[n].state == "serving"]
+        return [n for n in sorted(self.nodes) if self.nodes[n].alive
+                and self.nodes[n].core.state == "serving"]
 
     def kill(self, node_id: str) -> None:
         """Fail-stop one node mid-run (the acceptance scenario)."""
@@ -171,7 +169,6 @@ class Deployment:
 
         node = ClusterNode(node_id, kernel, self._members, rf=self.rf,
                            vnodes=self._vnodes, capacity=self._capacity,
-                           nr_nodes=self._nr_nodes,
                            fault_plan=self.fault_plan,
                            registry=self.registry, seed=self.seed,
                            recover=True, now=self.now,
@@ -194,10 +191,10 @@ class Deployment:
                    "fsck_issues": len(node.fsck_issues),
                    "replayed_records": node.replayed_records,
                    "recovered_keys": node.recovered_keys,
-                   "serving": node.alive and node.state == "serving",
-                   "recovered_at": node.recovered_at}
-            if node.recovered_at is not None:
-                rec["recovery_ticks"] = node.recovered_at - entry["at"]
+                   "serving": node.alive and node.core.state == "serving",
+                   "recovered_at": node.core.recovered_at}
+            if rec["recovered_at"] is not None:
+                rec["recovery_ticks"] = rec["recovered_at"] - entry["at"]
             info.append(rec)
         return info
 

@@ -87,7 +87,7 @@ def _rf_restore_hook(state: dict):
         ring = HashRing(serving, vnodes=dep._vnodes)
         for key, (version, _value) in dep.gateway.acked_writes.items():
             for owner in ring.owners(key, dep.rf):
-                stored = dep.nodes[owner]._lookup(key)
+                stored = dep.nodes[owner].core.lookup(key)
                 if stored is None or stored[1] < version:
                     return
         state["restored_at"] = dep.now

@@ -39,6 +39,9 @@ REPLY_KINDS = ("resp", "ring-resp")
 
 ALL_KINDS = CLIENT_KINDS + PEER_KINDS + REPLY_KINDS
 
+#: The largest UDP payload an IPv4 datagram carries (65535 - 20 - 8).
+MAX_DATAGRAM = 65_507
+
 #: Errors a ``resp`` may carry.
 ERR_NOT_PRIMARY = "not-primary"
 ERR_NO_KEY = "no-key"
@@ -79,4 +82,56 @@ def decode(data: bytes) -> dict:
         raise ClusterMsgError(f"message is {type(msg).__name__}, not object")
     if msg.get("kind") not in ALL_KINDS:
         raise ClusterMsgError(f"unknown message kind {msg.get('kind')!r}")
+    return msg
+
+
+def _utf8(text: str) -> bool:
+    """False if `text` holds a lone surrogate: a JSON ``\\ud800`` escape
+    decodes to one, and the ring could not hash it as a key."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _entries(entries: list) -> bool:
+    return all(type(entry) is list and len(entry) == 3
+               and type(entry[0]) is str and _utf8(entry[0])
+               and type(entry[2]) is int for entry in entries)
+
+
+#: Per kind a node accepts, each field its handler reads and the type
+#: the value must have (exactly: JSON true/false are bool, not int).
+#: Kinds not listed (``sync-ack``; the replies) are read for nothing
+#: but their kind.
+FIELDS = {
+    "put": (("req", int), ("key", str)),
+    "del": (("req", int), ("key", str)),
+    "get": (("req", int), ("key", str)),
+    "ring": (("req", int),),
+    "hb": (("from", str),),
+    "repl": (("req", int), ("key", str), ("version", int)),
+    "repl-ack": (("req", int), ("from", str)),
+    "sync": (("req", int), ("entries", list)),
+    "join": (("from", str),),
+    "join-ack": (("from", str), ("epoch", int)),
+    "pull": (("req", int), ("from", str)),
+    "pull-done": (("req", int), ("from", str)),
+}
+
+
+def check(msg: dict) -> dict:
+    """`msg` if every field a node reads from it is present and of its
+    :data:`FIELDS` type, a str is UTF-8 and each ``entries`` item is
+    ``[str, value, int]``; raises :class:`ClusterMsgError` otherwise."""
+    for name, kind in FIELDS.get(msg["kind"], ()):
+        value = msg.get(name)
+        if type(value) is not kind \
+                or (kind is str and not _utf8(value)) \
+                or (kind is list and not _entries(value)):
+            raise ClusterMsgError(
+                f"{msg['kind']} message: bad or missing {name!r}")
     return msg

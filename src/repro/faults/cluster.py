@@ -217,7 +217,7 @@ def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
                           f"(non-deterministic run?)")
         node = deployment.nodes[target]
         issues.extend(node.fsck_issues)
-        if not (node.alive and node.state == "serving"):
+        if not (node.alive and node.core.state == "serving"):
             issues.append(f"{target} not back to serving after restart")
         for problem in wl.lost_acked_writes:
             issues.append(f"acked write lost: {problem}")

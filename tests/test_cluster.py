@@ -36,7 +36,7 @@ def test_three_node_smoke_serves_all_ops():
     for key, (version, value) in sorted(gateway.acked_writes.items())[:20]:
         holders = [
             node_id for node_id, node in deployment.nodes.items()
-            if node.local_data().get(key, (None, -1))[1] >= version
+            if node.core.local_data().get(key, (None, -1))[1] >= version
         ]
         assert len(holders) >= deployment.rf, (key, holders)
 

@@ -7,7 +7,8 @@ import pytest
 from repro.cluster import messages as msg
 from repro.cluster.deploy import Deployment
 from repro.cluster.harness import recovery_bench, run_cluster
-from repro.cluster.node import HB_EVERY, HB_TIMEOUT, SERVICE_PORT, ClusterNode
+from repro.cluster.core import HB_EVERY, HB_TIMEOUT
+from repro.cluster.node import SERVICE_PORT, ClusterNode
 from repro.cluster.workload import WorkloadProfile, run_workload
 from repro.faults.cluster import run_wal_crash_matrix
 from repro.faults.plan import FaultPlan, FaultRule
@@ -21,10 +22,9 @@ def _profile(ops=400, seed=1):
     return WorkloadProfile(ops=ops, seed=seed)
 
 
-def _capture_responses(node):
-    captured = []
-    node._respond = lambda client, message: captured.append(message)
-    return captured
+def _responses(node):
+    """The messages the node's core has queued to send."""
+    return [message for _, message, _ in node.core.out]
 
 
 # -- kill + restart end to end ---------------------------------------------
@@ -44,7 +44,7 @@ def test_kill_and_restart_preserves_every_acked_write():
     assert rec["fsck_issues"] == 0
     assert rec["replayed_records"] > 0
     assert rec["serving"] and rec["recovery_ticks"] is not None
-    assert deployment.nodes["node1"].state == "serving"
+    assert deployment.nodes["node1"].core.state == "serving"
     assert sorted(deployment.serving_nodes) == ["node0", "node1", "node2"]
 
 
@@ -81,7 +81,8 @@ def test_heartbeat_jitter_is_seeded_not_wallclock():
     def schedules(seed):
         deployment = Deployment(3, rf=2, registry=Registry(), seed=seed)
         deployment.run_ticks(150)
-        return [deployment.nodes[n]._hb_due for n in sorted(deployment.nodes)]
+        return [deployment.nodes[n].core._hb_due
+                for n in sorted(deployment.nodes)]
 
     assert schedules(1) == schedules(1)          # same seed: same timers
     assert schedules(1) != schedules(2)          # seed moves the jitter
@@ -95,18 +96,19 @@ def test_recovering_node_refuses_reads_and_writes_mid_sync():
     deployment.run_ticks(100)
     deployment.kill("node1")
     node = deployment.restart("node1")
-    assert node.state == "recovering"
-    captured = _capture_responses(node)
-    node._handle({"kind": "get", "req": 1, "key": "k", "client": 7},
-                 ("client", 1), deployment.now)
-    node._handle({"kind": "put", "req": 2, "key": "k", "value": "v",
-                  "client": 7}, ("client", 1), deployment.now)
+    assert node.core.state == "recovering"
+    node.core.on_message({"kind": "get", "req": 1, "key": "k", "client": 7},
+                         ("client", 1), deployment.now)
+    node.core.on_message({"kind": "put", "req": 2, "key": "k", "value": "v",
+                          "client": 7}, ("client", 1), deployment.now)
+    captured = _responses(node)
     assert [r["err"] for r in captured] == [msg.ERR_RECOVERING] * 2
     assert all(r["ok"] is False for r in captured)
     # ring queries are dropped outright: a recovering node must not
     # hand the gateway its stale (single-member) view
-    node._handle({"kind": "ring", "req": 3}, ("gateway", 0), deployment.now)
-    assert len(captured) == 2
+    node.core.on_message({"kind": "ring", "req": 3}, ("gateway", 0),
+                         deployment.now)
+    assert len(_responses(node)) == 2
 
 
 def test_write_to_underreplicated_group_is_typed_degraded():
@@ -116,11 +118,10 @@ def test_write_to_underreplicated_group_is_typed_degraded():
     deployment.kill("node2")
     deployment.run_ticks(HB_TIMEOUT + 2 * HB_EVERY)   # node0 notices
     node = deployment.nodes["node0"]
-    assert node.ring.nodes == ["node0"]
-    captured = _capture_responses(node)
-    node._handle({"kind": "put", "req": 1, "key": "k", "value": "v",
-                  "client": 7}, ("client", 1), deployment.now)
-    [resp] = captured
+    assert node.core.ring.nodes == ["node0"]
+    node.core.on_message({"kind": "put", "req": 1, "key": "k", "value": "v",
+                          "client": 7}, ("client", 1), deployment.now)
+    [resp] = _responses(node)
     assert resp["ok"] is False and resp["err"] == msg.ERR_DEGRADED
     assert msg.ERR_DEGRADED in msg.RETRYABLE_ERRS
 
@@ -168,7 +169,7 @@ def test_one_wal_write_per_inbox_pass_that_applied_a_record():
             writes[node_id] += fd == node.wal._wal_fd
             return write(fd, data)
 
-        def noting_apply(*record, apply=node._apply, landed=landed):
+        def noting_apply(*record, apply=node.core._apply, landed=landed):
             landed.append(apply(*record))
             return landed[-1]
 
@@ -180,7 +181,7 @@ def test_one_wal_write_per_inbox_pass_that_applied_a_record():
             return alive
 
         node.fdtable.write = counting_write
-        node._apply = noting_apply
+        node.core._apply = noting_apply
         node._process_inbox = counting_pass
     report = run_workload(deployment, _profile(ops=400))
     assert report.ok, report.summary_lines()
@@ -204,7 +205,7 @@ def _crash_a_batch_write(seed: int = 1):
     node = deployment.nodes["node1"]
     nic = node.kernel.nic
     seen: dict = {}
-    on_tick, apply, append, crash = (node.on_tick, node._apply,
+    on_tick, apply, append, crash = (node.on_tick, node.core._apply,
                                      node.wal.append, node.crash)
 
     def observed_tick(now):
@@ -212,7 +213,7 @@ def _crash_a_batch_write(seed: int = 1):
         on_tick(now)
 
     def observed_apply(*record):
-        if not node._batch:
+        if not node.core.records:
             seen["first_record_tx"] = nic.stats.tx_frames
         return apply(*record)
 
@@ -229,7 +230,7 @@ def _crash_a_batch_write(seed: int = 1):
                                   nic.stats.tx_frames))
         crash(now, reason)
 
-    node.on_tick, node._apply = observed_tick, observed_apply
+    node.on_tick, node.core._apply = observed_tick, observed_apply
     node.wal.append, node.crash = arming_append, observed_crash
     report = run_workload(deployment, _profile(ops=400, seed=seed))
     return deployment, seen, report
@@ -244,7 +245,7 @@ def test_a_crashed_batch_write_sends_nothing_from_its_tick():
     assert tx == tick_tx
     # ... and the node came back from its platter with the audit clean
     assert report.restarts == 1
-    assert deployment.nodes["node1"].state == "serving"
+    assert deployment.nodes["node1"].core.state == "serving"
     assert report.ok, report.summary_lines()
     assert report.lost_acked_writes == [] and report.ryw_violations == []
 
@@ -298,14 +299,17 @@ def test_full_volume_fails_compaction_softly_and_the_run_completes():
             assert node.wal.appended >= node.wal.compact_every
 
 
-def test_append_on_a_full_volume_fail_stops_the_node_before_any_ack():
-    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
-    node = deployment.nodes["node1"]
-    fs = node.kernel.fs
+def _leave_two_free_blocks(fs) -> None:
     ballast = fs.create("/ballast")
     with pytest.raises(NoSpace):
         fs.write_at(ballast, 0, bytes(fs.bitmap.count_free() * BLOCK_SIZE))
     fs.truncate(ballast, fs.stat_inum(ballast).size - 2 * BLOCK_SIZE)
+
+
+def test_append_on_a_full_volume_fail_stops_the_node_before_any_ack():
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    node = deployment.nodes["node1"]
+    _leave_two_free_blocks(node.kernel.fs)
     reasons = []
     crash = node.crash
 
@@ -323,3 +327,34 @@ def test_append_on_a_full_volume_fail_stops_the_node_before_any_ack():
     assert report.lost_acked_writes == [] and report.ryw_violations == []
     assert report.acked + report.failed == report.issued
     assert report.failed == report.gaveup
+
+
+def test_a_node_whose_volume_is_full_restarts_into_a_fail_stop(
+        monkeypatch):
+    """The replacement cannot write its clean generation: it fail-stops
+    ``volume-full`` instead of raising out of the deployment."""
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1,
+                            auto_restart_delay=150)
+    first = deployment.nodes["node1"]
+    _leave_two_free_blocks(first.kernel.fs)
+    reasons = []
+    crash = ClusterNode.crash
+
+    def recording_crash(self, now, reason="killed"):
+        reasons.append((self.node_id, reason))
+        crash(self, now, reason)
+
+    monkeypatch.setattr(ClusterNode, "crash", recording_crash)
+    report = run_workload(deployment, _profile(ops=600))
+    assert report.restarts >= 1
+    assert reasons == [("node1", "volume-full")] * (1 + report.restarts)
+    replacement = deployment.nodes["node1"]
+    assert replacement is not first and not replacement.alive
+    assert replacement.wal is None
+    # the survivors carried on: nothing acknowledged was lost
+    assert report.ok, report.summary_lines()
+    assert report.lost_acked_writes == [] and report.ryw_violations == []
+    assert report.acked + report.failed == report.issued
+    # and a restart by hand fail-stops the same way
+    assert not deployment.restart("node1").alive
+    assert reasons[-1] == ("node1", "volume-full")
