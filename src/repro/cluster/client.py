@@ -96,7 +96,25 @@ class ClientGateway:
 
     def issue(self, op: str, key: str, value, client_id: int,
               now: int) -> int:
-        """Send one op toward the believed primary; returns the req id."""
+        """Send one op toward the believed primary; returns the req id.
+
+        Raises :class:`~repro.cluster.messages.ClusterMsgError`, and
+        sends nothing, for a key or put value that is not a str or whose
+        UTF-8 bytes exceed :data:`~repro.cluster.messages.MAX_ENTRY`."""
+        value_type = str if op == "put" else type(None)
+        if type(key) is not str or type(value) is not value_type:
+            raise msg.ClusterMsgError(
+                f"{op} of {key!r}: the key must be a str and the value "
+                f"{value_type.__name__}, not {type(value).__name__}")
+        try:
+            size = len(key.encode()) + (0 if value is None
+                                        else len(value.encode()))
+        except UnicodeEncodeError as exc:
+            raise msg.ClusterMsgError(f"{op} of {key!r}: {exc}") from None
+        if size > msg.MAX_ENTRY:
+            raise msg.ClusterMsgError(
+                f"{op} of {key!r}: {size} bytes of key and value, more "
+                f"than the {msg.MAX_ENTRY} one entry may carry")
         req = self._next_req
         self._next_req += 1
         target = self.ring.primary_for(key)
@@ -139,18 +157,18 @@ class ClientGateway:
         self._retry_timeouts(now)
 
     def _on_resp(self, message: dict, now: int) -> None:
-        entry = self.outstanding.get(message.get("req"))
+        req = message["req"]
+        entry = self.outstanding.get(req)
         if entry is None:
             return  # duplicate / late response for a settled request
-        req = message["req"]
-        if message.get("ok"):
+        if message["ok"]:
             del self.outstanding[req]
             self.acked.inc()
             self.latency[entry["op"]].record(
                 (now - entry["issued"]) * TICK_NS)
             self._settle(entry, message)
             return
-        err = message.get("err")
+        err = message["err"]
         if err == msg.ERR_NOT_PRIMARY:
             # a redirect is information, not congestion: follow it now
             self.redirects.inc()
@@ -159,7 +177,7 @@ class ClientGateway:
                 self._give_up(req, err, now)
                 return
             entry["retry_at"] = now + self._backoff(entry["attempts"])
-            leader_ip = message.get("leader")
+            leader_ip = message["leader"]
             if leader_ip is None:
                 leader_ip = self.member_ips[
                     self.ring.primary_for(entry["key"])]
@@ -190,7 +208,7 @@ class ClientGateway:
     def _settle(self, entry: dict, message: dict) -> None:
         """Session bookkeeping for one acknowledged op."""
         client, key, op = entry["client"], entry["key"], entry["op"]
-        version = message.get("version", 0)
+        version = message["version"]
         if op in ("put", "del"):
             value = entry["value"] if op == "put" else None
             session = (client, key)
@@ -201,7 +219,7 @@ class ClientGateway:
             return
         # reads: the audit records, real clients check read-your-writes
         if client == AUDIT_CLIENT:
-            self.audit_results[key] = (message.get("value"), version)
+            self.audit_results[key] = (message["value"], version)
             return
         floor = self.sessions.get((client, key))
         if floor is not None and version < floor:
@@ -210,8 +228,8 @@ class ClientGateway:
                 f"its own acknowledged write {floor}")
 
     def _on_ring_resp(self, message: dict) -> None:
-        self._ring_reqs.discard(message.get("req"))
-        members = {peer: ip for peer, ip in message.get("members", [])}
+        self._ring_reqs.discard(message["req"])
+        members = dict(message["members"])
         if not members or members == self.member_ips:
             return
         self.member_ips = members

@@ -5,7 +5,8 @@ draws no fault.  Each call appends to two lists the I/O shell
 (:class:`~repro.cluster.node.ClusterNode`) drains: the pass's WAL
 :attr:`~NodeCore.records`, and :attr:`~NodeCore.out`, the messages to
 send in order, each marked if it came after the pass's first record.
-:meth:`NodeCore.on_message` trusts :func:`~repro.cluster.messages.check`.
+:meth:`NodeCore.on_message` trusts :func:`~repro.cluster.messages.decode`:
+every message it is handed carries every field of its kind, typed.
 
 Replication lives *above* the verified kernel boundary (see DESIGN.md):
 
@@ -56,7 +57,8 @@ HB_JITTER = 5
 REPL_RETRY = 40
 #: ...plus a seeded jitter so retransmit storms cannot phase-lock.
 REPL_JITTER = 13
-#: Re-replication entries pushed per tick after a membership change.
+#: Re-replication entries pushed per tick after a membership change
+#: (fewer if they would not fit one datagram).
 SYNC_BATCH = 16
 #: A rejoining node re-sends its join/pull requests this often, and
 #: gives up waiting for silent peers after the window below.
@@ -73,6 +75,9 @@ class NodeCore:
                  recover: bool = False, now: int = 0,
                  entries: dict | None = None, replay: dict | None = None,
                  emit=None) -> None:
+        if len(node_id.encode()) > msg.MAX_NODE_ID:
+            raise ValueError(f"node id {node_id!r} is longer than "
+                             f"{msg.MAX_NODE_ID} bytes")
         if rf <= 0 or rf > len(members):
             raise ValueError(f"replication factor {rf} needs "
                              f"1..{len(members)} nodes")
@@ -83,6 +88,9 @@ class NodeCore:
         #: ``emit(name, now, **fields)``: a bus event, or nothing
         self.emit = emit or (lambda name, now, **fields: None)
         self._rng = random.Random(f"cluster/{seed}/{node_id}")
+        #: bytes a ``sync`` from this node has for its entries
+        self._sync_room = (msg.MAX_DATAGRAM - msg.fixed_size("sync")
+                           - len(node_id.encode()))
 
         # version residue class: versions this node mints are ≡ its
         # index mod the bootstrap member count, so no two nodes can
@@ -197,6 +205,13 @@ class NodeCore:
             fields["from"] = self.node_id
         self.out.append((to, fields, bool(self.records)))
 
+    def _reply(self, client, req: int, ok: bool, err: str | None = None,
+               leader: int | None = None, value: str | None = None,
+               version: int = 0) -> None:
+        """Queue a ``resp``: every field, those it does not set empty."""
+        self._send(client, "resp", req=req, ok=ok, err=err, leader=leader,
+                   value=value, version=version)
+
     # -- timer steps --------------------------------------------------------
 
     def heartbeat(self, now: int) -> None:
@@ -265,17 +280,27 @@ class NodeCore:
 
     def drain_queues(self, now: int) -> None:
         """Send up to SYNC_BATCH queued entries, catch-up stream first
-        (a rejoiner's time-to-serving is the recovery metric)."""
+        (a rejoiner's time-to-serving is the recovery metric).  The
+        drain stops at the first entry that would push its peer's batch
+        past one datagram; it leads the next drain."""
         budget = SYNC_BATCH
         batches: dict[str, list] = {}
+        room: dict[str, int] = {}
         markers: list[tuple[str, int]] = []
         for queue in (self._catchup_queue, self._sync_queue):
             while budget and queue:
-                peer, key, value, version = queue.popleft()
+                peer, key, value, version = queue[0]
                 if key is None:
+                    queue.popleft()
                     markers.append((peer, value))  # (peer, pull req id)
                     continue
-                batches.setdefault(peer, []).append([key, value, version])
+                size = msg.entry_size(key, value)
+                if peer in room and size > room[peer]:
+                    budget = 0
+                    break
+                queue.popleft()
+                room[peer] = room.get(peer, self._sync_room) - size
+                batches.setdefault(peer, []).append((key, value, version))
                 budget -= 1
         for peer in sorted(batches):
             if self.peer_alive[peer] or peer in self._recovering_peers:
@@ -317,7 +342,7 @@ class NodeCore:
         peer = self._seen(message, now)
         if peer is None:
             return
-        if message.get("state", "serving") == "recovering":
+        if message["state"] == "recovering":
             self._peer_recovering(peer, now)
         else:
             self._recovering_peers.discard(peer)
@@ -331,15 +356,15 @@ class NodeCore:
         (never pre-crash, possibly stale state) or a redirect."""
         if self.state != "serving":
             self._recovering_rejects.inc()
-            self._send(client, "resp", req=message["req"], ok=False,
-                       err=msg.ERR_RECOVERING)
+            self._reply(client, message["req"], False,
+                        err=msg.ERR_RECOVERING)
             return None
         owners = self.ring.owners(message["key"], self.rf)
         if owners[0] != self.node_id:
             self._redirects.inc()
-            self._send(client, "resp", req=message["req"], ok=False,
-                       err=msg.ERR_NOT_PRIMARY,
-                       leader=self.members.get(owners[0]))
+            self._reply(client, message["req"], False,
+                        err=msg.ERR_NOT_PRIMARY,
+                        leader=self.members.get(owners[0]))
             return None
         return owners
 
@@ -348,21 +373,25 @@ class NodeCore:
         if owners is None:
             return
         key = message["key"]
-        value = message.get("value") if message["kind"] == "put" else None
+        value = message["value"] if message["kind"] == "put" else None
         if len(owners) < self.rf:
             # quorum-aware degraded mode: fewer live nodes than the
             # replica group needs — refuse rather than ack thin
             self._degraded_writes.inc()
-            self._send(client, "resp", req=message["req"], ok=False,
-                       err=msg.ERR_DEGRADED)
+            self._reply(client, message["req"], False, err=msg.ERR_DEGRADED)
             return
         version = self._assign_version(key)
+        if version > msg.MAX_INT:
+            # a peer's forward drove the key's version to the top of
+            # its layout: no record or message could carry the next one
+            self._reply(client, message["req"], False,
+                        err=msg.ERR_VERSIONS_EXHAUSTED)
+            return
         self._apply(key, value, version)
         self._stream_to_recovering(key, value, version)
         waiting = {peer for peer in owners[1:] if self.peer_alive[peer]}
         if not waiting:
-            self._send(client, "resp", req=message["req"], ok=True,
-                       version=version)
+            self._reply(client, message["req"], True, version=version)
             return
         entry = self.pending[message["req"]] = {
             "client": client, "key": key, "value": value,
@@ -379,8 +408,7 @@ class NodeCore:
                    value=entry["value"], version=entry["version"])
 
     def _on_repl(self, message: dict, client, now: int) -> None:
-        self._apply(message["key"], message.get("value"),
-                    message["version"])
+        self._apply(message["key"], message["value"], message["version"])
         self._send(client, "repl-ack", req=message["req"])
 
     def _on_repl_ack(self, message: dict, client, now: int) -> None:
@@ -396,21 +424,20 @@ class NodeCore:
             if entry["waiting"]:
                 continue
             del self.pending[req]
-            self._send(entry["client"], "resp", req=req, ok=True,
-                       version=entry["version"])
+            self._reply(entry["client"], req, True, version=entry["version"])
 
     def _on_get(self, message: dict, client, now: int) -> None:
         if self._owners_if_primary(message, client) is None:
             return
         stored = self.lookup(message["key"])
         value, version = (stored if stored is not None else (None, 0))
-        self._send(client, "resp", req=message["req"], ok=True, value=value,
-                   version=version)
+        self._reply(client, message["req"], True, value=value,
+                    version=version)
 
     def _on_ring(self, message: dict, client, now: int) -> None:
         if self.state != "serving":
             return  # a cold membership view would mislead the gateway
-        alive = [[peer, self.members[peer]]
+        alive = [(peer, self.members[peer])
                  for peer in sorted(self.members)
                  if self.peer_alive[peer]]
         self._send(client, "ring-resp", req=message["req"], members=alive,
@@ -535,7 +562,7 @@ class NodeCore:
             ring2 = self._catchup_rings.get(peer)
             if ring2 is not None and peer in ring2.owners(key, self.rf):
                 self._send(peer, "sync", req=0,
-                           entries=[[key, value, version]])
+                           entries=[(key, value, version)])
 
     def _schedule_sync(self, now: int) -> None:
         """Queue version-guarded pushes of every key this node is now

@@ -5,7 +5,7 @@ no I/O.  :class:`ClusterNode` does it: UDP through its kernel's
 :class:`~repro.nros.net.stack.NetStack`, and a
 :class:`~repro.cluster.wal.NodeWal` on the node's own verified
 filesystem.  Per tick it runs the core's timer steps and one *inbox
-pass*: decode and check each datagram, spend capacity, draw the
+pass*: decode each datagram, spend capacity, draw the
 ``cluster.node.*`` crash and ``cluster.repl`` lag faults, and send the
 core's messages — except those after the pass's first WAL record, which
 wait until :meth:`ClusterNode._commit` has logged the pass in one write.
@@ -78,7 +78,7 @@ class ClusterNode:
         counter = self.registry.counter
         self._served = {kind: counter("cluster.served", node=node_id,
                                       op=kind) for kind in _DATA_KINDS}
-        #: datagrams dropped undecodable or failing `messages.check`
+        #: datagrams dropped because `messages.decode` refused them
         self._bad_messages = counter("cluster.bad_messages", node=node_id)
         self._oversize = counter("cluster.oversize_drops", node=node_id)
         self._backlog = self.registry.gauge("cluster.backlog", node=node_id)
@@ -132,16 +132,21 @@ class ClusterNode:
 
     def _dispatch(self, now: int) -> None:
         """Encode and send the core's output in order, but drop (and count)
-        what UDP cannot carry, lag a ``repl`` the fault plan picks and
-        hold what the core marked held."""
+        what its layout or UDP cannot carry — a number a peer pushed past
+        64 bits, a datagram past :data:`~repro.cluster.messages
+        .MAX_DATAGRAM` — lag a ``repl`` the fault plan picks and hold what
+        the core marked held."""
         out = self.core.out
         if not out:
             return
         self.core.out = []
         for (dst_ip, dst_port), message, held in out:
-            payload = msg.encode(message)
-            if len(payload) > msg.MAX_DATAGRAM:
-                self._oversize.inc()   # outgrew UDP: dropped, not raised
+            try:
+                payload = msg.encode(message)
+            except msg.ClusterMsgError:
+                payload = None
+            if payload is None or len(payload) > msg.MAX_DATAGRAM:
+                self._oversize.inc()   # dropped, not raised
                 continue
             if self.fault_plan is not None and message["kind"] == "repl":
                 decision = self.fault_plan.draw("cluster.repl")
@@ -175,7 +180,7 @@ class ClusterNode:
         while queue:
             src_ip, src_port, payload = queue.popleft()
             try:
-                message = msg.check(msg.decode(payload))
+                message = msg.decode(payload)
             except msg.ClusterMsgError:
                 self._bad_messages.inc()
                 continue

@@ -38,20 +38,21 @@ rewrites a single clean generation so stale files from the crash are
 swept in one pass.
 
 Record framing: ``MAGIC | payload-length (u32 LE) | blake2b-8 of the
-payload | canonical-JSON payload`` where the payload is the triple
-``[key, value, version]``; a deleted key is a tombstone (value null)
-and the snapshot commit marker uses the reserved null key:
-``[null, record_count, generation]``.
+payload | payload``, where the payload is one row of
+:data:`~repro.cluster.messages.LAYOUTS` in its binary layout: a
+``record`` ``(key, value, version)`` — a deleted key is a tombstone
+(value None) — or, ending a snapshot, a ``commit`` marker ``(record
+count, generation)``.  :func:`decode_records` returns a marker as the
+triple ``(None, record_count, generation)``.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from hashlib import blake2b
 
-from repro.cluster.messages import canonical_json
+from repro.cluster import messages as msg
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs.alloc import NoSpace
 from repro.nros.fs.fs import FileTooBig
@@ -62,13 +63,15 @@ MAGIC = b"WALR"
 CHECKSUM_BYTES = 8
 #: MAGIC + u32 payload length + checksum.
 HEADER_BYTES = len(MAGIC) + 4 + CHECKSUM_BYTES
-#: Sanity cap on one record's payload (a datagram-sized KV entry).
-MAX_PAYLOAD = 64 * 1024
 #: Default appends per WAL generation before compaction rotates it.
 COMPACT_EVERY = 256
 
-#: The reserved key of a snapshot's commit marker.
+#: The key :func:`decode_records` gives a snapshot's commit marker.
 _COMMIT_KEY = None
+
+_pack_record, _unpack_record = msg.codec("record")
+_pack_commit, _unpack_commit = msg.codec("commit")
+_COMMIT_TAG_BYTE = bytes([msg.TAGS["commit"]])
 
 #: What a write raises when the volume (or one file) has no room left.
 VOLUME_FULL = (NoSpace, FileTooBig)
@@ -83,11 +86,19 @@ def _checksum(payload: bytes) -> bytes:
     return blake2b(payload, digest_size=CHECKSUM_BYTES).digest()
 
 
-def encode_record(key, value, version: int) -> bytes:
-    """One framed, checksummed record (key None = commit marker)."""
-    payload = canonical_json([key, value, version]).encode("utf-8")
+def _frame(payload: bytes) -> bytes:
     return (MAGIC + struct.pack("<I", len(payload))
             + _checksum(payload) + payload)
+
+
+def encode_record(key: str, value: str | None, version: int) -> bytes:
+    """One framed, checksummed record."""
+    return _frame(_pack_record(key, value, version))
+
+
+def encode_commit(records: int, gen: int) -> bytes:
+    """The framed commit marker ending a snapshot of `records` records."""
+    return _frame(_pack_commit(records, gen))
 
 
 def decode_records(data: bytes) -> tuple[list[tuple], bool]:
@@ -102,7 +113,7 @@ def decode_records(data: bytes) -> tuple[list[tuple], bool]:
         if len(header) < HEADER_BYTES or header[:len(MAGIC)] != MAGIC:
             return records, False
         (length,) = struct.unpack_from("<I", header, len(MAGIC))
-        if length > MAX_PAYLOAD:
+        if length > msg.MAX_RECORD:
             return records, False
         payload = data[offset + HEADER_BYTES:offset + HEADER_BYTES + length]
         if len(payload) < length:
@@ -110,12 +121,12 @@ def decode_records(data: bytes) -> tuple[list[tuple], bool]:
         if _checksum(payload) != header[len(MAGIC) + 4:HEADER_BYTES]:
             return records, False
         try:
-            triple = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+            if payload[:1] == _COMMIT_TAG_BYTE:
+                records.append((_COMMIT_KEY, *_unpack_commit(payload)))
+            else:
+                records.append(_unpack_record(payload))
+        except msg.ClusterMsgError:
             return records, False
-        if not isinstance(triple, list) or len(triple) != 3:
-            return records, False
-        records.append(tuple(triple))
         offset += HEADER_BYTES + length
     return records, True
 
@@ -316,7 +327,7 @@ class NodeWal:
         if self.fdtable.fs.exists(path):
             self.fdtable.fs.unlink(path)  # a stray from a crashed run
         frames = [encode_record(key, *state[key]) for key in sorted(state)]
-        frames.append(encode_record(_COMMIT_KEY, len(frames), gen))
+        frames.append(encode_commit(len(frames), gen))
         fd = self.fdtable.open(path, fdmod.O_CREAT | fdmod.O_WRONLY)
         try:
             return self.fdtable.write(fd, b"".join(frames))

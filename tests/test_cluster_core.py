@@ -2,12 +2,14 @@
 
 `NodeCore` is the sans-I/O half of a cluster node: these tests replay a
 live run through fresh cores with no kernel, disk, network or fault
-plan, pin what the core may import, and check that no datagram — typed
-wrong, missing fields, or arbitrary JSON — can stop the deployment."""
+plan, pin what the core may import, and check that no datagram — a
+message with a field cut short or mistyped, arbitrary bytes, an
+arbitrary well-formed message, or JSON — can stop the deployment."""
 
 import copy
 import json
 import pathlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ import repro
 from repro.analysis.imports import build_import_graph, discover_sources
 from repro.cluster import core as coremod
 from repro.cluster import messages as msg
+from repro.cluster.client import AUDIT_CLIENT
 from repro.cluster.deploy import Deployment
 from repro.cluster.node import SERVICE_PORT
 from repro.cluster.workload import WorkloadProfile, run_workload
@@ -25,7 +28,7 @@ from repro.nros.fs.fd import FdTable
 from repro.nros.kernel import Kernel
 from repro.nros.net.stack import NetStack
 from repro.obs.registry import Registry
-from tests.test_cluster_messages import json_value
+from tests.test_cluster_messages import arbitrary_bytes, of_kind
 
 #: The core's timer steps and its one message entry point.
 _STEPS = ("heartbeat", "detect_failures", "recover_tick", "retry_pending",
@@ -141,8 +144,9 @@ def test_the_core_imports_no_kernel_hardware_obs_or_faults():
 
 # -- no datagram can stop the cluster ---------------------------------------
 
-#: Well-formed JSON that the node's handlers used to raise on (the
-#: exception in the comment), then datagrams that never decoded.
+#: JSON — the wire format before the binary layouts — that the node's
+#: handlers used to raise on (the exception in the comment), then
+#: datagrams that never decoded.  No JSON text decodes now.
 MALFORMED = [json.dumps(message).encode() for message in (
     {"kind": "put"},                                          # KeyError
     {"kind": "get"},                                          # KeyError
@@ -201,7 +205,7 @@ def test_a_reply_too_big_for_udp_is_dropped_and_counted():
     ring = deployment.nodes["node0"].core.ring
     key = next(f"k{i}" for i in range(100)
                if ring.owners(f"k{i}", 2)[0] == "node0")
-    put = {"kind": "put", "req": 1, "key": key, "value": ""}
+    put = {"kind": "put", "req": 1, "key": key, "client": 7, "value": ""}
     room = msg.MAX_DATAGRAM - len(msg.encode(put))
     _send_from_gateway(deployment, msg.encode({**put, "value": "x" * room}))
     deployment.run_ticks(5)
@@ -209,6 +213,59 @@ def test_a_reply_too_big_for_udp_is_dropped_and_counted():
                                         node="node0")
     assert drops.value >= 1
     _round_trip(deployment)
+
+
+@pytest.mark.parametrize("value", [b"x", "x" * 70_000],
+                         ids=["bytes", "70000-characters"])
+def test_a_put_the_wire_cannot_carry_is_refused_before_it_is_sent(value):
+    """Such a put used to be accepted, and the retry timer then raised
+    out of ``Deployment.step`` 1 200 ticks later."""
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    deployment.run_ticks(5)
+    gateway = deployment.gateway
+    with pytest.raises(msg.ClusterMsgError):
+        gateway.issue("put", "k", value, 7, deployment.now)
+    assert gateway.outstanding == {}
+    deployment.run_ticks(2_000)
+    _round_trip(deployment)
+
+
+def test_a_put_at_the_entry_limit_is_acked_and_read_back():
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    deployment.run_ticks(5)
+    gateway = deployment.gateway
+    value = "é" * ((msg.MAX_ENTRY - len("probe")) // 2)
+    value += "x" * (msg.MAX_ENTRY - len("probe") - len(value.encode()))
+    with pytest.raises(msg.ClusterMsgError):
+        gateway.issue("put", "probe", value + "x", 7, deployment.now)
+    gateway.issue("put", "probe", value, 7, deployment.now)
+    deployment.run_ticks(60)
+    gateway.issue("get", "probe", None, AUDIT_CLIENT, deployment.now)
+    deployment.run_ticks(60)
+    assert gateway.acked.value == 2 and not gateway.outstanding
+    assert gateway.audit_results["probe"] == (
+        value, gateway.acked_writes["probe"][0])
+    assert sum(counter.value for counter in deployment.registry.counters()
+               if counter.name == "cluster.oversize_drops") == 0
+
+
+def test_a_put_past_the_top_version_is_refused_not_raised():
+    """A forward at the largest version a layout carries leaves no
+    version for the next put of its key: the primary refuses that put
+    with a typed error (its WAL record used to raise)."""
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    deployment.run_ticks(5)
+    ring = deployment.nodes["node0"].core.ring
+    key = next(f"k{i}" for i in range(100)
+               if ring.owners(f"k{i}", 2)[0] == "node0")
+    _send_from_gateway(deployment, _wire("repl", key=key,
+                                         version=msg.MAX_INT))
+    deployment.run_ticks(5)
+    gateway = deployment.gateway
+    gateway.issue("put", key, "w", 7, deployment.now)
+    deployment.run_ticks(60)
+    assert [entry["reason"] for entry in gateway.gaveup] == [
+        msg.ERR_VERSIONS_EXHAUSTED]
 
 
 def test_a_healthy_run_drops_nothing():
@@ -222,19 +279,58 @@ def test_a_healthy_run_drops_nothing():
                                    "cluster.oversize_drops")) == 0
 
 
-@pytest.mark.parametrize("message", [
-    {"kind": "put", "req": True, "key": "k"},
-    {"kind": "repl", "req": 1, "key": "k", "version": 1.0},
-    {"kind": "sync", "req": 0, "entries": [["k", 1]]},
-    {"kind": "sync", "req": 0, "entries": [["k", 1, False]]},
-    {"kind": "join-ack", "from": "node1"},
-    {"kind": "pull-done", "from": "node1", "req": "1"},
-])
-def test_check_refuses_each_bad_field(message):
-    with pytest.raises(msg.ClusterMsgError, match="bad or missing"):
-        msg.check(message)
+def _wire(kind: str, **fields) -> bytes:
+    """A well-formed `kind` message from the gateway's side."""
+    values = {"req": 1, "key": "k", "client": 7, "value": "v",
+              "from": "node1", "epoch": 0, "version": 1, "state": "serving",
+              "entries": [("k", "v", 1)], **fields}
+    return msg.encode({"kind": kind, **{name: values[name]
+                                        for name, _ in msg.LAYOUTS[kind]}})
 
 
+#: The defects the handlers once needed a field check for, as binary
+#: datagrams `decode` refuses: a field cut off, a string that is not
+#: UTF-8, a list item cut short, trailing bytes.
+BAD_FIELDS = {
+    "put-without-value": _wire("put")[:-1],
+    "repl-without-version": _wire("repl")[:15] + _wire("repl")[23:],
+    "sync-entry-cut-short": _wire("sync")[:-2],
+    "sync-count-past-the-end": _wire("sync", entries=[])[:-7]
+    + struct.pack("<H", 2) + _wire("sync", entries=[])[-5:],
+    "join-ack-without-epoch": _wire("join-ack")[:3] + b"node1",
+    "pull-done-trailing-req": _wire("pull-done") + b"1",
+    # ED A0 80: a lone surrogate, which JSON's \ud800 escape decoded to
+    "get-key-lone-surrogate": _wire("get", key="xyz")[:-3] + b"\xed\xa0\x80",
+    "hb-state-not-utf8": _wire("hb", state="ok")[:-2] + b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize("payload", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_decode_refuses_each_bad_field(payload):
+    with pytest.raises(msg.ClusterMsgError):
+        msg.decode(payload)
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    deployment.run_ticks(5)
+    before = _bad_messages(deployment)
+    _send_from_gateway(deployment, payload)
+    deployment.step()
+    deployment.step()
+    assert _bad_messages(deployment) == before + 1
+
+
+json_leaf = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-(1 << 70), 1 << 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10,
+)
 field_names = st.sampled_from(["req", "key", "from", "version", "entries",
                                "epoch", "state", "value", "client"])
 field_values = st.one_of(json_value,
@@ -247,6 +343,17 @@ node_bound = st.builds(
     lambda kind, fields: {**fields, "kind": kind},
     st.sampled_from(msg.CLIENT_KINDS + msg.PEER_KINDS),
     st.dictionaries(field_names, field_values, max_size=5))
+
+#: Well-formed messages of every kind a node or client reads, their
+#: senders and states mostly real ones so the handlers act on them.
+well_formed = st.sampled_from(msg.ALL_KINDS).flatmap(
+    lambda kind: of_kind(kind).flatmap(lambda m: st.builds(
+        lambda sender, state: {**m, **({"from": sender} if "from" in m
+                                       else {}),
+                               **({"state": state} if "state" in m
+                                  else {})},
+        st.sampled_from(["node0", "node1", "node2"]) | st.text(max_size=5),
+        st.sampled_from(["recovering", "serving"]))))
 
 
 @pytest.fixture(scope="module")
@@ -261,5 +368,24 @@ def warm_deployment():
 def test_no_json_object_stops_the_deployment(warm_deployment, messages):
     for message in messages:
         _send_from_gateway(warm_deployment, json.dumps(message).encode())
+    warm_deployment.step()
+    warm_deployment.step()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(arbitrary_bytes, min_size=1, max_size=4))
+def test_no_datagram_stops_the_deployment(warm_deployment, payloads):
+    for payload in payloads:
+        _send_from_gateway(warm_deployment, payload)
+    warm_deployment.step()
+    warm_deployment.step()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(well_formed, min_size=1, max_size=4))
+def test_no_well_formed_message_stops_the_deployment(warm_deployment,
+                                                     messages):
+    for message in messages:
+        _send_from_gateway(warm_deployment, msg.encode(message))
     warm_deployment.step()
     warm_deployment.step()

@@ -5,6 +5,7 @@ the seeded jitter that keeps all of it deterministic."""
 import pytest
 
 from repro.cluster import messages as msg
+from repro.cluster.client import AUDIT_CLIENT
 from repro.cluster.deploy import Deployment
 from repro.cluster.harness import recovery_bench, run_cluster
 from repro.cluster.core import HB_EVERY, HB_TIMEOUT
@@ -59,6 +60,37 @@ def test_crash_restart_is_deterministic_under_its_seed():
     assert first.summary_lines() == second.summary_lines()
     assert first.recovery == second.recovery
     assert first.latency == second.latency
+
+
+def test_catch_up_of_large_values_fits_each_sync_in_one_datagram():
+    """60 puts of 8 000-character values while node1 is down: sixteen of
+    them make a sync batch past UDP's limit.  Each batch now stops
+    short of it, so the rejoiner receives every key it owns."""
+    deployment = Deployment(3, rf=2, registry=Registry(), seed=1)
+    gateway = deployment.gateway
+    deployment.kill("node1")
+    keys = [f"k{i}" for i in range(60)]
+    for i, key in enumerate(keys):
+        gateway.issue("put", key, f"{i}".ljust(8_000, "."), i,
+                      deployment.now)
+        deployment.step()
+    deployment.run_ticks(2_000)
+    deployment.restart("node1")
+    deployment.run_ticks(4_000)
+
+    node1 = deployment.nodes["node1"]
+    assert node1.core.state == "serving"
+    owned = [key for key in keys
+             if "node1" in node1.core.ring.owners(key, 2)]
+    assert len(owned) == 43
+    assert set(owned) <= set(node1.core.local_data())
+    assert sum(counter.value for counter in deployment.registry.counters()
+               if counter.name == "cluster.oversize_drops") == 0
+    for key in keys:
+        gateway.issue("get", key, None, AUDIT_CLIENT, deployment.now)
+    deployment.run_ticks(600)
+    assert gateway.acked.value == 2 * len(keys)
+    assert gateway.audit_losses() == []
 
 
 def test_recovery_bench_measures_replay_and_rf_restore():

@@ -1,18 +1,20 @@
 """The per-node WAL: framing, recovery, compaction, and its crash
 matrix on the verified filesystem."""
 
-import json
 import struct
 from hashlib import blake2b
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.messages import ClusterMsgError
 from repro.cluster.wal import (
     HEADER_BYTES,
     VOLUME_FULL,
     NodeWal,
     decode_records,
+    encode_commit,
     encode_record,
 )
 from repro.faults.crash import is_recoverable, run_crash_matrix
@@ -22,7 +24,6 @@ from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs.fs import FileSystem
 from repro.nros.fs.fsck import fsck
-from tests.test_cluster_messages import json_value
 
 
 def _fresh_fs(num_sectors=128):
@@ -37,26 +38,51 @@ def _fresh_fs(num_sectors=128):
 def test_codec_roundtrip():
     stream = (encode_record("a", "v1", 1)
               + encode_record("b", None, 2)        # tombstone
-              + encode_record(None, 2, 7))          # commit marker
+              + encode_commit(2, 7))                # commit marker
     records, clean = decode_records(stream)
     assert clean
     assert records == [("a", "v1", 1), ("b", None, 2), (None, 2, 7)]
 
 
-@given(st.one_of(st.none(), st.text(max_size=12)), json_value,
-       st.integers(0, 1 << 62))
-def test_record_payload_is_canonical_json(key, value, version):
-    payload = json.dumps([key, value, version], sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    assert encode_record(key, value, version) == (
-        b"WALR" + struct.pack("<I", len(payload))
-        + blake2b(payload, digest_size=8).digest() + payload)
+def _framed(payload: bytes) -> bytes:
+    return (b"WALR" + struct.pack("<I", len(payload))
+            + blake2b(payload, digest_size=8).digest() + payload)
+
+
+@given(st.text(max_size=12), st.none() | st.text(max_size=12),
+       st.integers(-(1 << 63), (1 << 63) - 1))
+def test_record_payload_is_its_layout(key, value, version):
+    """A record's payload is the ``record`` row: tag 16, version, the
+    key's length and the value's length + 1 (0 = tombstone), then the
+    key and value bytes."""
+    key_bytes = key.encode("utf-8")
+    value_bytes = b"" if value is None else value.encode("utf-8")
+    payload = struct.pack(
+        "<BHHq", 16, len(key_bytes),
+        0 if value is None else len(value_bytes) + 1, version) \
+        + key_bytes + value_bytes
+    assert encode_record(key, value, version) == _framed(payload)
+    assert decode_records(_framed(payload)) == ([(key, value, version)],
+                                                True)
 
 
 def test_one_record_pinned_as_bytes():
-    assert encode_record("clé", {"b": 1, "a": None}, 3).hex() == (
-        "57414c52" "1f000000" "23dd8d48ba0277f7"
-        + b'["cl\\u00e9",{"a":null,"b":1},3]'.hex())
+    assert encode_record("clé", "v", 3).hex() == (
+        "57414c52" "12000000" "6b9ccffb450823bc"
+        "10" "0400" "0200" "0300000000000000" + "clé".encode().hex() + "76")
+    assert encode_record("k", None, 4).hex() == (
+        "57414c52" "0e000000" "8f16c6d14a27b9dc"
+        "10" "0100" "0000" "0400000000000000" "6b")
+    assert encode_commit(2, 7).hex() == (
+        "57414c52" "11000000" "983581fe768c35d1"
+        "11" "0200000000000000" "0700000000000000")
+
+
+def test_record_refuses_what_its_layout_cannot_hold():
+    for bad in ((None, "v", 1), ("k", b"v", 1), ("k", "v", 1 << 63),
+                ("\ud800", "v", 1)):
+        with pytest.raises(ClusterMsgError):
+            encode_record(*bad)
 
 
 def test_torn_tail_is_ignored_not_fatal():
