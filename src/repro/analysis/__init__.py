@@ -6,9 +6,9 @@ that also feeds the Section-5 proof-to-code ratio:
 
 * :mod:`repro.analysis.imports` — the layering / ghost-code-erasure
   checker over the AST import graph;
-* :mod:`repro.analysis.purity` — the contract-purity lint for
-  ``requires``/``ensures`` predicates and spec state machines (plus the
-  bare-``print()`` console rule);
+* :mod:`repro.analysis.purity` — the contract-purity lint for spec-layer
+  functions (the syscall predicates and their ``SPECS`` rows) and spec
+  state machines (plus the bare-``print()`` console rule);
 * :mod:`repro.analysis.race` — the lockset + vector-clock race
   detector replaying the NR step protocol under the adversarial
   interleaver, with seeded mutants (:mod:`repro.analysis.mutants`) CI

@@ -171,9 +171,3 @@ def loc_classification() -> list[tuple[str, str]]:
         override = entry[2] if len(entry) > 2 else None
         out.append((override or DEFAULT_LOC_KIND[layer], prefix))
     return out
-
-
-def spec_modules(layer_map=None) -> list[str]:
-    """Path prefixes mapped to the spec layer (purity-lint scope)."""
-    entries = layer_map if layer_map is not None else LAYER_MAP
-    return [e[0] for e in entries if e[1] == "spec"]

@@ -1,12 +1,12 @@
 """The contract-purity lint.
 
 Verus ``spec fn``s are total mathematical functions: no mutation, no
-I/O, no nondeterminism.  Our runtime-checked analogs — ``requires`` /
-``ensures`` predicates, spec state-machine transitions, and every
-function in a spec-layer module — carry the same obligation, but Python
-will happily let a predicate flip a cache field or read the wall clock,
-silently turning the specification into a program.  This lint walks
-those functions' ASTs and flags:
+I/O, no nondeterminism.  Our executable analogs — spec state-machine
+transitions and every function in a spec-layer module, the syscall
+predicates and their ``SPECS`` rows among them — carry the same
+obligation, but Python will happily let a predicate flip a cache field
+or read the wall clock, silently turning the specification into a
+program.  This lint walks those functions' ASTs and flags:
 
 * ``purity.mutation`` — stores through attributes/subscripts of
   parameters or globals, ``global``/``nonlocal``, and calls of known
@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from repro.analysis.findings import Finding
 from repro.analysis.layers import classify_layer
 
-#: Decorators/calls whose functional arguments are contract predicates.
-CONTRACT_CALLS = {"requires", "ensures"}
 TRANSITION_CALLS = {"Transition"}
 MACHINE_CALLS = {"SpecStateMachine"}
 
@@ -265,9 +263,7 @@ def _predicate_targets(tree, is_spec_module: bool):
         if not isinstance(node, ast.Call):
             continue
         name = _call_name(node.func)
-        if name in CONTRACT_CALLS and node.args:
-            yield from claim(resolve(node.args[0]))
-        elif name in TRANSITION_CALLS:
+        if name in TRANSITION_CALLS:
             for arg in node.args[1:3]:
                 yield from claim(resolve(arg))
             for kw in node.keywords:

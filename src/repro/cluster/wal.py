@@ -77,11 +77,6 @@ _COMMIT_TAG_BYTE = bytes([msg.TAGS["commit"]])
 VOLUME_FULL = (NoSpace, FileTooBig)
 
 
-class WalCorrupt(Exception):
-    """A WAL/snapshot file whose framing or checksum does not verify
-    (recovery treats this as end-of-valid-data, not as fatal)."""
-
-
 def _checksum(payload: bytes) -> bytes:
     return blake2b(payload, digest_size=CHECKSUM_BYTES).digest()
 

@@ -25,12 +25,6 @@ class FileState:
     def size(self) -> int:
         return len(self.contents)
 
-    def with_offset(self, offset: int) -> "FileState":
-        return replace(self, offset=offset)
-
-    def with_contents(self, contents: bytes) -> "FileState":
-        return replace(self, contents=contents)
-
     def with_locked(self, locked: bool) -> "FileState":
         return replace(self, locked=locked)
 
@@ -49,9 +43,6 @@ class SysState:
 
     def with_file(self, fd: int, state: FileState) -> "SysState":
         return SysState(files=self.files.set(fd, state))
-
-    def without_fd(self, fd: int) -> "SysState":
-        return SysState(files=self.files.remove(fd))
 
     def lowest_free_fd(self) -> int:
         fd = 0

@@ -13,7 +13,8 @@ The paper's running example:
 
 Each predicate below relates the pre state, the post state, the syscall
 arguments, and the results — exactly the transition relation the kernel's
-implementation must refine and user code may rely on.
+implementation must refine and user code may rely on.  :data:`SPECS`
+states, once, which predicate judges which call.
 """
 
 from __future__ import annotations
@@ -120,3 +121,33 @@ def _others_unchanged(pre: SysState, post: SysState, fd: int) -> bool:
         if pre.file(other) != post.file(other):
             return False
     return True
+
+
+# -- one row per call ----------------------------------------------------------
+# Each row reads the call's arguments `args` (as passed to `FdTable`) and
+# its `result` into the paper-verbatim predicate above.
+
+
+def _open(pre: SysState, post: SysState, args: tuple, fd: int) -> bool:
+    return open_spec(pre, post, fd)
+
+
+def _close(pre: SysState, post: SysState, args: tuple, _) -> bool:
+    return close_spec(pre, post, args[0])
+
+
+def _read(pre: SysState, post: SysState, args: tuple, data: bytes) -> bool:
+    return read_spec(pre, post, args[0], args[1], data, len(data))
+
+
+def _write(pre: SysState, post: SysState, args: tuple, written: int) -> bool:
+    return write_spec(pre, post, args[0], args[1], written)
+
+
+def _seek(pre: SysState, post: SysState, args: tuple, _) -> bool:
+    return seek_spec(pre, post, args[0], args[1])
+
+
+#: syscall name -> its predicate over (pre, post, args, result)
+SPECS = {"open": _open, "close": _close, "read": _read, "write": _write,
+         "seek": _seek}

@@ -44,15 +44,6 @@ class FaultRule:
     after: int = 0
     max_triggers: int | None = None
 
-    def describe(self) -> str:
-        if self.at is not None:
-            trigger = f"at operation {self.at}"
-        elif self.every is not None:
-            trigger = f"every {self.every} operations"
-        else:
-            trigger = f"p={self.probability}"
-        return f"{self.site}: {self.kind} ({trigger})"
-
 
 @dataclass
 class FaultDecision:

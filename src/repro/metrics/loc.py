@@ -41,10 +41,6 @@ class LocReport:
             return 0.0
         return self.proof_lines / self.code_lines
 
-    @property
-    def total_lines(self) -> int:
-        return self.proof_lines + self.code_lines + self.other_lines
-
 
 def count_sloc(path: pathlib.Path) -> int:
     """Source lines of code: non-blank, non-comment-only lines."""

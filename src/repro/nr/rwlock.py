@@ -51,7 +51,3 @@ class RwLock:
         # and re-set the flag; clearing here prevents a stale flag from
         # starving readers when no writer is actually waiting any more.
         self.writer_waiting = False
-
-    @property
-    def held_exclusively(self) -> bool:
-        return self.writer

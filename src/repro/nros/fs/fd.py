@@ -78,6 +78,8 @@ class FdTable:
         return self._open[fd]
 
     def read(self, fd: int, length: int) -> bytes:
+        if length < 0:
+            raise FsError("negative read length")
         handle = self._get(fd)
         if not handle.readable:
             raise PermissionDenied(f"fd {fd} not open for reading")

@@ -96,10 +96,6 @@ class RdpConnection:
     retransmissions: int = 0
     error: RdpError | None = None
 
-    @property
-    def can_send_now(self) -> bool:
-        return self.state == STATE_ESTABLISHED and self.unacked is None
-
     def queue_send(self, payload: bytes) -> None:
         if self.error is not None:
             raise self.error

@@ -66,13 +66,6 @@ SPREAD_LIMIT_NS = QUANTUM_NS * WEIGHT_NICE0 // 15 + QUANTUM_NS + \
     SLEEPER_BONUS_NS
 
 
-def weight_of(nice: int) -> int:
-    if nice not in NICE_TO_WEIGHT:
-        raise ValueError(f"nice {nice} out of range "
-                         f"[{NICE_MIN}, {NICE_MAX}]")
-    return NICE_TO_WEIGHT[nice]
-
-
 def fair_charge(weight: int) -> int:
     """Virtual time one quantum costs an entity of the given weight."""
     return QUANTUM_NS * WEIGHT_NICE0 // weight

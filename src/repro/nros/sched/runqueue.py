@@ -83,10 +83,6 @@ class CoreRunQueue:
         self.fair_weight -= current[2]
         return True
 
-    def fair_vruntime(self, tid: int) -> int | None:
-        current = self._valid.get(tid)
-        return None if current is None else current[0]
-
     def steal_candidate(self) -> int | None:
         """The queued fair tid with *maximum* vruntime — the thread that
         has run the most, hence the cheapest to migrate fairness-wise.

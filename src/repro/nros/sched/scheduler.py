@@ -135,10 +135,6 @@ class Scheduler:
             queue.remove_fair(ent.tid)
             queue.push_fair(ent.tid, ent.vruntime, ent.weight)
 
-    def nice_of(self, thread: Thread) -> int:
-        ent = self._entities.get(thread.tid)
-        return 0 if ent is None else ent.nice
-
     def set_policy(self, thread: Thread, policy: SchedPolicy | str,
                    nice: int = 0, rt_prio: int = 0) -> None:
         """Switch a thread's scheduling class (``sched_setscheduler``)."""

@@ -46,10 +46,6 @@ class WorkloadProfile:
     rt_period: int = 7
     rt_prio: int = 50
 
-    @property
-    def total_threads(self) -> int:
-        return self.batch + self.interactive + self.rt
-
 
 class _SimProcess:
     def __init__(self, name: str) -> None:

@@ -145,13 +145,6 @@ class EventBus:
     def to_jsonl(self) -> str:
         return "".join(e.to_json() + "\n" for e in self.events)
 
-    def export_jsonl(self, path: str) -> int:
-        """Write every recorded event, one JSON object per line."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(event.to_json() + "\n")
-        return len(self.events)
-
 
 class JsonlWriter:
     """A subscriber that streams events straight to a JSONL file.

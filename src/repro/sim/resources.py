@@ -31,10 +31,6 @@ class SimLock:
     def held(self) -> bool:
         return self._holder is not None
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def _acquire(self, sim: Simulator, process: _Process) -> None:
         if self._holder is None:
             self._holder = process

@@ -60,9 +60,6 @@ class Aig:
     def definition(self, node: int) -> tuple[int, int] | None:
         return self._defs[node]
 
-    def is_input(self, node: int) -> bool:
-        return node != 0 and self._defs[node] is None
-
     # -- gate constructors ---------------------------------------------------
 
     def and_(self, a: int, b: int) -> int:

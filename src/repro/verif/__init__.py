@@ -10,14 +10,12 @@ formal methods:
 * :mod:`repro.verif.engine` — the timed proof engine behind Figure 1a
 * :mod:`repro.verif.explore` — bounded state-space exploration
 * :mod:`repro.verif.refinement` — refinement obligations (simulation diagrams)
-* :mod:`repro.verif.contracts` — requires/ensures runtime contracts
 * :mod:`repro.verif.linear` — linear ownership tokens (data-race freedom)
 """
 
 from repro.verif.vc import VC, VCResult, VCStatus
 from repro.verif.engine import ProofEngine, ProofReport
 from repro.verif.statemachine import SpecStateMachine, Transition
-from repro.verif.contracts import requires, ensures, ContractError
 
 __all__ = [
     "VC",
@@ -27,7 +25,4 @@ __all__ = [
     "ProofReport",
     "SpecStateMachine",
     "Transition",
-    "requires",
-    "ensures",
-    "ContractError",
 ]

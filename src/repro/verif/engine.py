@@ -158,10 +158,6 @@ class ProofEngine:
     def add(self, vc: VC, group: str = "default") -> None:
         self.group(group).add(vc)
 
-    def add_all(self, vcs, group: str = "default") -> None:
-        for vc in vcs:
-            self.add(vc, group)
-
     @property
     def vc_count(self) -> int:
         return sum(len(g) for g in self.groups)

@@ -22,6 +22,8 @@ from repro.analysis.layers import (
 )
 from repro.analysis.mutants import MUTANTS
 from repro.analysis.purity import check_purity
+from repro.core.contract import syscalls
+from repro.core.contract.syscalls import SPECS
 from repro.metrics import loc
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "fixtures" / "layering_bad"
@@ -71,7 +73,7 @@ def test_layer_map_pins_the_interesting_boundaries():
     assert classify_layer("src/repro/nr/linearizability.py") == "proof"
     assert classify_layer("src/repro/nros/kernel.py") == "exec"
     assert classify_layer("src/repro/nros/sched/smp.py") == "exec"
-    assert classify_layer("src/repro/verif/contracts.py") == "proof"
+    assert classify_layer("src/repro/verif/refinement.py") == "proof"
     assert classify_layer("src/repro/verif/schedspec.py") == "spec"
     assert classify_layer("src/repro/verif/schedproof.py") == "proof"
     assert classify_layer("src/repro/verif/rgspec.py") == "spec"
@@ -180,6 +182,27 @@ def test_purity_covers_the_named_tuple_sched_spec():
     broken = source.replace("    floors: list = [None] * ncores\n",
                             "    floors: list = [None] * ncores\n"
                             "    threads[0] = None\n")
+    assert broken != source
+    findings, _ = check_purity({path: broken})
+    assert [f.rule for f in findings] == ["purity.mutation"]
+
+
+def test_purity_covers_the_syscall_spec_rows():
+    """Every `SPECS` row is a module-level function of the spec-layer
+    syscall module, so the lint claims each one: the module is clean,
+    and a row that appends to its pre-state is caught."""
+    path = "src/repro/core/contract/syscalls.py"
+    source = discover_sources(repo_root())[path]
+    findings, stats = check_purity({path: source})
+    assert findings == []
+    functions = {node.name for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    assert stats["predicates"] == len(functions)
+    assert {row.__name__ for row in SPECS.values()} <= functions
+    assert {row.__module__ for row in SPECS.values()} == {syscalls.__name__}
+    broken = source.replace("    return close_spec(pre, post, args[0])\n",
+                            "    pre.files.append(args[0])\n"
+                            "    return close_spec(pre, post, args[0])\n")
     assert broken != source
     findings, _ = check_purity({path: broken})
     assert [f.rule for f in findings] == ["purity.mutation"]

@@ -5,42 +5,26 @@ is the same one the kernel implements.  These tests run user programs on
 the full kernel (marshalled syscalls, on-disk filesystem) through both
 transports of `Kernel._invoke` — one trap per call, and one SQE per
 `ring_enter` — with `view()` of the process's own descriptor table taken
-around every call; the call's specification predicate must accept each
-observed transition.
+around every call; the call's row of `SPECS` must accept each observed
+transition, and a call that fails must leave the view unchanged.
 """
 
-from repro.core.contract.syscalls import (
-    close_spec,
-    open_spec,
-    read_spec,
-    seek_spec,
-    write_spec,
-)
+from repro.core.contract.syscalls import SPECS
 from repro.core.contract.view import view
 from repro.nros.fs.fd import O_CREAT, O_RDWR
 from repro.nros.kernel import Kernel
-from repro.nros.syscall.abi import sys
+from repro.nros.syscall.abi import EINVAL, SyscallError, sys
 from repro.ulib.ring import Ring
 
 TRANSPORTS = ("trap", "ring")
-
-#: syscall name -> its predicate over (pre, post, args, result)
-SPEC = {
-    "open": lambda pre, post, args, fd: open_spec(pre, post, fd),
-    "close": lambda pre, post, args, _: close_spec(pre, post, args[0]),
-    "read": lambda pre, post, args, data: read_spec(
-        pre, post, args[0], args[1], data, len(data)),
-    "write": lambda pre, post, args, written: write_spec(
-        pre, post, args[0], args[1], written),
-    "seek": lambda pre, post, args, _: seek_spec(pre, post, *args),
-}
 
 
 def run_checked(scenario, transport):
     """Run ``scenario(call)`` as a user program.  ``yield from call(name,
     *args)`` makes one syscall through `transport`, bracketed by `view()`
     of the process's descriptor table.  Returns the kernel and every
-    observed call as ``(name, pre, post, args, result)``."""
+    observed call as ``(name, pre, post, args, result)``, where a failed
+    call's result is the :class:`SyscallError` it raised."""
     kernel = Kernel()
     ring = Ring(sq_depth=4)
     calls = []
@@ -48,11 +32,15 @@ def run_checked(scenario, transport):
     def call(name, *args):
         table = kernel.processes[pid].fdtable
         pre = view(table)
-        if transport == "trap":
-            result = yield sys(name, *args)
-        else:
-            ring.prepare(name, args)
-            (result,) = Ring.unwrap((yield from ring.submit()))
+        try:
+            if transport == "trap":
+                result = yield sys(name, *args)
+            else:
+                ring.prepare(name, args)
+                (result,) = Ring.unwrap((yield from ring.submit()))
+        except SyscallError as error:
+            calls.append((name, pre, view(table), args, error))
+            raise
         calls.append((name, pre, view(table), args, result))
         return result
 
@@ -71,8 +59,11 @@ def run_checked(scenario, transport):
 
 
 def violations(calls):
+    """Calls whose transition their `SPECS` row rejects, and failed calls
+    that changed the view."""
     return [(name, args, result) for name, pre, post, args, result in calls
-            if not SPEC[name](pre, post, args, result)]
+            if not (post == pre if isinstance(result, SyscallError)
+                    else SPECS[name](pre, post, args, result))]
 
 
 class TestKernelRefinesContract:
@@ -142,6 +133,25 @@ class TestKernelRefinesContract:
             _, calls = run_checked(scenario, transport)
             name, pre, post, args, result = calls[-1]
             assert (name, result) == ("read", b"real")
-            assert SPEC[name](pre, post, args, result)
-            assert not SPEC[name](pre, post, args, b"fake")
-            assert not SPEC[name](pre, pre, args, result)
+            assert SPECS[name](pre, post, args, result)
+            assert not SPECS[name](pre, post, args, b"fake")
+            assert not SPECS[name](pre, pre, args, result)
+
+    def test_negative_read_length_is_einval(self):
+        """`read_spec` admits no result for a negative buffer length, so
+        the kernel must refuse the call and leave the view unchanged."""
+        errnos = []
+
+        def scenario(call):
+            fd = yield from call("open", "/neg", O_CREAT | O_RDWR)
+            yield from call("write", fd, b"data")
+            yield from call("seek", fd, 1)
+            try:
+                yield from call("read", fd, -1)
+            except SyscallError as error:
+                errnos.append(error.errno)
+
+        for transport in TRANSPORTS:
+            _, calls = run_checked(scenario, transport)
+            assert violations(calls) == [], transport
+            assert errnos.pop() == EINVAL, transport

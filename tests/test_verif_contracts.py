@@ -1,50 +1,8 @@
-"""Tests for runtime contracts and linear ownership tokens."""
+"""Tests for linear ownership tokens."""
 
 import pytest
 
-from repro.verif.contracts import ContractError, ensures, requires, snapshot
 from repro.verif.linear import OwnershipError, OwnershipTable, Region
-
-
-class TestContracts:
-    def test_requires_passes(self):
-        @requires(lambda x: x > 0)
-        def f(x):
-            return x * 2
-
-        assert f(3) == 6
-
-    def test_requires_fails(self):
-        @requires(lambda x: x > 0, "x must be positive")
-        def f(x):
-            return x
-
-        with pytest.raises(ContractError, match="positive"):
-            f(-1)
-
-    def test_ensures_checks_result(self):
-        @ensures(lambda result, x: result >= x)
-        def f(x):
-            return x - 1 if x == 42 else x + 1
-
-        assert f(1) == 2
-        with pytest.raises(ContractError):
-            f(42)
-
-    def test_snapshot_provides_old_state(self):
-        class Counter:
-            def __init__(self):
-                self.n = 0
-
-            @snapshot("old", lambda self: self.n)
-            @ensures(lambda result, self, old: self.n == old + 1)
-            def bump(self, old=None):
-                self.n += 1
-                return self.n
-
-        c = Counter()
-        assert c.bump() == 1
-        assert c.bump() == 2
 
 
 class TestRegion:
