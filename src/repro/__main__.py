@@ -177,16 +177,11 @@ def prove(args) -> int:
 def _emit_site_events(reports) -> None:
     """Publish every campaign's per-site counters on the bus (the JSONL
     view of what `summary_lines` prints)."""
-    from repro.faults.campaign import OUTCOMES
-
     bus = obs.bus()
     for report in reports:
-        for name in sorted(report.sites):
-            site = report.sites[name]
+        for name, row in sorted(report.sites.items()):
             bus.emit("faults.site", campaign=report.name, seed=report.seed,
-                     site=name,
-                     **{outcome: getattr(site, outcome)
-                        for outcome in OUTCOMES})
+                     site=name, **row)
         bus.emit("faults.campaign", campaign=report.name, seed=report.seed,
                  injections=report.injections,
                  violations=len(report.violations))
@@ -409,13 +404,14 @@ def main(argv=None) -> int:
                               help="stream every obs event of the run "
                                    "into FILE (JSONL)")
 
+    from repro.faults.campaign import CAMPAIGNS
+
     faults_parser = sub.add_parser(
         "faults", help="run the deterministic fault-injection campaign")
     faults_parser.add_argument("--seed", type=int, default=1,
                                help="fault-plan seed (default 1)")
     faults_parser.add_argument("--campaign", default="all",
-                               choices=["disk", "net", "mem", "prover",
-                                        "cluster", "ring", "all"],
+                               choices=[*CAMPAIGNS, "all"],
                                help="which layer to attack (default all)")
     faults_parser.add_argument("--check-determinism", action="store_true",
                                help="run twice and require byte-identical "

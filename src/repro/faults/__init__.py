@@ -12,9 +12,10 @@ that claim into a gated test surface:
   scenario once to count its write boundaries, then re-run it crashing the
   disk at every boundary, remount, and audit the volume with ``fsck``.
 * :mod:`repro.faults.campaign` — the seeded campaigns behind
-  ``python -m repro faults``: disk, net, mem, prover, cluster and ring,
-  each reporting injected / survived / degraded / failed per site and
-  collecting invariant violations.
+  ``python -m repro faults``: disk, net, mem, prover, cluster and ring.
+  Each scenario reports what it injected, what reached the caller as a
+  typed error, its notes and its violations; one runner turns that into
+  the injected / survived / degraded / failed counters of every site.
 * :mod:`repro.faults.cluster` — the cluster campaign's scenarios: node
   crashes at message boundaries, link partitions with bounded heals, and
   replica lag, all against the replicated KV service's durability and
@@ -26,7 +27,7 @@ The injection sites themselves live in the layers (``Disk``,
 mocks around them.
 """
 
-from repro.faults.campaign import CampaignReport, SiteSummary, run_campaign
+from repro.faults.campaign import CampaignReport, run_campaign
 from repro.faults.crash import CrashMatrixReport, run_crash_matrix
 from repro.faults.plan import FaultDecision, FaultPlan, FaultRule
 
@@ -36,7 +37,6 @@ __all__ = [
     "FaultDecision",
     "FaultPlan",
     "FaultRule",
-    "SiteSummary",
     "run_campaign",
     "run_crash_matrix",
 ]

@@ -1,20 +1,26 @@
 """Seeded fault-injection campaigns: disk, net, mem, prover, cluster, ring.
 
 Each campaign wires a :class:`~repro.faults.plan.FaultPlan` into the real
-layers (no mocks), drives a deterministic workload through them, and
-classifies every injection:
+layers (no mocks) and drives a deterministic workload through them.  A
+scenario reports one :class:`SiteReport` for its site — what its fault
+source injected, how many of those injections reached the caller as a
+*typed, recoverable* error (``DiskIOError`` after retries, ``QueueFull``,
+``OutOfMemory``, ``AllocFailed``, ``RdpGiveUp``, an ERROR verdict from a
+crashed prover worker), its notes and its invariant violations — and
+:meth:`CampaignReport.credit` turns that into the site's counters:
 
-* **survived** — absorbed with no caller-visible effect (a retry healed a
-  torn write, RDP retransmitted through loss, a poisoned cache entry was
-  re-proved);
-* **degraded** — surfaced as a *typed, recoverable* error the caller
-  observed (``DiskIOError`` after retries, ``QueueFull``, ``OutOfMemory``,
-  ``AllocFailed``, ``RdpGiveUp``, an ERROR verdict from a crashed prover
-  worker);
-* **failed** — an invariant was violated: data loss, corruption fsck can't
-  classify as a leak, wrong delivery order, a lost proof run.  Every
-  *failed* count comes with an entry in :attr:`CampaignReport.violations`,
-  and any violation makes the CLI exit nonzero.
+* **injected** — what the scenario's fault source logged;
+* **degraded** — the injections the caller observed as a typed error;
+* **survived** — ``injected − degraded``: absorbed with no caller-visible
+  effect (a retry healed a torn write, RDP retransmitted through loss, a
+  poisoned cache entry was re-proved);
+* **failed** — one per violation: data loss, corruption fsck can't
+  classify as a leak, wrong delivery order, a lost proof run.  A scenario
+  with a violation is credited ``injected`` and ``failed`` only, and any
+  violation makes the CLI exit nonzero.
+
+So ``injected == survived + degraded`` holds by construction at every site
+of a violation-free campaign.
 
 Determinism contract: a campaign's :meth:`CampaignReport.summary_lines`
 depend only on ``(campaign, seed)`` — no wall-clock, no paths, no
@@ -42,66 +48,70 @@ from repro.faults.plan import FaultPlan, FaultRule
 OUTCOMES = ("injected", "survived", "degraded", "failed")
 
 
-class SiteSummary:
-    """Per-site tallies, backed by labeled :mod:`repro.obs` counters
-    (``faults.injected{site=...}`` etc.) in the campaign's registry.
+@dataclass
+class SiteReport:
+    """What one scenario reports for its site; only
+    :meth:`CampaignReport.credit` turns it into counters."""
 
-    The ``site.injected += n`` call sites read naturally while every
-    count lives in the shared instrument substrate — ``trace summary``
-    and the JSONL export see the same numbers the text report prints.
-    """
+    injected: int = 0
+    degraded: int = 0
+    notes: list[str] = field(default_factory=list)
+    violations: list[str] = field(default_factory=list)
 
-    __slots__ = ("_counters",)
-
-    def __init__(self, registry: Registry, site: str) -> None:
-        self._counters = {
-            outcome: registry.counter(f"faults.{outcome}", site=site)
-            for outcome in OUTCOMES
-        }
-
-    def _get(self, outcome: str) -> int:
-        return self._counters[outcome].value
-
-    def _set(self, outcome: str, value: int) -> None:
-        counter = self._counters[outcome]
-        delta = value - counter.value
-        if delta < 0:
-            raise ValueError(f"faults.{outcome} cannot decrease")
-        counter.inc(delta)
-
-    injected = property(lambda s: s._get("injected"),
-                        lambda s, v: s._set("injected", v))
-    survived = property(lambda s: s._get("survived"),
-                        lambda s, v: s._set("survived", v))
-    degraded = property(lambda s: s._get("degraded"),
-                        lambda s, v: s._set("degraded", v))
-    failed = property(lambda s: s._get("failed"),
-                      lambda s, v: s._set("failed", v))
+    def add_matrix(self, matrix, prefix: str = "") -> None:
+        """Report a crash matrix: every crash point is an injection, a
+        point fsck reports only recoverable leaks for is degraded, and a
+        structural issue is a violation."""
+        self.injected += matrix.crash_points
+        self.degraded += matrix.degraded
+        self.violations += matrix.violations
+        self.notes.append(prefix + matrix.summary())
 
 
 @dataclass
 class CampaignReport:
     name: str
     seed: int
-    sites: dict[str, SiteSummary] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     #: Every per-site counter of this run lives here; summaries read the
     #: counters back, so the campaign has no private tallies left.
     registry: Registry = field(default_factory=Registry)
 
-    def site(self, name: str) -> SiteSummary:
-        if name not in self.sites:
-            self.sites[name] = SiteSummary(self.registry, name)
-        return self.sites[name]
+    def credit(self, site: str, report: SiteReport) -> None:
+        """The one writer of the ``faults.{outcome}{site=…}`` counters.
 
-    def violation(self, site: str, message: str) -> None:
-        self.site(site).failed += 1
-        self.violations.append(f"[{self.name}] {site}: {message}")
+        A scenario with violations is credited ``injected`` and one
+        ``failed`` per violation, and its notes are dropped; otherwise it
+        is credited ``degraded`` as reported and
+        ``survived = injected − degraded``."""
+        failed = len(report.violations)
+        degraded = 0 if failed else report.degraded
+        survived = 0 if failed else report.injected - report.degraded
+        if survived < 0:
+            raise ValueError(f"{site}: {report.degraded} degraded of "
+                             f"{report.injected} injected")
+        for outcome, n in zip(OUTCOMES,
+                              (report.injected, survived, degraded, failed)):
+            self.registry.counter(f"faults.{outcome}", site=site).inc(n)
+        if not failed:
+            self.notes += report.notes
         shared = obs.bus()
-        if shared.active:
-            shared.emit("faults.violation", campaign=self.name, site=site,
-                        message=message)
+        for message in report.violations:
+            self.violations.append(f"[{self.name}] {site}: {message}")
+            if shared.active:
+                shared.emit("faults.violation", campaign=self.name,
+                            site=site, message=message)
+
+    @property
+    def sites(self) -> dict[str, dict[str, int]]:
+        """Each site's row, read back from its ``faults.*`` counters."""
+        rows: dict[str, dict[str, int]] = {}
+        for counter in self.registry.counters():
+            site = dict(counter.labels)["site"]
+            rows.setdefault(site, {})[counter.name[len("faults."):]] = \
+                counter.value
+        return rows
 
     @property
     def ok(self) -> bool:
@@ -109,17 +119,15 @@ class CampaignReport:
 
     @property
     def injections(self) -> int:
-        return sum(s.injected for s in self.sites.values())
+        return sum(row["injected"] for row in self.sites.values())
 
     def summary_lines(self) -> list[str]:
         lines = [f"campaign {self.name} (seed {self.seed}): "
                  f"{self.injections} injections, "
                  f"{len(self.violations)} violations"]
-        for name in sorted(self.sites):
-            s = self.sites[name]
-            lines.append(f"  {name:<16} injected {s.injected:>4}  "
-                         f"survived {s.survived:>4}  "
-                         f"degraded {s.degraded:>4}  failed {s.failed:>4}")
+        for name, row in sorted(self.sites.items()):
+            lines.append(f"  {name:<16} " + "  ".join(
+                f"{outcome} {row[outcome]:>4}" for outcome in OUTCOMES))
         for note in self.notes:
             lines.append(f"  note: {note}")
         for violation in self.violations:
@@ -152,9 +160,11 @@ def _resync_shadow(fs, shadow, path: str) -> None:
     shadow.pop(path, None)  # unknowable right now; stop verifying it
 
 
-def _disk_transient_workload(seed: int, report: CampaignReport) -> None:
+def _disk_transient_workload(seed: int, site: SiteReport) -> None:
     """File operations under transient write errors, torn writes, sparse
-    read errors, and injected device-busy rejections."""
+    read errors, and injected device-busy rejections.  An operation that
+    raises a typed error degrades every injection it drew, including
+    those of re-reading the paths it touched."""
     from repro.hw.devices.disk import Disk, DiskIOError
     from repro.nros.drivers.block import BlockDriver, QueueFull
     from repro.nros.fs.fs import FileSystem, FsError
@@ -175,7 +185,6 @@ def _disk_transient_workload(seed: int, report: CampaignReport) -> None:
 
     rng = random.Random(f"{seed}/disk-workload")
     shadow: dict[str, bytes] = {}
-    site = report.site("disk.io")
     next_file = 0
 
     for _ in range(150):
@@ -183,12 +192,16 @@ def _disk_transient_workload(seed: int, report: CampaignReport) -> None:
         paths = sorted(shadow)
         op = rng.choice(["create", "write", "read", "rename", "unlink"])
         path = rng.choice(paths) if paths else None
+        if op == "create" or path is None:
+            op, path = "create", None
+        new = None
+        if op in ("create", "rename"):
+            new = f"/f{next_file}"
+            next_file += 1
         try:
-            if op == "create" or path is None:
-                path = f"/f{next_file}"
-                next_file += 1
-                fs.create(path)
-                shadow[path] = b""
+            if op == "create":
+                fs.create(new)
+                shadow[new] = b""
             elif op == "write":
                 payload = bytes([rng.randrange(256)]) * rng.randrange(1, 6000)
                 offset = rng.randrange(0, len(shadow[path]) + 1)
@@ -207,39 +220,29 @@ def _disk_transient_workload(seed: int, report: CampaignReport) -> None:
                     # re-read must see the intact medium
                     data = fs.read_at(inum, 0, len(shadow[path]))
                     if data != shadow[path]:
-                        report.violation(
-                            "disk.io", f"persistent mismatch reading {path}")
-                        continue
+                        site.violations.append(
+                            f"persistent mismatch reading {path}")
             elif op == "rename":
-                new = f"/f{next_file}"
-                next_file += 1
                 fs.rename(path, new)
                 shadow[new] = shadow.pop(path)
             elif op == "unlink":
                 fs.unlink(path)
                 del shadow[path]
-            injected = plan.injections - before
-            site.injected += injected
-            site.survived += injected
-        except (DiskIOError, QueueFull) as exc:
-            injected = plan.injections - before
-            site.injected += injected
-            site.degraded += injected
-            del exc
-            for touched in {path} | ({new} if op == "rename" else set()):
+        except (DiskIOError, QueueFull):
+            for touched in (path, new):
                 if touched is not None:
                     _resync_shadow(fs, shadow, touched)
+            site.degraded += plan.injections - before
         except FsError as exc:
-            report.violation("disk.io", f"{op} raised {exc}")
+            site.violations.append(f"{op} raised {exc}")
+    site.injected = plan.injections
 
     # The volume must still audit clean up to recoverable leaks from the
     # operations that failed mid-flight.
     disk.fault_plan = None
     for issue in fsck(fs):
-        if is_recoverable(issue):
-            report.site("disk.io").degraded += 1
-        else:
-            report.violation("disk.io", f"fsck: {issue}")
+        if not is_recoverable(issue):
+            site.violations.append(f"fsck: {issue}")
 
     # Power-cycle: remount the image on a pristine device and verify every
     # surviving file byte-for-byte.
@@ -248,19 +251,19 @@ def _disk_transient_workload(seed: int, report: CampaignReport) -> None:
     remounted = FileSystem(BlockDriver(survivor))
     for issue in fsck(remounted):
         if not is_recoverable(issue):
-            report.violation("disk.io", f"fsck after remount: {issue}")
+            site.violations.append(f"fsck after remount: {issue}")
     for path in sorted(shadow):
         inum = remounted.lookup(path)
         data = remounted.read_at(inum, 0, len(shadow[path]))
         if data != shadow[path]:
-            report.violation("disk.io", f"{path} lost data across remount")
-    report.notes.append(
+            site.violations.append(f"{path} lost data across remount")
+    site.notes.append(
         f"disk.io: {len(shadow)} files verified byte-for-byte after "
         f"remount; driver retried {driver.io_retries} transient errors "
         f"({disk.torn_writes} torn)")
 
 
-def _disk_read_corruption(seed: int, report: CampaignReport) -> None:
+def _disk_read_corruption(seed: int, site: SiteReport) -> None:
     """Bus-level read corruption is detected by comparison and shown
     transient: the medium is intact, a re-read heals."""
     from repro.hw.devices.disk import Disk
@@ -276,40 +279,30 @@ def _disk_read_corruption(seed: int, report: CampaignReport) -> None:
     ])
     disk.fault_plan = plan
     rng = random.Random(f"{seed}/corrupt-reads")
-    site = report.site("disk.read")
     for _ in range(120):
         sector = rng.randrange(disk.num_sectors)
         before = plan.injections
         data = disk.read_sector(sector)
         if plan.injections == before:
             if data != expected[sector]:
-                report.violation("disk.read",
-                                 f"uninjected mismatch at sector {sector}")
-            continue
-        if data == expected[sector]:
-            site.injected += plan.injections - before
-            report.violation("disk.read",
-                             f"injected corruption invisible at {sector}")
-            continue
-        persisted = False
-        while True:   # re-reads heal; each may itself be corrupted again
-            prev = plan.injections
-            healed = disk.read_sector(sector)
-            if healed == expected[sector]:
-                break
-            if plan.injections == prev:
-                persisted = True   # clean read, still wrong: medium damage
-                break
-        incident = plan.injections - before
-        site.injected += incident
-        if persisted:
-            report.violation("disk.read",
-                             f"corruption persisted at sector {sector}")
+                site.violations.append(
+                    f"uninjected mismatch at sector {sector}")
+        elif data == expected[sector]:
+            site.violations.append(
+                f"injected corruption invisible at {sector}")
         else:
-            site.survived += incident
+            while True:   # re-reads heal; each may itself be corrupted again
+                prev = plan.injections
+                if disk.read_sector(sector) == expected[sector]:
+                    break
+                if plan.injections == prev:  # clean read, still wrong
+                    site.violations.append(
+                        f"corruption persisted at sector {sector}")
+                    break
+    site.injected = plan.injections
 
 
-def _disk_queue_backpressure(seed: int, report: CampaignReport) -> None:
+def _disk_queue_backpressure(seed: int, site: SiteReport) -> None:
     """A stalled device fills the bounded queue; QueueFull is typed
     backpressure the caller rides out with service() + retry, and no
     accepted request is ever lost."""
@@ -322,7 +315,6 @@ def _disk_queue_backpressure(seed: int, report: CampaignReport) -> None:
     ])
     disk = Disk(64)
     driver = BlockDriver(disk, fault_plan=plan)
-    site = report.site("block.submit")
     total = 45
     rejections = 0
     for sector in range(total):
@@ -335,35 +327,24 @@ def _disk_queue_backpressure(seed: int, report: CampaignReport) -> None:
                 rejections += 1
                 driver.service()
         else:
-            report.violation("block.submit",
-                             f"write {sector} rejected after retries")
+            site.violations.append(f"write {sector} rejected after retries")
     driver.service()
-    site.injected += plan.injections
-    site.degraded += rejections
-    site.survived += plan.injections - rejections
+    site.injected = plan.injections
+    site.degraded = rejections
     if rejections == 0:
-        report.violation("block.submit",
-                         "stalled queue never exerted backpressure")
+        site.violations.append("stalled queue never exerted backpressure")
     for sector in range(total):
         if disk.read_sector(sector) != bytes([sector]) * Disk.SECTOR_SIZE:
-            report.violation("block.submit",
-                             f"accepted write {sector} was lost")
-    report.notes.append(
+            site.violations.append(f"accepted write {sector} was lost")
+    site.notes.append(
         f"block.submit: {rejections} QueueFull rejections ridden out; "
         f"all {total} writes landed")
 
 
-def _disk_crash_matrix(_seed: int, report: CampaignReport) -> None:
-    site = report.site("disk.crash")
+def _disk_crash_matrix(_seed: int, site: SiteReport) -> None:
     for name in sorted(CRASH_SCENARIOS):
         scenario, setup = CRASH_SCENARIOS[name]
-        matrix = run_crash_matrix(scenario, name=name, setup=setup)
-        site.injected += matrix.crash_points
-        site.survived += matrix.clean
-        site.degraded += matrix.degraded
-        for violation in matrix.violations:
-            report.violation("disk.crash", violation)
-        report.notes.append(matrix.summary())
+        site.add_matrix(run_crash_matrix(scenario, name=name, setup=setup))
 
 
 # ---------------------------------------------------------------------------
@@ -371,167 +352,128 @@ def _disk_crash_matrix(_seed: int, report: CampaignReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _net_hosts():
-    from repro.hw.devices.nic import Nic
-    from repro.nros.net.stack import NetStack
+class _RdpPair:
+    """Host 1 with an RDP connection to port 9000 on host 2, one cable
+    between them.  :meth:`run` is the one tick/pump/poll loop of the net
+    scenarios and collects what host 2 delivered."""
 
-    nic_a = Nic(b"\xaa" * 6)
-    nic_b = Nic(b"\xbb" * 6)
-    stack_a = NetStack(1, nic_a)
-    stack_b = NetStack(2, nic_b)
-    stack_a.add_neighbour(2, nic_b.mac)
-    stack_b.add_neighbour(1, nic_a.mac)
-    return nic_a, nic_b, stack_a, stack_b
+    def __init__(self, plan: FaultPlan | None = None) -> None:
+        from repro.hw.devices.nic import Nic
+        from repro.nros.net.link import Link
+        from repro.nros.net.stack import NetStack
+
+        nic_a = Nic(b"\xaa" * 6)
+        nic_b = Nic(b"\xbb" * 6)
+        self.a = NetStack(1, nic_a)
+        self.b = NetStack(2, nic_b)
+        self.a.add_neighbour(2, nic_b.mac)
+        self.b.add_neighbour(1, nic_a.mac)
+        self.link = Link(nic_a, nic_b, fault_plan=plan)
+        self.listener = self.b.rdp_listen(9000)
+        self.conn = self.a.rdp_connect(2, 9000)
+        self.accepted: list = []
+        self.delivered: list[bytes] = []
+
+    def run(self, ticks: range, done) -> bool:
+        """Tick both hosts through `ticks` until `done()`; whether it was."""
+        for now in ticks:
+            self.a.tick(now)
+            self.link.pump()
+            self.b.poll()
+            self.b.tick(now)
+            self.link.pump()
+            self.a.poll()
+            while self.listener.pending:
+                self.accepted.append(self.listener.pending.popleft())
+            for sconn in self.accepted:
+                while sconn.recv_queue:
+                    self.delivered.append(sconn.recv_queue.popleft())
+            if done():
+                return True
+        return False
+
+    def gives_up(self, ticks: range, site: SiteReport, what: str) -> None:
+        """Run into a blackout: host 1 must give up and surface a typed
+        RdpGiveUp at its next recv, which the caller sees (degraded)."""
+        from repro.nros.net.rdp import RdpGiveUp
+
+        if not self.run(ticks, lambda: self.a.stats_gave_up):
+            site.violations.append(f"{what} never gave up")
+            return
+        try:
+            self.a.rdp_recv(self.conn)
+        except RdpGiveUp:
+            site.degraded += 1
+            return
+        site.violations.append(f"{what} error not surfaced to recv")
 
 
-def _net_adversarial(seed: int, report: CampaignReport) -> None:
+def _net_adversarial(seed: int, site: SiteReport) -> None:
     """Exactly-once, in-order delivery through a fabric that drops,
     duplicates, reorders, and corrupts (checksums turn corruption into
     detectable loss; retransmission covers the rest)."""
-    from repro.nros.net.link import Link
-
     plan = FaultPlan(seed, rules=[
         FaultRule(site="link.tx", kind="drop", probability=0.15),
         FaultRule(site="link.tx", kind="dup", probability=0.10),
         FaultRule(site="link.tx", kind="corrupt", probability=0.08),
         FaultRule(site="link.tx", kind="reorder", probability=0.12),
     ])
-    nic_a, nic_b, stack_a, stack_b = _net_hosts()
-    link = Link(nic_a, nic_b, fault_plan=plan)
-    listener = stack_b.rdp_listen(9000)
-    conn = stack_a.rdp_connect(2, 9000)
+    net = _RdpPair(plan)
+    conn, link = net.conn, net.link
     messages = [f"msg-{i:03d}".encode() for i in range(30)]
     for message in messages:
-        stack_a.rdp_send(conn, message)
-
-    site = report.site("link.tx")
-    delivered: list[bytes] = []
-    server_conns: list = []
-    completed = False
-    for now in range(1, 6000):
-        stack_a.tick(now)
-        link.pump()
-        stack_b.poll()
-        stack_b.tick(now)
-        link.pump()
-        stack_a.poll()
-        while listener.pending:
-            server_conns.append(listener.pending.popleft())
-        for sconn in server_conns:
-            while sconn.recv_queue:
-                delivered.append(sconn.recv_queue.popleft())
-        if (len(delivered) >= len(messages) and conn.unacked is None
-                and not conn.send_queue):
-            completed = True
-            break
-    site.injected += plan.injections
+        net.a.rdp_send(conn, message)
+    completed = net.run(range(1, 6000), lambda: (
+        len(net.delivered) >= len(messages) and conn.unacked is None
+        and not conn.send_queue))
+    site.injected = plan.injections
     if not completed:
-        report.violation("link.tx",
-                         f"session hung: {len(delivered)}/{len(messages)} "
-                         f"messages after 6000 rounds")
-    elif delivered != messages:
-        report.violation("link.tx",
-                         "delivery violated exactly-once-in-order")
-    else:
-        site.survived += plan.injections
-        report.notes.append(
-            f"link.tx: {len(messages)} messages exactly-once in-order "
-            f"through {link.dropped} drops, {link.duplicated} dups, "
-            f"{link.corrupted} corruptions, {link.reordered} reorders "
-            f"({conn.retransmissions} retransmissions)")
+        site.violations.append(
+            f"session hung: {len(net.delivered)}/{len(messages)} "
+            f"messages after 6000 rounds")
+    elif net.delivered != messages:
+        site.violations.append("delivery violated exactly-once-in-order")
+    site.notes.append(
+        f"link.tx: {len(messages)} messages exactly-once in-order "
+        f"through {link.dropped} drops, {link.duplicated} dups, "
+        f"{link.corrupted} corruptions, {link.reordered} reorders "
+        f"({conn.retransmissions} retransmissions)")
 
 
-def _net_blackout(seed: int, report: CampaignReport) -> None:
+def _net_blackout(seed: int, site: SiteReport) -> None:
     """Total loss: the handshake must give up with a typed RdpGiveUp
     surfaced to the caller, not stall forever."""
-    from repro.nros.net.link import Link
-    from repro.nros.net.rdp import RdpGiveUp
-
     plan = FaultPlan(seed, rules=[
         FaultRule(site="link.tx", kind="drop", probability=1.0),
     ])
-    nic_a, nic_b, stack_a, stack_b = _net_hosts()
-    link = Link(nic_a, nic_b, fault_plan=plan)
-    stack_b.rdp_listen(9000)
-    conn = stack_a.rdp_connect(2, 9000)
-    site = report.site("net.rdp")
-    for now in range(1, 400):
-        stack_a.tick(now)
-        link.pump()
-        stack_b.poll()
-        if stack_a.stats_gave_up:
-            break
-    site.injected += plan.injections
-    if not stack_a.stats_gave_up:
-        report.violation("net.rdp", "SYN blackout never gave up")
-        return
-    try:
-        stack_a.rdp_recv(conn)
-    except RdpGiveUp:
-        site.degraded += 1
-        site.survived += plan.injections - 1 if plan.injections else 0
-        report.notes.append(
-            f"net.rdp: SYN blackout surfaced RdpGiveUp after "
-            f"{conn.retries - 1} retransmissions")
-    else:
-        report.violation("net.rdp", "blackout error not surfaced to recv")
+    net = _RdpPair(plan)
+    net.gives_up(range(1, 400), site, "SYN blackout")
+    site.injected = plan.injections
+    site.notes.append(
+        f"net.rdp: SYN blackout surfaced RdpGiveUp after "
+        f"{net.conn.retries - 1} retransmissions")
 
 
-def _net_data_blackout(seed: int, report: CampaignReport) -> None:
+def _net_data_blackout(seed: int, site: SiteReport) -> None:
     """An established connection whose path dies mid-stream: delivered
     data stays delivered, the next message surfaces RdpGiveUp."""
-    from repro.nros.net.link import Link
-    from repro.nros.net.rdp import RdpGiveUp
-
-    nic_a, nic_b, stack_a, stack_b = _net_hosts()
-    link = Link(nic_a, nic_b)
-    listener = stack_b.rdp_listen(9000)
-    conn = stack_a.rdp_connect(2, 9000)
-    stack_a.rdp_send(conn, b"before-blackout")
-    delivered = []
-    for now in range(1, 200):
-        stack_a.tick(now)
-        link.pump()
-        stack_b.poll()
-        stack_b.tick(now)
-        link.pump()
-        stack_a.poll()
-        for sconn in list(listener.pending):
-            while sconn.recv_queue:
-                delivered.append(sconn.recv_queue.popleft())
-        if delivered and conn.unacked is None:
-            break
-    site = report.site("net.rdp")
-    if delivered != [b"before-blackout"]:
-        report.violation("net.rdp", "pre-blackout message not delivered")
+    net = _RdpPair()
+    net.a.rdp_send(net.conn, b"before-blackout")
+    net.run(range(1, 200),
+            lambda: net.delivered and net.conn.unacked is None)
+    if net.delivered != [b"before-blackout"]:
+        site.violations.append("pre-blackout message not delivered")
         return
     plan = FaultPlan(seed, rules=[
         FaultRule(site="link.tx", kind="drop", probability=1.0),
     ])
-    link.fault_plan = plan
-    stack_a.rdp_send(conn, b"into-the-void")
-    gave_up = False
-    for now in range(200, 800):
-        stack_a.tick(now)
-        link.pump()
-        stack_b.poll()
-        if stack_a.stats_gave_up:
-            gave_up = True
-            break
-    site.injected += plan.injections
-    if not gave_up:
-        report.violation("net.rdp", "data blackout never gave up")
-        return
-    try:
-        stack_a.rdp_recv(conn)
-    except RdpGiveUp:
-        site.degraded += 1
-        site.survived += max(0, plan.injections - 1)
-        report.notes.append(
-            "net.rdp: data blackout kept delivered data and surfaced "
-            "RdpGiveUp for the in-flight message")
-    else:
-        report.violation("net.rdp", "data blackout error not surfaced")
+    net.link.fault_plan = plan
+    net.a.rdp_send(net.conn, b"into-the-void")
+    net.gives_up(range(200, 800), site, "data blackout")
+    site.injected = plan.injections
+    site.notes.append(
+        "net.rdp: data blackout kept delivered data and surfaced "
+        "RdpGiveUp for the in-flight message")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +481,7 @@ def _net_data_blackout(seed: int, report: CampaignReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _mem_pmem(seed: int, report: CampaignReport) -> None:
+def _mem_pmem(seed: int, site: SiteReport) -> None:
     from repro.hw.mem import PhysicalMemory
     from repro.nros.pmem import BuddyAllocator, OutOfMemory
 
@@ -549,7 +491,6 @@ def _mem_pmem(seed: int, report: CampaignReport) -> None:
     memory = PhysicalMemory(4 * 1024 * 1024)
     allocator = BuddyAllocator(memory, fault_plan=plan)
     rng = random.Random(f"{seed}/pmem")
-    site = report.site("pmem.alloc")
     live: list[int] = []
     for step in range(400):
         if live and rng.random() < 0.45:
@@ -561,27 +502,25 @@ def _mem_pmem(seed: int, report: CampaignReport) -> None:
                 live.append(allocator.alloc_block(order))
             except OutOfMemory:
                 if plan.injections == before:
-                    report.violation("pmem.alloc",
-                                     "genuine OOM in a fitted workload")
+                    site.violations.append(
+                        "genuine OOM in a fitted workload")
                 else:
                     site.degraded += 1
         if step % 80 == 0:
             problem = allocator.check_integrity()
             if problem is not None:
-                report.violation("pmem.alloc", f"integrity: {problem}")
-    site.injected += plan.injections
-    site.survived += plan.injections - site.degraded
+                site.violations.append(f"integrity: {problem}")
+    site.injected = plan.injections
     for block in live:
         allocator.free_block(block)
     problem = allocator.check_integrity()
     if problem is not None:
-        report.violation("pmem.alloc", f"final integrity: {problem}")
+        site.violations.append(f"final integrity: {problem}")
     if allocator.stats.free_frames != allocator.stats.total_frames:
-        report.violation(
-            "pmem.alloc",
+        site.violations.append(
             f"{allocator.stats.total_frames - allocator.stats.free_frames} "
             f"frames lost after freeing everything")
-    report.notes.append(
+    site.notes.append(
         f"pmem.alloc: {allocator.stats.allocations} allocations, "
         f"{allocator.injected_failures} injected failures, allocator "
         f"integrity held")
@@ -603,7 +542,7 @@ def _drive(gen, next_base: list):
         return stop.value
 
 
-def _mem_heap(seed: int, report: CampaignReport) -> None:
+def _mem_heap(seed: int, site: SiteReport) -> None:
     from repro.ulib.alloc import AllocFailed, Heap
 
     plan = FaultPlan(seed, rules=[
@@ -611,7 +550,6 @@ def _mem_heap(seed: int, report: CampaignReport) -> None:
     ])
     heap = Heap(fault_plan=plan)
     rng = random.Random(f"{seed}/heap")
-    site = report.site("heap.alloc")
     next_base = [0x100000]
     live: list[tuple[int, int]] = []
     for _ in range(200):
@@ -627,12 +565,10 @@ def _mem_heap(seed: int, report: CampaignReport) -> None:
                 continue
             if any(vaddr < v + s and v < vaddr + ((size + 7) & ~7)
                    for v, s in live):
-                report.violation("heap.alloc",
-                                 f"allocation at {vaddr:#x} overlaps a "
-                                 f"live block")
+                site.violations.append(
+                    f"allocation at {vaddr:#x} overlaps a live block")
             live.append((vaddr, (size + 7) & ~7))
-    site.injected += plan.injections
-    site.survived += plan.injections - site.degraded
+    site.injected = plan.injections
     # after every injected failure the heap must still serve requests
     vaddr = None
     for _ in range(10):
@@ -642,8 +578,8 @@ def _mem_heap(seed: int, report: CampaignReport) -> None:
         except AllocFailed:
             continue
     if vaddr is None:
-        report.violation("heap.alloc", "heap unusable after injections")
-    report.notes.append(
+        site.violations.append("heap unusable after injections")
+    site.notes.append(
         f"heap.alloc: {heap.injected_failures} injected failures, heap "
         f"stayed serviceable ({heap.pages_mapped} pages mapped)")
 
@@ -693,7 +629,7 @@ def _prover_engine(hard: bool = False):
     return engine
 
 
-def _prover_worker_crash(seed: int, report: CampaignReport) -> None:
+def _prover_worker_crash(seed: int, site: SiteReport) -> None:
     from repro.prover import ProverConfig, prove_all
     from repro.verif.vc import VCStatus
 
@@ -702,34 +638,30 @@ def _prover_worker_crash(seed: int, report: CampaignReport) -> None:
     ])
     engine = _prover_engine()
     config = ProverConfig(use_cache=False, fault_plan=plan)
-    site = report.site("prover.worker")
     try:
         result = prove_all(engine, jobs=1, config=config)
     except Exception as exc:
-        report.violation("prover.worker", f"run died: {exc}")
+        site.violations.append(f"run died: {exc}")
         return
-    site.injected += plan.injections
+    site.injected = plan.injections
     errors = sum(1 for r in result.results
                  if r.status is VCStatus.ERROR)
     proved = sum(1 for r in result.results if r.ok)
     if len(result.results) != engine.vc_count:
-        report.violation("prover.worker",
-                         f"lost results: {len(result.results)} of "
-                         f"{engine.vc_count}")
+        site.violations.append(f"lost results: {len(result.results)} of "
+                               f"{engine.vc_count}")
     if errors != plan.injections:
-        report.violation("prover.worker",
-                         f"{plan.injections} crashes but {errors} ERROR "
-                         f"verdicts")
-    site.degraded += errors
-    report.notes.append(
+        site.violations.append(f"{plan.injections} crashes but {errors} "
+                               f"ERROR verdicts")
+    site.degraded = errors
+    site.notes.append(
         f"prover.worker: {plan.injections} worker crashes absorbed as "
         f"ERROR verdicts; {proved} VCs still proved")
 
 
-def _prover_poisoned_cache(seed: int, report: CampaignReport) -> None:
+def _prover_poisoned_cache(seed: int, site: SiteReport) -> None:
     from repro.prover import ProofCache, ProverConfig, prove_all
 
-    site = report.site("prover.cache")
     cache_dir = tempfile.mkdtemp(prefix="repro-faults-cache-")
     try:
         engine = _prover_engine()
@@ -749,7 +681,7 @@ def _prover_poisoned_cache(seed: int, report: CampaignReport) -> None:
                 fh.write(b"{ this is not a cached verdict")
         with open(os.path.join(cache_dir, "timings.json"), "wb") as fh:
             fh.write(b"\x00garbage")
-        site.injected += len(poisoned) + 1
+        site.injected = len(poisoned) + 1
 
         cache = ProofCache(cache_dir)
         engine = _prover_engine()
@@ -758,54 +690,46 @@ def _prover_poisoned_cache(seed: int, report: CampaignReport) -> None:
                                config=ProverConfig(cache_dir=cache_dir),
                                cache=cache)
         except Exception as exc:
-            report.violation("prover.cache", f"poisoned cache killed the "
-                                             f"run: {exc}")
+            site.violations.append(f"poisoned cache killed the run: {exc}")
             return
         if not result.all_proved:
-            report.violation("prover.cache",
-                             "poisoned entries broke re-verification")
-            return
+            site.violations.append("poisoned entries broke re-verification")
         if cache.stats.invalid < len(poisoned):
-            report.violation("prover.cache",
-                             f"only {cache.stats.invalid} of "
-                             f"{len(poisoned)} poisoned entries detected")
-            return
-        site.survived += len(poisoned) + 1
-        report.notes.append(
+            site.violations.append(f"only {cache.stats.invalid} of "
+                                   f"{len(poisoned)} poisoned entries "
+                                   f"detected")
+        site.notes.append(
             f"prover.cache: {len(poisoned)} poisoned entries + corrupt "
             f"timings treated as cold misses and re-proved")
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
-def _prover_budget_exhaustion(seed: int, report: CampaignReport) -> None:
+def _prover_budget_exhaustion(seed: int, site: SiteReport) -> None:
     from repro.prover import ProverConfig, prove_all
     from repro.verif.vc import VCStatus
 
     engine = _prover_engine(hard=True)
     config = ProverConfig(use_cache=False, budgets=(1, 4))
-    site = report.site("prover.budget")
     try:
         result = prove_all(engine, jobs=1, config=config)
     except Exception as exc:
-        report.violation("prover.budget", f"run died: {exc}")
+        site.violations.append(f"run died: {exc}")
         return
     timeouts = sum(1 for r in result.results
                    if r.status is VCStatus.TIMEOUT)
     bad = sum(1 for r in result.results
               if r.status in (VCStatus.FAILED, VCStatus.ERROR))
-    site.injected += timeouts
-    site.degraded += timeouts
+    site.injected = site.degraded = timeouts
     if len(result.results) != engine.vc_count:
-        report.violation("prover.budget", "budget exhaustion lost results")
+        site.violations.append("budget exhaustion lost results")
     if bad:
-        report.violation("prover.budget",
-                         f"{bad} VCs mis-verdicted under a tiny budget "
-                         f"(TIMEOUT is the only honest answer)")
+        site.violations.append(f"{bad} VCs mis-verdicted under a tiny "
+                               f"budget (TIMEOUT is the only honest "
+                               f"answer)")
     if timeouts == 0:
-        report.violation("prover.budget",
-                         "hard 1-conflict budget never exhausted")
-    report.notes.append(
+        site.violations.append("hard 1-conflict budget never exhausted")
+    site.notes.append(
         f"prover.budget: {timeouts} VCs surfaced TIMEOUT under a hard "
         f"1-conflict budget ladder; none mis-verdicted")
 
@@ -854,8 +778,8 @@ def _ring_workload(plan, payloads, sq_depth: int = 16):
     return kernel, results, pid
 
 
-def _ring_verify(report: CampaignReport, site: str, kernel, pid: int,
-                 payloads, results) -> int:
+def _ring_verify(site: SiteReport, kernel, pid: int, payloads,
+                 results) -> int:
     """The invariants every ring scenario must uphold: the process
     finished, every entry completed exactly once in submission order,
     the file holds exactly the successful writes, the ring indices
@@ -867,12 +791,12 @@ def _ring_verify(report: CampaignReport, site: str, kernel, pid: int,
 
     process = kernel.processes[pid]
     if process.exit_code != 0:
-        report.violation(site, f"workload exited {process.exit_code}")
+        site.violations.append(f"workload exited {process.exit_code}")
         return 0
     if len(results) != len(payloads):
-        report.violation(
-            site, f"{len(results)} completions for {len(payloads)} "
-                  f"submissions (lost or duplicated entries)")
+        site.violations.append(
+            f"{len(results)} completions for {len(payloads)} "
+            f"submissions (lost or duplicated entries)")
         return 0
     # Completion order is submission order, so position identifies the
     # entry — which matters for torn slots, whose user_data field is
@@ -882,38 +806,38 @@ def _ring_verify(report: CampaignReport, site: str, kernel, pid: int,
     for index, (ud, status, _value) in enumerate(results):
         if status == 0:
             if ud != index + 1:
-                report.violation(
-                    site, f"completion {index} carries user_data {ud}, "
-                          f"expected {index + 1} (out of order)")
+                site.violations.append(
+                    f"completion {index} carries user_data {ud}, "
+                    f"expected {index + 1} (out of order)")
                 return torn
             expected.extend(payloads[index])
         elif status == abi.EBADMSG:
             torn += 1
         else:
-            report.violation(
-                site, f"entry {index + 1} completed with unexpected errno "
-                      f"{abi.ERRNO_NAMES.get(status, status)}")
+            site.violations.append(
+                f"entry {index + 1} completed with unexpected errno "
+                f"{abi.ERRNO_NAMES.get(status, status)}")
             return torn
     inum = kernel.fs.lookup("/ring.dat")
     size = kernel.fs.stat_inum(inum).size
     content = kernel.fs.read_at(inum, 0, size)
     if content != bytes(expected):
-        report.violation(
-            site, f"file holds {len(content)} bytes, expected "
-                  f"{len(expected)} (writes lost, duplicated, or "
-                  f"misordered)")
+        site.violations.append(
+            f"file holds {len(content)} bytes, expected "
+            f"{len(expected)} (writes lost, duplicated, or misordered)")
     for ring in process.rings.values():
         for problem in ring.audit():
-            report.violation(site, f"ring audit: {problem}")
+            site.violations.append(f"ring audit: {problem}")
     for issue in fsck(kernel.fs):
         if not is_recoverable(issue):
-            report.violation(site, f"fsck: {issue}")
+            site.violations.append(f"fsck: {issue}")
     return torn
 
 
 #: The three ring scenarios run one workload under one fault rule each:
-#: ``(site, kind, every, max_triggers, payload tag, payload count, what a
-#: caught injection counts as, note)``.
+#: ``(site, kind, every, max_triggers, payload tag, payload count, note)``.
+#: A torn entry's EBADMSG completion is what the caller sees (degraded);
+#: every other injection must leave no trace (survived).
 #:
 #: * torn SQEs in user memory: every corrupted slot must surface as a
 #:   typed EBADMSG completion for that entry alone — never a silently
@@ -925,45 +849,38 @@ def _ring_verify(report: CampaignReport, site: str, kernel, pid: int,
 #:   keep their CQEs, the rest stay submitted, and the next enter resumes
 #:   where the pass stopped — exactly-once dispatch across the crash.
 _RING_SCENARIOS = (
-    ("ring.sqe", "torn", 5, 9, "torn", 60, "degraded",
+    ("ring.sqe", "torn", 5, 9, "torn", 60,
      "{n} torn slots all caught by the SQE checksum as EBADMSG; the other "
      "{rest} entries executed exactly once"),
-    ("ring.cq", "full", 11, 6, "bp", 48, "survived",
+    ("ring.cq", "full", 11, 6, "bp", 48,
      "{n} forced CQ-full stalls ridden out; every entry completed exactly "
      "once after re-entry"),
-    ("ring.dispatch", "crash", 13, 5, "crash", 52, "survived",
+    ("ring.dispatch", "crash", 13, 5, "crash", 52,
      "{n} mid-batch crashes; dispatch resumed with exactly-once completion "
      "and intact file contents"),
 )
 
 
-def _ring_scenario(row: tuple, seed: int, report: CampaignReport) -> None:
+def _ring_scenario(row: tuple, seed: int, site: SiteReport) -> None:
     """One row of :data:`_RING_SCENARIOS`: run the workload under the
-    row's rule, hold it to :func:`_ring_verify`, credit the row's
-    outcome."""
-    name, kind, every, max_triggers, tag, count, outcome, note = row
+    row's rule and hold it to :func:`_ring_verify`."""
+    name, kind, every, max_triggers, tag, count, note = row
     plan = FaultPlan(seed, rules=[
         FaultRule(site=name, kind=kind, every=every,
                   max_triggers=max_triggers),
     ])
     payloads = [f"{tag}-{i:03d};".encode() for i in range(count)]
     kernel, results, pid = _ring_workload(plan, payloads)
-    site = report.site(name)
-    site.injected += plan.injections
-    before = len(report.violations)
-    torn = _ring_verify(report, name, kernel, pid, payloads, results)
+    site.injected = plan.injections
+    site.degraded = torn = _ring_verify(site, kernel, pid, payloads,
+                                        results)
     expected_torn = plan.injections if kind == "torn" else 0
     if torn != expected_torn:
-        report.violation(
-            name, f"{expected_torn} slots torn but {torn} EBADMSG "
-                  f"completions")
+        site.violations.append(f"{expected_torn} slots torn but {torn} "
+                               f"EBADMSG completions")
     if plan.injections == 0:
-        report.violation(name, f"{kind} rule never fired")
-    # this scenario's own violations only: an earlier site's must not
-    # zero this one's column
-    if len(report.violations) == before:
-        setattr(site, outcome, getattr(site, outcome) + plan.injections)
-    report.notes.append(
+        site.violations.append(f"{kind} rule never fired")
+    site.notes.append(
         f"{name}: " + note.format(n=plan.injections, rest=count - torn))
 
 
@@ -971,17 +888,24 @@ def _ring_scenario(row: tuple, seed: int, report: CampaignReport) -> None:
 # entry points
 # ---------------------------------------------------------------------------
 
-#: Every campaign, in ``all`` order: name -> its scenarios, each called
-#: as ``scenario(seed, report)`` on the campaign's one report.
+#: Every campaign, in ``all`` order: name -> its ``(site, scenario)``
+#: pairs; each scenario is called as ``scenario(seed, SiteReport())`` and
+#: its report credited to its site.  The CLI's ``--campaign`` choices are
+#: these names and ``all``.
 CAMPAIGNS = {
-    "disk": (_disk_transient_workload, _disk_read_corruption,
-             _disk_queue_backpressure, _disk_crash_matrix),
-    "net": (_net_adversarial, _net_blackout, _net_data_blackout),
-    "mem": (_mem_pmem, _mem_heap),
-    "prover": (_prover_worker_crash, _prover_poisoned_cache,
-               _prover_budget_exhaustion),
+    "disk": (("disk.io", _disk_transient_workload),
+             ("disk.read", _disk_read_corruption),
+             ("block.submit", _disk_queue_backpressure),
+             ("disk.crash", _disk_crash_matrix)),
+    "net": (("link.tx", _net_adversarial),
+            ("net.rdp", _net_blackout),
+            ("net.rdp", _net_data_blackout)),
+    "mem": (("pmem.alloc", _mem_pmem), ("heap.alloc", _mem_heap)),
+    "prover": (("prover.worker", _prover_worker_crash),
+               ("prover.cache", _prover_poisoned_cache),
+               ("prover.budget", _prover_budget_exhaustion)),
     "cluster": cluster.SCENARIOS,
-    "ring": tuple(functools.partial(_ring_scenario, row)
+    "ring": tuple((row[0], functools.partial(_ring_scenario, row))
                   for row in _RING_SCENARIOS),
 }
 
@@ -994,8 +918,10 @@ def run_campaign(name: str, seed: int = 1) -> list[CampaignReport]:
     reports = []
     for campaign in CAMPAIGNS if name == "all" else (name,):
         report = CampaignReport(campaign, seed)
-        for scenario in CAMPAIGNS[campaign]:
-            scenario(seed, report)
+        for site, scenario in CAMPAIGNS[campaign]:
+            found = SiteReport()
+            scenario(seed, found)
+            report.credit(site, found)
         reports.append(report)
     return reports
 

@@ -10,10 +10,11 @@ filesystem — no mocks):
   surviving replica and the invariant under attack is the service's
   contract: *no acknowledged write may be lost* and every client keeps
   read-your-writes.
-* **link partition + heal** — rules at site ``cluster.link`` sever
-  cables for a bounded number of ticks.  Requests may degrade into
-  client-visible retries; the membership protocol must reconverge after
-  the heal and the durability audit must still find every acked write.
+* **link partition + heal** — a rule at site ``cluster.link`` severs a
+  cable at its 130th draw, at every seed, for a bounded number of ticks.
+  Requests may degrade into client-visible retries; the membership
+  protocol must reconverge after the heal and the durability audit must
+  still find every acked write.
 * **replica lag** — rules at site ``cluster.repl`` delay the primary's
   replica forwards.  Acks stall (the primary may not acknowledge until
   the replica applied), so the only acceptable effect is latency; a
@@ -31,11 +32,12 @@ filesystem — no mocks):
   loss (site ``cluster.wal``) — the cluster-level extension of the
   PR 2 filesystem crash matrix.
 
-Classification follows the campaign convention: injections that the
-service absorbed with the contract intact are *survived*; client-visible
-failures (typed, reported request failures) are *degraded*; a lost
-acknowledged write, a read-your-writes violation, or an undrained
-request is *failed* and lands in :attr:`CampaignReport.violations`.
+Each scenario reports to the campaign ledger
+(:class:`repro.faults.campaign.SiteReport`): every injection of its plan,
+the requests clients saw fail with a typed error as *degraded*, and a
+breach of the service contract (:func:`_contract_breaches`) — a lost
+acknowledged write, a read-your-writes violation, an undrained request —
+as a violation.
 """
 
 from __future__ import annotations
@@ -46,129 +48,97 @@ from repro.faults.crash import is_recoverable
 from repro.faults.plan import FaultPlan, FaultRule
 
 if TYPE_CHECKING:
-    from repro.faults.campaign import CampaignReport
+    from repro.faults.campaign import SiteReport
 
 
-def _run_deployment(seed: int, plan: FaultPlan, ops: int,
-                    num_nodes: int = 3, rf: int = 2,
+def _contract_breaches(wl) -> list[str]:
+    """The service contract every cluster scenario and every WAL crash
+    point is held to: no acknowledged write lost, read-your-writes for
+    every client, and every request completed."""
+    breaches = [f"acked write lost: {problem}"
+                for problem in wl.lost_acked_writes]
+    breaches += [f"read-your-writes: {problem}"
+                 for problem in wl.ryw_violations]
+    if wl.undrained:
+        breaches.append(f"{wl.undrained} requests never completed")
+    return breaches
+
+
+def _run_deployment(seed: int, site: SiteReport, rule: FaultRule,
                     auto_restart_delay: int | None = None):
+    """Run the seeded 500-op workload on three nodes (rf 2) under `rule`
+    and report the run: every injection, the requests clients saw fail
+    (at most one per injection) as degraded, and each contract breach."""
     from repro.cluster.deploy import Deployment
     from repro.cluster.workload import WorkloadProfile, run_workload
     from repro.obs.registry import Registry
 
-    deployment = Deployment(num_nodes, rf=rf, fault_plan=plan,
-                            registry=Registry(), seed=seed,
-                            auto_restart_delay=auto_restart_delay)
-    report = run_workload(deployment,
-                          WorkloadProfile(ops=ops, seed=seed))
-    return deployment, report
-
-
-def _classify(report, wl, site_name: str, plan: FaultPlan,
-              note: str) -> None:
-    """Shared outcome accounting for one cluster scenario."""
-    site = report.site(site_name)
-    site.injected += plan.injections
-    before = len(report.violations)
-    for problem in wl.lost_acked_writes:
-        report.violation(site_name, f"acked write lost: {problem}")
-    for problem in wl.ryw_violations:
-        report.violation(site_name, f"read-your-writes: {problem}")
-    if wl.undrained:
-        report.violation(site_name,
-                         f"{wl.undrained} requests never completed")
-    if len(report.violations) != before:
-        return
-    if wl.failed:
-        site.degraded += min(wl.failed, plan.injections)
-        site.survived += max(0, plan.injections - wl.failed)
-    else:
-        site.survived += plan.injections
-    report.notes.append(note)
-
-
-def _cluster_node_crash(seed: int, report: CampaignReport) -> None:
-    plan = FaultPlan(seed, rules=[
-        FaultRule(site="cluster.node.*", kind="crash", at=120),
-    ])
-    deployment, wl = _run_deployment(seed, plan, ops=500)
+    plan = FaultPlan(seed, rules=[rule])
+    deployment = Deployment(3, rf=2, fault_plan=plan, registry=Registry(),
+                            seed=seed, auto_restart_delay=auto_restart_delay)
+    wl = run_workload(deployment, WorkloadProfile(ops=500, seed=seed))
+    site.injected = plan.injections
+    site.degraded = min(wl.failed, plan.injections)
     if plan.injections == 0:
-        report.violation("cluster.node",
-                         "crash rule never reached its trigger")
-        return
+        site.violations.append(f"{rule.kind} rule never fired")
+    site.violations += _contract_breaches(wl)
+    return deployment, wl
+
+
+def _cluster_node_crash(seed: int, site: SiteReport) -> None:
+    deployment, wl = _run_deployment(seed, site, FaultRule(
+        site="cluster.node.*", kind="crash", at=120))
     dead = sorted(set(deployment.nodes) - set(deployment.alive_nodes))
-    _classify(report, wl, "cluster.node", plan,
-              f"cluster.node: {','.join(dead) or 'nobody'} fail-stopped "
-              f"at a message boundary; {wl.acked}/{wl.issued} ops acked, "
-              f"{wl.audited_keys} acked keys audited intact after "
-              f"failover ({wl.retries} client retries)")
+    site.notes.append(
+        f"cluster.node: {','.join(dead) or 'nobody'} fail-stopped "
+        f"at a message boundary; {wl.acked}/{wl.issued} ops acked, "
+        f"{wl.audited_keys} acked keys audited intact after "
+        f"failover ({wl.retries} client retries)")
 
 
-def _cluster_partition(seed: int, report: CampaignReport) -> None:
-    plan = FaultPlan(seed, rules=[
-        FaultRule(site="cluster.link", kind="partition",
-                  probability=0.001, max_triggers=3),
-    ])
-    deployment, wl = _run_deployment(seed, plan, ops=500)
-    if plan.injections == 0:
-        report.violation("cluster.link", "no partition ever fired")
-        return
-    _classify(report, wl, "cluster.link", plan,
-              f"cluster.link: {deployment.partitions.value} link "
-              f"partitions injected and healed; {wl.acked}/{wl.issued} "
-              f"ops acked, durability audit clean "
-              f"({wl.retries} client retries)")
+def _cluster_partition(seed: int, site: SiteReport) -> None:
+    deployment, wl = _run_deployment(seed, site, FaultRule(
+        site="cluster.link", kind="partition", at=130))
+    site.notes.append(
+        f"cluster.link: {deployment.partitions.value} link "
+        f"partitions injected and healed; {wl.acked}/{wl.issued} "
+        f"ops acked, durability audit clean "
+        f"({wl.retries} client retries)")
 
 
-def _cluster_replica_lag(seed: int, report: CampaignReport) -> None:
-    plan = FaultPlan(seed, rules=[
-        FaultRule(site="cluster.repl", kind="lag", probability=0.25),
-    ])
-    _, wl = _run_deployment(seed, plan, ops=500)
-    if plan.injections == 0:
-        report.violation("cluster.repl", "no replica forward ever lagged")
-        return
-    _classify(report, wl, "cluster.repl", plan,
-              f"cluster.repl: {plan.injections} replica forwards lagged; "
-              f"acks waited (no early acknowledgement), "
-              f"{wl.acked}/{wl.issued} ops acked, audit clean")
+def _cluster_replica_lag(seed: int, site: SiteReport) -> None:
+    _, wl = _run_deployment(seed, site, FaultRule(
+        site="cluster.repl", kind="lag", probability=0.25))
+    site.notes.append(
+        f"cluster.repl: {site.injected} replica forwards lagged; "
+        f"acks waited (no early acknowledgement), "
+        f"{wl.acked}/{wl.issued} ops acked, audit clean")
 
 
-def _cluster_crash_restart(seed: int, report: CampaignReport) -> None:
-    plan = FaultPlan(seed, rules=[
-        FaultRule(site="cluster.node.*", kind="crash", at=150),
-    ])
-    deployment, wl = _run_deployment(seed, plan, ops=500,
-                                     auto_restart_delay=200)
-    if plan.injections == 0:
-        report.violation("cluster.restart",
-                         "crash rule never reached its trigger")
-        return
-    site = "cluster.restart"
-    before = len(report.violations)
+def _cluster_crash_restart(seed: int, site: SiteReport) -> None:
+    deployment, wl = _run_deployment(seed, site, FaultRule(
+        site="cluster.node.*", kind="crash", at=150),
+        auto_restart_delay=200)
     if wl.restarts == 0:
-        report.violation(site, "killed node was never restarted")
+        site.violations.append("killed node was never restarted")
     for rec in wl.recovery:
         node = deployment.nodes[rec["node"]]
         if not rec["serving"]:
-            report.violation(site, f"{rec['node']} restarted but never "
+            site.violations.append(f"{rec['node']} restarted but never "
                                    f"returned to serving")
         for issue in node.fsck_issues:
             if not is_recoverable(issue):
-                report.violation(site, f"{rec['node']} remount fsck: "
+                site.violations.append(f"{rec['node']} remount fsck: "
                                        f"{issue}")
-    if len(report.violations) != before:
-        return
-    recs = wl.recovery
-    _classify(report, wl, site, plan,
-              f"cluster.restart: {plan.injections} injected crash(es), "
-              f"{wl.restarts} restart(s); "
-              + "; ".join(
-                  f"{r['node']} replayed {r['replayed_records']} wal "
-                  f"records ({r['recovered_keys']} keys, "
-                  f"{r['fsck_issues']} fsck issues), serving after "
-                  f"{r.get('recovery_ticks', '?')} ticks" for r in recs)
-              + f"; {wl.acked}/{wl.issued} ops acked, audit clean")
+    site.notes.append(
+        f"cluster.restart: {site.injected} injected crash(es), "
+        f"{wl.restarts} restart(s); "
+        + "; ".join(
+            f"{r['node']} replayed {r['replayed_records']} wal "
+            f"records ({r['recovered_keys']} keys, "
+            f"{r['fsck_issues']} fsck issues), serving after "
+            f"{r.get('recovery_ticks', '?')} ticks" for r in wl.recovery)
+        + f"; {wl.acked}/{wl.issued} ops acked, audit clean")
 
 
 def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
@@ -219,32 +189,23 @@ def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
         issues.extend(node.fsck_issues)
         if not (node.alive and node.core.state == "serving"):
             issues.append(f"{target} not back to serving after restart")
-        for problem in wl.lost_acked_writes:
-            issues.append(f"acked write lost: {problem}")
-        for problem in wl.ryw_violations:
-            issues.append(f"read-your-writes: {problem}")
-        if wl.undrained:
-            issues.append(f"{wl.undrained} requests never completed")
+        issues.extend(_contract_breaches(wl))
         report.points.append(CrashPointResult(write_number=n,
                                               issues=issues))
     return report
 
 
-def _cluster_wal_matrix(seed: int, report: CampaignReport) -> None:
+def _cluster_wal_matrix(seed: int, site: SiteReport) -> None:
     # a reduced matrix (still covering append + compaction boundaries)
     # keeps the campaign fast; CI's cluster job runs the full
     # run_wal_crash_matrix() at its default size
-    matrix = run_wal_crash_matrix(seed=seed, ops=24, compact_every=4)
-    site = report.site("cluster.wal")
-    site.injected += matrix.crash_points
-    for violation in matrix.violations:
-        report.violation("cluster.wal", violation)
-    if matrix.ok:
-        site.survived += matrix.clean
-        site.degraded += matrix.degraded
-        report.notes.append(f"cluster.wal: {matrix.summary()}")
+    site.add_matrix(run_wal_crash_matrix(seed=seed, ops=24, compact_every=4),
+                    "cluster.wal: ")
 
 
 #: The ``cluster`` row of :data:`repro.faults.campaign.CAMPAIGNS`.
-SCENARIOS = (_cluster_node_crash, _cluster_partition, _cluster_replica_lag,
-             _cluster_crash_restart, _cluster_wal_matrix)
+SCENARIOS = (("cluster.node", _cluster_node_crash),
+             ("cluster.link", _cluster_partition),
+             ("cluster.repl", _cluster_replica_lag),
+             ("cluster.restart", _cluster_crash_restart),
+             ("cluster.wal", _cluster_wal_matrix))

@@ -4,7 +4,8 @@ failure surface, and the campaign runner."""
 import pytest
 
 from repro.faults import run_campaign
-from repro.faults.campaign import CAMPAIGNS, CampaignReport, summary_text
+from repro.faults.campaign import (CAMPAIGNS, CampaignReport, SiteReport,
+                                   summary_text)
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.hw.devices.disk import Disk, DiskCrash, DiskIOError
 from repro.nros.drivers.block import BlockDriver, BlockRequest, QueueFull
@@ -253,6 +254,12 @@ class TestAllocatorFaults:
 # ---------------------------------------------------------------------------
 
 
+def _run(scenario, seed: int) -> SiteReport:
+    found = SiteReport()
+    scenario(seed, found)
+    return found
+
+
 class TestCampaigns:
     def test_all_campaigns_pass_and_replay_identically(self):
         reports = run_campaign("all", seed=1)
@@ -277,13 +284,43 @@ class TestCampaigns:
         """An earlier site's violation must not zero a later site's
         `survived` column."""
         report = CampaignReport("ring", 1)
-        report.violation("ring.sqe", "seeded by the test")
-        for scenario in CAMPAIGNS["ring"][1:]:
-            scenario(1, report)
+        report.credit("ring.sqe", SiteReport(
+            injected=9, violations=["seeded by the test"]))
+        for site, scenario in CAMPAIGNS["ring"][1:]:
+            report.credit(site, _run(scenario, 1))
+        assert report.sites["ring.sqe"] == {
+            "injected": 9, "survived": 0, "degraded": 0, "failed": 1}
         for name in ("ring.cq", "ring.dispatch"):
-            site = report.sites[name]
-            assert site.survived == site.injected > 0, name
+            row = report.sites[name]
+            assert row["survived"] == row["injected"] > 0, name
         assert len(report.violations) == 1
+
+    def test_disk_campaign_survives_seed_6(self):
+        """A rename drawn before any file exists runs as a create; when
+        that create fails, only the path it touched is re-read."""
+        report = run_campaign("disk", seed=6)[0]
+        assert report.ok, report.violations
+
+    def test_seed_sweep_is_clean_and_balanced(self):
+        """Every scenario that draws from its seed, at many seeds: no
+        exception, no violation, and every injection is either survived
+        or degraded."""
+        seeded = [(site, scenario)
+                  for campaign in ("disk", "net", "mem", "ring")
+                  for site, scenario in CAMPAIGNS[campaign]
+                  if site != "disk.crash"]
+        runs = [(seed, site, scenario) for seed in range(1, 31)
+                for site, scenario in seeded]
+        partition = dict(CAMPAIGNS["cluster"])["cluster.link"]
+        runs += [(seed, "cluster.link", partition) for seed in range(1, 21)]
+        for seed, site, scenario in runs:
+            found = _run(scenario, seed)
+            assert not found.violations, (seed, site, found.violations)
+            report = CampaignReport("sweep", seed)
+            report.credit(site, found)
+            row = report.sites[site]
+            assert row["survived"] + row["degraded"] == row["injected"], \
+                (seed, site, row)
 
     def test_cli_exit_codes(self):
         from repro.__main__ import main

@@ -424,22 +424,28 @@ class TestConsole:
 
 class TestFaultCounters:
     def test_site_summary_backed_by_counters(self):
-        from repro.faults.campaign import CampaignReport
+        from repro.faults.campaign import (OUTCOMES, CampaignReport,
+                                           SiteReport)
 
         report = CampaignReport(name="t", seed=1)
-        site = report.site("disk.io")
-        site.injected += 2
-        site.survived += 1
-        assert site.injected == 2
-        assert report.registry.counter(
-            "faults.injected", site="disk.io").value == 2
+        report.credit("disk.io", SiteReport(injected=2, degraded=1))
+        row = report.sites["disk.io"]
+        assert row == {"injected": 2, "survived": 1, "degraded": 1,
+                       "failed": 0}
+        for outcome in OUTCOMES:
+            assert report.registry.counter(
+                f"faults.{outcome}", site="disk.io").value == row[outcome]
+        # survived is derived: more degraded than injected cannot credit
         with pytest.raises(ValueError):
-            site.injected -= 1
+            report.credit("disk.io", SiteReport(injected=1, degraded=2))
 
     def test_campaign_registries_are_independent(self):
-        from repro.faults.campaign import CampaignReport
+        from repro.faults.campaign import CampaignReport, SiteReport
 
         first = CampaignReport(name="a", seed=1)
         second = CampaignReport(name="b", seed=1)
-        first.site("x").injected += 5
-        assert second.site("x").injected == 0
+        first.credit("x", SiteReport(injected=5))
+        assert first.sites["x"]["injected"] == 5
+        assert second.sites == {}
+        assert second.registry.counter(
+            "faults.injected", site="x").value == 0
