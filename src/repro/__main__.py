@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 
 from repro import __version__, obs
@@ -105,6 +106,12 @@ def _build_engine(layers: str):
     )
 
 
+def _peak_rss_mib(who: int) -> float:
+    """`ru_maxrss` in MiB: of this process, or of the largest child
+    waited for, such as a forked prover worker (Linux reports KiB)."""
+    return resource.getrusage(who).ru_maxrss / 1024
+
+
 def prove(args) -> int:
     from repro.prover import ProofCache, ProverConfig, prove_all
     from repro.prover.cache import default_cache_dir
@@ -149,6 +156,10 @@ def prove(args) -> int:
         out(f"  cache: {cache.stats.hits} hits, {cache.stats.misses} "
             f"misses, {cache.stats.stores} stored "
             f"({cache.stats.hit_rate:.0%} hit rate)")
+    children = _peak_rss_mib(resource.RUSAGE_CHILDREN)
+    out(f"  peak rss: {_peak_rss_mib(resource.RUSAGE_SELF):.1f} MiB"
+        + (f", largest child (worker) {children:.1f} MiB" if children
+           else ", no child process"))
 
     if args.events:
         out("\n  slowest discharges:")

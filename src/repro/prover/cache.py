@@ -193,11 +193,12 @@ class ProofCache:
 
     def clear(self) -> int:
         """Delete every cached verdict (keeps the directory); returns the
-        number of entries removed."""
+        number of entries removed.  A killed writer's `*.tmp` file goes
+        too, uncounted: it never was an entry."""
         removed = 0
         for root, _, files in os.walk(self.directory):
             for name in files:
-                if name.endswith(".json"):
+                if name.endswith((".json", ".tmp")):
                     self._discard(os.path.join(root, name))
-                    removed += 1
+                    removed += name.endswith(".json")
         return removed

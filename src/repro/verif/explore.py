@@ -17,7 +17,6 @@ two race replays) is a `step` function handed to it.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -46,40 +45,64 @@ def reachable_states(
 ) -> ExploreResult:
     """BFS over the machine's reachable states, checking invariants.
 
-    Traces to violations are recorded so VC counterexamples are replayable.
-    On a violation, `states` holds every state discovered so far in BFS
-    order (checked or still queued), so the result does not depend on
-    the hash seed.
+    Traces to violations are recorded so VC counterexamples are replayable:
+    each discovered state keeps one parent link (the state and step it
+    was first reached by), and the trace is rebuilt from the links only
+    when there is a violation.  On a violation, `states` holds every
+    state discovered so far in BFS order (checked or still queued), so
+    the result does not depend on the hash seed.  `truncated` means some
+    state was left undiscovered: the cap was hit, or a state at
+    `max_depth` has a successor the run has not seen.
     """
     result = ExploreResult()
-    seen: set = set()
-    queue: deque = deque()
+    seen: set[int] = set()
+    order: list[int] = []   # discovered ids, in BFS order
+    links: list = []        # per index in `order`: (parent index, step index)
     for init in machine.init_states:
-        if init in seen:
-            continue
-        seen.add(init)
-        queue.append((init, 0, ()))
+        sid = machine.intern(init)
+        if sid not in seen:
+            seen.add(sid)
+            order.append(sid)
+            links.append(None)
 
-    while queue:
-        state, depth, trace = queue.popleft()
-        violated = machine.check_invariants(state)
-        if violated is not None:
-            result.violation = (violated, state, trace)
-            result.states += [state] + [queued for queued, _, _ in queue]
-            return result
-        result.states.append(state)
+    successors_of, verdict_of = machine.successors_of, machine.verdict_of
+    depth, level_end = 0, len(order)
+    for index, sid in enumerate(order):   # sees the ids appended below
+        if index == level_end:
+            depth, level_end = depth + 1, len(order)
+        verdict = verdict_of(sid)
+        if verdict:
+            result.violation = (verdict[0], machine.state_of(sid),
+                                _trace(machine, order, links, index))
+            break
         if max_depth is not None and depth >= max_depth:
-            result.truncated = True
+            if not result.truncated:
+                result.truncated = any(successor not in seen
+                                       for successor in successors_of(sid))
             continue
-        for name, args, successor in machine.enabled_steps(state):
+        for k, successor in enumerate(successors_of(sid)):
             if successor in seen:
                 continue
             if len(seen) >= max_states:
                 result.truncated = True
                 continue
             seen.add(successor)
-            queue.append((successor, depth + 1, trace + ((name, args),)))
+            order.append(successor)
+            links.append((index, k))
+    result.states = [machine.state_of(sid) for sid in order]
     return result
+
+
+def _trace(machine: SpecStateMachine, order: list, links: list,
+           index: int) -> tuple:
+    """The (name, args) steps from an initial state to `order[index]`,
+    following parent links."""
+    trace = []
+    while links[index] is not None:
+        index, k = links[index]
+        name, args, _ = machine.steps_of(order[index])[k]
+        trace.append((name, args))
+    return tuple(reversed(trace))
 
 
 def check_inductive(
@@ -92,21 +115,28 @@ def check_inductive(
     if it holds in `s` it holds after every enabled step — or, with
     `action`, after every enabled step of that one transition (the
     invariant is *stable* under the action; the machine's memoised
-    transition relation is filtered, not recomputed).  Verdicts come
-    from the machine's memo (`SpecStateMachine.violated`), so a state
-    judged by exploration or by a sibling induction VC is not judged
-    again.  Returns a counterexample (state, transition, args,
-    successor) or None."""
+    transition relation is filtered, not recomputed).  Each candidate is
+    interned once and its successors are walked by id, so verdicts come
+    from the machine's memo (`SpecStateMachine.violated`) without
+    rehashing a state: a state judged by exploration or by a sibling
+    induction VC is not judged again.  Returns a counterexample (state,
+    transition, args, successor) or None; an unknown invariant or action
+    raises `KeyError`."""
     if invariant_name not in machine.invariants:
         raise KeyError(invariant_name)
-    violated = machine.violated
+    if action is not None:
+        machine.transition(action)
+    intern, verdict_of = machine.intern, machine.verdict_of
+    steps_of, successors_of = machine.steps_of, machine.successors_of
     for state in states:
-        if invariant_name in violated(state):
+        sid = intern(state)
+        if invariant_name in verdict_of(sid):
             continue  # vacuous: induction only cares about inv states
-        for name, args, successor in machine.enabled_steps(state):
+        for (name, args, successor), successor_id in zip(
+                steps_of(sid), successors_of(sid)):
             if action is not None and name != action:
                 continue
-            if invariant_name in violated(successor):
+            if invariant_name in verdict_of(successor_id):
                 return (state, name, args, successor)
     return None
 

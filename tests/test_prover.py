@@ -185,6 +185,23 @@ class TestProofCache:
         assert cache.get(fp) is None
         assert cache.stats.invalid == 1
 
+    def test_clear_removes_a_killed_writers_temp_file(self, tmp_path):
+        """`_write_json` renames a `*.tmp` into place; a writer killed in
+        between leaves the temp file, which `clear` removes without
+        counting it as an entry."""
+        cache = ProofCache(str(tmp_path))
+        engine = ProofEngine()
+        engine.add(smt_vc("g", "lemmas", _goal_x_eq_x))
+        prove_all(engine, cache=cache)
+        entries = [name for _, _, files in os.walk(tmp_path)
+                   for name in files]
+        assert entries and all(name.endswith(".json") for name in entries)
+        stray = tmp_path / "ab" / "killed-writer.tmp"
+        stray.parent.mkdir(exist_ok=True)
+        stray.write_text("{")
+        assert cache.clear() == len(entries)
+        assert [files for _, _, files in os.walk(tmp_path) if files] == []
+
     def test_timeout_results_are_not_cached(self, tmp_path):
         cache = ProofCache(str(tmp_path))
         engine = ProofEngine()
@@ -297,6 +314,14 @@ class TestBudgets:
                      "--budget", "7"]) == 0
         assert seen[0].budgets == ProverConfig().budgets
         assert seen[1].budgets == (7, 28, None)
+
+    def test_cli_summary_reports_peak_rss(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["prove", "--layers", "lemmas", "--no-cache"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "peak rss" in line]
+        assert len(lines) == 1 and "MiB" in lines[0], lines
 
 
 def _crash_at(operation: int) -> ProverConfig:

@@ -31,6 +31,46 @@ def counter_machine(limit=5, stride=1):
     )
 
 
+class Counted:
+    """A state that counts how often it is hashed."""
+
+    def __init__(self, value):
+        self.value = value
+        self.hashes = 0
+
+    def __eq__(self, other):
+        return isinstance(other, Counted) and self.value == other.value
+
+    def __hash__(self):
+        self.hashes += 1
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Counted({self.value})"
+
+
+def counted_machine(**invariants):
+    """Counters mod 12 under inc, double and reset: most successors equal
+    a state discovered earlier.  `made` lists every successor built."""
+    made = []
+
+    def apply(update):
+        def fire(s, a):
+            made.append(Counted(update(s.value)))
+            return made[-1]
+        return fire
+
+    machine = SpecStateMachine(
+        name="counted", init_states=[Counted(0)],
+        transitions=[Transition(name, lambda s, a: True, apply(update))
+                     for name, update in (("inc", lambda v: (v + 1) % 12),
+                                          ("dbl", lambda v: 2 * v % 12),
+                                          ("zero", lambda v: 0))],
+        invariants={"below12": lambda s: s.value < 12,
+                    "nonneg": lambda s: s.value >= 0, **invariants})
+    return machine, made
+
+
 class TestStateMachine:
     def test_step(self):
         m = counter_machine()
@@ -128,6 +168,18 @@ class TestExplore:
         assert result.truncated
         assert max(result.states) <= 3
 
+    def test_max_depth_on_a_complete_space_is_not_truncated(self):
+        """A state at the depth bound truncates the run only if it has a
+        successor the run has not seen."""
+        chain = SpecStateMachine(
+            name="chain", init_states=[0],
+            transitions=[Transition("next", lambda s, a: s < 2,
+                                    lambda s, a: s + 1)])
+        result = reachable_states(chain, max_depth=2)
+        assert result.states == [0, 1, 2]
+        assert not result.truncated
+        assert reachable_states(chain, max_depth=1).truncated
+
     def test_check_inductive_holds(self):
         m = counter_machine(limit=4)
         assert check_inductive(m, range(0, 5), "bounded") is None
@@ -139,6 +191,19 @@ class TestExplore:
         assert cex is not None
         state, name, args, successor = cex
         assert state == 2 and name == "inc" and successor == 3
+
+    def test_check_inductive_rejects_unknown_names(self):
+        """A misspelt invariant or action is an error, not a pass: the
+        action filter would otherwise skip every step."""
+        m = counter_machine(limit=4)
+        m.invariants["lt3"] = lambda s: s < 3
+        assert check_inductive(m, range(0, 5), "lt3", action="inc") == \
+            (2, "inc", (), 3)
+        assert check_inductive(m, range(0, 5), "lt3", action="reset") is None
+        with pytest.raises(KeyError):
+            check_inductive(m, range(0, 5), "lt4")
+        with pytest.raises(KeyError):
+            check_inductive(m, range(0, 5), "lt3", action="icn")
 
     def test_counterexample_survives_a_full_memo(self):
         """Verdicts judged for one invariant's induction serve the next:
@@ -183,6 +248,44 @@ class TestExplore:
         assert result.states == sorted(result.states,
                                        key=lambda s: (len(s), s))
         assert len(result.states) == 15
+
+
+class TestInterning:
+    def test_each_successor_is_hashed_once(self):
+        """Exploration hashes each successor `apply` builds once, to
+        intern it; `check_inductive` then hashes each candidate once per
+        call and walks successors by id.  Every memoised successor is
+        the canonical object exploration returned."""
+        m, made = counted_machine()
+        result = reachable_states(m)
+        assert result.ok and len(result.states) == 12
+        for name in m.invariants:
+            assert check_inductive(m, result.states, name) is None
+        canonical = {id(s) for s in result.states}
+        assert len(made) == 3 * len(result.states)
+        for s in made:
+            assert s.hashes == (1 + len(m.invariants) if id(s) in canonical
+                                else 1), s
+        by_value = {s.value: s for s in result.states}
+        for state in result.states:
+            for _name, _args, successor in m.enabled_steps(state):
+                assert successor is by_value[successor.value]
+
+    def test_a_violation_trace_is_rebuilt_from_parent_links(self):
+        """A failing run keeps no trace per queued state: its trace is
+        rebuilt from parent links, by id, and still replays."""
+        m, made = counted_machine(not7=lambda s: s.value != 7)
+        result = reachable_states(m)
+        name, state, trace = result.violation
+        assert (name, state.value) == ("not7", 7)
+        assert [step for step, _ in trace] == \
+            ["inc", "inc", "inc", "dbl", "inc"]
+        assert any(s is state for s in result.states)
+        assert all(s.hashes == 1 for s in made + m.init_states)
+        replayed = m.init_states[0]
+        for step, args in trace:
+            replayed = m.step(replayed, step, args)
+        assert replayed == state
 
 
 class TestRefinement:
