@@ -557,6 +557,28 @@ print(goals, digest.hexdigest())
 """
 
 
+ABLATION_ARMS_PROBE = """
+import sys
+sys.path.insert(0, 'src')
+from repro.core.refine.proof import build_proof
+from repro.prover import ProverConfig, prove_all
+
+KEYS = ('sat_conflicts', 'cnf_clauses', 'cnf_clauses_preprocessed',
+        'pre_eliminated_vars', 'aig_nodes')
+for preprocess in (True, False):
+    for incremental in (True, False):
+        report = prove_all(
+            build_proof(include_structural=False, include_nr=False,
+                        include_contract=False),
+            config=ProverConfig(use_cache=False, preprocess=preprocess,
+                                incremental=incremental))
+        counters = report.solver_counters()
+        print(int(preprocess), int(incremental),
+              *(counters.get(key, 0) for key in KEYS),
+              hash(tuple((r.name, r.status.value) for r in report.results)))
+"""
+
+
 class TestPinnedPopulation:
     def test_goal_fingerprints(self):
         """Every cache and family key of the 80 SMT goals, from a fresh
@@ -579,6 +601,26 @@ class TestPinnedPopulation:
         digest.update(repr(sorted(report.solver_counters().items()))
                       .encode())
         assert digest.hexdigest() == "559243c1ed3e3df34518220a32827fac"
+
+    def test_ablation_arms(self):
+        """The solver counters of all four (`preprocess`, `incremental`)
+        arms over the 80 SMT lemmas, from a fresh interpreter (operand
+        order depends on what the process interned before).  Only the
+        non-incremental arm with preprocessing reaches the CNF
+        preprocessor; every arm gives the same verdicts."""
+        out = subprocess.run(
+            [sys.executable, "-c", ABLATION_ARMS_PROBE],
+            capture_output=True, text=True, cwd=ROOT, check=True).stdout
+        rows = [line.split() for line in out.splitlines()]
+        # preprocess, incremental: sat_conflicts, cnf_clauses,
+        # cnf_clauses_preprocessed, pre_eliminated_vars, aig_nodes
+        assert [row[:7] for row in rows] == [
+            ["1", "1", "275", "19930", "19930", "0", "13019"],
+            ["1", "0", "379", "14303", "12226", "413", "10757"],
+            ["0", "1", "275", "19930", "19930", "0", "13019"],
+            ["0", "0", "483", "14303", "14303", "0", "10757"],
+        ]
+        assert len({row[7] for row in rows}) == 1
 
 
 # ---------------------------------------------------------------------------
