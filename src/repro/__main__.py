@@ -117,61 +117,62 @@ def prove(args) -> int:
     from repro.prover.cache import default_cache_dir
 
     writer = _start_trace(args.trace) if args.trace else None
-    engine = _build_engine(args.layers)
-    out(f"prover: {engine.vc_count} verification conditions, "
-        f"jobs={args.jobs}, cache="
-        f"{'off' if args.no_cache else (args.cache_dir or default_cache_dir())}")
+    try:
+        engine = _build_engine(args.layers)
+        cache_dir = args.cache_dir or default_cache_dir()
+        out(f"prover: {engine.vc_count} verification conditions, "
+            f"jobs={args.jobs}, cache={'off' if args.no_cache else cache_dir}")
 
-    cache = None
-    config = ProverConfig(
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        preprocess=not args.no_preprocess,
-        incremental=not args.no_incremental,
-    )
-    if args.budget is not None:
-        config.budgets = (args.budget, 4 * args.budget, None)
-    if not args.no_cache:
-        cache = ProofCache(args.cache_dir or default_cache_dir())
-        if args.clear_cache:
-            removed = cache.clear()
-            out(f"prover: cleared {removed} cached entries")
+        cache = None
+        config = ProverConfig(
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            preprocess=not args.no_preprocess,
+            incremental=not args.no_incremental,
+        )
+        if args.budget is not None:
+            config.budgets = (args.budget, 4 * args.budget, None)
+        if not args.no_cache:
+            cache = ProofCache(cache_dir)
+            if args.clear_cache:
+                removed = cache.clear()
+                out(f"prover: cleared {removed} cached entries")
 
-    done = {"count": 0}
+        done = {"count": 0}
 
-    def progress(result):
-        done["count"] += 1
-        if not result.ok and result.status.value != "timeout":
-            out(f"  FAILED {result.name}: {result.detail}")
-        elif done["count"] % 40 == 0:
-            out(f"  ... {done['count']}/{engine.vc_count}")
+        def progress(result):
+            done["count"] += 1
+            if not result.ok and result.status.value != "timeout":
+                out(f"  FAILED {result.name}: {result.detail}")
+            elif done["count"] % 40 == 0:
+                out(f"  ... {done['count']}/{engine.vc_count}")
 
-    report = prove_all(engine, jobs=args.jobs, cache=cache, config=config,
-                       progress=progress)
+        report = prove_all(engine, jobs=args.jobs, cache=cache, config=config,
+                           progress=progress)
 
-    out()
-    for line in report.summary_lines():
-        out("  " + line)
-    if cache is not None:
-        out(f"  cache: {cache.stats.hits} hits, {cache.stats.misses} "
-            f"misses, {cache.stats.stores} stored "
-            f"({cache.stats.hit_rate:.0%} hit rate)")
-    children = _peak_rss_mib(resource.RUSAGE_CHILDREN)
-    out(f"  peak rss: {_peak_rss_mib(resource.RUSAGE_SELF):.1f} MiB"
-        + (f", largest child (worker) {children:.1f} MiB" if children
-           else ", no child process"))
+        out()
+        for line in report.summary_lines():
+            out("  " + line)
+        if cache is not None:
+            out(f"  cache: {cache.stats.hits} hits, {cache.stats.misses} "
+                f"misses, {cache.stats.stores} stored "
+                f"({cache.stats.hit_rate:.0%} hit rate)")
+        children = _peak_rss_mib(resource.RUSAGE_CHILDREN)
+        out(f"  peak rss: {_peak_rss_mib(resource.RUSAGE_SELF):.1f} MiB"
+            + (f", largest child (worker) {children:.1f} MiB" if children
+               else ", no child process"))
 
-    if args.events:
-        out("\n  slowest discharges:")
-        slowest = sorted(report.results,
-                         key=lambda r: -r.seconds)[:args.events]
-        for r in slowest:
-            out(f"    {r.name:45s} {r.status.value:8s} "
-                f"{r.seconds:7.3f}s solver={r.solver_seconds:7.3f}s"
-                f"{'  [cache]' if r.cached else ''}")
-
-    if writer is not None:
-        _stop_trace(writer)
+        if args.events:
+            out("\n  slowest discharges:")
+            slowest = sorted(report.results,
+                             key=lambda r: -r.seconds)[:args.events]
+            for r in slowest:
+                out(f"    {r.name:45s} {r.status.value:8s} "
+                    f"{r.seconds:7.3f}s solver={r.solver_seconds:7.3f}s"
+                    f"{'  [cache]' if r.cached else ''}")
+    finally:
+        if writer is not None:
+            _stop_trace(writer)
 
     if args.min_hit_rate is not None:
         rate = report.cache_hits / report.total if report.total else 0.0
@@ -203,15 +204,17 @@ def faults(args) -> int:
     from repro.faults.campaign import summary_text
 
     writer = _start_trace(args.trace) if args.trace else None
-    out(f"faults: campaign={args.campaign} seed={args.seed}")
-    reports = run_campaign(args.campaign, seed=args.seed)
-    text = summary_text(reports)
-    out(text)
-
-    if writer is not None:
-        _emit_site_events(reports)
+    try:
+        out(f"faults: campaign={args.campaign} seed={args.seed}")
+        reports = run_campaign(args.campaign, seed=args.seed)
+        text = summary_text(reports)
+        out(text)
+        if writer is not None:
+            _emit_site_events(reports)
+    finally:
         # the determinism replay below must not double the trace
-        _stop_trace(writer)
+        if writer is not None:
+            _stop_trace(writer)
 
     if args.check_determinism:
         replay = summary_text(run_campaign(args.campaign, seed=args.seed))

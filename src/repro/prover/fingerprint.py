@@ -6,7 +6,7 @@ A cache key must change exactly when the *meaning* of a discharge changes:
   numbering, so fingerprints are stable across processes and interpreter
   runs even though :class:`repro.smt.ast.Term` interning ids are not);
 * the solver configuration — the `simplify` / `preprocess` / `incremental`
-  flags (including the preprocessor's own parameter fingerprint) plus a
+  flags (including the preprocessor's bounds) plus a
   digest of the :mod:`repro.smt` source code, so any edit to the solver
   stack invalidates every cached verdict while leaving spec-side edits to
   invalidate only the goals they actually change.
@@ -19,6 +19,7 @@ import os
 from functools import lru_cache
 
 from repro.smt.ast import Term
+from repro.smt.preprocess import FINGERPRINT as PREPROCESS_FINGERPRINT
 
 
 def _serialize(term: Term, values: bool) -> str:
@@ -105,12 +106,10 @@ def solver_config_fingerprint(simplify: bool = True, preprocess: bool = True,
                               incremental: bool = True) -> str:
     """Digest of everything about the solver stack that can change a
     verdict's provenance: the rewriter flag, the CNF-preprocessor
-    configuration, whether family discharge (incremental assumption
+    bounds, whether family discharge (incremental assumption
     solving) is enabled, and the smt source digest.  Cached entries from a
     differently-configured stack never match."""
-    from repro.smt.preprocess import PreprocessConfig
-
-    pre = PreprocessConfig().fingerprint() if preprocess else "off"
+    pre = PREPROCESS_FINGERPRINT if preprocess else "off"
     blob = (
         f"simplify={simplify};preprocess={pre}"
         f";incremental={incremental};smt={smt_code_digest()}"

@@ -17,20 +17,19 @@ reaches the solver:
   the set of non-tautological resolvents is no larger than the clauses it
   replaces (the NiVER bound).
 
-Subsumption and self-subsumption are *equivalence*-preserving, so they are
-safe even when the preprocessed clauses later meet additional clauses or
-assumption literals.  Pure-literal elimination and BVE only preserve
-*satisfiability*; a model of the reduced formula must be repaired before it
-can be read as a model of the original.  Every satisfiability-only step
-therefore pushes an entry onto a :class:`ModelReconstructor` stack, and
-``PreprocessResult.model()`` replays the stack in reverse to extend a model
-of the output clauses into a model of the input clauses — which is what
-keeps the SMT layer's concrete re-evaluation gate satisfied for
-counterexamples that travel through variable elimination.
+Subsumption and self-subsumption are *equivalence*-preserving.  Pure-literal
+elimination and BVE only preserve *satisfiability*; a model of the reduced
+formula must be repaired before it can be read as a model of the original.
+Every satisfiability-only step therefore pushes an entry onto a
+:class:`ModelReconstructor` stack, and ``PreprocessResult.model()`` replays
+the stack in reverse to extend a model of the output clauses into a model of
+the input clauses — which is what keeps the SMT layer's concrete
+re-evaluation gate satisfied for counterexamples that travel through
+variable elimination.  Neither step touches a *frozen* variable, so freezing
+every variable leaves only the equivalence-preserving reductions.
 
-``PreprocessConfig.equivalence_preserving()`` selects the subset that is
-sound for incremental use (the shared family solver adds cones and solves
-under assumptions after preprocessing).
+There is no configuration: every reduction always runs, bounded by the
+constants below.
 """
 
 from __future__ import annotations
@@ -39,57 +38,26 @@ from collections import deque
 from dataclasses import dataclass, field
 
 
-@dataclass
-class PreprocessConfig:
-    """Which reductions run, and how hard they may try."""
+#: Skip BVE for variables occurring more often than this in either polarity
+#: (SatELite's cheap-variable heuristic; resolving busy variables blows the
+#: clause count up quadratically).
+ELIM_OCCURRENCE_LIMIT = 10
+#: How many more clauses than it removes an elimination may add (0 = the
+#: NiVER "never grow" rule).
+ELIM_GROWTH = 0
+#: Fixpoint bound; each round runs every reduction once.
+MAX_ROUNDS = 12
 
-    unit_propagation: bool = True
-    pure_literals: bool = True
-    subsumption: bool = True
-    self_subsumption: bool = True
-    variable_elimination: bool = True
-    #: Skip BVE for variables occurring more often than this in either
-    #: polarity (SatELite's cheap-variable heuristic; resolving busy
-    #: variables blows the clause count up quadratically).
-    elim_occurrence_limit: int = 10
-    #: How many more clauses than it removes an elimination may add
-    #: (0 = the NiVER "never grow" rule).
-    elim_growth: int = 0
-    #: Fixpoint bound; each round runs every enabled reduction once.
-    max_rounds: int = 12
-
-    @classmethod
-    def equivalence_preserving(cls) -> "PreprocessConfig":
-        """The subset sound under later clause additions and assumptions.
-
-        Unit propagation keeps its fixed variables as explicit unit clauses
-        (see :meth:`PreprocessResult.load_into`), and subsumption /
-        self-subsuming resolution only ever remove implied clauses or
-        implied literals — the reduced formula is logically *equivalent* to
-        the input, not merely equisatisfiable, so an incremental solver may
-        keep growing it.  Pure literals and BVE do not have that property:
-        a later cone can resurrect an eliminated variable with fresh
-        constraints that the dropped clauses would have interacted with.
-        """
-        return cls(pure_literals=False, variable_elimination=False)
-
-    def fingerprint(self) -> str:
-        """Canonical text form; part of the proof-cache solver config."""
-        return (
-            f"up={int(self.unit_propagation)}"
-            f",pure={int(self.pure_literals)}"
-            f",sub={int(self.subsumption)}"
-            f",ssub={int(self.self_subsumption)}"
-            f",bve={int(self.variable_elimination)}"
-            f",occ={self.elim_occurrence_limit}"
-            f",growth={self.elim_growth}"
-            f",rounds={self.max_rounds}"
-        )
+#: The preprocessor's part of the proof-cache solver configuration.  The
+#: five ``=1`` fields name the reductions that once had switches; they stay
+#: so that the text, and every cache key built from it, is unchanged.
+FINGERPRINT = (f"up=1,pure=1,sub=1,ssub=1,bve=1,occ={ELIM_OCCURRENCE_LIMIT}"
+               f",growth={ELIM_GROWTH},rounds={MAX_ROUNDS}")
 
 
 @dataclass
 class PreprocessStats:
-    """Deterministic counters: a pure function of (clauses, config)."""
+    """Deterministic counters: a pure function of (clauses, frozen)."""
 
     clauses_in: int = 0
     clauses_out: int = 0
@@ -200,7 +168,6 @@ class PreprocessResult:
     unsat: bool
     reconstructor: ModelReconstructor
     stats: PreprocessStats
-    config: PreprocessConfig
 
     def load_into(self, solver) -> int:
         """Feed the preprocessed problem into a solver-like object; returns
@@ -233,7 +200,7 @@ class _Db:
     Clauses live in a tombstoned list; `occur[lit]` holds the indices of
     live clauses containing `lit`.  All iteration that can influence the
     output walks indices / variables in sorted order, so the result is a
-    deterministic function of the input and the configuration.
+    deterministic function of the input.
     """
 
     def __init__(self, num_vars: int) -> None:
@@ -337,8 +304,8 @@ def _propagate(db: _Db, stats: PreprocessStats, dirty: set[int]) -> None:
                 dirty.add(new_index)
 
 
-def _subsumption_round(db: _Db, config: PreprocessConfig,
-                       stats: PreprocessStats, dirty: set[int]) -> bool:
+def _subsumption_round(db: _Db, stats: PreprocessStats,
+                       dirty: set[int]) -> bool:
     """Forward subsumption + self-subsuming resolution to fixpoint over the
     `dirty` worklist.  Returns True if anything changed."""
     changed = False
@@ -354,36 +321,34 @@ def _subsumption_round(db: _Db, config: PreprocessConfig,
         # Cheapest literal first: candidates must contain every literal of
         # `clause`, so the smallest occurrence list bounds the scan.
         pivot = min(clause, key=lambda l: (len(db.occur.get(l, ())), l))
-        if config.subsumption:
-            for other_index in sorted(db.occur.get(pivot, set())):
-                if other_index == index:
-                    continue
+        for other_index in sorted(db.occur.get(pivot, set())):
+            if other_index == index:
+                continue
+            other = db.clauses[other_index]
+            if other is None or len(other) < len(clause):
+                continue
+            if clause <= other:
+                db.remove(other_index)
+                stats.subsumed += 1
+                changed = True
+        for lit in sorted(clause):
+            # `clause` with `lit` flipped: any superset loses `-lit`.
+            rest = clause - {lit}
+            for other_index in sorted(db.occur.get(-lit, set())):
                 other = db.clauses[other_index]
                 if other is None or len(other) < len(clause):
                     continue
-                if clause <= other:
+                if rest <= other:
                     db.remove(other_index)
-                    stats.subsumed += 1
+                    strengthened = other - {-lit}
+                    stats.strengthened += 1
                     changed = True
-        if config.self_subsumption:
-            for lit in sorted(clause):
-                # `clause` with `lit` flipped: any superset loses `-lit`.
-                rest = clause - {lit}
-                for other_index in sorted(db.occur.get(-lit, set())):
-                    other = db.clauses[other_index]
-                    if other is None or len(other) < len(clause):
-                        continue
-                    if rest <= other:
-                        db.remove(other_index)
-                        strengthened = other - {-lit}
-                        stats.strengthened += 1
-                        changed = True
-                        new_index = db.add(strengthened)
-                        if new_index is not None and new_index not in queued:
-                            worklist.append(new_index)
-                            queued.add(new_index)
-                if db.clauses[index] is None:
-                    break
+                    new_index = db.add(strengthened)
+                    if new_index is not None and new_index not in queued:
+                        worklist.append(new_index)
+                        queued.add(new_index)
+            if db.clauses[index] is None:
+                break
         if db.unsat:
             break
     return changed
@@ -412,8 +377,7 @@ def _pure_literal_round(db: _Db, frozen: set[int], stats: PreprocessStats,
     return changed
 
 
-def _elimination_round(db: _Db, frozen: set[int], config: PreprocessConfig,
-                       stats: PreprocessStats,
+def _elimination_round(db: _Db, frozen: set[int], stats: PreprocessStats,
                        reconstructor: ModelReconstructor,
                        dirty: set[int]) -> bool:
     changed = False
@@ -426,11 +390,10 @@ def _elimination_round(db: _Db, frozen: set[int], config: PreprocessConfig,
         neg = sorted(db.occur.get(-var, set()))
         if not pos and not neg:
             continue
-        if (len(pos) > config.elim_occurrence_limit
-                or len(neg) > config.elim_occurrence_limit):
+        if len(pos) > ELIM_OCCURRENCE_LIMIT or len(neg) > ELIM_OCCURRENCE_LIMIT:
             continue
         resolvents: list[set[int]] = []
-        budget = len(pos) + len(neg) + config.elim_growth
+        budget = len(pos) + len(neg) + ELIM_GROWTH
         feasible = True
         # Both parents are tautology-free, so a resolvent is tautological
         # iff a literal of one side's rest clashes with the other side's.
@@ -465,14 +428,12 @@ def _elimination_round(db: _Db, frozen: set[int], config: PreprocessConfig,
     return changed
 
 
-def preprocess(num_vars: int, clauses, frozen=(),
-               config: PreprocessConfig | None = None) -> PreprocessResult:
-    """Reduce `clauses` (iterable of literal lists over vars ``1..num_vars``)
-    under `config`.  Variables in `frozen` are never eliminated by a
+def preprocess(num_vars: int, clauses, frozen=()) -> PreprocessResult:
+    """Reduce `clauses` (iterable of literal lists over vars ``1..num_vars``).
+    Variables in `frozen` are never eliminated by a
     satisfiability-only technique, so their values in any model of the
     output are directly meaningful for the input — the SMT layer freezes
     the primary-input variables it lifts models from."""
-    config = config or PreprocessConfig()
     stats = PreprocessStats(vars_in=num_vars)
     reconstructor = ModelReconstructor()
     frozen_set = {abs(v) for v in frozen}
@@ -492,23 +453,17 @@ def preprocess(num_vars: int, clauses, frozen=(),
             dirty.add(index)
 
     while not db.unsat:
-        if config.unit_propagation:
-            _propagate(db, stats, dirty)
-        if db.unsat or stats.rounds >= config.max_rounds:
+        _propagate(db, stats, dirty)
+        if db.unsat or stats.rounds >= MAX_ROUNDS:
             break
         stats.rounds += 1
-        changed = False
-        if config.subsumption or config.self_subsumption:
-            changed |= _subsumption_round(db, config, stats, dirty)
-        if config.unit_propagation and db.unit_queue:
+        changed = _subsumption_round(db, stats, dirty)
+        if db.unit_queue:
             continue  # strengthening produced units: re-propagate first
-        if config.pure_literals:
-            changed |= _pure_literal_round(db, frozen_set, stats,
-                                           reconstructor)
-        if config.variable_elimination:
-            changed |= _elimination_round(db, frozen_set, config, stats,
-                                          reconstructor, dirty)
-        if config.unit_propagation and db.unit_queue:
+        changed |= _pure_literal_round(db, frozen_set, stats, reconstructor)
+        changed |= _elimination_round(db, frozen_set, stats, reconstructor,
+                                      dirty)
+        if db.unit_queue:
             continue
         if not changed:
             break
@@ -522,5 +477,4 @@ def preprocess(num_vars: int, clauses, frozen=(),
         unsat=db.unsat,
         reconstructor=reconstructor,
         stats=stats,
-        config=config,
     )

@@ -2,36 +2,36 @@
 
 Pipeline: term rewriting -> bit-blasting into an AIG (structural hashing) ->
 Tseitin CNF of the output cone -> SatELite-style CNF preprocessing
-(:mod:`repro.smt.preprocess`) -> CDCL SAT.  Models are lifted back to a
-mapping from variable names to Python ints/bools and re-checked against the
-concrete evaluator before being returned, so a buggy lower layer — the
-preprocessor's model reconstruction included — can never produce a bogus
-counterexample silently.
+(:mod:`repro.smt.preprocess`, above a size gate) -> CDCL SAT.  Models are
+lifted back to a mapping from variable names to Python ints/bools and
+re-checked against the concrete evaluator before being returned, so a buggy
+lower layer — the preprocessor's model reconstruction included — can never
+produce a bogus counterexample silently.
 
-Two entry points share the pipeline:
+Each stage is written once, as a module-private helper (:func:`_lower`,
+:func:`_load`, :func:`_search`, :func:`_lift`), and two entry points call
+them:
 
 * :class:`Solver` / :func:`prove` — the single-shot path: one goal, one
-  solver, full preprocessing (variable elimination included).
+  solver, its output asserted.
 * :class:`FamilySolver` — the incremental path: a *family* of
-  structurally-similar goals discharged through one shared AIG, one shared
-  CNF, and one shared CDCL instance.  Every goal's negation cone is encoded
-  unasserted up front, the union CNF is preprocessed once (full reductions,
-  with primary inputs and output variables frozen), and each member is
-  solved under a per-goal assumption literal — so structural hashing,
-  preprocessing, and learnt clauses all amortise across the family.
+  structurally-similar goals lowered into one shared AIG, encoded
+  unasserted into one CNF, loaded once into one CDCL instance, and each
+  member solved under a per-goal assumption literal — so structural
+  hashing, any preprocessing and learnt clauses are shared by the family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro import obs
 from repro.smt import ast, interp, rewrite
-from repro.smt.aig import FALSE, TRUE
+from repro.smt.aig import FALSE, TRUE, node_of
 from repro.smt.bitblast import BitBlaster
 from repro.smt.cnf import CnfMapping, encode, output_literal
 from repro.smt.preprocess import CnfBuffer, PreprocessResult, preprocess
-from repro.smt.sat import SatSolver
+from repro.smt.sat import SatResult, SatSolver, SatStats
 from repro.smt.ast import Term
 
 
@@ -76,31 +76,10 @@ class SolverStats:
                 + self.preprocess_seconds + self.sat_seconds)
 
     def deterministic(self) -> dict[str, int | bool]:
-        """The machine-independent counters (cacheable / comparable)."""
-        return {
-            "aig_nodes": self.aig_nodes,
-            "cnf_vars": self.cnf_vars,
-            "cnf_clauses": self.cnf_clauses,
-            "cnf_clauses_preprocessed": self.cnf_clauses_preprocessed,
-            "decided_structurally": self.decided_structurally,
-            "decided_by_preprocessing": self.decided_by_preprocessing,
-            "pre_units": self.pre_units,
-            "pre_pure_literals": self.pre_pure_literals,
-            "pre_subsumed": self.pre_subsumed,
-            "pre_strengthened": self.pre_strengthened,
-            "pre_eliminated_vars": self.pre_eliminated_vars,
-            "sat_conflicts": self.sat_conflicts,
-            "sat_decisions": self.sat_decisions,
-            "sat_propagations": self.sat_propagations,
-            "sat_restarts": self.sat_restarts,
-        }
-
-    def absorb_preprocess(self, pre: PreprocessResult) -> None:
-        self.pre_units = pre.stats.units_fixed
-        self.pre_pure_literals = pre.stats.pure_literals
-        self.pre_subsumed = pre.stats.subsumed
-        self.pre_strengthened = pre.stats.strengthened
-        self.pre_eliminated_vars = pre.stats.eliminated_vars
+        """The machine-independent counters (cacheable / comparable):
+        every field but the wall-clock `*_seconds`."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.name.endswith("_seconds")}
 
 
 @dataclass
@@ -133,131 +112,22 @@ class Solver:
     def check(self, max_conflicts: int | None = None) -> SolverResult:
         stats = SolverStats()
         original = ast.and_(*self._assertions) if self._assertions else ast.true()
-        formula = original
-
-        with obs.span("smt.rewrite", histogram="smt.phase_seconds",
-                      labels={"phase": "rewrite"}) as span:
-            if self.simplify:
-                formula = rewrite.simplify(formula)
-        stats.rewrite_seconds = span.elapsed
-
-        if formula.is_const:
-            stats.decided_structurally = True
-            if formula.value:
-                return SolverResult(
-                    sat=True, model=self._arbitrary_model(original), stats=stats
-                )
-            return SolverResult(sat=False, stats=stats)
-
-        with obs.span("smt.blast", histogram="smt.phase_seconds",
-                      labels={"phase": "blast"}) as span:
-            blaster = BitBlaster()
-            out = blaster.blast_bool(formula)
-        stats.blast_seconds = span.elapsed
-        stats.aig_nodes = len(blaster.aig)
-
-        if out == TRUE:
-            stats.decided_structurally = True
-            model = self._arbitrary_model(original)
-            return SolverResult(sat=True, model=model, stats=stats)
-        if out == FALSE:
-            stats.decided_structurally = True
-            return SolverResult(sat=False, stats=stats)
-
+        blaster = BitBlaster()
+        formula, out = _lower(original, self.simplify, blaster, stats)
+        if out in (TRUE, FALSE):
+            return _decided(out == TRUE, original, stats)
         sat_solver = SatSolver()
-        pre: PreprocessResult | None = None
-        buffer = CnfBuffer()
-        mapping = encode(blaster.aig, [out], buffer)
-        stats.cnf_vars = buffer.num_vars
-        stats.cnf_clauses = mapping.num_clauses
-        if self.preprocess and len(buffer.clauses) >= SINGLE_PREPROCESS_MIN_CLAUSES:
-            # Primary inputs carry the lifted model bits; the preprocessor
-            # must not resolve them away.
-            frozen = [var for node, var in mapping.node_to_var.items()
-                      if blaster.aig.definition(node) is None]
-            with obs.span("smt.preprocess", histogram="smt.phase_seconds",
-                          labels={"phase": "preprocess"}) as span:
-                pre = preprocess(buffer.num_vars, buffer.clauses,
-                                 frozen=frozen)
-            stats.preprocess_seconds = span.elapsed
-            stats.absorb_preprocess(pre)
-            if pre.unsat:
-                stats.decided_by_preprocessing = True
-                return SolverResult(sat=False, stats=stats)
-            if not pre.clauses:
-                stats.decided_by_preprocessing = True
-            stats.cnf_clauses_preprocessed = pre.load_into(sat_solver)
-        else:
-            sat_solver.ensure_vars(buffer.num_vars)
-            for clause in buffer.clauses:
-                sat_solver.add_clause(clause)
-            stats.cnf_clauses_preprocessed = len(buffer.clauses)
-
-        with obs.span("smt.sat", histogram="smt.phase_seconds",
-                      labels={"phase": "sat"}) as span:
-            result = sat_solver.solve(max_conflicts=max_conflicts)
-        stats.sat_seconds = span.elapsed
-        stats.sat_conflicts = result.stats.conflicts
-        stats.sat_decisions = result.stats.decisions
-        stats.sat_propagations = result.stats.propagations
-        stats.sat_restarts = result.stats.restarts
-
+        mapping, pre = _load(
+            blaster, [out], sat_solver, stats, asserted=True,
+            min_clauses=SINGLE_PREPROCESS_MIN_CLAUSES if self.preprocess
+            else None)
+        if pre is not None and pre.unsat:
+            return SolverResult(sat=False, stats=stats)
+        result = _search(sat_solver, stats, max_conflicts)
         if not result.sat:
             return SolverResult(sat=False, stats=stats)
-
-        sat_model = pre.model(result.model) if pre is not None else result.model
-        model = self._lift_model(formula, blaster, mapping, sat_model)
-        # Variables the simplifier eliminated are unconstrained: default them
-        # so the model covers the *original* assertions.
-        for var in ast.free_vars(original):
-            if var.name not in model:
-                model[var.name] = False if var.sort.is_bool else 0
-        value = interp.evaluate(original, model)
-        if value is not True:
-            raise RuntimeError(
-                "internal solver error: SAT model fails concrete evaluation"
-            )
+        model = _lift(formula, original, blaster, mapping, pre, result.model)
         return SolverResult(sat=True, model=model, stats=stats)
-
-    @staticmethod
-    def _arbitrary_model(formula: Term) -> dict[str, int | bool]:
-        """When the formula is structurally TRUE any assignment works."""
-        model: dict[str, int | bool] = {}
-        for var in ast.free_vars(formula):
-            model[var.name] = False if var.sort.is_bool else 0
-        return model
-
-    @staticmethod
-    def _lift_model(
-        formula: Term,
-        blaster: BitBlaster,
-        mapping,
-        sat_model: dict[int, bool],
-    ) -> dict[str, int | bool]:
-        from repro.smt.aig import node_of  # local import to avoid cycle noise
-
-        model: dict[str, int | bool] = {}
-        for var in ast.free_vars(formula):
-            bits = blaster.var_bits(var.name)
-            if bits is None:
-                model[var.name] = False if var.sort.is_bool else 0
-                continue
-            bit_values = []
-            for lit in bits:
-                node = node_of(lit)
-                sat_var = mapping.node_to_var.get(node)
-                bit_values.append(
-                    False if sat_var is None else sat_model.get(sat_var, False)
-                )
-            if var.sort.is_bool:
-                model[var.name] = bit_values[0]
-            else:
-                value = 0
-                for i, bv in enumerate(bit_values):
-                    if bv:
-                        value |= 1 << i
-                model[var.name] = value
-        return model
 
 
 #: Single-shot preprocessing only runs when the asserted cone's CNF is at
@@ -284,6 +154,154 @@ SINGLE_PREPROCESS_MIN_CLAUSES = 2048
 FAMILY_PREPROCESS_MIN_CLAUSES = 4096
 
 
+def _lower(original: Term, simplify: bool, blaster: BitBlaster,
+           stats: SolverStats) -> tuple[Term, int]:
+    """Rewrite `original` and bit-blast it into `blaster`, adding both
+    phases' span times to `stats`.  Returns the rewritten formula and its
+    AIG output literal — `TRUE` / `FALSE` when rewriting or structural
+    hashing already decided it (a constant formula is never blasted)."""
+    with obs.span("smt.rewrite", histogram="smt.phase_seconds",
+                  labels={"phase": "rewrite"}) as span:
+        formula = rewrite.simplify(original) if simplify else original
+    stats.rewrite_seconds += span.elapsed
+    if formula.is_const:
+        return formula, TRUE if formula.value else FALSE
+    with obs.span("smt.blast", histogram="smt.phase_seconds",
+                  labels={"phase": "blast"}) as span:
+        out = blaster.blast_bool(formula)
+    stats.blast_seconds += span.elapsed
+    stats.aig_nodes = len(blaster.aig)
+    return formula, out
+
+
+def _load(blaster: BitBlaster, outputs: list[int], sat_solver: SatSolver,
+          stats: SolverStats, *, asserted: bool, min_clauses: int | None,
+          ) -> tuple[CnfMapping, PreprocessResult | None]:
+    """Tseitin-encode the cones of `outputs` and load them into
+    `sat_solver` — through :func:`preprocess` when the CNF has at least
+    `min_clauses` clauses (None: never).
+
+    `asserted` selects the caller's semantics.  An asserted (single-shot)
+    output is a root unit, so an UNSAT preprocess is the verdict and
+    nothing is loaded (the returned result says ``unsat``).  Unasserted
+    (family) outputs are assumption literals, so their variables are frozen
+    with the primary inputs, and an UNSAT preprocess is an internal error:
+    definitional clauses are satisfiable by construction."""
+    buffer = CnfBuffer()
+    mapping = CnfMapping()
+    for out in outputs:
+        # Encoding extends the shared mapping: overlapping cones emit
+        # their common nodes exactly once.
+        encode(blaster.aig, [out], buffer, mapping=mapping,
+               assert_outputs=asserted)
+    stats.aig_nodes = len(blaster.aig)
+    stats.cnf_vars = buffer.num_vars
+    stats.cnf_clauses = mapping.num_clauses
+    if min_clauses is None or len(buffer.clauses) < min_clauses:
+        sat_solver.ensure_vars(buffer.num_vars)
+        for clause in buffer.clauses:
+            sat_solver.add_clause(clause)
+        stats.cnf_clauses_preprocessed = len(buffer.clauses)
+        return mapping, None
+
+    # Primary inputs carry the lifted model bits; the preprocessor must not
+    # resolve them away.
+    frozen = [var for node, var in mapping.node_to_var.items()
+              if blaster.aig.definition(node) is None]
+    if not asserted:
+        frozen += [abs(output_literal(mapping, out)) for out in outputs]
+    with obs.span("smt.preprocess", histogram="smt.phase_seconds",
+                  labels={"phase": "preprocess"}) as span:
+        pre = preprocess(buffer.num_vars, buffer.clauses, frozen=frozen)
+    stats.preprocess_seconds += span.elapsed
+    stats.pre_units = pre.stats.units_fixed
+    stats.pre_pure_literals = pre.stats.pure_literals
+    stats.pre_subsumed = pre.stats.subsumed
+    stats.pre_strengthened = pre.stats.strengthened
+    stats.pre_eliminated_vars = pre.stats.eliminated_vars
+    if pre.unsat and not asserted:
+        raise RuntimeError(
+            "internal solver error: unasserted family CNF preprocessed "
+            "to UNSAT")
+    stats.decided_by_preprocessing = pre.unsat or not pre.clauses
+    if not pre.unsat:
+        stats.cnf_clauses_preprocessed = pre.load_into(sat_solver)
+    return mapping, pre
+
+
+def _search(sat_solver: SatSolver, stats: SolverStats,
+            max_conflicts: int | None, assumptions: list[int] | None = None,
+            since: SatStats | None = None) -> SatResult:
+    """Run CDCL and record in `stats` the solver's counters since the
+    snapshot `since` (zero for a fresh solver, so clause loading counts;
+    the shared solver's running totals before a family member's call)."""
+    with obs.span("smt.sat", histogram="smt.phase_seconds",
+                  labels={"phase": "sat"}) as span:
+        result = sat_solver.solve(max_conflicts=max_conflicts,
+                                  assumptions=assumptions)
+    totals = sat_solver.stats
+    since = since or SatStats()
+    stats.sat_seconds = span.elapsed
+    stats.sat_conflicts = totals.conflicts - since.conflicts
+    stats.sat_decisions = totals.decisions - since.decisions
+    stats.sat_propagations = totals.propagations - since.propagations
+    stats.sat_restarts = totals.restarts - since.restarts
+    return result
+
+
+def _lift(formula: Term, original: Term, blaster: BitBlaster,
+          mapping: CnfMapping, pre: PreprocessResult | None,
+          sat_model: dict[int, bool]) -> dict[str, int | bool]:
+    """Read a model of `original` off a SAT model of `formula`'s cone
+    (repaired through the preprocessor's reconstruction stack when it ran),
+    default the variables nothing constrains, and re-check it with the
+    concrete evaluator."""
+    if pre is not None:
+        sat_model = pre.model(sat_model)
+    model: dict[str, int | bool] = {}
+    for var in ast.free_vars(formula):
+        bits = blaster.var_bits(var.name)
+        if bits is None:
+            model[var.name] = False if var.sort.is_bool else 0
+            continue
+        values = []
+        for lit in bits:
+            sat_var = mapping.node_to_var.get(node_of(lit))
+            values.append(False if sat_var is None
+                          else sat_model.get(sat_var, False))
+        if var.sort.is_bool:
+            model[var.name] = values[0]
+        else:
+            model[var.name] = sum(1 << i for i, bit in enumerate(values)
+                                  if bit)
+    # Variables the simplifier eliminated are unconstrained: default them
+    # so the model covers the *original* assertions.
+    _complete(original, model)
+    if interp.evaluate(original, model) is not True:
+        raise RuntimeError(
+            "internal solver error: SAT model fails concrete evaluation"
+        )
+    return model
+
+
+def _complete(original: Term, model: dict[str, int | bool],
+              ) -> dict[str, int | bool]:
+    """Give every variable of `original` missing from `model` a default."""
+    for var in ast.free_vars(original):
+        if var.name not in model:
+            model[var.name] = False if var.sort.is_bool else 0
+    return model
+
+
+def _decided(truth: bool, original: Term, stats: SolverStats) -> SolverResult:
+    """A query settled structurally: when it is TRUE any assignment is a
+    model."""
+    stats.decided_structurally = True
+    return SolverResult(sat=truth,
+                        model=_complete(original, {}) if truth else {},
+                        stats=stats)
+
+
 class FamilySolver:
     """One shared solving context for a family of structurally-similar goals.
 
@@ -291,11 +309,12 @@ class FamilySolver:
     rewritten and bit-blasted into one shared AIG (structural hashing folds
     the parts the members have in common onto the same nodes), the union of
     the cones is Tseitin-encoded *unasserted* into one CNF, and that CNF is
-    preprocessed **once** — full SatELite reductions, variable elimination
-    included — with the primary inputs and every member's output variable
-    frozen.  Each :meth:`prove_member` call then solves the shared CDCL
-    instance under that member's single assumption literal, so
-    preprocessing *and* learnt clauses amortise across the family.
+    loaded once — preprocessed first when it reaches
+    `FAMILY_PREPROCESS_MIN_CLAUSES`: full SatELite reductions, variable
+    elimination included, with the primary inputs and every member's output
+    variable frozen.  Each :meth:`prove_member` call then solves the shared
+    CDCL instance under that member's single assumption literal, so learnt
+    clauses carry over from member to member.
 
     Soundness: unasserted Tseitin cones constrain nothing on their own (the
     clauses are satisfiable definitions ``out_i <-> cone_i(inputs)``), so
@@ -318,17 +337,23 @@ class FamilySolver:
 
     def __init__(self, goals: list[Term], simplify: bool = True,
                  preprocess: bool = True) -> None:
-        self.simplify = simplify
-        self.preprocess = preprocess
         self._blaster = BitBlaster()
         self._sat = SatSolver()
-        self._mapping = CnfMapping()
-        self._pre: PreprocessResult | None = None
         self._base = SolverStats()
-        # Per member: ("const", sat?, original) for goals settled before
-        # the CNF exists, or ("solve", out literal, formula, original).
-        self._entries: list[tuple] = []
-        self._build(goals)
+        # Per member: (output literal, rewritten formula, original); a
+        # TRUE / FALSE output was settled before the CNF exists.
+        self._members: list[tuple[int, Term, Term]] = []
+        for goal in goals:
+            original = ast.not_(goal)
+            formula, out = _lower(original, simplify, self._blaster,
+                                  self._base)
+            self._members.append((out, formula, original))
+        outputs = [out for out, _, _ in self._members
+                   if out not in (TRUE, FALSE)]
+        self._mapping, self._pre = _load(
+            self._blaster, outputs, self._sat, self._base, asserted=False,
+            min_clauses=FAMILY_PREPROCESS_MIN_CLAUSES if preprocess
+            else None)
 
     @property
     def setup_seconds(self) -> float:
@@ -337,74 +362,8 @@ class FamilySolver:
         return (self._base.rewrite_seconds + self._base.blast_seconds
                 + self._base.preprocess_seconds)
 
-    def _build(self, goals: list[Term]) -> None:
-        base = self._base
-        for goal in goals:
-            original = ast.not_(goal)
-            formula = original
-            with obs.span("smt.rewrite", histogram="smt.phase_seconds",
-                          labels={"phase": "rewrite"}) as span:
-                if self.simplify:
-                    formula = rewrite.simplify(formula)
-            base.rewrite_seconds += span.elapsed
-            if formula.is_const:
-                self._entries.append(("const", bool(formula.value), original))
-                continue
-            with obs.span("smt.blast", histogram="smt.phase_seconds",
-                          labels={"phase": "blast"}) as span:
-                out = self._blaster.blast_bool(formula)
-            base.blast_seconds += span.elapsed
-            if out == TRUE:
-                self._entries.append(("const", True, original))
-                continue
-            if out == FALSE:
-                self._entries.append(("const", False, original))
-                continue
-            self._entries.append(("solve", out, formula, original))
-
-        buffer = CnfBuffer()
-        outputs = [entry[1] for entry in self._entries
-                   if entry[0] == "solve"]
-        for out in outputs:
-            # Encoding extends the shared mapping: overlapping cones emit
-            # their common nodes exactly once.
-            encode(self._blaster.aig, [out], buffer, mapping=self._mapping,
-                   assert_outputs=False)
-        base.aig_nodes = len(self._blaster.aig)
-        base.cnf_vars = buffer.num_vars
-        base.cnf_clauses = self._mapping.num_clauses
-
-        if (self.preprocess
-                and len(buffer.clauses) >= FAMILY_PREPROCESS_MIN_CLAUSES):
-            # Frozen: primary inputs (model lifting reads them) and every
-            # member's output variable (assumption literals name them).
-            frozen = [var for node, var in self._mapping.node_to_var.items()
-                      if self._blaster.aig.definition(node) is None]
-            frozen += [output_literal(self._mapping, out) for out in outputs]
-            frozen = [abs(v) for v in frozen]
-            with obs.span("smt.preprocess", histogram="smt.phase_seconds",
-                          labels={"phase": "preprocess"}) as span:
-                pre = preprocess(buffer.num_vars, buffer.clauses,
-                                 frozen=frozen)
-            base.preprocess_seconds = span.elapsed
-            base.absorb_preprocess(pre)
-            if pre.unsat:
-                # Definitional clauses are satisfiable by construction; an
-                # UNSAT union means a preprocessor bug, never a verdict.
-                raise RuntimeError(
-                    "internal solver error: unasserted family CNF "
-                    "preprocessed to UNSAT"
-                )
-            base.cnf_clauses_preprocessed = pre.load_into(self._sat)
-            self._pre = pre
-        else:
-            self._sat.ensure_vars(buffer.num_vars)
-            for clause in buffer.clauses:
-                self._sat.add_clause(clause)
-            base.cnf_clauses_preprocessed = len(buffer.clauses)
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._members)
 
     def prove_member(self, index: int,
                      max_conflicts: int | None = None) -> SolverResult:
@@ -412,63 +371,32 @@ class FamilySolver:
         refute it with a model of its negation (sat=True), under the shared
         family context.  Calls may repeat (the scheduler's retry ladder) —
         clauses learnt during a failed attempt still help the next one."""
-        entry = self._entries[index]
+        out, formula, original = self._members[index]
         # Each member carries the shared-context counters verbatim and a
         # 1/N share of the shared setup time, so summing members' solver
         # seconds over the family counts the setup exactly once.
-        share = 1.0 / len(self._entries)
+        share = 1.0 / len(self._members)
         stats = replace(
             self._base,
             rewrite_seconds=self._base.rewrite_seconds * share,
             blast_seconds=self._base.blast_seconds * share,
             preprocess_seconds=self._base.preprocess_seconds * share,
         )
-        if entry[0] == "const":
-            _, truthy, original = entry
-            stats.decided_structurally = True
-            if truthy:
-                return SolverResult(
-                    sat=True, model=Solver._arbitrary_model(original),
-                    stats=stats)
-            return SolverResult(sat=False, stats=stats)
+        if out in (TRUE, FALSE):
+            return _decided(out == TRUE, original, stats)
 
-        _, out, formula, original = entry
         assumption = output_literal(self._mapping, out)
-        if self._pre is not None:
-            root = self._pre.fixed.get(abs(assumption))
-            if root is not None and root != (assumption > 0):
-                # Root propagation already refuted this cone's output.
-                stats.decided_by_preprocessing = True
-                return SolverResult(sat=False, stats=stats)
-
-        cumulative = self._sat.stats
-        before = (cumulative.conflicts, cumulative.decisions,
-                  cumulative.propagations, cumulative.restarts)
-        with obs.span("smt.sat", histogram="smt.phase_seconds",
-                      labels={"phase": "sat"}) as span:
-            result = self._sat.solve(max_conflicts=max_conflicts,
-                                     assumptions=[assumption])
-        stats.sat_seconds = span.elapsed
-        stats.sat_conflicts = cumulative.conflicts - before[0]
-        stats.sat_decisions = cumulative.decisions - before[1]
-        stats.sat_propagations = cumulative.propagations - before[2]
-        stats.sat_restarts = cumulative.restarts - before[3]
-
+        if (self._pre is not None
+                and self._pre.fixed.get(abs(assumption)) == (assumption < 0)):
+            # Root propagation already refuted this cone's output.
+            stats.decided_by_preprocessing = True
+            return SolverResult(sat=False, stats=stats)
+        result = _search(self._sat, stats, max_conflicts, [assumption],
+                         since=replace(self._sat.stats))
         if not result.sat:
             return SolverResult(sat=False, stats=stats)
-
-        sat_model = (self._pre.model(result.model)
-                     if self._pre is not None else result.model)
-        model = Solver._lift_model(formula, self._blaster, self._mapping,
-                                   sat_model)
-        for var in ast.free_vars(original):
-            if var.name not in model:
-                model[var.name] = False if var.sort.is_bool else 0
-        value = interp.evaluate(original, model)
-        if value is not True:
-            raise RuntimeError(
-                "internal solver error: SAT model fails concrete evaluation"
-            )
+        model = _lift(formula, original, self._blaster, self._mapping,
+                      self._pre, result.model)
         return SolverResult(sat=True, model=model, stats=stats)
 
 

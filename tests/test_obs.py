@@ -449,3 +449,38 @@ class TestFaultCounters:
         assert second.sites == {}
         assert second.registry.counter(
             "faults.injected", site="x").value == 0
+
+
+class TestCliTraceOnError:
+    @pytest.mark.parametrize("command, target", [
+        (["prove", "--layers", "lemmas", "--no-cache"],
+         "repro.prover.prove_all"),
+        (["faults", "--campaign", "mem", "--seed", "1"],
+         "repro.faults.run_campaign"),
+    ], ids=["prove", "faults"])
+    def test_trace_is_closed_when_the_run_raises(self, tmp_path, monkeypatch,
+                                                 command, target):
+        """`--trace` unsubscribes and closes its writer even when the run
+        raises, as `cluster`, `sched` and `analyze` already did."""
+        from repro.__main__ import main
+
+        def boom(*args, **kwargs):
+            obs.bus().emit("before.raise")
+            raise RuntimeError("boom")
+
+        path = tmp_path / "trace.jsonl"
+        bus = obs.bus()
+        subscribers = list(bus._subscribers)
+        monkeypatch.setattr(target, boom)
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(command + ["--trace", str(path)])
+            leaked = [s for s in bus._subscribers if s not in subscribers]
+        finally:
+            bus._subscribers[:] = subscribers
+        assert leaked == []
+        bus.emit("after.raise")
+        lines = path.read_text().splitlines()
+        assert all(obs.validate_jsonl_line(line) == [] for line in lines)
+        names = [json.loads(line)["name"] for line in lines]
+        assert "before.raise" in names and "after.raise" not in names

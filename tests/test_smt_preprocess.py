@@ -12,9 +12,9 @@ import itertools
 import random
 
 from repro.smt.preprocess import (
+    FINGERPRINT,
     CnfBuffer,
     ModelReconstructor,
-    PreprocessConfig,
     preprocess,
 )
 from repro.smt.sat import SatSolver
@@ -46,11 +46,10 @@ def random_cnf(rng, num_vars, num_clauses, width=3):
     return clauses
 
 
-def solve_preprocessed(num_vars, clauses, frozen=(), config=None,
-                       assumptions=None):
+def solve_preprocessed(num_vars, clauses, frozen=(), assumptions=None):
     """Preprocess, then run CDCL on the residue; returns (sat, model-or-None)
     with the model reconstructed onto the original variables."""
-    pre = preprocess(num_vars, clauses, frozen=frozen, config=config)
+    pre = preprocess(num_vars, clauses, frozen=frozen)
     if pre.unsat:
         return False, None
     solver = SatSolver()
@@ -74,15 +73,16 @@ class TestDifferentialFuzz:
                 check_model(model, clauses)
 
     def test_equivalence_preserving_subset_is_equivalent(self):
-        """With pure literals and BVE disabled the reduced clause set plus
-        the fixed units must be logically *equivalent* to the input — every
-        total assignment satisfies one iff it satisfies the other."""
+        """With every variable frozen (no pure literals, no BVE) the reduced
+        clause set plus the fixed units must be logically *equivalent* to
+        the input — every total assignment satisfies one iff it satisfies
+        the other."""
         rng = random.Random(7)
-        config = PreprocessConfig.equivalence_preserving()
         for _ in range(120):
             num_vars = rng.randint(1, 6)
             clauses = random_cnf(rng, num_vars, rng.randint(1, 16))
-            pre = preprocess(num_vars, clauses, config=config)
+            pre = preprocess(num_vars, clauses,
+                             frozen=range(1, num_vars + 1))
             for bits in itertools.product([False, True], repeat=num_vars):
                 def lit_true(l):
                     return bits[abs(l) - 1] == (l > 0)
@@ -166,28 +166,17 @@ class TestTechniques:
         assert combined, "frozen vars must keep their constraints"
 
     def test_subsumption_removes_superset(self):
-        config = PreprocessConfig(unit_propagation=False,
-                                  pure_literals=False,
-                                  self_subsumption=False,
-                                  variable_elimination=False)
-        pre = preprocess(3, [[1, 2], [1, 2, 3]], config=config)
+        pre = preprocess(3, [[1, 2], [1, 2, 3]], frozen=[1, 2, 3])
         assert pre.stats.subsumed == 1
         assert pre.clauses == [[1, 2]]
 
     def test_self_subsumption_strengthens(self):
-        config = PreprocessConfig(unit_propagation=False,
-                                  pure_literals=False,
-                                  variable_elimination=False)
-        pre = preprocess(3, [[1, 2], [-1, 2, 3]], config=config)
+        pre = preprocess(3, [[1, 2], [-1, 2, 3]], frozen=[1, 2, 3])
         assert pre.stats.strengthened >= 1
         assert [2, 3] in [sorted(c) for c in pre.clauses]
 
     def test_variable_elimination_resolves(self):
-        config = PreprocessConfig(unit_propagation=False,
-                                  pure_literals=False,
-                                  subsumption=False,
-                                  self_subsumption=False)
-        pre = preprocess(3, [[1, 2], [-1, 3]], frozen=[2, 3], config=config)
+        pre = preprocess(3, [[1, 2], [-1, 3]], frozen=[2, 3])
         assert pre.stats.eliminated_vars == 1
         assert [sorted(c) for c in pre.clauses] == [[2, 3]]
 
@@ -223,8 +212,8 @@ class TestBuildingBlocks:
         assert model[2] is False
         assert model[1] is True
 
-    def test_config_fingerprint_tracks_every_knob(self):
-        base = PreprocessConfig().fingerprint()
-        assert PreprocessConfig(elim_growth=1).fingerprint() != base
-        assert PreprocessConfig(subsumption=False).fingerprint() != base
-        assert PreprocessConfig().fingerprint() == base
+    def test_fingerprint_is_the_cache_key_text(self):
+        """Proof-cache keys built before the knobs became constants must
+        still match: the text is pinned byte for byte."""
+        assert FINGERPRINT == ("up=1,pure=1,sub=1,ssub=1,bve=1,occ=10"
+                               ",growth=0,rounds=12")
