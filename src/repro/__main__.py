@@ -32,6 +32,8 @@ nothing under ``src/repro`` writes to stdout directly.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import inspect
 import json
 import resource
 import sys
@@ -40,17 +42,21 @@ from repro import __version__, obs
 from repro.obs.console import err, out
 
 
-def _start_trace(path: str):
-    """Subscribe a JSONL writer to the process-wide bus."""
+@contextlib.contextmanager
+def _traced(path: str | None):
+    """Stream every bus event of the block into `path` (JSONL), closing
+    the file even when the block raises; no-op when `path` is None."""
+    if path is None:
+        yield
+        return
     writer = obs.JsonlWriter(path)
     obs.bus().subscribe(writer)
-    return writer
-
-
-def _stop_trace(writer) -> None:
-    obs.bus().unsubscribe(writer)
-    writer.close()
-    out(f"trace: {writer.count} events -> {writer.path}")
+    try:
+        yield
+    finally:
+        obs.bus().unsubscribe(writer)
+        writer.close()
+        out(f"trace: {writer.count} events -> {writer.path}")
 
 
 def tour() -> int:
@@ -85,25 +91,27 @@ def tour() -> int:
     return 0
 
 
-def _build_engine(layers: str):
+def _proof_layers() -> list[str]:
+    """The layers `prove --layers` names: `build_proof`'s `include_*`
+    parameters, in signature order."""
     from repro.core.refine.proof import build_proof
 
+    return [name.removeprefix("include_")
+            for name in inspect.signature(build_proof).parameters
+            if name.startswith("include_")]
+
+
+def _layer_flags(layers: str) -> dict[str, bool]:
+    """A `--layers` comma list as `build_proof` keywords: each layer
+    sets its own `include_<layer>`, ``all`` sets every one."""
+    known = _proof_layers()
     selected = {name for name in layers.split(",") if name}
-    known = {"all", "lemmas", "structural", "nr", "contract", "sched",
-             "rg"}
-    unknown = selected - known
+    unknown = selected - {"all", *known}
     if unknown:
         raise SystemExit(f"unknown --layers {sorted(unknown)}; "
-                         f"choose from {sorted(known)}")
-    everything = "all" in selected
-    return build_proof(
-        include_lemmas=everything or "lemmas" in selected,
-        include_structural=everything or "structural" in selected,
-        include_nr=everything or "nr" in selected,
-        include_contract=everything or "contract" in selected,
-        include_sched=everything or "sched" in selected,
-        include_rg=everything or "rg" in selected,
-    )
+                         f"choose from {sorted({'all', *known})}")
+    return {f"include_{name}": "all" in selected or name in selected
+            for name in known}
 
 
 def _peak_rss_mib(who: int) -> float:
@@ -113,12 +121,12 @@ def _peak_rss_mib(who: int) -> float:
 
 
 def prove(args) -> int:
+    from repro.core.refine.proof import build_proof
     from repro.prover import ProofCache, ProverConfig, prove_all
     from repro.prover.cache import default_cache_dir
 
-    writer = _start_trace(args.trace) if args.trace else None
-    try:
-        engine = _build_engine(args.layers)
+    with _traced(args.trace):
+        engine = build_proof(**_layer_flags(args.layers))
         cache_dir = args.cache_dir or default_cache_dir()
         out(f"prover: {engine.vc_count} verification conditions, "
             f"jobs={args.jobs}, cache={'off' if args.no_cache else cache_dir}")
@@ -170,9 +178,6 @@ def prove(args) -> int:
                 out(f"    {r.name:45s} {r.status.value:8s} "
                     f"{r.seconds:7.3f}s solver={r.solver_seconds:7.3f}s"
                     f"{'  [cache]' if r.cached else ''}")
-    finally:
-        if writer is not None:
-            _stop_trace(writer)
 
     if args.min_hit_rate is not None:
         rate = report.cache_hits / report.total if report.total else 0.0
@@ -190,6 +195,8 @@ def _emit_site_events(reports) -> None:
     """Publish every campaign's per-site counters on the bus (the JSONL
     view of what `summary_lines` prints)."""
     bus = obs.bus()
+    if not bus.active:
+        return
     for report in reports:
         for name, row in sorted(report.sites.items()):
             bus.emit("faults.site", campaign=report.name, seed=report.seed,
@@ -203,18 +210,14 @@ def faults(args) -> int:
     from repro.faults import run_campaign
     from repro.faults.campaign import summary_text
 
-    writer = _start_trace(args.trace) if args.trace else None
-    try:
+    # the trace closes before the determinism replay, which must not
+    # double it
+    with _traced(args.trace):
         out(f"faults: campaign={args.campaign} seed={args.seed}")
         reports = run_campaign(args.campaign, seed=args.seed)
         text = summary_text(reports)
         out(text)
-        if writer is not None:
-            _emit_site_events(reports)
-    finally:
-        # the determinism replay below must not double the trace
-        if writer is not None:
-            _stop_trace(writer)
+        _emit_site_events(reports)
 
     if args.check_determinism:
         replay = summary_text(run_campaign(args.campaign, seed=args.seed))
@@ -234,8 +237,7 @@ def cluster(args) -> int:
     """Run the sharded/replicated KV service end to end."""
     from repro.cluster import harness
 
-    writer = _start_trace(args.trace) if args.trace else None
-    try:
+    with _traced(args.trace):
         if args.wal_matrix:
             from repro.faults.cluster import run_wal_crash_matrix
             matrix = run_wal_crash_matrix(seed=args.seed)
@@ -277,17 +279,13 @@ def cluster(args) -> int:
                     f"returned to serving")
                 return 1
         return 0
-    finally:
-        if writer is not None:
-            _stop_trace(writer)
 
 
 def sched(args) -> int:
     """Run the multi-class scheduler under the mixed workload."""
     from repro.nros.sched import workload
 
-    writer = _start_trace(args.trace) if args.trace else None
-    try:
+    with _traced(args.trace):
         profile = workload.WorkloadProfile(ticks=args.ticks)
         metrics = workload.run_workload(args.cores, profile,
                                         seed=args.seed,
@@ -301,20 +299,13 @@ def sched(args) -> int:
             for core, label in trace_lines:
                 out(f"  core{core} -> {label}")
         return 0
-    finally:
-        if writer is not None:
-            _stop_trace(writer)
 
 
 def analyze(args) -> int:
     from repro.analysis import cli as analysis_cli
 
-    writer = _start_trace(args.trace) if args.trace else None
-    try:
+    with _traced(args.trace):
         return analysis_cli.main(args)
-    finally:
-        if writer is not None:
-            _stop_trace(writer)
 
 
 def trace(args) -> int:
@@ -389,8 +380,8 @@ def main(argv=None) -> int:
     prove_parser.add_argument("--jobs", "-j", type=int, default=1,
                               help="worker processes (default 1)")
     prove_parser.add_argument("--layers", default="all",
-                              help="comma list of layers: all,lemmas,"
-                                   "structural,nr,contract,sched,rg")
+                              help="comma list of layers: all,"
+                                   + ",".join(_proof_layers()))
     prove_parser.add_argument("--cache-dir", default=None,
                               help="proof-cache directory "
                                    "(default: $REPRO_PROOF_CACHE or "

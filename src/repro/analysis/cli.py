@@ -3,11 +3,11 @@ analysis passes and gate CI on the result.
 
 Exit status (stable, CI scripts switch on it): 0 when every finding is
 suppressed or absent, 1 on any active finding, 2 when the run itself
-could not proceed (unknown pass or mutant).  Findings stream through
-:mod:`repro.obs` as ``analysis.finding`` events, so ``--trace
-out.jsonl`` captures them alongside everything else;
-``--format json`` renders one canonical, schema-validated payload
-(:mod:`repro.analysis.jsonreport`).
+could not proceed (unknown pass or mutant).  The records of
+:func:`repro.analysis.jsonreport.report_records` — ``analysis.finding``,
+``.pass`` and ``.summary`` — are what ``--format json`` renders as one
+canonical, schema-validated payload and what :mod:`repro.obs` carries,
+so ``--trace out.jsonl`` holds exactly the same records.
 """
 
 from __future__ import annotations
@@ -159,23 +159,10 @@ def _record_replay(report, replay, mutant, race_report) -> None:
     }
 
 
-def _emit_events(report: AnalysisReport) -> None:
-    bus = obs.bus()
-    for finding in report.findings:
-        bus.emit("analysis.finding", rule=finding.rule, file=finding.path,
-                 line=finding.line, message=finding.message,
-                 suppressed=finding.suppressed)
-    for name, stats in report.stats.items():
-        bus.emit("analysis.pass", stage=name, **{
-            k: v for k, v in stats.items()
-            if isinstance(v, (str, int, float, bool))})
-    bus.emit("analysis.summary", violations=len(report.active),
-             suppressed=len(report.suppressed))
-
-
 def main(args) -> int:
     from repro.analysis.jsonreport import (EXIT_CLEAN, EXIT_ERROR,
-                                           EXIT_FINDINGS, render_json)
+                                           EXIT_FINDINGS, render_json,
+                                           report_records)
 
     as_json = getattr(args, "format", "text") == "json"
     if args.list_rules:
@@ -201,7 +188,10 @@ def main(args) -> int:
     except SystemExit as exc:          # unknown mutant and friends
         err(str(exc))
         return EXIT_ERROR
-    _emit_events(report)
+    bus = obs.bus()
+    if bus.active:
+        for record in report_records(report):
+            bus.emit(**record)
 
     if as_json:
         out(render_json(report))

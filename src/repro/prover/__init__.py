@@ -10,15 +10,16 @@ subsystem is the production path around it:
 * :mod:`repro.prover.cache` — a content-addressed persistent proof cache,
   keyed by goal-term fingerprint + solver configuration;
 * :mod:`repro.prover.fingerprint` — the stable fingerprints behind the
-  cache keys;
-* :mod:`repro.prover.events` — the structured event stream
-  (queued / started / finished / cache-hit) of a run.
+  cache keys.
+
+A run's lifecycle (queued / cache-hit / started / finished /
+run-finished) is published on the :mod:`repro.obs` bus as
+``prover.<kind>`` events.
 
 Entry points: :func:`prove_all` and ``python -m repro prove --jobs N``.
 """
 
 from repro.prover.cache import CacheStats, ProofCache, default_cache_dir
-from repro.prover.events import EventLog, ProofEvent
 from repro.prover.fingerprint import goal_fingerprint, term_fingerprint
 from repro.prover.scheduler import (
     ProverConfig,
@@ -29,9 +30,7 @@ from repro.prover.scheduler import (
 
 __all__ = [
     "CacheStats",
-    "EventLog",
     "ProofCache",
-    "ProofEvent",
     "ProverConfig",
     "ProverScheduler",
     "WorkerCrash",

@@ -30,8 +30,11 @@ cached, observable job system:
   order, so the :class:`ProofReport` contents and ordering are identical
   for any ``jobs`` value (only the wall-clock changes).
 
-Every lifecycle step is emitted on a structured event stream
-(:mod:`repro.prover.events`).
+Every lifecycle step is published on the :mod:`repro.obs` bus as
+``prover.<kind>``: ``queued`` when the scheduler accepts a VC,
+``cache-hit`` when the persistent cache already holds its verdict,
+``started`` / ``finished`` around a discharge (with the lane and the
+retry-ladder attempt), and ``run-finished`` with the run totals.
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from repro import obs
-from repro.prover import events as ev
 from repro.prover.cache import ProofCache, default_cache_dir
-from repro.prover.events import EventLog, ProofEvent
 from repro.prover.fingerprint import family_fingerprint, goal_fingerprint, \
     structural_fingerprint
 from repro.verif.engine import ProofEngine, ProofReport
@@ -58,7 +59,6 @@ from repro.verif.vc import VC, VCResult, discharge_family, \
 class ProverConfig:
     """Knobs of a scheduled run."""
 
-    jobs: int = 1
     use_cache: bool = True
     cache_dir: str | None = None
     #: The retry ladder: the conflict budget of each attempt at an SMT
@@ -137,14 +137,16 @@ class _Job:
 
 
 class ProverScheduler:
-    """One scheduled run over an engine's VC population."""
+    """One scheduled run over an engine's VC population, on `jobs`
+    worker processes (1 = inline)."""
 
     def __init__(self, engine: ProofEngine,
                  config: ProverConfig | None = None,
                  cache: ProofCache | None = None,
-                 on_event=None, progress=None) -> None:
+                 jobs: int = 1, progress=None) -> None:
         self.engine = engine
         self.config = config or ProverConfig()
+        self.jobs = jobs
         if cache is not None:
             self.cache = cache
         elif self.config.use_cache:
@@ -152,23 +154,20 @@ class ProverScheduler:
                                     or default_cache_dir())
         else:
             self.cache = None
-        self.events = EventLog(sink=on_event)
         self.progress = progress
         self._t0 = 0.0
-
-    # -- event helpers -----------------------------------------------------
 
     def _now(self) -> float:
         return time.perf_counter() - self._t0
 
-    def _emit(self, kind: str, vc: VC | None = None, **kw) -> None:
-        self.events.emit(ProofEvent(
-            kind=kind,
-            vc=vc.name if vc is not None else "",
-            category=vc.category if vc is not None else "",
-            t=self._now(),
-            **kw,
-        ))
+    def _emit(self, kind: str, vc: VC | None = None, **fields) -> None:
+        """Publish ``prover.<kind>`` on the bus, stamped with seconds
+        since the run started; free when nobody is tracing."""
+        bus = obs.bus()
+        if bus.active:
+            if vc is not None:
+                fields.update(vc=vc.name, category=vc.category)
+            bus.emit(f"prover.{kind}", t=self._now(), **fields)
 
     # -- run ---------------------------------------------------------------
 
@@ -187,7 +186,7 @@ class ProverScheduler:
 
         pending: list[_Job] = []
         for index, vc in enumerate(ordered):
-            self._emit(ev.QUEUED, vc)
+            self._emit("queued", vc)
             job = _Job(index=index, vc=vc,
                        expected=history.get(vc.name, 0.0))
             if self.cache is not None or (self.config.incremental
@@ -223,7 +222,7 @@ class ProverScheduler:
                                                     job.build_seconds)
                     results[index] = result
                     obs.counter("prover.cache_hits").inc()
-                    self._emit(ev.CACHE_HIT, vc, seconds=job.build_seconds)
+                    self._emit("cache-hit", vc)
                     if self.progress is not None:
                         self.progress(result)
                     continue
@@ -233,8 +232,7 @@ class ProverScheduler:
         pending.sort(key=lambda j: (-j.expected, j.index))
         units = self._form_units(pending)
 
-        context = _fork_context() if self.config.jobs > 1 and pending \
-            else None
+        context = _fork_context() if self.jobs > 1 and pending else None
         if context is None:
             self._run_inline(units, results, fresh_timings)
         else:
@@ -245,7 +243,7 @@ class ProverScheduler:
         report.wall_seconds = self._now()
         if self.cache is not None and fresh_timings:
             self.cache.store_timings(fresh_timings)
-        self._emit(ev.RUN_FINISHED, None, seconds=report.wall_seconds,
+        self._emit("run-finished", dur=report.wall_seconds,
                    solver_seconds=report.solver_seconds)
         return report
 
@@ -259,7 +257,7 @@ class ProverScheduler:
         obs.counter("prover.discharged", lane=lane).inc()
         if (job.fingerprint is not None and self.cache is not None):
             self.cache.put(job.fingerprint, result)
-        self._emit(ev.FINISHED, job.vc, seconds=result.seconds,
+        self._emit("finished", job.vc, dur=result.seconds,
                    solver_seconds=result.solver_seconds, worker=lane,
                    status=result.status.value, attempt=attempt)
         if self.progress is not None:
@@ -309,7 +307,7 @@ class ProverScheduler:
     def _run_inline(self, units, results, fresh_timings) -> None:
         for unit in units:
             for job in unit:
-                self._emit(ev.STARTED, job.vc, worker="inline")
+                self._emit("started", job.vc, worker="inline")
             outs = _discharge_unit([job.vc for job in unit],
                                    self.config.budgets,
                                    self.config.preprocess, self._maybe_crash)
@@ -323,13 +321,13 @@ class ProverScheduler:
                   fresh_timings) -> None:
         global _forked_vcs
         _forked_vcs = ordered
-        executor = ProcessPoolExecutor(max_workers=self.config.jobs,
+        executor = ProcessPoolExecutor(max_workers=self.jobs,
                                        mp_context=context)
         try:
             future_to_unit = {}
             for unit in units:
                 for job in unit:
-                    self._emit(ev.STARTED, job.vc, worker="proc")
+                    self._emit("started", job.vc, worker="proc")
                 future = executor.submit(
                     _pool_discharge, [job.index for job in unit],
                     self.config.budgets, self.config.preprocess)
@@ -361,7 +359,7 @@ def _fork_context():
 def prove_all(engine: ProofEngine, jobs: int = 1,
               cache: ProofCache | None = None,
               config: ProverConfig | None = None,
-              on_event=None, progress=None) -> ProofReport:
+              progress=None) -> ProofReport:
     """Discharge every VC of `engine` under the scheduler.
 
     Returns a :class:`ProofReport` whose contents and ordering are
@@ -369,10 +367,5 @@ def prove_all(engine: ProofEngine, jobs: int = 1,
     time and `report.cache_hits` the number of VCs served from the
     persistent proof cache.  Pass ``config=ProverConfig(use_cache=False)``
     (or a `cache` instance) to control caching explicitly."""
-    if config is None:
-        config = ProverConfig(jobs=jobs)
-    else:
-        config.jobs = jobs
-    scheduler = ProverScheduler(engine, config=config, cache=cache,
-                                on_event=on_event, progress=progress)
-    return scheduler.run()
+    return ProverScheduler(engine, config=config, cache=cache, jobs=jobs,
+                           progress=progress).run()
