@@ -369,146 +369,131 @@ def trace(args) -> int:
     return 1 if problems_total else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Reproduction of 'Beyond isolation' (HotOS '23)")
-    sub = parser.add_subparsers(dest="command")
+def _trace_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace", default=None, metavar="FILE",
+                        help="stream every obs event of the run "
+                             "into FILE (JSONL)")
 
-    prove_parser = sub.add_parser(
-        "prove", help="discharge the VC population (scheduled + cached)")
-    prove_parser.add_argument("--jobs", "-j", type=int, default=1,
-                              help="worker processes (default 1)")
-    prove_parser.add_argument("--layers", default="all",
-                              help="comma list of layers: all,"
-                                   + ",".join(_proof_layers()))
-    prove_parser.add_argument("--cache-dir", default=None,
-                              help="proof-cache directory "
-                                   "(default: $REPRO_PROOF_CACHE or "
-                                   "~/.cache/repro/proofs)")
-    prove_parser.add_argument("--no-cache", action="store_true",
-                              help="disable the persistent proof cache")
-    prove_parser.add_argument("--clear-cache", action="store_true",
-                              help="drop cached verdicts before running")
-    prove_parser.add_argument("--budget", type=int, default=None,
-                              help="first-attempt SMT conflict budget N: "
-                                   "the retry ladder becomes N, 4N, "
-                                   "unbounded")
-    prove_parser.add_argument("--no-preprocess", action="store_true",
-                              help="disable the SatELite CNF preprocessor "
-                                   "(ablation)")
-    prove_parser.add_argument("--no-incremental", action="store_true",
-                              help="disable family grouping / incremental "
-                                   "assumption solving (ablation)")
-    prove_parser.add_argument("--events", type=int, default=0, metavar="N",
-                              help="print the N slowest discharges")
-    prove_parser.add_argument("--min-hit-rate", type=float, default=None,
-                              help="exit 3 if the cache hit rate is below "
-                                   "this fraction (CI warm-cache check)")
-    prove_parser.add_argument("--trace", default=None, metavar="FILE",
-                              help="stream every obs event of the run "
-                                   "into FILE (JSONL)")
 
+def _prove_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", "-j", type=int, default=1,
+                        help="worker processes (default 1)")
+    parser.add_argument("--layers", default="all",
+                        help="comma list of layers: all,"
+                             + ",".join(_proof_layers()))
+    parser.add_argument("--cache-dir", default=None,
+                        help="proof-cache directory "
+                             "(default: $REPRO_PROOF_CACHE or "
+                             "~/.cache/repro/proofs)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the persistent proof cache")
+    parser.add_argument("--clear-cache", action="store_true",
+                        help="drop cached verdicts before running")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="first-attempt SMT conflict budget N: "
+                             "the retry ladder becomes N, 4N, "
+                             "unbounded")
+    parser.add_argument("--no-preprocess", action="store_true",
+                        help="disable the SatELite CNF preprocessor "
+                             "(ablation)")
+    parser.add_argument("--no-incremental", action="store_true",
+                        help="disable family grouping / incremental "
+                             "assumption solving (ablation)")
+    parser.add_argument("--events", type=int, default=0, metavar="N",
+                        help="print the N slowest discharges")
+    parser.add_argument("--min-hit-rate", type=float, default=None,
+                        help="exit 3 if the cache hit rate is below "
+                             "this fraction (CI warm-cache check)")
+    _trace_option(parser)
+
+
+def _faults_options(parser: argparse.ArgumentParser) -> None:
     from repro.faults.campaign import CAMPAIGNS
 
-    faults_parser = sub.add_parser(
-        "faults", help="run the deterministic fault-injection campaign")
-    faults_parser.add_argument("--seed", type=int, default=1,
-                               help="fault-plan seed (default 1)")
-    faults_parser.add_argument("--campaign", default="all",
-                               choices=[*CAMPAIGNS, "all"],
-                               help="which layer to attack (default all)")
-    faults_parser.add_argument("--check-determinism", action="store_true",
-                               help="run twice and require byte-identical "
-                                    "summaries")
-    faults_parser.add_argument("--trace", default=None, metavar="FILE",
-                               help="stream every obs event of the run "
-                                    "into FILE (JSONL)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="fault-plan seed (default 1)")
+    parser.add_argument("--campaign", default="all",
+                        choices=[*CAMPAIGNS, "all"],
+                        help="which layer to attack (default all)")
+    parser.add_argument("--check-determinism", action="store_true",
+                        help="run twice and require byte-identical "
+                             "summaries")
+    _trace_option(parser)
 
-    analyze_parser = sub.add_parser(
-        "analyze",
-        help="verification-aware static analysis (layering, purity, races)")
-    analyze_parser.add_argument("--root", default=None, metavar="DIR",
-                                help="analyze an alternate tree (expects "
-                                     "layer_map.json in DIR; default: this "
-                                     "repository)")
-    analyze_parser.add_argument("--skip", default=None,
-                                help="comma list of passes to skip: "
-                                     "layering,purity,rg,lockorder,"
-                                     "deadsupp,race")
-    analyze_parser.add_argument("--seed", type=int, default=None,
-                                help="replay the race detector under one "
-                                     "seed only (default: the seed sweep)")
-    analyze_parser.add_argument("--max-steps", type=int, default=200_000,
-                                help="race-replay step budget per schedule")
-    analyze_parser.add_argument("--mutant", default=None, metavar="NAME",
-                                help="analyze a seeded mutant (expected "
-                                     "to be flagged): reader-lock-elision, "
-                                     "writer-lock-elision, sched mutants, "
-                                     "or the rg interference mutants "
-                                     "pmem-free-unlocked / "
-                                     "buddy-split-no-merge-lock")
-    analyze_parser.add_argument("--format", default="text",
-                                choices=["text", "json"],
-                                help="output format; json emits one "
-                                     "canonical schema-validated payload "
-                                     "on stdout")
-    analyze_parser.add_argument("--list-rules", action="store_true",
-                                help="print every rule id and exit")
-    analyze_parser.add_argument("--trace", default=None, metavar="FILE",
-                                help="stream every obs event of the run "
-                                     "into FILE (JSONL)")
 
-    cluster_parser = sub.add_parser(
-        "cluster",
-        help="run the sharded, replicated KV service over the verified OS")
-    cluster_parser.add_argument("--nodes", type=int, default=3,
-                                help="storage nodes (default 3)")
-    cluster_parser.add_argument("--replicas", type=int, default=2,
-                                help="replication factor (default 2)")
-    cluster_parser.add_argument("--ops", type=int, default=2_000,
-                                help="workload operations (default 2000)")
-    cluster_parser.add_argument("--seed", type=int, default=1,
-                                help="workload/placement seed (default 1)")
-    cluster_parser.add_argument("--kill", default=None, metavar="NODE",
-                                help="fail-stop NODE mid-workload "
-                                     "(e.g. node1)")
-    cluster_parser.add_argument("--kill-at", type=int, default=None,
-                                metavar="OP",
-                                help="operation index for --kill "
-                                     "(default: a third into the run)")
-    cluster_parser.add_argument("--restart-after", type=int, default=None,
-                                metavar="OPS",
-                                help="with --kill: restart the killed "
-                                     "node from its disk image OPS "
-                                     "operations after the kill")
-    cluster_parser.add_argument("--wal-matrix", action="store_true",
-                                help="run the full WAL write-boundary "
-                                     "crash-recovery matrix and exit")
-    cluster_parser.add_argument("--trace", default=None, metavar="FILE",
-                                help="stream every obs event of the run "
-                                     "into FILE (JSONL)")
+def _analyze_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--root", default=None, metavar="DIR",
+                        help="analyze an alternate tree (expects "
+                             "layer_map.json in DIR; default: this "
+                             "repository)")
+    parser.add_argument("--skip", default=None,
+                        help="comma list of passes to skip: "
+                             "layering,purity,rg,lockorder,"
+                             "deadsupp,race")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="replay the race detector under one "
+                             "seed only (default: the seed sweep)")
+    parser.add_argument("--max-steps", type=int, default=200_000,
+                        help="race-replay step budget per schedule")
+    parser.add_argument("--mutant", default=None, metavar="NAME",
+                        help="analyze a seeded mutant (expected "
+                             "to be flagged): reader-lock-elision, "
+                             "writer-lock-elision, sched mutants, "
+                             "or the rg interference mutants "
+                             "pmem-free-unlocked / "
+                             "buddy-split-no-merge-lock")
+    parser.add_argument("--format", default="text",
+                        choices=["text", "json"],
+                        help="output format; json emits one "
+                             "canonical schema-validated payload "
+                             "on stdout")
+    parser.add_argument("--list-rules", action="store_true",
+                        help="print every rule id and exit")
+    _trace_option(parser)
 
-    sched_parser = sub.add_parser(
-        "sched",
-        help="run the multi-class scheduler under the mixed workload")
-    sched_parser.add_argument("--cores", type=int, default=4,
-                              help="runqueue count (default 4)")
-    sched_parser.add_argument("--seed", type=int, default=1,
-                              help="workload seed (default 1)")
-    sched_parser.add_argument("--ticks", type=int, default=6_000,
-                              help="workload ticks (default 6000)")
-    sched_parser.add_argument("--switch-trace", action="store_true",
-                              help="print the per-core context-switch "
-                                   "trace after the metrics")
-    sched_parser.add_argument("--trace", default=None, metavar="FILE",
-                              help="stream every obs event of the run "
-                                   "into FILE (JSONL)")
 
-    trace_parser = sub.add_parser(
-        "trace", help="inspect/validate JSONL trace files")
-    trace_sub = trace_parser.add_subparsers(dest="trace_command",
-                                            required=True)
+def _cluster_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--nodes", type=int, default=3,
+                        help="storage nodes (default 3)")
+    parser.add_argument("--replicas", type=int, default=2,
+                        help="replication factor (default 2)")
+    parser.add_argument("--ops", type=int, default=2_000,
+                        help="workload operations (default 2000)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload/placement seed (default 1)")
+    parser.add_argument("--kill", default=None, metavar="NODE",
+                        help="fail-stop NODE mid-workload "
+                             "(e.g. node1)")
+    parser.add_argument("--kill-at", type=int, default=None,
+                        metavar="OP",
+                        help="operation index for --kill "
+                             "(default: a third into the run)")
+    parser.add_argument("--restart-after", type=int, default=None,
+                        metavar="OPS",
+                        help="with --kill: restart the killed "
+                             "node from its disk image OPS "
+                             "operations after the kill")
+    parser.add_argument("--wal-matrix", action="store_true",
+                        help="run the full WAL write-boundary "
+                             "crash-recovery matrix and exit")
+    _trace_option(parser)
+
+
+def _sched_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cores", type=int, default=4,
+                        help="runqueue count (default 4)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload seed (default 1)")
+    parser.add_argument("--ticks", type=int, default=6_000,
+                        help="workload ticks (default 6000)")
+    parser.add_argument("--switch-trace", action="store_true",
+                        help="print the per-core context-switch "
+                             "trace after the metrics")
+    _trace_option(parser)
+
+
+def _trace_options(parser: argparse.ArgumentParser) -> None:
+    trace_sub = parser.add_subparsers(dest="trace_command", required=True)
     trace_sub.add_parser("schema", help="print the event record schema")
     validate_parser = trace_sub.add_parser(
         "validate", help="validate every line against the schema")
@@ -517,20 +502,42 @@ def main(argv=None) -> int:
         "summary", help="per-event counts and span duration stats")
     summary_parser.add_argument("file")
 
+
+#: subcommand -> (help, options, handler).  `main` adds the options of
+#: the chosen subcommand only: some resolve their choices by importing a
+#: layer (`prove --layers`, `faults --campaign`), and no other
+#: subcommand should pay for that import.
+COMMANDS = {
+    "prove": ("discharge the VC population (scheduled + cached)",
+              _prove_options, prove),
+    "faults": ("run the deterministic fault-injection campaign",
+               _faults_options, faults),
+    "analyze": ("verification-aware static analysis (layering, purity, "
+                "races)", _analyze_options, analyze),
+    "cluster": ("run the sharded, replicated KV service over the verified "
+                "OS", _cluster_options, cluster),
+    "sched": ("run the multi-class scheduler under the mixed workload",
+              _sched_options, sched),
+    "trace": ("inspect/validate JSONL trace files", _trace_options, trace),
+}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Reproduction of 'Beyond isolation' (HotOS '23)")
+    sub = parser.add_subparsers(dest="command")
+    for name, (help_text, add_options, _) in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        if argv[:1] == [name]:
+            add_options(command_parser)
+
     args = parser.parse_args(argv)
-    if args.command == "cluster":
-        return cluster(args)
-    if args.command == "sched":
-        return sched(args)
-    if args.command == "faults":
-        return faults(args)
-    if args.command == "trace":
-        return trace(args)
-    if args.command == "analyze":
-        return analyze(args)
-    if args.command == "prove":
-        return prove(args)
-    return tour()
+    if args.command is None:
+        return tour()
+    _, _, run = COMMANDS[args.command]
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -61,7 +61,13 @@ class CacheLine:
 
     `read(core)` / `write(core)` return the access cost in ns and update
     ownership: a write makes `core` the exclusive owner; a read adds `core`
-    to the sharers (paying a transfer if it was not one already).
+    to the sharers (paying a transfer if it was not one already).  Every
+    access that is not a hit checks `core` against the topology, so a hit
+    can only come from a core that was already accepted.
+
+    An access reads its price from `core`'s row of
+    :attr:`Topology.transfer`: no access calls into the topology or
+    allocates a set.
     """
 
     topology: Topology
@@ -69,38 +75,48 @@ class CacheLine:
     sharers: set[int] = field(default_factory=set)
     transfers: int = 0
 
+    def __post_init__(self) -> None:
+        costs = self.topology.costs
+        self._transfer = self.topology.transfer
+        self._num_cores = self.topology.num_cores
+        self._l1_hit = costs.l1_hit
+        self._local_dram = costs.local_dram
+        self._atomic_op = costs.atomic_op
+
     def read(self, core: int) -> int:
-        if core in self.sharers or core == self.owner:
-            return self.topology.costs.l1_hit
+        owner = self.owner
+        if core in self.sharers or core == owner:
+            return self._l1_hit
+        if not 0 <= core < self._num_cores:
+            raise ValueError(f"core {core} out of range")
         self.transfers += 1
-        source = self.owner if self.owner is not None else core
-        cost = (
-            self.topology.transfer_cost(source, core)
-            if source != core
-            else self.topology.costs.local_dram
-        )
         self.sharers.add(core)
-        return cost
+        if owner is None:
+            return self._local_dram
+        return self._transfer[core][owner]
 
     def write(self, core: int) -> int:
-        if self.owner == core and not (self.sharers - {core}):
-            return self.topology.costs.l1_hit
+        owner, sharers = self.owner, self.sharers
+        # `core in sharers` is 0 or 1, so this counts the sharers other
+        # than `core` without building `sharers - {core}`
+        if owner == core and len(sharers) == (core in sharers):
+            return self._l1_hit
+        if not 0 <= core < self._num_cores:
+            raise ValueError(f"core {core} out of range")
         self.transfers += 1
-        if self.owner is not None and self.owner != core:
-            cost = self.topology.transfer_cost(self.owner, core)
-        elif self.sharers - {core}:
+        if owner is not None and owner != core:
+            cost = self._transfer[core][owner]
+        elif len(sharers) > (core in sharers):
             # invalidate the other sharers; pay the farthest one
-            cost = max(
-                self.topology.transfer_cost(s, core)
-                for s in self.sharers
-                if s != core
-            )
+            row = self._transfer[core]
+            cost = max(row[s] for s in sharers if s != core)
         else:
-            cost = self.topology.costs.local_dram
+            cost = self._local_dram
         self.owner = core
-        self.sharers = {core}
+        sharers.clear()
+        sharers.add(core)
         return cost
 
     def atomic_rmw(self, core: int) -> int:
         """A LOCK-prefixed read-modify-write: a write plus atomic overhead."""
-        return self.write(core) + self.topology.costs.atomic_op
+        return self.write(core) + self._atomic_op

@@ -12,7 +12,7 @@ and that contended lines bounce between writers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,25 @@ class Topology:
     num_cores: int
     cores_per_node: int = 14  # two 14-core sockets at 28 cores, like the paper
     costs: CostModel = CostModel()
+    #: `transfer[to][from]`: what `to` pays for a cache line last owned by
+    #: `from` (see :meth:`transfer_cost`).  Every input is fixed at
+    #: construction, so it is computed once and the coherence model
+    #: prices an access with one row read.
+    transfer: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_cores <= 0 or self.cores_per_node <= 0:
             raise ValueError("cores and cores_per_node must be positive")
+        costs, per_node = self.costs, self.cores_per_node
+        cores = range(self.num_cores)
+        object.__setattr__(self, "transfer", tuple(
+            tuple(costs.l1_hit if src == dst
+                  else costs.local_transfer
+                  if src // per_node == dst // per_node
+                  else costs.remote_transfer
+                  for src in cores)
+            for dst in cores))
 
     @property
     def num_nodes(self) -> int:
@@ -60,13 +75,11 @@ class Topology:
 
     def transfer_cost(self, from_core: int, to_core: int) -> int:
         """Cost for `to_core` to obtain a cache line last owned by
-        `from_core`."""
+        `from_core`: an L1 hit for the same core, a local transfer within
+        a node, a remote one across nodes."""
         self._check_core(to_core)
-        if from_core == to_core:
-            return self.costs.l1_hit
-        if self.node_of(from_core) == self.node_of(to_core):
-            return self.costs.local_transfer
-        return self.costs.remote_transfer
+        self._check_core(from_core)
+        return self.transfer[to_core][from_core]
 
     def dram_cost(self, core: int, home_node: int) -> int:
         if self.node_of(core) == home_node:

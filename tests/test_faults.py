@@ -328,3 +328,13 @@ class TestCampaigns:
         assert main(["faults", "--campaign", "mem", "--seed", "1"]) == 0
         assert main(["faults", "--campaign", "mem", "--seed", "3",
                      "--check-determinism"]) == 0
+
+    def test_cli_help_lists_every_campaign(self, capsys):
+        """`faults --campaign` takes its choices from `CAMPAIGNS`, which
+        the CLI imports only when `faults` is the subcommand."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["faults", "--help"])
+        assert "{" + ",".join([*CAMPAIGNS, "all"]) + "}" in \
+            capsys.readouterr().out

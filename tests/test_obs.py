@@ -8,6 +8,9 @@ shared obs.Histogram they now delegate to.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -484,3 +487,23 @@ class TestCliTraceOnError:
         assert all(obs.validate_jsonl_line(line) == [] for line in lines)
         names = [json.loads(line)["name"] for line in lines]
         assert "before.raise" in names and "after.raise" not in names
+
+
+class TestCliImports:
+    def test_trace_schema_imports_no_other_subcommands_layers(self):
+        """`main` adds only the chosen subcommand's options, so `trace
+        schema` never imports what `faults --campaign` and `prove
+        --layers` take their choices from."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "trace",
+             "schema"],
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+            capture_output=True, text=True, cwd=root, check=True)
+        assert run.stdout.startswith("trace record schema")
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in run.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "repro.obs" in imported
+        assert "repro.faults.campaign" not in imported
+        assert "repro.core.refine.proof" not in imported

@@ -1,5 +1,7 @@
 """Discrete-event simulator tests: kernel, locks, cache lines, stats."""
 
+import random
+
 import pytest
 
 from repro.sim.kernel import (
@@ -318,6 +320,14 @@ class TestTopology:
         topo = Topology(4)
         with pytest.raises(ValueError):
             topo.node_of(4)
+        for from_core, to_core in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                topo.transfer_cost(from_core, to_core)
+
+    def test_table_is_not_part_of_equality_or_repr(self):
+        topo = Topology(28)
+        assert topo == Topology(28) and hash(topo) == hash(Topology(28))
+        assert ", transfer=" not in repr(topo)
 
 
 class TestCacheLine:
@@ -353,6 +363,110 @@ class TestCacheLine:
         line = CacheLine(topo)
         plain = CacheLine(topo)
         assert line.atomic_rmw(0) == plain.write(0) + topo.costs.atomic_op
+
+    @pytest.mark.parametrize("access", ["read", "write", "atomic_rmw"])
+    @pytest.mark.parametrize("owned", [False, True], ids=["fresh", "owned"])
+    @pytest.mark.parametrize("core", [4, -1])
+    def test_core_outside_the_topology_is_rejected(self, access, owned,
+                                                   core):
+        """Every access that is not a hit checks its core, on a fresh
+        line (nothing to transfer from) as on an owned one, and leaves
+        the line as it was."""
+        line = CacheLine(Topology(4, cores_per_node=2))
+        if owned:
+            line.write(0)
+        before = (line.owner, set(line.sharers), line.transfers)
+        with pytest.raises(ValueError, match=f"core {core} out of range"):
+            getattr(line, access)(core)
+        assert (line.owner, line.sharers, line.transfers) == before
+
+
+def reference_transfer_cost(topo, from_core, to_core):
+    """`Topology.transfer_cost` as written before the pricing table."""
+    for core in (to_core, from_core):
+        if not 0 <= core < topo.num_cores:
+            raise ValueError(f"core {core} out of range")
+    if from_core == to_core:
+        return topo.costs.l1_hit
+    if from_core // topo.cores_per_node == to_core // topo.cores_per_node:
+        return topo.costs.local_transfer
+    return topo.costs.remote_transfer
+
+
+class ReferenceLine:
+    """`CacheLine` as written before the pricing table: every transfer
+    priced through `reference_transfer_cost`, the sharers other than
+    the accessing core built as a set."""
+
+    def __init__(self, topo):
+        self.topo = topo
+        self.owner = None
+        self.sharers = set()
+        self.transfers = 0
+
+    def read(self, core):
+        if core in self.sharers or core == self.owner:
+            return self.topo.costs.l1_hit
+        self.transfers += 1
+        source = self.owner if self.owner is not None else core
+        cost = (reference_transfer_cost(self.topo, source, core)
+                if source != core else self.topo.costs.local_dram)
+        self.sharers.add(core)
+        return cost
+
+    def write(self, core):
+        if self.owner == core and not (self.sharers - {core}):
+            return self.topo.costs.l1_hit
+        self.transfers += 1
+        if self.owner is not None and self.owner != core:
+            cost = reference_transfer_cost(self.topo, self.owner, core)
+        elif self.sharers - {core}:
+            cost = max(reference_transfer_cost(self.topo, s, core)
+                       for s in self.sharers if s != core)
+        else:
+            cost = self.topo.costs.local_dram
+        self.owner = core
+        self.sharers = {core}
+        return cost
+
+    def atomic_rmw(self, core):
+        return self.write(core) + self.topo.costs.atomic_op
+
+
+TOPOLOGIES = [(cores, per_node) for cores in (1, 2, 14, 16, 28)
+              for per_node in (1, 4, 14)]
+
+
+class TestPricingOracle:
+    """The pricing table against the branchy model it replaced."""
+
+    @pytest.mark.parametrize("cores,per_node", TOPOLOGIES)
+    def test_random_accesses_match_the_reference(self, cores, per_node):
+        topo = Topology(cores, cores_per_node=per_node)
+        rng = random.Random(f"pricing/{cores}/{per_node}")
+        pairs = [(CacheLine(topo), ReferenceLine(topo)) for _ in range(3)]
+        # half the accesses come from three hot cores, so a run has hits
+        # and shared lines as well as transfers
+        hot = [rng.randrange(cores) for _ in range(3)]
+        for _ in range(600):
+            line, reference = rng.choice(pairs)
+            access = rng.choice(("read", "read", "write", "atomic_rmw"))
+            core = (rng.choice(hot) if rng.random() < 0.5
+                    else rng.randrange(cores))
+            assert (getattr(line, access)(core)
+                    == getattr(reference, access)(core))
+            assert (line.owner, line.sharers, line.transfers) == (
+                reference.owner, reference.sharers, reference.transfers)
+
+    @pytest.mark.parametrize("cores,per_node", TOPOLOGIES)
+    def test_transfer_table_is_transfer_cost(self, cores, per_node):
+        topo = Topology(cores, cores_per_node=per_node)
+        for to_core in range(cores):
+            for from_core in range(cores):
+                assert (topo.transfer[to_core][from_core]
+                        == topo.transfer_cost(from_core, to_core)
+                        == reference_transfer_cost(topo, from_core,
+                                                   to_core))
 
 
 class TestLatencyRecorder:
