@@ -317,6 +317,18 @@ class PageTable:
             vaddr, defs.NUM_LEVELS - 1)
         return _mapping(vaddr, raw, level) if raw & _PRESENT else None
 
+    def tables_needed(self, entries) -> int:
+        """Table frames that mapping the ``(vaddr, frame, size, flags)``
+        `entries` allocates; a table shared by entries counts once."""
+        missing: set[tuple[int, int]] = set()
+        for vaddr, _frame, size, _flags in entries:
+            if defs.is_canonical(vaddr):  # else refused before allocating
+                _table, level, _entry, raw = self._descend(vaddr, size.level)
+                if not raw & _PRESENT:  # a table per level below `level`
+                    missing.update((lvl, vaddr >> defs.LEVEL_SHIFTS[lvl - 1])
+                                   for lvl in range(level + 1, size.level + 1))
+        return len(missing)
+
     # -- whole-tree operations ---------------------------------------------------
 
     def mappings(self) -> list[Mapping]:

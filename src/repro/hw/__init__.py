@@ -8,7 +8,7 @@ that description, made executable:
 * :mod:`repro.hw.mem` — byte-addressable physical memory
 * :mod:`repro.hw.mmu` — the x86-64 four-level page walker
 * :mod:`repro.hw.tlb` — translation lookaside buffer with invalidation
-* :mod:`repro.hw.devices` — NIC, disk, timer, serial, interrupt controller
+* :mod:`repro.hw.devices` — NIC, disk, timer, serial console
 """
 
 from repro.hw.mem import PhysicalMemory

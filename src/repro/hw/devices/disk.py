@@ -44,8 +44,6 @@ class Disk:
         self.fault_plan = fault_plan
         self.crashed = False
         self.torn_writes = 0
-        self.io_errors = 0
-        self.corrupt_reads = 0
 
     def read_sector(self, index: int) -> bytes:
         self._check_alive()
@@ -56,12 +54,10 @@ class Disk:
         decision = self._draw("disk.read")
         if decision is not None:
             if decision.kind == "io-error":
-                self.io_errors += 1
                 raise DiskIOError(f"transient read error at sector {index}")
             if decision.kind == "corrupt":
                 # a flip on the bus: the returned buffer is damaged, the
                 # medium is intact — the next read sees good data
-                self.corrupt_reads += 1
                 offset = decision.rand_below(self.SECTOR_SIZE)
                 damaged = bytearray(data)
                 damaged[offset] ^= 0xFF
@@ -78,13 +74,11 @@ class Disk:
         decision = self._draw("disk.write")
         if decision is not None:
             if decision.kind == "io-error":
-                self.io_errors += 1
                 raise DiskIOError(f"transient write error at sector {index}")
             if decision.kind == "torn":
                 # a prefix lands, then the write fails: the sector now
                 # holds new-head/old-tail until a retry rewrites it whole
                 self.torn_writes += 1
-                self.io_errors += 1
                 keep = 1 + decision.rand_below(self.SECTOR_SIZE - 1)
                 start = index * self.SECTOR_SIZE
                 self._data[start : start + keep] = data[:keep]

@@ -31,7 +31,6 @@ class Nic:
         self.tx_ring: deque[bytes] = deque()
         self.rx_ring: deque[bytes] = deque()
         self.stats = NicStats()
-        self.irq_line: object | None = None  # set by the driver
 
     def transmit(self, frame: bytes) -> None:
         """Queue a frame for transmission (driver side)."""
@@ -47,8 +46,6 @@ class Nic:
             return False
         self.rx_ring.append(frame)
         self.stats.rx_frames += 1
-        if self.irq_line is not None:
-            self.irq_line.raise_irq()
         return True
 
     def receive(self) -> bytes | None:

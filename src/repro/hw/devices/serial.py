@@ -9,12 +9,10 @@ class SerialPort:
     def __init__(self) -> None:
         self._buffer = bytearray()
         self.lines: list[str] = []
-        self.bytes_written = 0
 
     def write_byte(self, byte: int) -> None:
         if not 0 <= byte <= 0xFF:
             raise ValueError(f"not a byte: {byte}")
-        self.bytes_written += 1
         if byte == 0x0A:  # newline flushes a line
             self.lines.append(self._buffer.decode("utf-8", errors="replace"))
             self._buffer.clear()

@@ -7,23 +7,13 @@ from __future__ import annotations
 
 
 class Timer:
-    """A tick counter with registerable callbacks."""
+    """A tick counter."""
 
     def __init__(self) -> None:
         self.ticks = 0
-        self._callbacks: list = []
-        self.irq_line: object | None = None
-
-    def on_tick(self, callback) -> None:
-        self._callbacks.append(callback)
 
     def tick(self, count: int = 1) -> None:
-        """Advance time; fires callbacks once per tick."""
+        """Advance time by `count` ticks."""
         if count < 0:
             raise ValueError("cannot tick backwards")
-        for _ in range(count):
-            self.ticks += 1
-            if self.irq_line is not None:
-                self.irq_line.raise_irq()
-            for callback in list(self._callbacks):
-                callback(self.ticks)
+        self.ticks += count

@@ -17,15 +17,12 @@ class RwLock:
         self.readers = 0
         self.writer = False
         self.writer_waiting = False
-        self.write_acquisitions = 0
-        self.read_acquisitions = 0
 
     def try_acquire_read(self) -> bool:
         """One atomic step: succeed unless a writer holds or wants the lock."""
         if self.writer or self.writer_waiting:
             return False
         self.readers += 1
-        self.read_acquisitions += 1
         return True
 
     def release_read(self) -> None:
@@ -40,7 +37,6 @@ class RwLock:
             return False
         self.writer = True
         self.writer_waiting = False
-        self.write_acquisitions += 1
         return True
 
     def release_write(self) -> None:

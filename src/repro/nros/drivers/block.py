@@ -3,8 +3,7 @@
 Sits between the filesystem and the raw disk: satisfies the same interface
 as :class:`repro.nros.fs.blockdev.BlockDevice` (read/write/zero/num_blocks)
 while adding what a real driver adds — a bounded request queue with
-completion accounting, an interrupt line raised per completed request, and
-retry of transient media errors.
+completion accounting and retry of transient media errors.
 
 Robustness contract (exercised by :mod:`repro.faults`):
 
@@ -49,7 +48,6 @@ class BlockRequest:
     done: bool = False
     result: bytes | None = None
     error: Exception | None = None
-    retries: int = 0
 
 
 class BlockDriver:
@@ -58,18 +56,14 @@ class BlockDriver:
     QUEUE_DEPTH = 32
     MAX_IO_RETRIES = 3
 
-    def __init__(self, disk: Disk, irq_line=None, fault_plan=None) -> None:
+    def __init__(self, disk: Disk, fault_plan=None) -> None:
         self.disk = disk
-        self.irq_line = irq_line
         self.fault_plan = fault_plan
         self.pending: deque[BlockRequest] = deque()
-        self.completed: deque[BlockRequest] = deque(maxlen=64)
-        self.requests_submitted = 0
         self.requests_completed = 0
         self.queue_full_rejections = 0
         self.io_retries = 0
         self.io_failures = 0
-        self._stalled = 0  # writes held in queue (injected device busy)
 
     @property
     def num_blocks(self) -> int:
@@ -80,9 +74,9 @@ class BlockDriver:
 
         The simulated device has no seek latency, so in the absence of an
         injected stall the request completes before `submit` returns; the
-        queue discipline, bounded depth, and IRQ signalling still run.  A
-        full queue raises :class:`QueueFull` *without* accepting the
-        request — already-queued requests are never displaced."""
+        queue discipline and bounded depth still run.  A full queue raises
+        :class:`QueueFull` *without* accepting the request — already-queued
+        requests are never displaced."""
         decision = self.fault_plan.draw("block.submit") \
             if self.fault_plan is not None else None
         if decision is not None and decision.kind == "queue-full":
@@ -97,13 +91,11 @@ class BlockDriver:
                 f"request queue at depth {self.QUEUE_DEPTH}; "
                 f"service() and retry"
             )
-        self.requests_submitted += 1
         self.pending.append(request)
         _QUEUE_DEPTH.set(len(self.pending))
         if decision is not None and decision.kind == "stall" \
                 and request.kind == "write":
             # hold completion: the queue visibly fills under write bursts
-            self._stalled += 1
             return request
         self.service()
         return request
@@ -111,7 +103,6 @@ class BlockDriver:
     def service(self) -> int:
         """Drain the pending queue in order; returns requests completed."""
         done = 0
-        self._stalled = 0
         while self.pending:
             request = self.pending[0]
             try:
@@ -123,9 +114,6 @@ class BlockDriver:
             _QUEUE_DEPTH.set(len(self.pending))
             done += 1
             self.requests_completed += 1
-            self.completed.append(request)
-            if self.irq_line is not None:
-                self.irq_line.raise_irq()
             if request.error is not None:
                 raise request.error
         return done
@@ -147,7 +135,6 @@ class BlockDriver:
                     raise ValueError(
                         f"unknown request kind {request.kind!r}")
             except DiskIOError as exc:
-                request.retries = attempt + 1
                 if attempt < self.MAX_IO_RETRIES:
                     self.io_retries += 1
                     _RETRIES.inc()

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.hw.devices.disk import Disk
-from repro.hw.devices.interrupts import InterruptController
 from repro.hw.devices.nic import Nic
 from repro.hw.devices.serial import SerialPort
 from repro.hw.devices.timer import Timer
 from repro.hw.mem import PhysicalMemory
 from repro.nros.drivers.block import BlockDriver
 from repro.nros.drivers.console import Console
-from repro.nros.drivers.netdev import NetDriver
 from repro.nros.fs import fd as fdmod
 from repro.nros.fs import fs as fsmod
 from repro.nros.net.stack import NetStack
@@ -91,9 +89,7 @@ class Kernel:
         self.scheduler = Scheduler(num_cores)
         self.timer = Timer()
         self.serial = SerialPort()
-        self.irq = InterruptController()
-        self.timer.irq_line = self.irq.line(0)
-        self.block_driver = BlockDriver(self.disk, irq_line=self.irq.line(2))
+        self.block_driver = BlockDriver(self.disk)
         if disk_image is not None:
             # a machine restarting after power loss: restore the platter
             # image and *mount* the surviving filesystem instead of mkfs
@@ -104,12 +100,9 @@ class Kernel:
         self.console = Console(self.serial)
         self.nic: Nic | None = None
         self.net: NetStack | None = None
-        self.net_driver: NetDriver | None = None
         if ip is not None:
             self.nic = Nic(mac or self._default_mac(ip))
             self.net = NetStack(ip, self.nic)
-            self.net_driver = NetDriver(self.nic, self.net,
-                                        irq_line=self.irq.line(1))
         self.processes: dict[int, Process] = {}
         self._registry: dict[str, object] = {}
         self._next_pid = 1
@@ -200,18 +193,16 @@ class Kernel:
     def advance_time(self) -> None:
         """One timer tick: wake sleepers, drive network timers."""
         self.timer.tick()
-        if self.net_driver is not None:
-            self.net_driver.tick(self.timer.ticks)
+        if self.net is not None:
+            self.net.tick(self.timer.ticks)
         self._pump_network()
         self._wake_sleepers()
         self._wake_pollers()
 
     def _pump_network(self) -> None:
-        if self.net_driver is not None:
-            if self.net_driver.poll():
-                self._wake_pollers()
-        for irq in self.irq.pending():
-            self.irq.acknowledge(irq)
+        """Drain the NIC's receive ring (polled: no device interrupts)."""
+        if self.net is not None and self.net.poll():
+            self._wake_pollers()
 
     def _wake_sleepers(self) -> None:
         now = self.timer.ticks

@@ -65,7 +65,6 @@ class NetStack:
         self.stats_bad = 0           # malformed frames
         self.stats_dropped = 0       # well-formed frames nobody here wants
         self.stats_arp_requests = 0
-        self.stats_arp_replies = 0
         self.stats_arp_dropped = 0   # datagrams refused by a full ARP queue
         self.stats_gave_up = 0
 
@@ -188,7 +187,6 @@ class NetStack:
         if packet.op == arp.OP_REQUEST and packet.target_ip == self.ip:
             self._send_arp(arp.reply(self.nic.mac, self.ip,
                                      packet.sender_mac, packet.sender_ip))
-            self.stats_arp_replies += 1
         # flush datagrams that were waiting on this resolution
         queued = self._arp_pending.pop(packet.sender_ip, [])
         for udp_bytes in queued:

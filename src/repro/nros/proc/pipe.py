@@ -25,8 +25,6 @@ class Pipe:
     buffer: bytearray = field(default_factory=bytearray)
     write_closed: bool = False
     read_closed: bool = False
-    bytes_written: int = 0
-    bytes_read: int = 0
 
     @property
     def space(self) -> int:
@@ -45,7 +43,6 @@ class Pipe:
             return None
         written = min(len(data), self.space)
         self.buffer += data[:written]
-        self.bytes_written += written
         return written
 
     def try_read(self, length: int) -> bytes | None:
@@ -56,7 +53,6 @@ class Pipe:
         if self.buffer:
             taken = bytes(self.buffer[:length])
             del self.buffer[:length]
-            self.bytes_read += len(taken)
             return taken
         if self.write_closed:
             return b""  # EOF

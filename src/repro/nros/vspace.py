@@ -51,6 +51,18 @@ class VSpaceError(Exception):
         self.kind = kind
 
 
+class _Grant(list):
+    """One replica's table frames for one logged map (`VSpace._grant`):
+    the page table's allocator while it applies that entry."""
+
+    def alloc_frame(self) -> int:
+        if not self:
+            raise OutOfMemory("the replica's granted table frames ran out")
+        return self.pop()
+
+    free_frame = list.append
+
+
 @dataclass
 class _PtDs:
     """The sequential data structure NR replicates: one page-table tree.
@@ -64,14 +76,15 @@ class _PtDs:
         kind = op[0]
         try:
             if kind == "map":
-                _, vaddr, frame, size, flags = op
-                self.pt.map_frame(vaddr, frame, size, flags)
+                _, vaddr, frame, size, flags, grants = op
+                self._drawing(grants, self.pt.map_frame,
+                              vaddr, frame, size, flags)
                 return ("ok", None)
             if kind == "unmap":
                 _, vaddr = op
                 return ("ok", self.pt.unmap(vaddr))
             if kind == "map_batch":
-                return self._apply_map_batch(op[1])
+                return self._apply_map_batch(op[1], op[2])
             if kind == "unmap_batch":
                 return self._apply_unmap_batch(op[1])
         except AlreadyMapped as exc:
@@ -86,12 +99,26 @@ class _PtDs:
             return ("err", "no_memory", str(exc))
         raise ValueError(f"unknown vspace op {op!r}")
 
-    def _apply_map_batch(self, entries):
+    def _apply_map_batch(self, entries, grants):
         """N maps as ONE log operation — a single append + combine pays
         for the whole batch.  All-or-nothing inside the replica (the
         page table unwinds a failing batch itself), so no replica ever
         exposes a partially-mapped batch."""
-        return ("ok", self.pt.map_batch(entries))
+        return ("ok", self._drawing(grants, self.pt.map_batch, entries))
+
+    def _drawing(self, grants, map_op, *args):
+        """Run `map_op`; with `grants`, on this replica's frames only, so
+        every replica applies the entry alike.  Leftovers go back."""
+        if grants is None:
+            return map_op(*args)
+        shared = self.pt.allocator
+        self.pt.allocator = grant = _Grant(grants[self.pt.root_paddr])
+        try:
+            return map_op(*args)
+        finally:
+            self.pt.allocator = shared
+            for frame in grant:
+                shared.free_frame(frame)
 
     def _apply_unmap_batch(self, vaddrs):
         """N unmaps as ONE log operation.  The page table validates the
@@ -118,11 +145,9 @@ class VSpace:
         allocator,
         num_nodes: int = 1,
         pt_factory=PageTable,
-        asid: int = 0,
     ) -> None:
         self.memory = memory
         self.allocator = allocator
-        self.asid = asid
         self.mmu = Mmu(memory)  # the walker of every miss; `walks` counts them
         self.nr = NodeReplicated(
             lambda: _PtDs(pt_factory(memory, allocator)), num_nodes=num_nodes
@@ -172,7 +197,10 @@ class VSpace:
 
     def map(self, vaddr: int, frame: int, size: PageSize, flags: Flags,
             core: int = 0) -> None:
-        self._run(self.nr.execute, ("map", vaddr, frame, size, flags), core)
+        grants = (self._grant(((vaddr, frame, size, flags),), core)
+                  if self.nr.num_nodes > 1 else None)
+        self._run(self.nr.execute,
+                  ("map", vaddr, frame, size, flags, grants), core)
         self.mapped_pages += 1
         self._obs_mapped.inc()
 
@@ -201,10 +229,31 @@ class VSpace:
         entries = tuple(entries)
         if not entries:
             return
-        self._run(self.nr.execute, ("map_batch", entries), core)
+        grants = (self._grant(entries, core)
+                  if self.nr.num_nodes > 1 else None)
+        self._run(self.nr.execute, ("map_batch", entries, grants), core)
         self.mapped_pages += len(entries)
         self._obs_mapped.inc(len(entries))
         self._obs_batch.record(len(entries))
+
+    def _grant(self, entries, core: int) -> dict[int, tuple[int, ...]]:
+        """Take now, keyed by replica root, the table frames each replica
+        needs to map `entries` — a lagging one applies the entry later,
+        when the allocator may be dry — or refuse before logging.  The
+        caller's replica, caught up, has every replica's tree there."""
+        self._sync_node(self._core_node.get(core, 0), core)
+        need = PageTable(self.memory, self.allocator,
+                         self.root_for(core)).tables_needed(entries)
+        frames: list[int] = []
+        try:
+            while len(frames) < need * self.nr.num_nodes:
+                frames.append(self.allocator.alloc_frame())
+        except (OutOfFrames, OutOfMemory) as exc:
+            for frame in reversed(frames):
+                self.allocator.free_frame(frame)
+            raise VSpaceError(str(exc), kind="no_memory") from exc
+        return {replica.ds.pt.root_paddr: tuple(frames[i * need:][:need])
+                for i, replica in enumerate(self.nr.replicas)}
 
     def unmap_batch(self, vaddrs, core: int = 0) -> list[Mapping]:
         """Remove N pages with **one** log operation and **one** TLB

@@ -7,10 +7,11 @@ Design points:
   sorted tuple of key/value pairs, so equal events compare and hash
   equal and JSONL serialisation is canonical (deterministic runs export
   byte-identical traces);
-* **off by default** — ``emit`` on a disabled bus with no subscribers is
-  a few instruction no-op, so instrumented hot paths (block driver,
-  RDP, filesystem) cost nothing until someone turns tracing on
-  (``--trace`` on the CLIs, or a test subscribing a sink);
+* **off by default** — ``emit`` on a bus with no subscribers is a few
+  instruction no-op, so instrumented hot paths (block driver, RDP,
+  filesystem) cost nothing until someone turns tracing on (``--trace``
+  on the CLIs, or a test subscribing a sink).  The bus keeps nothing
+  itself: a subscriber that wants the events appends them to a list;
 * **one schema** — every line of an exported trace validates against
   :func:`validate_record`, which is what ``python -m repro trace
   validate`` and the CI trace job enforce.
@@ -74,34 +75,21 @@ def make_event(name: str, t: int | float = 0, clock: str = "wall",
 
 
 class EventBus:
-    """Collects events and fans them out to subscribers.
+    """Fans events out to subscribers.
 
-    A bus starts *disabled*: events are dropped unless recording was
-    switched on (:meth:`enable`) or at least one subscriber is attached.
-    This keeps always-on instrumentation free when nobody is watching and
-    memory bounded in long library runs.
+    A bus with no subscriber drops every event: always-on
+    instrumentation is free when nobody is watching, and the bus holds
+    no memory in long library runs.
     """
 
-    def __init__(self, record: bool = False) -> None:
-        self.events: list[Event] = []
-        self._record = record
+    def __init__(self) -> None:
         self._subscribers: list = []
 
     # -- lifecycle ----------------------------------------------------------
 
     @property
     def active(self) -> bool:
-        return self._record or bool(self._subscribers)
-
-    def enable(self) -> None:
-        """Start keeping emitted events in :attr:`events`."""
-        self._record = True
-
-    def disable(self) -> None:
-        self._record = False
-
-    def clear(self) -> None:
-        self.events.clear()
+        return bool(self._subscribers)
 
     def subscribe(self, sink) -> None:
         """`sink` is called with every subsequent :class:`Event`."""
@@ -115,35 +103,12 @@ class EventBus:
     def emit(self, name: str, t: int | float = 0, clock: str = "wall",
              **fields) -> Event | None:
         """Emit one event; returns it, or None when the bus is inactive."""
-        if not self.active:
+        if not self._subscribers:
             return None
         event = make_event(name, t=t, clock=clock, **fields)
-        return self.emit_event(event)
-
-    def emit_event(self, event: Event) -> Event | None:
-        if not self.active:
-            return None
-        if self._record:
-            self.events.append(event)
         for sink in self._subscribers:
             sink(event)
         return event
-
-    # -- queries ------------------------------------------------------------
-
-    def of_name(self, name: str) -> list[Event]:
-        return [e for e in self.events if e.name == name]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for event in self.events:
-            out[event.name] = out.get(event.name, 0) + 1
-        return out
-
-    # -- export -------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        return "".join(e.to_json() + "\n" for e in self.events)
 
 
 class JsonlWriter:

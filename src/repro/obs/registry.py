@@ -97,11 +97,9 @@ class Registry:
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero every instrument *in place* (handles stay valid) and
-        clear the bus."""
+        """Zero every instrument *in place* (handles stay valid)."""
         for instrument in self._instruments.values():
             instrument.reset()
-        self.bus.clear()
 
 
 _GLOBAL = Registry()

@@ -28,8 +28,6 @@ class Ring:
         self.cq_base = 0
         self._staged: list[bytes] = []
         self._next_user_data = 1
-        self.submitted = 0
-        self.completed = 0
 
     def setup(self):
         """Create the kernel-side ring pair (generator)."""
@@ -72,8 +70,6 @@ class Ring:
             chunk = staged[start:start + self.sq_depth]
             cqes = yield sys("ring_enter", self.ring_id,
                              b"".join(chunk), True)
-            self.submitted += len(chunk)
-            self.completed += len(cqes)
             completions.extend(cqes)
         return tuple(completions)
 
@@ -90,7 +86,6 @@ class Ring:
                 "ring_enter", self.ring_id, b"".join(chunk), False)
             total_submitted += submitted
             total_completed += completed
-        self.submitted += total_submitted
         return (total_submitted, total_completed)
 
     def enter(self):
@@ -99,17 +94,13 @@ class Ring:
         backpressure and returns their CQEs."""
         if self.ring_id is None:
             raise ringmod.RingError("ring not set up")
-        cqes = yield sys("ring_enter", self.ring_id, b"", True)
-        self.completed += len(cqes)
-        return cqes
+        return (yield sys("ring_enter", self.ring_id, b"", True))
 
     def reap(self, max_entries: int = 0):
         """Harvest ready completions (generator)."""
         if self.ring_id is None:
             raise ringmod.RingError("ring not set up")
-        cqes = yield sys("ring_reap", self.ring_id, max_entries)
-        self.completed += len(cqes)
-        return cqes
+        return (yield sys("ring_reap", self.ring_id, max_entries))
 
     @staticmethod
     def unwrap(completions) -> tuple:

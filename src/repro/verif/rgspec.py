@@ -189,6 +189,7 @@ VSPACE_DS = Component(
         Action("apply", "nr.replica", writes=("pt",)),
         Action("_apply_map_batch", "nr.replica", writes=("pt",)),
         Action("_apply_unmap_batch", "nr.replica", writes=("pt",)),
+        Action("_drawing", "nr.replica", writes=("pt",)),
         Action("query", "nr.replica", reads=("pt",)),
     ),
     readonly_methods=("resolve",),
@@ -236,7 +237,8 @@ VSPACE = Component(
     benign=("mapped_pages", "shootdowns", "mmu", "_obs_rounds",
             "_obs_shot_pages", "_obs_mapped", "_obs_batch"),
     readonly_methods=("execute_ro", "lookup"),
-    replica_access=("root_for",),
+    # both read only each replica's root, which is fixed at construction
+    replica_access=("root_for", "_grant"),
 )
 
 #: Every declared component, in checking order.

@@ -93,30 +93,28 @@ def test_deployment_validates_shape():
 
 
 def test_trace_events_are_schema_valid():
-    bus = obs.bus()
-    bus.enable()
+    events = []
+    obs.bus().subscribe(events.append)
     try:
-        bus.clear()
         deployment = _deployment()
         report = _run(deployment, ops=300, seed=5, kill_at_op=100,
                       kill_node="node2")
-        assert report.ok
-        names = {event.name for event in bus.events}
-        assert "cluster.kill" in names
-        assert "cluster.member" in names
-        assert "cluster.failover" in names
-        assert "cluster.sync" in names
-        for event in bus.events:
-            assert validate_record(event.to_dict()) == []
-            # fs.op events (the nodes' WALs run through the verified FS)
-            # are wall-clocked instrumentation; the service's own trace
-            # must stay on simulated time
-            if event.name.startswith("cluster."):
-                assert event.clock == "sim"
-                assert event.t % TICK_NS == 0
     finally:
-        bus.disable()
-        bus.clear()
+        obs.bus().unsubscribe(events.append)
+    assert report.ok
+    names = {event.name for event in events}
+    assert "cluster.kill" in names
+    assert "cluster.member" in names
+    assert "cluster.failover" in names
+    assert "cluster.sync" in names
+    for event in events:
+        assert validate_record(event.to_dict()) == []
+        # fs.op events (the nodes' WALs run through the verified FS)
+        # are wall-clocked instrumentation; the service's own trace
+        # must stay on simulated time
+        if event.name.startswith("cluster."):
+            assert event.clock == "sim"
+            assert event.t % TICK_NS == 0
 
 
 # -- Cluster.connect validation + partition/heal (repro.nros.cluster) ------

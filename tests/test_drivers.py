@@ -1,15 +1,13 @@
-"""Driver and device tests: block, console, netdev, timer, interrupts."""
+"""Driver and device tests: block, console, NIC + stack poll, timer."""
 
 import pytest
 
 from repro.hw.devices.disk import Disk, DiskError
-from repro.hw.devices.interrupts import InterruptController
 from repro.hw.devices.nic import Nic
 from repro.hw.devices.serial import SerialPort
 from repro.hw.devices.timer import Timer
 from repro.nros.drivers.block import BlockDriver, BlockRequest
 from repro.nros.drivers.console import Console
-from repro.nros.drivers.netdev import NetDriver
 from repro.nros.fs.blockdev import BLOCK_SIZE
 from repro.nros.net.ip import ip_addr
 from repro.nros.net.stack import NetStack
@@ -60,12 +58,6 @@ class TestBlockDriver:
         driver.zero(1)
         assert driver.read(1) == bytes(BLOCK_SIZE)
 
-    def test_irq_raised(self):
-        controller = InterruptController()
-        driver = BlockDriver(Disk(4), irq_line=controller.line(5))
-        driver.read(0)
-        assert 5 in controller.pending()
-
     def test_bad_request(self):
         driver = BlockDriver(Disk(4))
         with pytest.raises(ValueError):
@@ -77,38 +69,12 @@ class TestBlockDriver:
 class TestTimerAndIrq:
     def test_tick_callbacks(self):
         timer = Timer()
-        seen = []
-        timer.on_tick(seen.append)
         timer.tick(3)
-        assert seen == [1, 2, 3]
+        timer.tick()
+        assert timer.ticks == 4
         with pytest.raises(ValueError):
             timer.tick(-1)
-
-    def test_timer_irq(self):
-        controller = InterruptController()
-        timer = Timer()
-        timer.irq_line = controller.line(0)
-        timer.tick()
-        assert controller.pending() == [0]
-        controller.acknowledge(0)
-        assert controller.pending() == []
-        assert controller.delivered == 1
-
-    def test_masking(self):
-        controller = InterruptController()
-        line = controller.line(3)
-        controller.mask(3)
-        line.raise_irq()
-        assert controller.pending() == []
-        controller.unmask(3)
-        assert controller.pending() == [3]
-
-    def test_bad_irq(self):
-        controller = InterruptController()
-        with pytest.raises(ValueError):
-            controller.line(99)
-        with pytest.raises(ValueError):
-            controller.acknowledge(1)  # not pending
+        assert timer.ticks == 4
 
 
 class TestSerialAndConsole:
@@ -161,14 +127,15 @@ class TestNicAndNetDriver:
         assert nic.stats.rx_dropped_ring_full == 1
 
     def test_netdriver_counts(self):
+        """The kernel's net driver is ``NetStack.poll``: it drains the
+        NIC's receive ring and counts the datagrams it dispatched."""
         nic = Nic(b"\x02" + bytes(5))
         stack = NetStack(ip_addr("10.0.0.1"), nic)
-        driver = NetDriver(nic, stack)
         sock = stack.udp_bind(99)
         stack.udp_send(100, ip_addr("10.0.0.1"), 99, b"loop")
-        driver.poll()
-        assert driver.datagrams_dispatched == 1
+        assert stack.poll() == 1
         assert list(sock.recv_queue)[0][2] == b"loop"
+        assert stack.poll() == 0
 
     def test_bad_nic_params(self):
         with pytest.raises(ValueError):

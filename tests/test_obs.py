@@ -179,31 +179,31 @@ class TestEvents:
         bus = EventBus()
         assert not bus.active
         assert bus.emit("x", t=0.0) is None
-        assert bus.events == []
 
     def test_bus_records_when_enabled(self):
+        """A subscribed list is the recorder: it sees every event, in
+        emission order, each one a valid trace record."""
         bus = EventBus()
-        bus.enable()
+        seen = []
+        bus.subscribe(seen.append)
         bus.emit("a", t=1.0)
         bus.emit("b", t=2.0, clock="sim")
-        assert bus.counts() == {"a": 1, "b": 1}
-        assert [e.name for e in bus.of_name("a")] == ["a"]
-        lines = bus.to_jsonl().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            assert obs.validate_jsonl_line(line) == []
+        assert [(e.name, e.clock) for e in seen] == [
+            ("a", "wall"), ("b", "sim")]
+        for event in seen:
+            assert obs.validate_jsonl_line(event.to_json()) == []
 
     def test_subscriber_activates_bus(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         assert bus.active
-        bus.emit("x", t=0.0)
+        assert bus.emit("x", t=0.0) is seen[0]
         assert len(seen) == 1
-        # subscribe-only: nothing retained on the bus itself
-        assert bus.events == []
         bus.unsubscribe(seen.append)
         assert not bus.active
+        assert bus.emit("y", t=1.0) is None
+        assert len(seen) == 1
 
     def test_jsonl_writer(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -269,12 +269,13 @@ class TestSpans:
 
     def test_span_emits_event_with_fields(self):
         bus = EventBus()
-        bus.enable()
+        seen = []
+        bus.subscribe(seen.append)
         t = iter([100, 250])
         span = Span("op", clock=lambda: next(t), bus=bus, core=3).start()
         elapsed = span.finish()
         assert elapsed == 150
-        (event,) = bus.events
+        (event,) = seen
         assert event.name == "op"
         assert event.clock == "sim"
         assert event.get("dur") == 150
@@ -324,10 +325,11 @@ class TestSpans:
 
         def traced_run():
             bus = EventBus()
-            bus.enable()
+            seen = []
+            bus.subscribe(seen.append)
             cfg = TimedNrConfig(num_cores=4, ops_per_core=6)
             result = run_timed_workload(dict_factory, workload, cfg, bus=bus)
-            return result, bus.to_jsonl()
+            return result, "".join(e.to_json() + "\n" for e in seen)
 
         def dict_factory():
             return _DictDs()

@@ -28,8 +28,8 @@ class TestFrameExhaustion:
         """A table-frame shortage inside the replica surfaces as a typed
         error with the writer lock and combiner slot released: the next
         map / resolve / unmap on the same address space completes.
-        (One replica: a second one would apply the logged map later,
-        against whatever the shared allocator holds by then.)"""
+        (One replica: with two, every table frame is taken before the
+        map is logged — the two tests below.)"""
         vspace, _, alloc = make_vspace(num_nodes=1)
         real, calls = alloc.alloc_frame, []
 
@@ -51,6 +51,60 @@ class TestFrameExhaustion:
         assert vspace.resolve(0x1000) is None
         vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw())
         assert vspace.unmap(0x1000).paddr == 0x10_0000
+
+    @staticmethod
+    def drain(alloc, leave):
+        """Take frames from `alloc` until `leave` are free; returns them."""
+        held = []
+        while alloc.stats.free_frames > leave:
+            held.append(alloc.alloc_frame())
+        return held
+
+    def test_a_map_short_of_frames_changes_no_replica(self):
+        """Two replicas need 3 table frames each for a first 4K page;
+        with 3 free the map is refused as a whole — not applied on the
+        caller's replica and lost on the other."""
+        vspace, _, alloc = make_vspace(num_nodes=2)
+        held = self.drain(alloc, leave=3)
+        with pytest.raises(VSpaceError) as failure:
+            vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw(),
+                       core=0)
+        assert failure.value.kind == "no_memory"
+        assert alloc.stats.free_frames == 3
+        for core in range(4):
+            assert vspace.resolve(0x1000, core=core) is None
+            with pytest.raises(TranslationFault):
+                vspace.translate(core, 0x1000)
+        assert vspace.mapped_pages == 0
+        for frame in held[:3]:
+            alloc.free_frame(frame)
+        vspace.map(0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw(),
+                   core=0)
+        assert alloc.stats.free_frames == 0
+        for core in range(4):
+            assert vspace.translate(core, 0x1008) == 0x10_0008
+
+    def test_a_lagging_replica_applies_with_frames_taken_at_map_time(self):
+        """The other node's replica applies the logged map only when one
+        of its cores faults on the page — after the allocator has run
+        dry — and still finds the table frames it needs.  Unmapping
+        everything gives every frame back."""
+        vspace, _, alloc = make_vspace(num_nodes=2)
+        free = alloc.stats.free_frames
+        vspace.map_batch([
+            (0x1000, 0x10_0000, PageSize.SIZE_4K, Flags.user_rw()),
+            (0x20_0000, 0x20_0000, PageSize.SIZE_2M, Flags.user_rw()),
+        ], core=0)
+        lagging = vspace.nr.replicas[1]
+        assert lagging.ltail < vspace.nr.log.tail
+        held = self.drain(alloc, leave=0)
+        assert vspace.translate(1, 0x1000) == 0x10_0000
+        assert vspace.translate(3, 0x20_0010) == 0x20_0010
+        assert lagging.ltail == vspace.nr.log.tail
+        for frame in held:
+            alloc.free_frame(frame)
+        vspace.unmap_batch([0x1000, 0x20_0000], core=1)
+        assert alloc.stats.free_frames == free
 
 
 class TestMapping:
