@@ -16,9 +16,10 @@ import json
 import pathlib
 
 from repro import obs
-from repro.analysis.findings import (AnalysisReport, apply_suppressions,
-                                     dead_suppressions)
-from repro.analysis.imports import check_layering, discover_sources
+from repro.analysis.findings import (AnalysisReport, allow_comments,
+                                     apply_suppressions, dead_suppressions)
+from repro.analysis.imports import (check_layering, discover_sources,
+                                    parse_sources)
 from repro.analysis.purity import check_purity
 from repro.analysis.race import detect_races
 from repro.obs.console import err, out
@@ -72,20 +73,23 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
         if kind == "rg":
             sources = apply_rg_mutant(sources, mutant)
 
+    trees, parse_errors = parse_sources(sources)
+    report.extend(parse_errors)
+
     if "layering" not in skip:
-        findings, stats = check_layering(sources, layer_map)
+        findings, stats = check_layering(trees, layer_map)
         report.extend(findings)
         report.stats["layering"] = stats
 
     if "purity" not in skip:
-        findings, stats = check_purity(sources, layer_map)
+        findings, stats = check_purity(trees, layer_map)
         report.extend(findings)
         report.stats["purity"] = stats
 
     if "rg" not in skip:
         from repro.analysis.rg import check_interference
 
-        findings, stats = check_interference(sources)
+        findings, stats = check_interference(trees)
         report.extend(findings)
         if kind == "rg":
             stats["target"] = f"mutant:{mutant}"
@@ -94,15 +98,16 @@ def run_analysis(root=None, skip=(), seeds=None, max_steps: int = 200_000,
     if "lockorder" not in skip:
         from repro.analysis.lockorder import check_lock_order
 
-        findings, stats = check_lock_order(sources)
+        findings, stats = check_lock_order(trees)
         report.extend(findings)
         report.stats["lockorder"] = stats
 
-    apply_suppressions(report.findings, sources)
+    allows = {path: allow_comments(text) for path, text in sources.items()}
+    apply_suppressions(report.findings, allows)
 
     if "deadsupp" not in skip and not set(_STATIC_PASSES) & set(skip) \
             and kind != "rg":
-        findings = dead_suppressions(report.findings, sources)
+        findings = dead_suppressions(report.findings, allows)
         report.extend(findings)
         report.stats["deadsupp"] = {"dead": len(findings)}
 

@@ -4,15 +4,20 @@ syntax shared by every analysis pass.
 A finding is (rule id, file, line, message).  A finding is *suppressed*
 when the offending line — or a standalone comment on the line directly
 above it — carries ``# repro: allow(rule)`` naming its rule (several
-rules may be comma-separated).  Suppressed findings are still reported,
-separately, so the EXPERIMENTS table can count what was waived and CI
-output shows where.
+rules may be comma-separated).  Only a real comment counts:
+:func:`allow_comments` reads them with the tokenizer, once per file, for
+both :func:`apply_suppressions` and :func:`dead_suppressions`.
+Suppressed findings are still reported, separately, so the EXPERIMENTS
+table can count what was waived and CI output shows where.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")
 
@@ -30,24 +35,6 @@ class Finding:
     def render(self) -> str:
         tag = " (suppressed)" if self.suppressed else ""
         return f"{self.path}:{self.line}: {self.rule}: {self.message}{tag}"
-
-
-def allowed_rules(source: str) -> dict[int, set[str]]:
-    """Map line number -> rules allowed on that line.
-
-    An ``allow`` comment applies to its own line; when the comment is
-    the only thing on the line, it also applies to the next line.
-    """
-    allowed: dict[int, set[str]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _ALLOW_RE.search(text)
-        if not match:
-            continue
-        rules = {r.strip() for r in match.group(1).split(",") if r.strip()}
-        allowed.setdefault(lineno, set()).update(rules)
-        if text.strip().startswith("#"):
-            allowed.setdefault(lineno + 1, set()).update(rules)
-    return allowed
 
 
 @dataclass
@@ -92,22 +79,49 @@ class AnalysisReport:
         return lines
 
 
-def apply_suppressions(findings: list[Finding], source_by_path: dict) -> None:
+class Allow(NamedTuple):
+    """One ``# repro: allow(...)`` comment."""
+
+    line: int
+    covers: tuple[int, ...]   # its line; the next too if it stands alone
+    rules: tuple[str, ...]
+
+
+def allow_comments(source: str) -> list[Allow]:
+    """Every allow comment of a file, read by the tokenizer: a string or
+    docstring that merely contains the syntax waives nothing."""
+    if not _ALLOW_RE.search(source):
+        return []   # no comment can match: skip tokenizing
+    allows = []
+    try:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            match = _ALLOW_RE.search(token.string) \
+                if token.type == tokenize.COMMENT else None
+            if not match:
+                continue
+            line = token.start[0]
+            own_line = not token.line[:token.start[1]].strip()
+            allows.append(Allow(
+                line=line,
+                covers=(line, line + 1) if own_line else (line,),
+                rules=tuple(rule.strip() for rule in
+                            match.group(1).split(",") if rule.strip())))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        pass  # unparsable files are the parse-error rule's business
+    return allows
+
+
+def apply_suppressions(findings: list[Finding],
+                       allows_by_path: dict[str, list[Allow]]) -> None:
     """Mark findings whose location carries a matching allow comment."""
-    cache: dict[str, dict[int, set[str]]] = {}
     for finding in findings:
-        source = source_by_path.get(finding.path)
-        if source is None:
-            continue
-        if finding.path not in cache:
-            cache[finding.path] = allowed_rules(source)
-        rules = cache[finding.path].get(finding.line, ())
-        if finding.rule in rules:
+        if any(finding.line in allow.covers and finding.rule in allow.rules
+               for allow in allows_by_path.get(finding.path, ())):
             finding.suppressed = True
 
 
 def dead_suppressions(findings: list[Finding],
-                      source_by_path: dict) -> list[Finding]:
+                      allows_by_path: dict[str, list[Allow]]) -> list[Finding]:
     """Findings for ``allow`` comments that no longer suppress anything.
 
     Run *after* :func:`apply_suppressions` over the full finding set: a
@@ -118,42 +132,15 @@ def dead_suppressions(findings: list[Finding],
     ran, so the caller gates this on an un-skipped run.
     """
     dead: list[Finding] = []
-    for path in sorted(source_by_path):
-        source = source_by_path[path]
+    for path in sorted(allows_by_path):
         matched = {(f.rule, f.line) for f in findings
                    if f.path == path and f.suppressed}
-        for lineno, comment, own_line in _comment_tokens(source):
-            match = _ALLOW_RE.search(comment)
-            if not match:
-                continue
-            covered = {lineno}
-            if own_line:
-                covered.add(lineno + 1)
-            for rule in (r.strip() for r in match.group(1).split(",")):
-                if not rule:
-                    continue
-                if not any((rule, line) in matched for line in covered):
+        for allow in allows_by_path[path]:
+            for rule in allow.rules:
+                if not any((rule, line) in matched for line in allow.covers):
                     dead.append(Finding(
-                        rule="suppression.dead", path=path, line=lineno,
+                        rule="suppression.dead", path=path, line=allow.line,
                         message=f"'# repro: allow({rule})' suppresses "
                                 f"nothing — the finding it waived is "
                                 f"gone; delete the comment"))
     return dead
-
-
-def _comment_tokens(source: str):
-    """(line, text, is-own-line) for every real ``#`` comment — via the
-    tokenizer, so docstrings *talking about* allow comments don't count."""
-    import io
-    import tokenize
-
-    out = []
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type == tokenize.COMMENT:
-                prefix = token.line[:token.start[1]]
-                out.append((token.start[0], token.string,
-                            not prefix.strip()))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass  # unparsable files are the parse-error rule's business
-    return out

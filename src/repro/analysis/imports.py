@@ -20,6 +20,10 @@ here is an import discipline over the declarative layer map
   layer through an intermediate ``other`` module;
 * ``layers.unmapped`` — a file the layer map does not classify (the
   drift that silently distorts the Section-5 ratio).
+
+The module also reads the tree for every static pass:
+:func:`discover_sources` finds the files and :func:`parse_sources`
+parses each of them once.
 """
 
 from __future__ import annotations
@@ -59,14 +63,47 @@ def discover_sources(root: pathlib.Path,
     return sources
 
 
-def _resolve(name: str, sources: dict[str, str]) -> str | None:
+def parse_sources(sources: dict[str, str]) -> tuple[dict[str, ast.Module],
+                                                   list[Finding]]:
+    """Parse every source once: path -> tree for every pass, plus one
+    ``parse-error`` finding per file that does not parse (no pass sees
+    that file)."""
+    trees: dict[str, ast.Module] = {}
+    errors: list[Finding] = []
+    for relpath, text in sources.items():
+        try:
+            trees[relpath] = ast.parse(text, filename=relpath)
+        except SyntaxError as exc:
+            errors.append(Finding(rule="parse-error", path=relpath,
+                                  line=exc.lineno or 1,
+                                  message=f"cannot parse: {exc.msg}"))
+    return trees, errors
+
+
+def parent_map(node: ast.AST) -> dict[int, ast.AST]:
+    """id(child) -> parent for every node below `node`."""
+    return {id(child): parent for parent in ast.walk(node)
+            for child in ast.iter_child_nodes(parent)}
+
+
+def _module_level(node: ast.AST, parents: dict[int, ast.AST]) -> bool:
+    """Does `node` run at import time (no enclosing function or lambda)?"""
+    while id(node) in parents:
+        node = parents[id(node)]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return False
+    return True
+
+
+def _resolve(name: str, trees: dict) -> str | None:
     """Resolve a dotted module name to an analyzed file, trying the repo
     layouts we know about (``src/`` package roots and flat fixture
     trees)."""
     rel = name.replace(".", "/")
     for candidate in (f"src/{rel}.py", f"src/{rel}/__init__.py",
                       f"{rel}.py", f"{rel}/__init__.py"):
-        if candidate in sources:
+        if candidate in trees:
             return candidate
     return None
 
@@ -80,31 +117,12 @@ def _package_of(relpath: str) -> str:
     return ".".join(parts)
 
 
-def build_import_graph(sources: dict[str, str]) -> list[ImportEdge]:
+def build_import_graph(trees: dict[str, ast.Module]) -> list[ImportEdge]:
     """Every intra-tree import edge, with source position and whether it
     executes at module import time."""
     edges = []
-    for relpath, text in sources.items():
-        try:
-            tree = ast.parse(text, filename=relpath)
-        except SyntaxError:
-            continue
-        # Mark nodes nested under a function/class body as deferred.
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                child._parent = node  # type: ignore[attr-defined]
-
-        def is_module_level(node) -> bool:
-            seen = node
-            while True:
-                parent = getattr(seen, "_parent", None)
-                if parent is None:
-                    return True
-                if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.Lambda)):
-                    return False
-                seen = parent
-
+    for relpath, tree in trees.items():
+        parents = parent_map(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [(alias.name, alias.name) for alias in node.names]
@@ -120,11 +138,11 @@ def build_import_graph(sources: dict[str, str]) -> list[ImportEdge]:
                           base or alias.name) for alias in node.names]
             else:
                 continue
-            level = is_module_level(node)
+            level = _module_level(node, parents)
             for submodule, fallback in names:
-                dst = _resolve(submodule, sources)
+                dst = _resolve(submodule, trees)
                 if dst is None and fallback != submodule:
-                    dst = _resolve(fallback, sources)
+                    dst = _resolve(fallback, trees)
                 if dst is None or dst == relpath:
                     continue
                 edges.append(ImportEdge(src=relpath, dst=dst,
@@ -162,12 +180,12 @@ def _transitive_hits(start: str, graph: dict[str, list[ImportEdge]],
     return hits
 
 
-def check_layering(sources: dict[str, str],
+def check_layering(trees: dict[str, ast.Module],
                    layer_map=None) -> tuple[list[Finding], dict]:
     """Run every layering/erasure rule; returns (findings, stats)."""
     findings: list[Finding] = []
     layers: dict[str, str] = {}
-    for relpath in sources:
+    for relpath in trees:
         layer = classify_layer(relpath, layer_map)
         if layer is None:
             findings.append(Finding(
@@ -178,7 +196,7 @@ def check_layering(sources: dict[str, str],
             layer = "other"
         layers[relpath] = layer
 
-    edges = build_import_graph(sources)
+    edges = build_import_graph(trees)
     module_graph: dict[str, list[ImportEdge]] = {}
     for edge in edges:
         if edge.module_level:
@@ -239,7 +257,7 @@ def check_layering(sources: dict[str, str],
                         f"import time: {path_str}"))
 
     stats = {
-        "files": len(sources),
+        "files": len(trees),
         "edges": len(edges),
         "module_level_edges": sum(1 for e in edges if e.module_level),
     }

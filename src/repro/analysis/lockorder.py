@@ -199,20 +199,12 @@ def _lock_attrs(tree) -> dict[str, str]:
     return attrs
 
 
-def _index_methods(sources, modules):
+def _index_methods(trees, modules):
     """name -> [_Method] across every class in the scanned modules."""
     index: dict[str, list[_Method]] = {}
-    parse_errors: list[Finding] = []
     for path in modules:
-        text = sources.get(path)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:
-            parse_errors.append(Finding(
-                rule="parse-error", path=path, line=exc.lineno or 1,
-                message=f"cannot parse: {exc.msg}"))
+        tree = trees.get(path)
+        if tree is None:
             continue
         lock_attrs = _lock_attrs(tree)
         for cls in tree.body:
@@ -227,7 +219,7 @@ def _index_methods(sources, modules):
                 _collect_events(item.body, lock_attrs, events)
                 method = _Method(path, cls.name, item, events)
                 index.setdefault(item.name, []).append(method)
-    return index, parse_errors
+    return index
 
 
 def _is_stub(method: ast.FunctionDef) -> bool:
@@ -378,10 +370,11 @@ def _find_cycle(edges) -> list[str] | None:
     return None
 
 
-def check_lock_order(sources: dict[str, str],
+def check_lock_order(trees: dict[str, ast.Module],
                      modules=SCAN_MODULES) -> tuple[list[Finding], dict]:
     """Build the acquisition graph and flag cycles / unordered pairs."""
-    index, findings = _index_methods(sources, modules)
+    index = _index_methods(trees, modules)
+    findings: list[Finding] = []
     edges: dict[tuple[str, str], list] = {}
     for methods in index.values():
         for method in methods:
@@ -399,7 +392,7 @@ def check_lock_order(sources: dict[str, str],
             message=f"lock acquisition cycle "
                     f"{' -> '.join(cycle)} via " + "; ".join(sites)))
     stats = {
-        "modules": sum(1 for m in modules if m in sources),
+        "modules": sum(1 for m in modules if m in trees),
         "methods": sum(len(v) for v in index.values()),
         "edges": len(edges),
         "order": ", ".join(sorted(f"{a}->{b}" for a, b in edges)),
@@ -408,11 +401,11 @@ def check_lock_order(sources: dict[str, str],
     return findings, stats
 
 
-def acquisition_graph(sources: dict[str, str],
+def acquisition_graph(trees: dict[str, ast.Module],
                       modules=SCAN_MODULES) -> dict:
     """(holder class, acquired class) -> [(path, line, holder fn)] —
     the raw graph, for tests and the EXPERIMENTS tables."""
-    index, _errors = _index_methods(sources, modules)
+    index = _index_methods(trees, modules)
     edges: dict[tuple[str, str], list] = {}
     scratch: list = []
     for methods in index.values():

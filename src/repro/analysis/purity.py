@@ -276,21 +276,13 @@ def _predicate_targets(tree, is_spec_module: bool):
                         yield from claim(resolve(value))
 
 
-def check_purity(sources: dict[str, str],
+def check_purity(trees: dict[str, ast.Module],
                  layer_map=None) -> tuple[list[Finding], dict]:
     """Lint every contract predicate and spec-layer function; also run
     the bare-print rule over the whole tree."""
     findings: list[Finding] = []
     predicates = 0
-    for relpath, text in sorted(sources.items()):
-        try:
-            tree = ast.parse(text, filename=relpath)
-        except SyntaxError as exc:
-            findings.append(Finding(rule="parse-error", path=relpath,
-                                    line=exc.lineno or 1,
-                                    message=f"cannot parse: {exc.msg}"))
-            continue
-
+    for relpath, tree in sorted(trees.items()):
         is_spec = classify_layer(relpath, layer_map) == "spec"
         for target in _predicate_targets(tree, is_spec):
             predicates += 1
@@ -307,5 +299,5 @@ def check_purity(sources: dict[str, str],
                         message="bare print() — route output through "
                                 "repro.obs.console"))
 
-    stats = {"files": len(sources), "predicates": predicates}
+    stats = {"files": len(trees), "predicates": predicates}
     return findings, stats

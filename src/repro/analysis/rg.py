@@ -36,6 +36,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
+from repro.analysis.imports import parent_map
 from repro.verif.rgspec import COMPONENTS, LOCK, NR, READONLY_METHODS
 
 
@@ -62,14 +63,6 @@ def _chain_root_name(node) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def _annotate_parents(node) -> dict[int, ast.AST]:
-    parents: dict[int, ast.AST] = {}
-    for parent in ast.walk(node):
-        for child in ast.iter_child_nodes(parent):
-            parents[id(child)] = parent
-    return parents
 
 
 def _inside_lock(node, lock_attr: str, parents) -> bool:
@@ -215,7 +208,7 @@ def _check_component(component, path: str, tree,
             message=f"declared component class {component.cls} not "
                     f"found — the rg spec in repro.verif.rgspec rotted"))
         return
-    parents = _annotate_parents(cls)
+    parents = parent_map(cls)
     methods = {node.name: node for node in cls.body
                if isinstance(node, ast.FunctionDef)}
 
@@ -285,27 +278,18 @@ def _check_component(component, path: str, tree,
         stats["methods"] += 1
 
 
-def check_interference(sources: dict[str, str],
+def check_interference(trees: dict[str, ast.Module],
                        components=COMPONENTS) -> tuple[list[Finding],
                                                        dict]:
-    """Check every declared component against its source module."""
+    """Check every declared component against its module's tree."""
     findings: list[Finding] = []
     stats = {"components": 0, "methods": 0, "accesses": 0, "actions": 0}
-    trees: dict[str, ast.AST] = {}
     for component in components:
-        path = component.module
-        text = sources.get(path)
-        if text is None:
+        tree = trees.get(component.module)
+        if tree is None:
             continue
-        if path not in trees:
-            try:
-                trees[path] = ast.parse(text, filename=path)
-            except SyntaxError as exc:
-                findings.append(Finding(
-                    rule="parse-error", path=path, line=exc.lineno or 1,
-                    message=f"cannot parse: {exc.msg}"))
-                continue
         stats["components"] += 1
         stats["actions"] += len(component.actions)
-        _check_component(component, path, trees[path], findings, stats)
+        _check_component(component, component.module, tree, findings,
+                         stats)
     return findings, stats

@@ -22,7 +22,8 @@ Wire protocol (marshalled tuples over RDP messages):
 
 from __future__ import annotations
 
-from repro.apps.checksum import crc32
+from zlib import crc32
+
 from repro.nros.fs.fd import O_CREAT, O_RDWR, O_TRUNC
 from repro.nros.syscall.abi import SyscallError, sys
 from repro.nros.syscall.marshal import MarshalError, marshal, unmarshal

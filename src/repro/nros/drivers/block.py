@@ -1,9 +1,9 @@
 """The block-device driver.
 
-Sits between the filesystem and the raw disk: satisfies the same interface
-as :class:`repro.nros.fs.blockdev.BlockDevice` (read/write/zero/num_blocks)
-while adding what a real driver adds — a bounded request queue with
-completion accounting and retry of transient media errors.
+Sits between the filesystem and the raw disk: the filesystem mounts on
+its whole-block interface (read/write/zero/num_blocks), and below that it
+adds what a real driver adds — a bounded request queue with completion
+accounting and retry of transient media errors.
 
 Robustness contract (exercised by :mod:`repro.faults`):
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.hw.devices.disk import Disk, DiskCrash, DiskIOError
-from repro.nros.fs.blockdev import BLOCK_SIZE
+
+BLOCK_SIZE = Disk.SECTOR_SIZE
 
 # Process-wide instruments for the driver hot path.  Per-driver totals
 # stay on the instance (tests and campaign notes read those); these
@@ -148,7 +149,7 @@ class BlockDriver:
             request.done = True
             return
 
-    # -- BlockDevice interface (what the filesystem mounts on) -----------------
+    # -- the block interface (what the filesystem mounts on) ---------------
 
     def read(self, block: int) -> bytes:
         request = self.submit(BlockRequest("read", block))

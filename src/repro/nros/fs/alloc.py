@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.nros.fs.blockdev import BLOCK_SIZE, BlockDevice
+from repro.nros.drivers.block import BLOCK_SIZE, BlockDriver
 
 BITS_PER_BLOCK = BLOCK_SIZE * 8
 
@@ -17,7 +17,7 @@ class BlockBitmap:
     The bitmap is loaded into memory at mount and written back block-wise
     on change (write-through)."""
 
-    def __init__(self, dev: BlockDevice, start_block: int, num_blocks: int,
+    def __init__(self, dev: BlockDriver, start_block: int, num_blocks: int,
                  covered_blocks: int) -> None:
         self.dev = dev
         self.start_block = start_block

@@ -18,9 +18,9 @@ import functools
 import struct
 
 from repro import obs
+from repro.nros.drivers.block import BLOCK_SIZE, BlockDriver
 from repro.nros.fs import dir as dirfmt
 from repro.nros.fs.alloc import BlockBitmap, NoSpace
-from repro.nros.fs.blockdev import BLOCK_SIZE, BlockDevice
 from repro.nros.fs.inode import (
     INODES_PER_BLOCK,
     INDIRECT_ENTRIES,
@@ -90,7 +90,7 @@ def _timed(op: str):
 class FileSystem:
     """A mounted volume."""
 
-    def __init__(self, dev: BlockDevice) -> None:
+    def __init__(self, dev: BlockDriver) -> None:
         super_data = dev.read(0)
         magic, blocks, bitmap_start, bitmap_len, itable_start, num_inodes = (
             _SUPER.unpack_from(super_data)
@@ -107,7 +107,7 @@ class FileSystem:
     # -- formatting ------------------------------------------------------------
 
     @staticmethod
-    def mkfs(dev: BlockDevice, num_inodes: int = 256) -> "FileSystem":
+    def mkfs(dev: BlockDriver, num_inodes: int = 256) -> "FileSystem":
         """Format the device and return the mounted filesystem."""
         blocks = dev.num_blocks
         bitmap_len = BlockBitmap.blocks_needed(blocks)

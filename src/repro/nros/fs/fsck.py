@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import struct
 
+from repro.nros.drivers.block import BLOCK_SIZE
 from repro.nros.fs import dir as dirfmt
-from repro.nros.fs.blockdev import BLOCK_SIZE
 from repro.nros.fs.fs import FileSystem, ROOT_INUM
 from repro.nros.fs.inode import (
     INDIRECT_ENTRIES,

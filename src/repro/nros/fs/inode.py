@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.nros.fs.blockdev import BLOCK_SIZE
+from repro.nros.drivers.block import BLOCK_SIZE
 
 INODE_SIZE = 128
 INODES_PER_BLOCK = BLOCK_SIZE // INODE_SIZE

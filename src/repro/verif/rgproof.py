@@ -240,21 +240,35 @@ def _repo_root() -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parents[3]
 
 
+def _parse_modules(modules):
+    """(path -> tree, parse-error findings) for the modules of this
+    checkout that a static pass reads."""
+    from repro.analysis.imports import discover_sources, parse_sources
+
+    sources = discover_sources(_repo_root())
+    return parse_sources({path: sources[path] for path in modules
+                          if path in sources})
+
+
+def _first_finding(findings, what: str):
+    first = findings[0]
+    return (f"{len(findings)} {what} finding(s)", first.rule,
+            f"{first.path}:{first.line}", first.message)
+
+
 def _static_interference_vc() -> VC:
     def check():
-        from repro.analysis.imports import discover_sources
         from repro.analysis.rg import check_interference
 
-        sources = discover_sources(_repo_root())
-        findings, stats = check_interference(sources)
+        trees, findings = _parse_modules(
+            [component.module for component in rs.COMPONENTS])
+        found, stats = check_interference(trees)
+        findings += found
+        if findings:
+            return _first_finding(findings, "interference")
         if stats["components"] < len(rs.COMPONENTS):
             return ("rg component modules missing from the tree",
                     stats["components"])
-        if findings:
-            first = findings[0]
-            return (f"{len(findings)} interference finding(s)",
-                    first.rule, f"{first.path}:{first.line}",
-                    first.message)
         return None
 
     return VC(
@@ -269,16 +283,13 @@ def _static_interference_vc() -> VC:
 
 def _static_lockorder_vc() -> VC:
     def check():
-        from repro.analysis.imports import discover_sources
-        from repro.analysis.lockorder import check_lock_order
+        from repro.analysis.lockorder import SCAN_MODULES, check_lock_order
 
-        sources = discover_sources(_repo_root())
-        findings, stats = check_lock_order(sources)
+        trees, findings = _parse_modules(SCAN_MODULES)
+        found, stats = check_lock_order(trees)
+        findings += found
         if findings:
-            first = findings[0]
-            return (f"{len(findings)} lock-order finding(s)",
-                    first.rule, f"{first.path}:{first.line}",
-                    first.message)
+            return _first_finding(findings, "lock-order")
         if stats["methods"] == 0:
             return ("lock-order pass scanned nothing", stats)
         return None

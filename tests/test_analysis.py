@@ -11,9 +11,9 @@ import sys
 import pytest
 
 from repro.analysis.cli import PASSES, RULES, repo_root, run_analysis
-from repro.analysis.findings import (Finding, allowed_rules,
+from repro.analysis.findings import (Finding, allow_comments,
                                      apply_suppressions, dead_suppressions)
-from repro.analysis.imports import discover_sources
+from repro.analysis.imports import discover_sources, parse_sources
 from repro.analysis.layers import (
     LAYER_MAP,
     classify_layer,
@@ -103,7 +103,10 @@ def test_allow_comment_applies_to_own_and_next_line():
         "# repro: allow(rule-b, rule-c)\n"
         "y = 2\n"
     )
-    allowed = allowed_rules(source)
+    allowed: dict[int, set[str]] = {}
+    for allow in allow_comments(source):
+        for line in allow.covers:
+            allowed.setdefault(line, set()).update(allow.rules)
     assert allowed[1] == {"rule-a"}
     assert allowed[2] == {"rule-b", "rule-c"}
     assert allowed[3] == {"rule-b", "rule-c"}
@@ -115,16 +118,74 @@ def test_apply_suppressions_marks_matching_rule_only():
         Finding(rule="rule-a", path="m.py", line=1, message="x"),
         Finding(rule="rule-b", path="m.py", line=1, message="x"),
     ]
-    apply_suppressions(findings, {"m.py": source})
+    apply_suppressions(findings, {"m.py": allow_comments(source)})
     assert findings[0].suppressed
     assert not findings[1].suppressed
+
+
+def _analysis_root(tmp_path, files):
+    """An analysis root holding `files`, every one in the other layer."""
+    for relpath, text in files.items():
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    (tmp_path / "layer_map.json").write_text(
+        json.dumps([[relpath, "other"] for relpath in files]),
+        encoding="utf-8")
+    return tmp_path
+
+
+def test_a_string_literal_waives_nothing(tmp_path):
+    """Only a real comment is an allow comment: text inside a string
+    that spells the syntax leaves the finding on its line active."""
+    root = _analysis_root(tmp_path, {
+        "m.py": 'x = "# repro: allow(console.bare-print)"; print(x)\n'})
+    report = run_analysis(root=root, skip={"race"})
+    assert [(f.rule, f.line) for f in report.active] == [
+        ("console.bare-print", 1)]
+    assert report.suppressed == []
+
+
+# -- one parse per file -------------------------------------------------------------
+
+
+def test_an_unparsable_module_is_one_parse_error(tmp_path):
+    """A module every static pass reads (purity, rg and lockorder all
+    scan the allocator) is reported once, not once per pass."""
+    path = "src/repro/nros/pmem.py"
+    source = discover_sources(repo_root())[path]
+    root = _analysis_root(tmp_path, {path: source + "def broken(:\n"})
+    report = run_analysis(root=root, skip={"race"})
+    assert [(f.rule, f.path, f.line) for f in report.active] == [
+        ("parse-error", path, len(source.splitlines()) + 1)]
+
+
+def test_analyze_parses_each_file_once(monkeypatch):
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    report = run_analysis(skip={"race"})
+    assert report.clean
+    assert sorted(parsed) == sorted(discover_sources(repo_root()))
 
 
 # -- the purity lint ----------------------------------------------------------------
 
 
+def _trees(sources):
+    trees, errors = parse_sources(sources)
+    assert errors == []
+    return trees
+
+
 def _purity(source):
-    findings, _ = check_purity({"m.py": source}, layer_map=[("m.py", "spec")])
+    findings, _ = check_purity(_trees({"m.py": source}),
+                               layer_map=[("m.py", "spec")])
     return findings
 
 
@@ -174,7 +235,7 @@ def test_purity_covers_the_named_tuple_sched_spec():
     linted and clean, and a store through a parameter is still caught."""
     path = "src/repro/verif/schedspec.py"
     source = discover_sources(repo_root())[path]
-    findings, stats = check_purity({path: source})
+    findings, stats = check_purity(_trees({path: source}))
     assert findings == []
     functions = [node for node in ast.walk(ast.parse(source))
                  if isinstance(node, ast.FunctionDef)]
@@ -183,7 +244,7 @@ def test_purity_covers_the_named_tuple_sched_spec():
                             "    floors: list = [None] * ncores\n"
                             "    threads[0] = None\n")
     assert broken != source
-    findings, _ = check_purity({path: broken})
+    findings, _ = check_purity(_trees({path: broken}))
     assert [f.rule for f in findings] == ["purity.mutation"]
 
 
@@ -193,7 +254,7 @@ def test_purity_covers_the_syscall_spec_rows():
     and a row that appends to its pre-state is caught."""
     path = "src/repro/core/contract/syscalls.py"
     source = discover_sources(repo_root())[path]
-    findings, stats = check_purity({path: source})
+    findings, stats = check_purity(_trees({path: source}))
     assert findings == []
     functions = {node.name for node in ast.parse(source).body
                  if isinstance(node, ast.FunctionDef)}
@@ -204,7 +265,7 @@ def test_purity_covers_the_syscall_spec_rows():
                             "    pre.files.append(args[0])\n"
                             "    return close_spec(pre, post, args[0])\n")
     assert broken != source
-    findings, _ = check_purity({path: broken})
+    findings, _ = check_purity(_trees({path: broken}))
     assert [f.rule for f in findings] == ["purity.mutation"]
 
 
@@ -256,8 +317,9 @@ def test_dead_suppression_flags_stale_allow_only():
         "clean()  # repro: allow(rule-b)\n"
     )
     findings = [Finding(rule="rule-a", path="m.py", line=1, message="x")]
-    apply_suppressions(findings, {"m.py": source})
-    dead = dead_suppressions(findings, {"m.py": source})
+    allows = {"m.py": allow_comments(source)}
+    apply_suppressions(findings, allows)
+    dead = dead_suppressions(findings, allows)
     assert [(f.rule, f.line) for f in dead] == [("suppression.dead", 2)]
     assert "allow(rule-b)" in dead[0].message
 
@@ -265,13 +327,14 @@ def test_dead_suppression_flags_stale_allow_only():
 def test_dead_suppression_covers_next_line_of_standalone_comment():
     source = "# repro: allow(rule-a)\nbad()\n"
     findings = [Finding(rule="rule-a", path="m.py", line=2, message="x")]
-    apply_suppressions(findings, {"m.py": source})
-    assert dead_suppressions(findings, {"m.py": source}) == []
+    allows = {"m.py": allow_comments(source)}
+    apply_suppressions(findings, allows)
+    assert dead_suppressions(findings, allows) == []
 
 
 def test_dead_suppression_ignores_docstring_mentions():
     source = '"""Docs talking about # repro: allow(rule-a) syntax."""\n'
-    assert dead_suppressions([], {"m.py": source}) == []
+    assert dead_suppressions([], {"m.py": allow_comments(source)}) == []
 
 
 def test_fixture_dead_suppression_is_located():

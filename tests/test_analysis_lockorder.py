@@ -1,14 +1,20 @@
 """Tests for the static lock-order pass (repro.analysis.lockorder)."""
 
 from repro.analysis.cli import repo_root
-from repro.analysis.imports import discover_sources
+from repro.analysis.imports import discover_sources, parse_sources
 from repro.analysis.lockorder import (acquisition_graph,
                                       check_lock_order)
 
 
+def _trees(sources):
+    trees, errors = parse_sources(sources)
+    assert errors == []
+    return trees
+
+
 def test_real_tree_order_is_acyclic():
-    sources = discover_sources(repo_root())
-    findings, stats = check_lock_order(sources)
+    findings, stats = check_lock_order(
+        _trees(discover_sources(repo_root())))
     assert findings == [], [f.render() for f in findings]
     assert stats["cycle"] is False
     assert stats["methods"] > 50
@@ -18,8 +24,7 @@ def test_real_tree_has_the_combiner_edge():
     """The one real edge: the NR combiner holds the replica writer lock
     while ds.apply reaches the buddy allocator (page-table frame
     allocation) — nr.replica is always taken before pmem.alloc."""
-    sources = discover_sources(repo_root())
-    edges = acquisition_graph(sources)
+    edges = acquisition_graph(_trees(discover_sources(repo_root())))
     assert ("nr.replica", "pmem.alloc") in edges
     assert ("pmem.alloc", "nr.replica") not in edges
     sites = edges[("nr.replica", "pmem.alloc")]
@@ -50,7 +55,7 @@ _CYCLIC = {
 
 
 def test_synthetic_cycle_is_flagged():
-    findings, stats = check_lock_order(_CYCLIC, modules=("a.py",))
+    findings, stats = check_lock_order(_trees(_CYCLIC), modules=("a.py",))
     assert stats["cycle"] is True
     cycles = [f for f in findings if f.rule == "lockorder.cycle"]
     assert len(cycles) == 1
@@ -75,7 +80,7 @@ _UNORDERED = {
 
 
 def test_unsorted_same_class_nesting_is_flagged():
-    findings, _ = check_lock_order(_UNORDERED, modules=("b.py",))
+    findings, _ = check_lock_order(_trees(_UNORDERED), modules=("b.py",))
     assert [f.rule for f in findings] == \
         ["lockorder.unordered-same-class"]
 
@@ -85,16 +90,17 @@ def test_sorted_same_class_nesting_is_sanctioned():
         "    def both(self):",
         "    def both(self):\n"
         "        self.q1, self.q2 = sorted((self.q1, self.q2))")
-    findings, _ = check_lock_order({"b.py": source}, modules=("b.py",))
+    findings, _ = check_lock_order(_trees({"b.py": source}),
+                                   modules=("b.py",))
     assert findings == []
 
 
 def test_migrate_steps_double_acquire_is_sanctioned():
     """The SMP protocol's migrate_steps takes two runqueue locks in
     sorted core order — the sanctioned same-class pattern."""
-    sources = discover_sources(repo_root())
     findings, _ = check_lock_order(
-        sources, modules=("src/repro/nros/sched/smp.py",
-                          "src/repro/nros/sched/scheduler.py"))
+        _trees(discover_sources(repo_root())),
+        modules=("src/repro/nros/sched/smp.py",
+                 "src/repro/nros/sched/scheduler.py"))
     assert [f for f in findings
             if f.rule == "lockorder.unordered-same-class"] == []

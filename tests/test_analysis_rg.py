@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from repro.analysis.cli import repo_root
-from repro.analysis.imports import discover_sources
+from repro.analysis.imports import discover_sources, parse_sources
 from repro.analysis.rg import check_interference
 from repro.analysis.mutants import MUTANTS, apply_rg_mutant
 from repro.analysis.rg_mutants import PMEM_MODULE
@@ -25,10 +25,16 @@ TOY = Component(
 )
 
 
+def _trees(sources):
+    trees, errors = parse_sources(sources)
+    assert errors == []
+    return trees
+
+
 def _toy_findings(body, keep_missing=False):
     source = "class Box:\n" + "".join(
         f"    {line}\n" for line in body.splitlines())
-    findings, _ = check_interference({"toy.py": source},
+    findings, _ = check_interference(_trees({"toy.py": source}),
                                      components=(TOY,))
     if keep_missing:
         return findings
@@ -129,7 +135,7 @@ def _tree_sources():
 
 
 def test_real_tree_is_interference_free():
-    findings, stats = check_interference(_tree_sources())
+    findings, stats = check_interference(_trees(_tree_sources()))
     assert findings == [], [f.render() for f in findings]
     assert stats["components"] == len(COMPONENTS)
     assert stats["methods"] > 20
@@ -138,7 +144,7 @@ def test_real_tree_is_interference_free():
 
 def test_mutant_pmem_free_unlocked_is_flagged():
     sources = apply_rg_mutant(_tree_sources(), "pmem-free-unlocked")
-    findings, _ = check_interference(sources)
+    findings, _ = check_interference(_trees(sources))
     rules = {f.rule for f in findings}
     assert "rg.unguarded-write" in rules
     assert all(f.path == PMEM_MODULE for f in findings)
@@ -148,7 +154,7 @@ def test_mutant_pmem_free_unlocked_is_flagged():
 def test_mutant_buddy_split_no_merge_lock_is_flagged():
     sources = apply_rg_mutant(_tree_sources(),
                               "buddy-split-no-merge-lock")
-    findings, _ = check_interference(sources)
+    findings, _ = check_interference(_trees(sources))
     assert {f.rule for f in findings} == {"rg.unguarded-write"}
     assert any("alloc_block" in f.message for f in findings)
 
@@ -158,8 +164,10 @@ def test_mutants_are_deterministic_source_transforms():
     the findings are identical on every run and every seed."""
     base = _tree_sources()
     for name in _RG_MUTANTS:
-        first, _ = check_interference(apply_rg_mutant(base, name))
-        second, _ = check_interference(apply_rg_mutant(base, name))
+        first, _ = check_interference(
+            _trees(apply_rg_mutant(base, name)))
+        second, _ = check_interference(
+            _trees(apply_rg_mutant(base, name)))
         assert [(f.rule, f.line) for f in first] \
             == [(f.rule, f.line) for f in second]
         assert first, f"mutant {name} produced no findings"

@@ -2,7 +2,6 @@
 methods' check the paper's motivating example calls for."""
 
 import random
-import zlib
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.apps.blockstore import (
     BlockStoreModel,
     storage_node,
 )
-from repro.apps.checksum import crc32
 from repro.nros.cluster import Cluster
 from repro.nros.kernel import Kernel
 from repro.nros.net.ip import ip_addr
@@ -20,24 +18,6 @@ from repro.nros.net.ip import ip_addr
 SERVER_IP = ip_addr("10.1.0.1")
 CLIENT_IP = ip_addr("10.1.0.2")
 PORT = 9400
-
-
-class TestCrc32:
-    def test_known_vectors(self):
-        assert crc32(b"") == 0
-        assert crc32(b"123456789") == 0xCBF43926  # the classic check value
-
-    def test_matches_zlib(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            data = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
-            assert crc32(data) == zlib.crc32(data)
-
-    def test_incremental(self):
-        whole = crc32(b"hello world")
-        # incremental use: crc of concatenation via intermediate state is
-        # not simple chaining for CRC-32 final xor; verify one-shot only
-        assert whole == zlib.crc32(b"hello world")
 
 
 def run_blockstore(client_script, drop_rate=0.0, seed=0, num_connections=1):

@@ -13,8 +13,8 @@ from repro.cluster.node import SERVICE_PORT, ClusterNode
 from repro.cluster.workload import WorkloadProfile, run_workload
 from repro.faults.cluster import run_wal_crash_matrix
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.nros.drivers.block import BLOCK_SIZE
 from repro.nros.fs.alloc import NoSpace
-from repro.nros.fs.blockdev import BLOCK_SIZE
 from repro.nros.fs.fsck import fsck
 from repro.obs.registry import Registry
 

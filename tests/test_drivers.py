@@ -6,9 +6,8 @@ from repro.hw.devices.disk import Disk, DiskError
 from repro.hw.devices.nic import Nic
 from repro.hw.devices.serial import SerialPort
 from repro.hw.devices.timer import Timer
-from repro.nros.drivers.block import BlockDriver, BlockRequest
+from repro.nros.drivers.block import BLOCK_SIZE, BlockDriver, BlockRequest
 from repro.nros.drivers.console import Console
-from repro.nros.fs.blockdev import BLOCK_SIZE
 from repro.nros.net.ip import ip_addr
 from repro.nros.net.stack import NetStack
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.devices.disk import Disk
+from repro.nros.drivers.block import BLOCK_SIZE, BlockDriver
 from repro.nros.fs.alloc import NoSpace
-from repro.nros.fs.blockdev import BLOCK_SIZE, BlockDevice
 from repro.nros.fs.dir import DirFormatError, decode_entries, encode_entries
 from repro.nros.fs.fd import (
     BadFd,
@@ -34,7 +34,7 @@ from repro.nros.fs.inode import Inode, MAX_FILE_SIZE, TYPE_DIR, TYPE_FILE
 
 def fresh_fs(sectors=512):
     disk = Disk(sectors)
-    dev = BlockDevice(disk)
+    dev = BlockDriver(disk)
     return FileSystem.mkfs(dev), disk
 
 
@@ -75,16 +75,16 @@ class TestInodeCodec:
 class TestMkfsMount:
     def test_mkfs_and_mount(self):
         fs, disk = fresh_fs()
-        fs2 = FileSystem(BlockDevice(disk))
+        fs2 = FileSystem(BlockDriver(disk))
         assert fs2.readdir("/") == []
 
     def test_mount_unformatted_fails(self):
         with pytest.raises(FsError, match="magic"):
-            FileSystem(BlockDevice(Disk(16)))
+            FileSystem(BlockDriver(Disk(16)))
 
     def test_mkfs_too_small(self):
         with pytest.raises(FsError):
-            FileSystem.mkfs(BlockDevice(Disk(4)), num_inodes=1024)
+            FileSystem.mkfs(BlockDriver(Disk(4)), num_inodes=1024)
 
 
 class TestNamespace:
@@ -303,7 +303,7 @@ class TestRemount:
         inum = fs.create("/var/log")
         fs.write_at(inum, 0, b"persistent data")
         # power cycle
-        fs2 = FileSystem(BlockDevice(disk))
+        fs2 = FileSystem(BlockDriver(disk))
         assert fs2.readdir("/var") == ["log"]
         assert fs2.read_at(fs2.lookup("/var/log"), 0, 100) == b"persistent data"
 
@@ -314,7 +314,7 @@ class TestRemount:
             fs.write_at(fs.lookup(f"/f{i}"), 0, bytes([i]) * 100)
         for i in range(0, 20, 2):
             fs.unlink(f"/f{i}")
-        fs2 = FileSystem(BlockDevice(disk))
+        fs2 = FileSystem(BlockDriver(disk))
         assert fs2.readdir("/") == sorted(f"f{i}" for i in range(1, 20, 2))
         for i in range(1, 20, 2):
             assert fs2.read_at(fs2.lookup(f"/f{i}"), 0, 100) == bytes([i]) * 100

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from repro.hw.devices.disk import Disk
-from repro.nros.fs.blockdev import BLOCK_SIZE, BlockDevice
+from repro.nros.drivers.block import BLOCK_SIZE, BlockDriver
 from repro.nros.fs.fs import FileSystem
 from repro.nros.fs.fsck import fsck
 from repro.nros.fs.inode import Inode, TYPE_FILE
@@ -14,7 +14,7 @@ from repro.nros.fs.inode import Inode, TYPE_FILE
 
 def fresh_fs(sectors=512):
     disk = Disk(sectors)
-    return FileSystem.mkfs(BlockDevice(disk)), disk
+    return FileSystem.mkfs(BlockDriver(disk)), disk
 
 
 class TestCleanVolumes:
@@ -81,7 +81,7 @@ class TestCleanVolumes:
         fs.mkdir("/d")
         fs.create("/d/f")
         fs.write_at(fs.lookup("/d/f"), 0, b"data")
-        fs2 = FileSystem(BlockDevice(disk))
+        fs2 = FileSystem(BlockDriver(disk))
         assert fsck(fs2) == []
 
 

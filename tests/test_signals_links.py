@@ -3,14 +3,14 @@
 import pytest
 
 from repro.hw.devices.disk import Disk
-from repro.nros.fs.blockdev import BlockDevice
+from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs.fs import Exists, FileSystem, IsADirectory, NotFound
 from repro.nros.kernel import Kernel
 from repro.nros.syscall.abi import SIGKILL, SIGTERM, SIGUSR1, SIGUSR2, SyscallError, sys
 
 
 def fresh_fs():
-    return FileSystem.mkfs(BlockDevice(Disk(256)))
+    return FileSystem.mkfs(BlockDriver(Disk(256)))
 
 
 class TestHardLinks:
@@ -72,11 +72,11 @@ class TestHardLinks:
 
     def test_links_survive_remount(self):
         disk = Disk(256)
-        fs = FileSystem.mkfs(BlockDevice(disk))
+        fs = FileSystem.mkfs(BlockDriver(disk))
         fs.create("/a")
         fs.write_at(fs.lookup("/a"), 0, b"persisted")
         fs.link("/a", "/b")
-        fs2 = FileSystem(BlockDevice(disk))
+        fs2 = FileSystem(BlockDriver(disk))
         assert fs2.stat("/a").nlink == 2
         assert fs2.lookup("/a") == fs2.lookup("/b")
 

@@ -31,7 +31,6 @@ from repro.core.spec.highlevel import AbstractState, map_enabled, unmap_enabled
 from repro.hw.devices.disk import Disk
 from repro.hw.mem import PhysicalMemory
 from repro.nros.drivers.block import BlockDriver
-from repro.nros.fs.blockdev import BlockDevice
 from repro.nros.fs.fd import O_CREAT, O_RDWR, FdTable
 from repro.nros.fs.fs import Exists, FileSystem, FsError, NotFound
 
@@ -124,7 +123,7 @@ class FsModelMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         disk = Disk(512)
-        self.fs = FileSystem.mkfs(BlockDevice(disk))
+        self.fs = FileSystem.mkfs(BlockDriver(disk))
         self.fs.mkdir("/dir1")
         self.fs.mkdir("/dir2")
         self.model: dict[str, bytes] = {}

@@ -158,6 +158,30 @@ def test_rg_vcs_all_discharge():
         assert vc.check() is None, (vc.name, vc.check())
 
 
+def test_static_vcs_fail_on_an_unparsable_module(tmp_path, monkeypatch):
+    """Both static VCs read the allocator; once it does not parse, each
+    reports the parse error instead of passing over the module."""
+    from repro.analysis.lockorder import SCAN_MODULES
+    from repro.verif import rgproof
+
+    real_root = rgproof._repo_root()
+    for relpath in {c.module for c in rs.COMPONENTS} | set(SCAN_MODULES):
+        copy = tmp_path / relpath
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        copy.write_text((real_root / relpath).read_text(encoding="utf-8"),
+                        encoding="utf-8")
+    monkeypatch.setattr(rgproof, "_repo_root", lambda: tmp_path)
+    vcs = (rgproof._static_interference_vc(),
+           rgproof._static_lockorder_vc())
+    assert [vc.check() for vc in vcs] == [None, None]
+    with open(tmp_path / rs.PMEM.module, "a", encoding="utf-8") as pmem:
+        pmem.write("def broken(:\n")
+    for vc in vcs:
+        verdict = vc.check()
+        assert verdict is not None and verdict[1] == "parse-error", \
+            (vc.name, verdict)
+
+
 def test_vacuity_states_do_violate():
     from repro.verif.rgproof import (_broken_pmem_states,
                                      _broken_vspace_states)
