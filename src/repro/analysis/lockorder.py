@@ -370,16 +370,22 @@ def _find_cycle(edges) -> list[str] | None:
     return None
 
 
-def check_lock_order(trees: dict[str, ast.Module],
-                     modules=SCAN_MODULES) -> tuple[list[Finding], dict]:
-    """Build the acquisition graph and flag cycles / unordered pairs."""
+def _walk(trees: dict[str, ast.Module], modules):
+    """Index the scanned modules' methods and simulate each one:
+    (edges, unordered-nesting findings, method index)."""
     index = _index_methods(trees, modules)
     findings: list[Finding] = []
     edges: dict[tuple[str, str], list] = {}
     for methods in index.values():
         for method in methods:
             _simulate(method, index, edges, findings)
+    return edges, findings, index
 
+
+def check_lock_order(trees: dict[str, ast.Module],
+                     modules=SCAN_MODULES) -> tuple[list[Finding], dict]:
+    """Build the acquisition graph and flag cycles / unordered pairs."""
+    edges, findings, index = _walk(trees, modules)
     cycle = _find_cycle(edges)
     if cycle:
         sites = []
@@ -405,10 +411,4 @@ def acquisition_graph(trees: dict[str, ast.Module],
                       modules=SCAN_MODULES) -> dict:
     """(holder class, acquired class) -> [(path, line, holder fn)] —
     the raw graph, for tests and the EXPERIMENTS tables."""
-    index = _index_methods(trees, modules)
-    edges: dict[tuple[str, str], list] = {}
-    scratch: list = []
-    for methods in index.values():
-        for method in methods:
-            _simulate(method, index, edges, scratch)
-    return edges
+    return _walk(trees, modules)[0]
