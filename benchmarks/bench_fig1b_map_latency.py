@@ -8,15 +8,13 @@ and unverified Python implementations, so the gap between the two curves
 is real, not assumed.
 """
 
-import pytest
-
 from benchmarks._common import (
     BASE_APPLY_NS,
     BASE_QUERY_NS,
     CORE_COUNTS,
     OPS_PER_CORE,
-    calibrate_impl_cost,
     report_lines,
+    session_calibration,
     vspace_obs_probe,
     write_bench_json,
 )
@@ -28,11 +26,6 @@ from repro.obs import Histogram
 def map_workload(core, i):
     vaddr = (core << 28) | ((i + 1) << 12)
     return (("map", vaddr, (core << 20) | i), False)
-
-
-@pytest.fixture(scope="module")
-def calibration():
-    return calibrate_impl_cost()
 
 
 def run_series(apply_cost_ns):
@@ -49,7 +42,8 @@ def run_series(apply_cost_ns):
     return series
 
 
-def test_fig1b_map_latency(benchmark, calibration, capsys):
+def test_fig1b_map_latency(benchmark, capsys):
+    calibration = session_calibration()
     unverified_cost = BASE_APPLY_NS
     verified_cost = int(BASE_APPLY_NS * calibration["ratio"])
 

@@ -6,15 +6,13 @@ grows faster with core count — the same relationship the paper's two
 figures show.
 """
 
-import pytest
-
 from benchmarks._common import (
     BASE_APPLY_NS,
     BASE_QUERY_NS,
     CORE_COUNTS,
     OPS_PER_CORE,
-    calibrate_impl_cost,
     report_lines,
+    session_calibration,
     vspace_obs_probe,
     write_bench_json,
 )
@@ -37,11 +35,6 @@ def unmap_post_cost(op, is_read, num_cores, topology):
     return tlb_shootdown_cost(op, is_read, num_cores, topology)
 
 
-@pytest.fixture(scope="module")
-def calibration():
-    return calibrate_impl_cost()
-
-
 def run_series(apply_cost_ns):
     series = {}
     for cores in CORE_COUNTS:
@@ -56,7 +49,8 @@ def run_series(apply_cost_ns):
     return series
 
 
-def test_fig1c_unmap_latency(benchmark, calibration, capsys):
+def test_fig1c_unmap_latency(benchmark, capsys):
+    calibration = session_calibration()
     unverified_cost = BASE_APPLY_NS
     verified_cost = int(BASE_APPLY_NS * calibration["ratio"])
 
