@@ -98,10 +98,10 @@ def _handle(verb: str, args: tuple):
                 return ("err", "not_found")
             stored = yield from _read_all(fd)
             yield sys("close", fd)
-            crc, data = unmarshal(stored)
-            if crc32(data) != crc:
+            block = _checked_block(stored)
+            if block is None:
                 return ("err", "corrupt_block")  # detected, never served
-            return ("ok", data, crc)
+            return ("ok", *block)
         if verb == "delete":
             (key,) = args
             try:
@@ -117,6 +117,21 @@ def _handle(verb: str, args: tuple):
         return ("err", str(exc))
     except SyscallError as exc:
         return ("err", f"io_error:{exc.errno}")
+
+
+def _checked_block(stored: bytes) -> tuple | None:
+    """``(data, crc)`` from a stored block, or None when its framing or
+    its checksum is damaged."""
+    try:
+        block = unmarshal(stored)
+    except MarshalError:
+        return None
+    if not (isinstance(block, tuple) and len(block) == 2):
+        return None
+    crc, data = block
+    if isinstance(data, bytes) and crc32(data) == crc:
+        return (data, crc)
+    return None
 
 
 def _read_all(fd: int):

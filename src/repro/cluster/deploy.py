@@ -46,6 +46,11 @@ from repro.nros.net.ip import ip_addr
 #: Upper bound (ticks) on an injected partition's duration.
 PARTITION_MAX_TICKS = 160
 
+#: NIC receive ring depth on every cluster kernel.  A service fabric
+#: needs deeper rings than the 64-frame default: an open-loop burst must
+#: queue at the node, not vanish at the NIC.
+NIC_RING_FRAMES = 4096
+
 MB = 1024 * 1024
 
 
@@ -53,7 +58,7 @@ class Deployment:
     """A running cluster: kernels, links, nodes, gateway, virtual time."""
 
     def __init__(self, num_nodes: int, rf: int = 2, vnodes: int = 64,
-                 capacity: int = 4, ring_size: int = 4096, fault_plan=None,
+                 capacity: int = 4, fault_plan=None,
                  registry=None, seed: int = 1,
                  compact_every: int = COMPACT_EVERY,
                  auto_restart_delay: int | None = None) -> None:
@@ -69,7 +74,6 @@ class Deployment:
         self.now = 0
         self._vnodes = vnodes
         self._capacity = capacity
-        self._ring_size = ring_size
         self._compact_every = compact_every
         self.auto_restart_delay = auto_restart_delay
 
@@ -97,10 +101,8 @@ class Deployment:
             for b in ids[i + 1:]:
                 self.cluster.connect(self.kernels[a], self.kernels[b])
             self.cluster.connect(self.kernels[a], gateway_kernel)
-        # a service fabric needs deeper rings than the 64-frame default:
-        # an open-loop burst must queue at the node, not vanish at the NIC
         for kernel in list(self.kernels.values()) + [gateway_kernel]:
-            kernel.nic.ring_size = ring_size
+            kernel.nic.ring_size = NIC_RING_FRAMES
 
         self.nodes = {
             node_id: ClusterNode(node_id, self.kernels[node_id], members,
@@ -165,7 +167,7 @@ class Deployment:
             if other_id != node_id:
                 self.cluster.connect(kernel, self.kernels[other_id])
         self.cluster.connect(kernel, self._gateway_kernel)
-        kernel.nic.ring_size = self._ring_size
+        kernel.nic.ring_size = NIC_RING_FRAMES
 
         node = ClusterNode(node_id, kernel, self._members, rf=self.rf,
                            vnodes=self._vnodes, capacity=self._capacity,

@@ -26,21 +26,16 @@ def default_profile(ops: int = 2_000, seed: int = 1,
     return WorkloadProfile(ops=ops, rate=rate, seed=seed)
 
 
-def run_cluster(num_nodes: int = 3, rf: int = 2, vnodes: int = 64,
-                capacity: int = 4, seed: int = 1,
+def run_cluster(num_nodes: int = 3, rf: int = 2, seed: int = 1,
                 profile: WorkloadProfile | None = None,
                 kill_at_op: int | None = None,
                 kill_node: str | None = None,
                 restart_at_op: int | None = None,
-                fault_plan=None,
-                registry: Registry | None = None,
                 ) -> tuple[Deployment, WorkloadReport]:
     """One deployment, one workload; returns both for inspection."""
-    registry = registry if registry is not None else Registry()
     profile = profile if profile is not None else default_profile(seed=seed)
-    deployment = Deployment(num_nodes, rf=rf, vnodes=vnodes,
-                            capacity=capacity, fault_plan=fault_plan,
-                            registry=registry, seed=seed)
+    deployment = Deployment(num_nodes, rf=rf, registry=Registry(),
+                            seed=seed)
     report = run_workload(deployment, profile, kill_at_op=kill_at_op,
                           kill_node=kill_node, restart_at_op=restart_at_op)
     return deployment, report

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.faults.crash import is_recoverable
+from repro.faults.crash import (CrashMatrixReport, crash_each_write,
+                                is_recoverable)
 from repro.faults.plan import FaultPlan, FaultRule
 
 if TYPE_CHECKING:
@@ -143,7 +144,7 @@ def _cluster_crash_restart(seed: int, site: SiteReport) -> None:
 
 def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
                          compact_every: int = 16,
-                         target: str = "node1") -> "CrashMatrixReport":
+                         target: str = "node1") -> CrashMatrixReport:
     """Kill `target`'s disk at every write boundary, restart, audit.
 
     Pass 1 runs the seeded workload undisturbed and counts the sector
@@ -155,7 +156,6 @@ def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
     and the workload's durability and session invariants hold."""
     from repro.cluster.deploy import Deployment
     from repro.cluster.workload import WorkloadProfile, run_workload
-    from repro.faults.crash import CrashMatrixReport, CrashPointResult
     from repro.obs.registry import Registry
 
     def build() -> "Deployment":
@@ -164,21 +164,17 @@ def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
                           auto_restart_delay=150)
 
     profile = WorkloadProfile(ops=ops, seed=seed)
-    report = CrashMatrixReport(scenario=f"cluster-wal/{target}")
 
-    # Pass 1: count the target's write boundaries on an undisturbed run.
-    deployment = build()
-    disk = deployment.kernels[target].disk
-    before = disk.writes
-    run_workload(deployment, profile)
-    report.total_writes = disk.writes - before
-
-    # Pass 2: one full kill+restart run per crash point.
-    for n in range(1, report.total_writes + 1):
+    def count_writes() -> int:
         deployment = build()
-        plan = FaultPlan(seed=n, rules=[
-            FaultRule(site="disk.write", kind="crash", at=n),
-        ])
+        disk = deployment.kernels[target].disk
+        before = disk.writes
+        run_workload(deployment, profile)
+        return disk.writes - before
+
+    def crash_at(n: int, plan: FaultPlan) -> list[str]:
+        # one full kill+restart run
+        deployment = build()
         deployment.kernels[target].disk.fault_plan = plan
         wl = run_workload(deployment, profile)
         issues: list[str] = []
@@ -190,9 +186,9 @@ def run_wal_crash_matrix(seed: int = 1, ops: int = 120,
         if not (node.alive and node.core.state == "serving"):
             issues.append(f"{target} not back to serving after restart")
         issues.extend(_contract_breaches(wl))
-        report.points.append(CrashPointResult(write_number=n,
-                                              issues=issues))
-    return report
+        return issues
+
+    return crash_each_write(f"cluster-wal/{target}", count_writes, crash_at)
 
 
 def _cluster_wal_matrix(seed: int, site: SiteReport) -> None:

@@ -104,6 +104,24 @@ def _fresh_volume(num_sectors: int) -> tuple[Disk, FileSystem]:
     return disk, fs
 
 
+def crash_each_write(scenario: str, count_writes,
+                     crash_at) -> CrashMatrixReport:
+    """The two passes of every crash matrix.  Pass 1: ``count_writes()``
+    runs the scenario undisturbed and returns how many ``disk.write``s
+    it made.  Pass 2: ``crash_at(n, plan)`` re-runs it once per boundary
+    n, with ``plan`` crashing the disk at exactly that write, and
+    returns the crash point's issues."""
+    report = CrashMatrixReport(scenario=scenario)
+    report.total_writes = count_writes()
+    for n in range(1, report.total_writes + 1):
+        plan = FaultPlan(seed=n, rules=[
+            FaultRule(site="disk.write", kind="crash", at=n),
+        ])
+        report.points.append(CrashPointResult(write_number=n,
+                                              issues=crash_at(n, plan)))
+    return report
+
+
 def run_crash_matrix(scenario, name: str = "scenario",
                      num_sectors: int = 64,
                      setup=None) -> CrashMatrixReport:
@@ -112,42 +130,33 @@ def run_crash_matrix(scenario, name: str = "scenario",
     `scenario(fs)` drives a mounted filesystem; the optional `setup(fs)`
     runs before the pristine image is taken (its writes are not crash
     points — they model pre-existing state)."""
-    report = CrashMatrixReport(scenario=name)
-
-    # Pass 1: count the scenario's write boundaries on a pristine volume.
     disk, fs = _fresh_volume(num_sectors)
     if setup is not None:
         setup(fs)
     pristine = disk.snapshot()
-    writes_before = disk.writes
-    scenario(fs)
-    report.total_writes = disk.writes - writes_before
 
-    # Pass 2: one run per crash point.
-    for n in range(1, report.total_writes + 1):
-        plan = FaultPlan(seed=n, rules=[
-            FaultRule(site="disk.write", kind="crash", at=n),
-        ])
-        disk = Disk(num_sectors, fault_plan=plan)
-        disk.restore(pristine)
-        driver = BlockDriver(disk)
-        fs = FileSystem(driver)
+    def count_writes() -> int:
+        before = disk.writes
+        scenario(fs)
+        return disk.writes - before
+
+    def crash_at(n: int, plan: FaultPlan) -> list[str]:
+        crashed = Disk(num_sectors, fault_plan=plan)
+        crashed.restore(pristine)
         try:
-            scenario(fs)
+            scenario(FileSystem(BlockDriver(crashed)))
         except DiskCrash:
             pass
         else:
             raise AssertionError(
                 f"{name}: crash at write {n} never fired "
                 f"(non-deterministic scenario?)")
-
         # power is gone; remount whatever reached the platter
         survivor = Disk(num_sectors)
-        survivor.restore(disk.snapshot())
-        remounted = FileSystem(BlockDriver(survivor))
-        issues = fsck(remounted)
-        report.points.append(CrashPointResult(write_number=n, issues=issues))
-    return report
+        survivor.restore(crashed.snapshot())
+        return fsck(FileSystem(BlockDriver(survivor)))
+
+    return crash_each_write(name, count_writes, crash_at)
 
 
 # -- canonical scenarios (shared by tests and the disk campaign) -----------

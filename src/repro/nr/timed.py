@@ -27,6 +27,12 @@ from repro.sim.stats import LatencyRecorder
 from repro.sim.topology import Topology
 
 
+#: What a lost combine attempt's backoff costs before the core retries.
+SPIN_BACKOFF_NS = 120
+#: Think time between two operations on one core.
+OP_GAP_NS = 250
+
+
 @dataclass
 class TimedNrConfig:
     """Workload and cost parameters for a timed NR run."""
@@ -36,9 +42,6 @@ class TimedNrConfig:
     cores_per_node: int = 14
     apply_cost_ns: int = 800        # executing one mutating op on a replica
     query_cost_ns: int = 300        # executing one read-only op
-    spin_backoff_ns: int = 120
-    op_gap_ns: int = 250            # think time between ops on a core
-    syscall_overhead: bool = True   # charge user<->kernel crossings
     post_op_cost_fn: Callable | None = None  # e.g. TLB shootdown for unmap
 
 
@@ -108,7 +111,7 @@ def _step_costs(core: int, node: int, nr: NodeReplicated,
         nrcore.WLOCK: lambda: lock.atomic_rmw(core),
         nrcore.APPLY: apply,
         nrcore.RELEASE: lambda: combiner.write(core) + lock.write(core),
-        nrcore.SPIN: lambda: cfg.spin_backoff_ns,
+        nrcore.SPIN: lambda: SPIN_BACKOFF_NS,
         nrcore.READ_TAIL: lambda: tail.read(core),
         nrcore.RLOCK: lambda: lock.atomic_rmw(core),
         nrcore.READ: lambda: cfg.query_cost_ns,
@@ -160,8 +163,7 @@ def _run_timed(
             kind = op[0] if isinstance(op, tuple) else str(op)
             span = Span("nr.op", clock=clock, histogram=result.latency,
                         bus=bus, core=core, kind=kind, **span_fields).start()
-            if cfg.syscall_overhead:
-                yield delays[costs.syscall_entry]
+            yield delays[costs.syscall_entry]
             if is_read:
                 steps = nr.read_steps(op, node, thread=core)
             else:
@@ -184,11 +186,10 @@ def _run_timed(
                                             topology)
                 if extra:
                     yield delays[extra]
-            if cfg.syscall_overhead:
-                yield delays[costs.syscall_exit]
+            yield delays[costs.syscall_exit]
             elapsed = span.finish()
             result.kind(kind).record(elapsed)
-            yield delays[cfg.op_gap_ns]
+            yield delays[OP_GAP_NS]
 
     for core in range(cfg.num_cores):
         sim.spawn(core_process(core), name=f"core{core}")

@@ -32,7 +32,6 @@ from repro.nros.fs import fd as fdmod
 from repro.nros.fs import fs as fsmod
 from repro.nros.net.stack import NetStack
 from repro.nros.pmem import BuddyAllocator
-from repro.nros.proc.pipe import PipeTable
 from repro.nros.proc.process import (
     Process,
     ProcessState,
@@ -106,7 +105,6 @@ class Kernel:
         self.processes: dict[int, Process] = {}
         self._registry: dict[str, object] = {}
         self._next_pid = 1
-        self.pipes = PipeTable()
         self._threads_by_tid: dict[int, Thread] = {}
         self.stats = KernelStats()
         self._num_nodes = max(1, (num_cores + 13) // 14)
@@ -212,7 +210,7 @@ class Kernel:
 
     def _wake_pollers(self) -> None:
         """Re-run the poll function of every thread parked by
-        ``poll_or_block`` (socket *and* pipe waits); wake the completed."""
+        ``poll_or_block`` (the socket waits); wake the completed."""
         for thread in self.scheduler.parked("net"):
             result = thread.block_reason.key()
             if result is not None:

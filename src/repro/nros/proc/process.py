@@ -30,9 +30,9 @@ class BlockReason:
     """Why a thread is parked (its row in the scheduler's wait table)
     and what wakes it."""
 
-    kind: str   # "futex" | "wait" | "join" | "sleep" | "sigwait" | "net"
-    #: futex paddr / child pid or -1 / tid / wake tick / own pid / the
-    #: ``poll_or_block`` poll function of a socket *or pipe* operation
+    kind: str   # "futex" | "wait" | "join" | "sleep" | "net"
+    #: futex paddr / child pid or -1 / tid / wake tick / the
+    #: ``poll_or_block`` poll function of a socket operation
     key: object = None
 
     def __repr__(self) -> str:
@@ -83,7 +83,6 @@ class Process:
         self.state = ProcessState.ALIVE
         self.exit_code: int | None = None
         self.sockets: dict[int, object] = {}   # sid -> socket object
-        self.pending_signals: list[int] = []
         self._next_sid = 3
         # ring_id -> kernel-side SyscallRing (submission/completion pair)
         self.rings: dict[int, object] = {}

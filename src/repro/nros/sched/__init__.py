@@ -19,11 +19,10 @@ from repro.nros.sched.entity import (
     SchedEntity,
     SchedPolicy,
 )
-from repro.nros.sched.scheduler import NUM_PRIORITIES, Scheduler
+from repro.nros.sched.scheduler import Scheduler
 
 __all__ = [
     "NICE_TO_WEIGHT",
-    "NUM_PRIORITIES",
     "QUANTUM_NS",
     "RT_THROTTLE_STREAK",
     "SchedEntity",

@@ -22,9 +22,7 @@ but structurally the real thing:
 
 The external contract is unchanged from the seed scheduler
 (``ready / block / wake / next_thread / forget / has_runnable``), so
-``nros/kernel.py`` needed only the two new sched syscalls.  The legacy
-3-level ``set_priority`` API maps onto nice levels (0 -> -10, 1 -> 0,
-2 -> +10).
+``nros/kernel.py`` needed only the two new sched syscalls.
 
 The specification lives in :mod:`repro.verif.schedspec`;
 :meth:`Scheduler.audit` checks the implementation against the same
@@ -51,10 +49,6 @@ from repro.nros.sched.entity import (
 )
 from repro.nros.sched.runqueue import CoreRunQueue
 from repro.nros.sched.smp import QueueLock, SchedProtocol, drive
-
-#: Legacy 3-level priorities (0 = high, 2 = low) map onto nice levels.
-NUM_PRIORITIES = 3
-_LEGACY_TO_NICE = {0: -10, 1: 0, 2: 10}
 
 #: A load-balance pass runs every this many picks.
 BALANCE_PERIOD = 32
@@ -109,20 +103,6 @@ class Scheduler:
             self._entities[thread.tid] = ent
             self._threads[thread.tid] = thread
         return ent
-
-    def set_priority(self, thread: Thread, priority: int) -> None:
-        """Legacy 3-level API (kept for the ``setpriority`` syscall)."""
-        if not 0 <= priority < NUM_PRIORITIES:
-            raise ValueError(f"priority {priority} out of range")
-        self.set_nice(thread, _LEGACY_TO_NICE[priority])
-
-    def priority_of(self, thread: Thread) -> int:
-        ent = self._entities.get(thread.tid)
-        if ent is None or ent.policy is not SchedPolicy.FAIR:
-            return 0 if ent is not None else 1
-        if ent.nice < 0:
-            return 0
-        return 1 if ent.nice == 0 else 2
 
     def set_nice(self, thread: Thread, nice: int) -> None:
         if not NICE_MIN <= nice <= NICE_MAX:

@@ -50,10 +50,6 @@ SYSCALLS = {
     "thread_spawn": 36,
     "thread_join": 37,
     "sleep": 38,
-    "signal": 39,
-    "sigwait": 42,
-    "sigpending": 43,
-    "setpriority": 44,
     "sched_setscheduler": 45,
     "sched_getscheduler": 46,
     # synchronization
@@ -70,11 +66,6 @@ SYSCALLS = {
     "rdp_send": 57,
     "rdp_recv": 58,
     "rdp_close": 59,
-    # pipes
-    "pipe": 70,
-    "pipe_read": 71,
-    "pipe_write": 72,
-    "pipe_close": 73,
     # submission/completion rings (batched dispatch)
     "ring_setup": 80,
     "ring_enter": 81,
@@ -82,8 +73,6 @@ SYSCALLS = {
     # console
     "log": 60,
 }
-
-EPIPE = 32
 
 NUMBER_TO_NAME = {number: name for name, number in SYSCALLS.items()}
 
@@ -108,15 +97,9 @@ ENOTCONN = 107
 E2BIG = 7        # a ring completion payload does not fit a CQE slot
 EBADMSG = 74     # a ring submission slot failed its integrity check
 
-# signal numbers (the subset the kernel knows)
-SIGKILL = 9
-SIGTERM = 15
-SIGUSR1 = 10
-SIGUSR2 = 12
-
 ERRNO_NAMES = {
     EBADF: "EBADF", EAGAIN: "EAGAIN", ENOMEM: "ENOMEM", EFAULT: "EFAULT",
-    EEXIST: "EEXIST", ENOENT: "ENOENT", ENOTDIR: "ENOTDIR", EPIPE: "EPIPE",
+    EEXIST: "EEXIST", ENOENT: "ENOENT", ENOTDIR: "ENOTDIR",
     EISDIR: "EISDIR", EINVAL: "EINVAL", ENOSPC: "ENOSPC", ESRCH: "ESRCH",
     EPERM: "EPERM", ECHILD: "ECHILD", ENOSYS: "ENOSYS",
     ECONNREFUSED: "ECONNREFUSED", ENOTCONN: "ENOTCONN",

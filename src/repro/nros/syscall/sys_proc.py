@@ -1,4 +1,4 @@
-"""Process, thread, signal and scheduling-policy syscalls (plus ``log``,
+"""Process, thread and scheduling-policy syscalls (plus ``log``,
 the console line stamped with the caller's identity)."""
 
 from __future__ import annotations
@@ -43,44 +43,14 @@ def sys_getpid(k, thread) -> int:
     return thread.process.pid
 
 
-def sys_kill(k, thread, pid: int, sig: int = abi.SIGKILL) -> None:
-    """SIGKILL terminates; any other signal is queued for sigwait."""
+def sys_kill(k, thread, pid: int) -> None:
+    """Terminate ``pid`` (exit code 137)."""
     target = k.processes.get(pid)
     if target is None or target.state is not ProcessState.ALIVE:
         raise SyscallFailure(abi.ESRCH, f"no such process {pid}")
-    if sig == abi.SIGKILL:
-        k._process_exit(target, exit_code=137)
-        if target is thread.process:
-            raise ProcessExited()
-        return
-    target.pending_signals.append(sig)
-    for waiter in k.scheduler.parked("sigwait"):
-        if waiter.process is target and target.pending_signals:
-            delivered = target.pending_signals.pop(0)
-            k.scheduler.wake(waiter, ("value", delivered))
-
-
-def sys_signal(k, thread, pid: int, sig: int) -> None:
-    """Alias of kill() for non-fatal signals (readability in user
-    code)."""
-    if sig == abi.SIGKILL:
-        raise SyscallFailure(abi.EINVAL, "use kill() for SIGKILL")
-    sys_kill(k, thread, pid, sig)
-
-
-def sys_sigwait(k, thread):
-    process = thread.process
-    if process.pending_signals:
-        return process.pending_signals.pop(0)
-    raise Block(BlockReason("sigwait", process.pid))
-
-
-def sys_sigpending(k, thread) -> tuple:
-    return tuple(thread.process.pending_signals)
-
-
-def sys_setpriority(k, thread, priority: int) -> None:
-    errno_call(_BAD_VALUE, k.scheduler.set_priority, thread, priority)
+    k._process_exit(target, exit_code=137)
+    if target is thread.process:
+        raise ProcessExited()
 
 
 def sys_sched_setscheduler(k, thread, policy: str, param: int = 0) -> None:

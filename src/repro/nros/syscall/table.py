@@ -2,7 +2,7 @@
 
 Defining ``sys_<name>(kernel, thread, *args)`` in a family module
 (``sys_vm``, ``sys_ring``, ``sys_files``, ``sys_proc``, ``sys_futex``,
-``sys_net``, ``sys_pipe``) *is* the declaration: :func:`load` binds name
+``sys_net``) *is* the declaration: :func:`load` binds name
 (the number still comes from :data:`abi.SYSCALLS`), handler and ring
 eligibility (:func:`trap_only`) into the table both transports — trap
 and ring drain — dispatch from.
@@ -60,12 +60,12 @@ def trap_only(handler):
 def load() -> dict[int, SyscallEntry]:
     """number -> entry for every ``sys_*`` function the families define;
     refuses a table that disagrees with ``abi.SYSCALLS`` either way."""
-    from repro.nros.syscall import (sys_files, sys_futex, sys_net, sys_pipe,
-                                    sys_proc, sys_ring, sys_vm)
+    from repro.nros.syscall import (sys_files, sys_futex, sys_net, sys_proc,
+                                    sys_ring, sys_vm)
 
     table: dict[int, SyscallEntry] = {}
-    for family in (sys_files, sys_futex, sys_net, sys_pipe, sys_proc,
-                   sys_ring, sys_vm):
+    for family in (sys_files, sys_futex, sys_net, sys_proc, sys_ring,
+                   sys_vm):
         for attr, fn in vars(family).items():
             if not attr.startswith("sys_") or fn.__module__ != family.__name__:
                 continue    # not a handler, or one imported from its family
@@ -125,7 +125,7 @@ def user_write(k, thread, vaddr: int, data: bytes) -> None:
 def poll_or_block(poll):
     """Complete now if ``poll()`` is ready, else park the caller on it:
     ``poll`` returns None (not ready), ``("ok", value)`` or ``("err",
-    (errno, message))``, and the kernel re-runs it on every network/pipe
+    (errno, message))``, and the kernel re-runs it on every network
     event to wake the parked thread with the same result."""
     ready = poll()
     if ready is None:

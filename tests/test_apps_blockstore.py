@@ -143,6 +143,37 @@ class TestBlockStore:
         cluster.run()
         assert "corrupt" in results["outcome"]
 
+    def test_corrupted_framing_is_a_corrupt_block(self):
+        """An empty block whose last stored byte is flipped no longer
+        decodes (the flip lands in the length word): `get` answers
+        corrupt_block and the same node goes on to serve another key."""
+        results = {}
+
+        def client():
+            c = BlockClient(SERVER_IP, PORT)
+            yield from c.connect()
+            yield from c.put("empty", b"")
+            yield from c.put("other", b"still here")
+            inum = server.fs.lookup("/blocks/empty")
+            stored = bytearray(server.fs.read_at(inum, 0, 10_000))
+            stored[-1] ^= 0x01
+            server.fs.write_at(inum, 0, bytes(stored))
+            results["reply"] = yield from c._call(("get", "empty"))
+            results["other"] = yield from c.get("other")
+            yield from c.close()
+
+        cluster = Cluster()
+        server = cluster.add(Kernel(ip=SERVER_IP, disk_sectors=2048))
+        clientk = cluster.add(Kernel(ip=CLIENT_IP))
+        cluster.connect(server, clientk)
+        server.register_program("storage_node", storage_node)
+        clientk.register_program("client", client)
+        server.spawn("storage_node", (PORT, 1))
+        clientk.spawn("client")
+        cluster.run()
+        assert results == {"reply": ("err", "corrupt_block"),
+                           "other": b"still here"}
+
     def test_model_based_random_ops(self):
         """The S3-style lightweight-formal-methods check: random operation
         sequences agree with the functional model."""

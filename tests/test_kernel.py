@@ -689,39 +689,49 @@ class TestWaitTable:
                               (shared["addr"], 1)) == (0, 0, None)
         assert not kernel.scheduler.has_runnable()
 
-    def test_pipe_readers_are_served_in_arrival_order(self):
-        """pid 2 parks on the empty pipe before pid 1 does: pid 2 gets
-        the first write (a scan by (pid, tid) served pid 1 first)."""
-        got = {}
+    def test_net_readers_are_served_in_arrival_order(self):
+        """Two threads wait on one socket and the spawned one parks
+        first: it gets the first datagram (a scan by tid served the main
+        thread first)."""
+        from repro.nros.net.ip import ip_addr
 
-        def parked_pids():
-            return [t.process.pid for t in kernel.scheduler.parked("net")]
+        ip = ip_addr("10.0.0.1")
+        got, tids = {}, {}
 
-        def first():   # pid 1
-            pipe = yield sys("pipe")
-            yield sys("spawn", "second", (pipe,))
-            yield sys("spawn", "writer", (pipe,))
-            while parked_pids() != [2]:
+        def parked_tids():
+            return [t.tid for t in kernel.scheduler.parked("net")]
+
+        def first():
+            sid = yield sys("socket")
+            yield sys("bind", sid, 100)
+            tids["second"] = yield sys("thread_spawn", "second", (sid,))
+            yield sys("thread_spawn", "writer", (sid,))
+            while parked_tids() != [tids["second"]]:
                 yield sys("sched_yield")
-            got[1] = yield sys("pipe_read", pipe, 16)
+            got["first"] = (yield sys("recvfrom", sid))[2]
 
-        def second(pipe):   # pid 2
-            got[2] = yield sys("pipe_read", pipe, 16)
+        def second(sid):
+            got["second"] = (yield sys("recvfrom", sid))[2]
 
-        def writer(pipe):   # pid 3
-            while parked_pids() != [2, 1]:
+        def writer(sid):
+            out = yield sys("socket")
+            yield sys("bind", out, 101)
+            while parked_tids() != [tids["second"], tids["first"]]:
                 yield sys("sched_yield")
-            yield sys("pipe_write", pipe, b"first")
-            assert parked_pids() == [1]
-            yield sys("pipe_write", pipe, b"second")
+            yield sys("sendto", out, ip, 100, b"first")
+            while len(parked_tids()) == 2:
+                yield sys("sched_yield")
+            assert parked_tids() == [tids["first"]]
+            yield sys("sendto", out, ip, 100, b"second")
 
-        kernel = Kernel(num_cores=2)
+        kernel = Kernel(num_cores=2, ip=ip)
         for name, factory in (("first", first), ("second", second),
                               ("writer", writer)):
             kernel.register_program(name, factory)
-        kernel.spawn("first")
+        pid = kernel.spawn("first")
+        (tids["first"],) = kernel.processes[pid].threads
         kernel.run()
-        assert got == {2: b"first", 1: b"second"}
+        assert got == {"second": b"first", "first": b"second"}
         assert kernel.scheduler.audit() == []
 
     def test_sleepers_to_one_tick_wake_in_arrival_order(self):

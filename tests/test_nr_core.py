@@ -149,3 +149,31 @@ class TestFunctionalExecution:
             nr.execute(("mul", 2))
         replica = nr.replicas[0]
         assert replica.combiner is None and not replica.lock.writer
+
+
+class TestNrAutoGc:
+    def test_auto_gc_bounds_log(self):
+        from repro.nr.core import NodeReplicated
+        from repro.nr.datastructures import Counter
+
+        nr = NodeReplicated(Counter, num_nodes=1, auto_gc_threshold=8)
+        for _ in range(100):
+            nr.execute(("add", 1))
+        assert nr.auto_gcs > 0
+        assert len(nr.log) <= 9  # bounded around the threshold
+        assert nr.execute_ro("get") == 100  # semantics intact
+
+    def test_auto_gc_respects_lagging_replica(self):
+        from repro.nr.core import NodeReplicated
+        from repro.nr.datastructures import Counter
+
+        nr = NodeReplicated(Counter, num_nodes=2, auto_gc_threshold=4)
+        for _ in range(20):
+            nr.execute(("add", 1), node=0)
+        # replica 1 never applied anything: GC must not collect
+        assert nr.replicas[1].ltail == 0
+        assert nr.log.base == 0
+        # once replica 1 catches up, GC proceeds on the next write
+        assert nr.execute_ro("get", node=1) == 20
+        nr.execute(("add", 1), node=0)
+        assert nr.log.base > 0

@@ -1,11 +1,11 @@
 """Scheduler unit tests: fair class, RT classes, affinity, migration.
 
 The seed's behavioral tests are kept where the contract is unchanged
-(round-robin among equals, block/wake, affinity, the ``setpriority``
-syscall's EINVAL) and adapted where the multi-class scheduler refines
-the semantics: strict priority ordering became weighted fair sharing,
-and the old aging-based starvation test became the RT-throttle /
-min-vruntime starvation-freedom regression.
+(round-robin among equals, block/wake, affinity) and adapted where the
+multi-class scheduler refines the semantics: strict priority ordering
+became weighted fair sharing (the seed's three priority levels are the
+nice levels -10, 0 and +10), and the old aging-based starvation test
+became the RT-throttle / min-vruntime starvation-freedom regression.
 """
 
 import pytest
@@ -132,11 +132,12 @@ class TestFairClass:
 
     def test_legacy_priorities_still_bias_share(self):
         # the seed's strict-priority semantics refine to weighted
-        # sharing: level 0 dominates level 2 without starving it
+        # sharing: its level 0 (nice -10) dominates its level 2
+        # (nice +10) without starving it
         sched = Scheduler(num_cores=1)
         high, low = make_thread("high"), make_thread("low")
-        sched.set_priority(high, 0)
-        sched.set_priority(low, 2)
+        sched.set_nice(high, -10)
+        sched.set_nice(low, 10)
         sched.ready(high)
         sched.ready(low)
         picks = run_quanta(sched, 300)
@@ -148,7 +149,7 @@ class TestFairClass:
     def test_priority_validated(self):
         sched = Scheduler(num_cores=1)
         with pytest.raises(ValueError):
-            sched.set_priority(make_thread(), 5)
+            sched.set_nice(make_thread(), 20)
 
     def test_sleeper_gets_latency_bonus(self):
         sched = Scheduler(num_cores=1)
@@ -172,8 +173,8 @@ class TestFairClass:
         sched = Scheduler(num_cores=1)
         hog = make_thread("hog")
         starved = make_thread("starved")
-        sched.set_priority(hog, 0)
-        sched.set_priority(starved, 2)
+        sched.set_nice(hog, -10)
+        sched.set_nice(starved, 10)
         sched.ready(hog)
         sched.ready(starved)
         picks = run_quanta(sched, 200)
@@ -182,11 +183,11 @@ class TestFairClass:
     def test_forget_clears_state(self):
         sched = Scheduler(num_cores=1)
         thread = make_thread()
-        sched.set_priority(thread, 0)
+        sched.set_nice(thread, -10)
         sched.ready(thread)
         sched.next_thread()
         sched.forget(thread)
-        assert sched.priority_of(thread) == 1  # back to default
+        assert sched.policy_of(thread) == ("fair", 0)  # back to default
 
 
 class TestRtClasses:
@@ -310,7 +311,7 @@ class TestForgetPurges:
 class TestWaitTable:
     """Who is parked on what is recorded once: ``parked(kind)``."""
 
-    KINDS = ("futex", "wait", "join", "sleep", "sigwait", "net")
+    KINDS = ("futex", "wait", "join", "sleep", "net")
 
     def test_parked_is_arrival_order_per_kind(self):
         sched = Scheduler(num_cores=2)
@@ -423,28 +424,6 @@ class TestMigration:
         assert sched.migrations >= 1
         assert {sched.core_of(t) for t in survivors} == {0, 1}
         assert sched.audit() == []
-
-
-class TestSetPrioritySyscall:
-    def test_setpriority_via_kernel(self):
-        from repro.nros.kernel import Kernel
-        from repro.nros.syscall.abi import SyscallError, sys
-
-        errors = []
-
-        def prog():
-            yield sys("setpriority", 0)
-            try:
-                yield sys("setpriority", 9)
-            except SyscallError as exc:
-                errors.append(exc.errno)
-
-        from repro.nros.syscall.abi import EINVAL
-        kernel = Kernel()
-        kernel.register_program("p", prog)
-        kernel.spawn("p")
-        kernel.run()
-        assert errors == [EINVAL]
 
 
 class TestSchedSyscalls:

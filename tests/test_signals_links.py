@@ -1,4 +1,4 @@
-"""Tests for signals (kill/signal/sigwait) and filesystem hard links."""
+"""Tests for process termination (kill) and filesystem hard links."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.hw.devices.disk import Disk
 from repro.nros.drivers.block import BlockDriver
 from repro.nros.fs.fs import Exists, FileSystem, IsADirectory, NotFound
 from repro.nros.kernel import Kernel
-from repro.nros.syscall.abi import SIGKILL, SIGTERM, SIGUSR1, SIGUSR2, SyscallError, sys
+from repro.nros.syscall.abi import SyscallError, sys
 
 
 def fresh_fs():
@@ -103,74 +103,13 @@ class TestHardLinks:
 
 
 class TestSignals:
-    def test_signal_then_sigwait(self):
-        got = []
-
-        def receiver():
-            signum = yield sys("sigwait")
-            got.append(signum)
-
-        def sender(pid):
-            yield sys("sleep", 2)
-            yield sys("signal", pid, SIGUSR1)
-
-        kernel = Kernel()
-        kernel.register_program("receiver", receiver)
-        kernel.register_program("sender", sender)
-        rpid = kernel.spawn("receiver")
-        kernel.spawn("sender", (rpid,))
-        kernel.run()
-        assert got == [SIGUSR1]
-
-    def test_pending_signal_returned_immediately(self):
-        got = []
-
-        def receiver():
-            yield sys("sleep", 4)  # signal arrives while we sleep
-            pending = yield sys("sigpending")
-            got.append(pending)
-            got.append((yield sys("sigwait")))
-            got.append((yield sys("sigpending")))
-
-        def sender(pid):
-            yield sys("signal", pid, SIGTERM)
-
-        kernel = Kernel()
-        kernel.register_program("receiver", receiver)
-        kernel.register_program("sender", sender)
-        rpid = kernel.spawn("receiver")
-        kernel.spawn("sender", (rpid,))
-        kernel.run()
-        assert got == [(SIGTERM,), SIGTERM, ()]
-
-    def test_signals_queue_in_order(self):
-        got = []
-
-        def receiver():
-            for _ in range(3):
-                got.append((yield sys("sigwait")))
-
-        def sender(pid):
-            yield sys("sleep", 2)
-            yield sys("signal", pid, SIGUSR1)
-            yield sys("signal", pid, SIGUSR2)
-            yield sys("signal", pid, SIGTERM)
-
-        kernel = Kernel()
-        kernel.register_program("receiver", receiver)
-        kernel.register_program("sender", sender)
-        rpid = kernel.spawn("receiver")
-        kernel.spawn("sender", (rpid,))
-        kernel.run()
-        assert got == [SIGUSR1, SIGUSR2, SIGTERM]
-
     def test_sigkill_still_kills(self):
         def victim():
             while True:
                 yield sys("sched_yield")
 
         def killer(pid):
-            yield sys("kill", pid, SIGKILL)
+            yield sys("kill", pid)
 
         kernel = Kernel()
         kernel.register_program("victim", victim)
@@ -180,29 +119,12 @@ class TestSignals:
         kernel.run()
         assert kernel.processes[vpid].exit_code == 137
 
-    def test_signal_sigkill_rejected(self):
-        errors = []
-
-        def prog():
-            me = yield sys("getpid")
-            try:
-                yield sys("signal", me, SIGKILL)
-            except SyscallError as exc:
-                errors.append(exc.errno)
-
-        from repro.nros.syscall.abi import EINVAL
-        kernel = Kernel()
-        kernel.register_program("p", prog)
-        kernel.spawn("p")
-        kernel.run()
-        assert errors == [EINVAL]
-
     def test_signal_dead_process(self):
         errors = []
 
         def prog():
             try:
-                yield sys("signal", 999, SIGUSR1)
+                yield sys("kill", 999)
             except SyscallError as exc:
                 errors.append(exc.errno)
 

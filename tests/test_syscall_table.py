@@ -51,7 +51,6 @@ class TestTableCompleteness:
 DIFFERENTIAL_CASES = [
     ("getpid", (), 0),
     ("stat", ("/",), 0),
-    ("sigpending", (), 0),
     ("sleep", (0,), 0),
     ("vm_unmap", (UNMAPPED,), abi.ENOENT),
     ("vm_resolve", (UNMAPPED,), abi.ENOENT),
@@ -59,8 +58,8 @@ DIFFERENTIAL_CASES = [
     ("peek", (UNMAPPED,), abi.EFAULT),
     ("close", (99,), abi.EBADF),
     ("open", ("/missing", 0), abi.ENOENT),
-    ("pipe_close", (99, "r"), abi.EBADF),
     ("kill", (9999,), abi.ESRCH),
+    ("kill", (9999, 15), abi.EINVAL),    # kill takes no signal number
     ("socket", (), abi.ENOSYS),          # this kernel has no network
     ("ring_setup", (0,), abi.EINVAL),    # depth out of range
     ("vm_map", (), abi.EINVAL),          # wrong argument count
@@ -93,3 +92,24 @@ def test_trap_and_ring_agree_on_value_and_errno():
     assert via_trap == via_ring
     assert [status for status, _ in via_trap] \
         == [status for _, _, status in DIFFERENTIAL_CASES]
+
+
+def test_a_removed_number_completes_with_enosys():
+    """Numbers 70-73 were the pipe calls: an SQE that still names one
+    reaches ``_invoke`` and completes ENOSYS, and the ring stays usable."""
+    completions = []
+
+    def prog():
+        rid, *_ = yield sys("ring_setup", 4)
+        for number in (70, abi.SYSCALLS["getpid"]):
+            blob = ringmod.encode_sqe(number, number, ())
+            completions.extend((yield sys("ring_enter", rid, blob, True)))
+
+    assert 70 not in abi.NUMBER_TO_NAME
+    kernel = Kernel()
+    kernel.register_program("stale", prog)
+    pid = kernel.spawn("stale")
+    kernel.run()
+    assert kernel.processes[pid].exit_code == 0
+    assert completions == [(70, abi.ENOSYS, "70"),
+                           (abi.SYSCALLS["getpid"], 0, pid)]
